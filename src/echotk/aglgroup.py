@@ -85,11 +85,6 @@ def inverse(e: AglElem) -> AglElem:
     return AglElem(e.k, *_inv(e.raw, e.k))
 
 
-def embed_3x3(e: AglElem) -> tuple:
-    """The faithful 3x3 matrix picture [[M, v], [0, 1]] of (v, M)."""
-    return ((e.m00, e.m01, e.v0), (e.m10, e.m11, e.v1), (0, 0, 1))
-
-
 def pack(raw: Elem, k: int) -> int:
     code = 0
     for part in raw:

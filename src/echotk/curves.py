@@ -1,8 +1,9 @@
 """Exact elliptic-curve arithmetic in long Weierstrass form.
 
 Curves live either over the rationals (coefficients are Fractions) or over
-a prime field F_p (coefficients are ints mod p); one chord-tangent
-implementation covers both.  Points are affine ``(x, y)`` pairs, with
+a prime field F_p (coefficients are ints mod p).  The chord-tangent law
+has a Fraction body for Q and a plain-int body for F_p, which the prime
+sweep calls directly.  Points are affine ``(x, y)`` pairs, with
 ``None`` standing for the point at infinity.  The module also houses the
 bridge from the ECHO sequence to odd multiples of the base point
 P = (4, 7) on E: y^2 + y = x^3 - 3x + 4, and the normal-form reduction
@@ -97,53 +98,98 @@ class Curve:
     def _norm(self, v: FieldElem) -> FieldElem:
         return int(v) % self.p if self.p is not None else Fraction(v)
 
-    def _inv(self, v: FieldElem) -> FieldElem:
-        if self.p is None:
-            return Fraction(1) / v
-        try:
-            return pow(int(v), -1, self.p)
-        except ValueError as e:
-            raise ValueError(f"{v} not invertible mod {self.p} (composite modulus?)") from e
-
 
 # The curve and point the sequence is tied to.
 CURVE_E = Curve(0, 0, 1, -3, 4)
 POINT_P: Point = (Fraction(4), Fraction(7))
 
 
-def negate(pt: Point, c: Curve) -> Point:
+# The group law over F_p on plain ints, the one the sweep runs: points are
+# reduced (x, y) pairs or None, and only a1..a4 enter the formulas.
+
+
+def _fp_neg(pt, a1, a3, p):
     if pt is None:
         return None
     x, y = pt
-    ny = -y - c.a1 * x - c.a3
-    return (c._norm(x), c._norm(ny))
+    return (x, (-y - a1 * x - a3) % p)
 
 
-def add(pt1: Point, pt2: Point, c: Curve) -> Point:
-    """Chord-tangent sum; the third intersection reflected by y -> -y-a1*x-a3."""
+def _fp_add(pt1, pt2, a1, a2, a3, a4, p):
     if pt1 is None:
         return pt2
     if pt2 is None:
         return pt1
-    x1, y1 = c._norm(pt1[0]), c._norm(pt1[1])
-    x2, y2 = c._norm(pt2[0]), c._norm(pt2[1])
+    x1, y1 = pt1
+    x2, y2 = pt2
     if x1 == x2:
-        vertical = y1 + y2 + c.a1 * x1 + c.a3
-        if (vertical % c.p if c.p is not None else vertical) == 0:
+        if (y1 + y2 + a1 * x1 + a3) % p == 0:
+            return None
+        num = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) % p
+        den = (2 * y1 + a1 * x1 + a3) % p
+    else:
+        num = (y2 - y1) % p
+        den = (x2 - x1) % p
+    lam = num * pow(den, -1, p) % p
+    x3 = (lam * lam + a1 * lam - a2 - x1 - x2) % p
+    y3 = (lam * (x1 - x3) - y1 - a1 * x3 - a3) % p
+    return (x3, y3)
+
+
+def _fp_mul(n, pt, a1, a2, a3, a4, p):
+    if n < 0:
+        n, pt = -n, _fp_neg(pt, a1, a3, p)
+    acc = None
+    run = pt
+    while n:
+        if n & 1:
+            acc = _fp_add(acc, run, a1, a2, a3, a4, p)
+        run = _fp_add(run, run, a1, a2, a3, a4, p)
+        n >>= 1
+    return acc
+
+
+def _fp_point(pt: Point, c: Curve) -> Point:
+    return None if pt is None else (c._norm(pt[0]), c._norm(pt[1]))
+
+
+def negate(pt: Point, c: Curve) -> Point:
+    if c.p is not None:
+        return _fp_neg(_fp_point(pt, c), c.a1, c.a3, c.p)
+    if pt is None:
+        return None
+    x, y = Fraction(pt[0]), Fraction(pt[1])
+    return (x, -y - c.a1 * x - c.a3)
+
+
+def add(pt1: Point, pt2: Point, c: Curve) -> Point:
+    """Chord-tangent sum; the third intersection reflected by y -> -y-a1*x-a3."""
+    if c.p is not None:
+        return _fp_add(_fp_point(pt1, c), _fp_point(pt2, c), c.a1, c.a2, c.a3, c.a4, c.p)
+    if pt1 is None:
+        return pt2
+    if pt2 is None:
+        return pt1
+    x1, y1 = Fraction(pt1[0]), Fraction(pt1[1])
+    x2, y2 = Fraction(pt2[0]), Fraction(pt2[1])
+    if x1 == x2:
+        if y1 + y2 + c.a1 * x1 + c.a3 == 0:
             return None
         num = 3 * x1 * x1 + 2 * c.a2 * x1 + c.a4 - c.a1 * y1
         den = 2 * y1 + c.a1 * x1 + c.a3
     else:
         num = y2 - y1
         den = x2 - x1
-    lam = num * c._inv(den)
+    lam = num / den
     x3 = lam * lam + c.a1 * lam - c.a2 - x1 - x2
     y3 = lam * (x1 - x3) - y1 - c.a1 * x3 - c.a3
-    return (c._norm(x3), c._norm(y3))
+    return (x3, y3)
 
 
 def scalar_mul(n: int, pt: Point, c: Curve) -> Point:
     """n*pt by double-and-add; n may be zero or negative."""
+    if c.p is not None:
+        return _fp_mul(n, _fp_point(pt, c), c.a1, c.a2, c.a3, c.a4, c.p)
     if n < 0:
         return scalar_mul(-n, negate(pt, c), c)
     acc: Point = None

@@ -1,5 +1,6 @@
-"""Exact polynomial and integer helpers: rational roots, quartic
-discriminants, and degree-4 irreducibility over the rationals.
+"""Exact polynomial and integer helpers: prime sieves, factorization,
+rational roots, quartic discriminants, and degree-4 irreducibility over
+the rationals.
 
 Polynomials are coefficient sequences in ascending order.  Root finding
 clears denominators and runs the rational-root theorem over divisor pairs
@@ -13,9 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
-
-from .sweep import primes_up_to
+from typing import Iterable, Sequence
 
 TRIAL_DIVISION_BOUND = 1_000_000
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -24,6 +23,34 @@ _MR_LIMIT = 3_317_044_064_679_887_385_961_981  # deterministic below this
 
 class FactorizationError(ArithmeticError):
     """Integer outside the configured factorization reach."""
+
+
+def primes_up_to(bound: int) -> list[int]:
+    """Eratosthenes sieve, inclusive."""
+    if bound < 2:
+        return []
+    sieve = bytearray([1]) * (bound + 1)
+    sieve[0] = sieve[1] = 0
+    for i in range(2, math.isqrt(bound) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytearray(len(range(i * i, bound + 1, i)))
+    return [i for i, fl in enumerate(sieve) if fl]
+
+
+def primes_in_range(lo: int, hi: int, base: Sequence[int]) -> Iterable[int]:
+    """Primes in [lo, hi) via a segmented sieve over the given base primes."""
+    lo = max(lo, 2)
+    if lo >= hi:
+        return
+    seg = bytearray([1]) * (hi - lo)
+    for q in base:
+        if q * q >= hi:
+            break
+        start = max(q * q, ((lo + q - 1) // q) * q)
+        seg[start - lo :: q] = bytearray(len(range(start, hi, q)))
+    for i, fl in enumerate(seg):
+        if fl:
+            yield lo + i
 
 
 def is_probable_prime(n: int) -> bool:

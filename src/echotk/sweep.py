@@ -2,11 +2,13 @@
 
 For a good-reduction prime p the question reduces to whether the base
 point has odd order in E(F_p); the bad primes are settled by the residue
-cycles (3 divides a term, 5 never does).  Point counting is baby-step
-giant-step seeded at p+1, with exact-order refinement over several sample
-points and an exhaustive character-sum count for small p.  The sweep is
-parallel over contiguous prime ranges and its counts are exact and
-independent of the worker count.
+cycles (3 divides a term, 5 never does).  One baby-step giant-step search
+over the Hasse interval finds a positive multiple m of the point's order,
+and the order is odd exactly when the odd part of m already kills the
+point; #E(F_p) itself is never needed.  The same engine scans any rational
+curve/point pair.  The sweep is parallel over contiguous prime ranges and
+its counts are exact and independent of the worker count.  Full group
+orders (group_order) remain as an oracle for the tests.
 """
 
 from __future__ import annotations
@@ -16,15 +18,16 @@ import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from decimal import ROUND_HALF_EVEN, Decimal, getcontext
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 from . import curves
-from .curves import Curve, Point
+from .curves import Curve, Point, _fp_add, _fp_mul, _fp_neg
+from .polyops import factorize, primes_in_range, primes_up_to
 
 SEGMENT_SIZE = 1 << 16
-EXHAUSTIVE_LIMIT = 100          # below this, count points by character sum
+EXHAUSTIVE_LIMIT = 100          # below this, group_order counts points by character sum
 MAX_ORDER_SAMPLES = 12
 EXHAUSTIVE_FALLBACK_CAP = 10_000_000
 
@@ -43,106 +46,97 @@ def default_threads() -> int:
 
 
 # ---------------------------------------------------------------------------
-# primes
+# the odd-order decision
 
 
-def primes_up_to(bound: int) -> list[int]:
-    """Eratosthenes sieve, inclusive."""
-    if bound < 2:
-        return []
-    sieve = bytearray([1]) * (bound + 1)
-    sieve[0] = sieve[1] = 0
-    for i in range(2, math.isqrt(bound) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(range(i * i, bound + 1, i)))
-    return [i for i, fl in enumerate(sieve) if fl]
+def _annihilator(pt, a1, a2, a3, a4, p) -> int:
+    """Some positive M in the Hasse interval [p+1-2sqrt(p), p+1+2sqrt(p)] with M*pt = O.
+
+    Every match is an exact point equality, so the M returned kills pt;
+    M <= 0 matches occur only for tiny p and are skipped.
+    """
+    T = math.isqrt(4 * p)
+    s = math.isqrt(2 * T) + 1
+    baby: dict = {}
+    run = None
+    for j in range(s):
+        baby.setdefault(run, j)
+        run = _fp_add(run, pt, a1, a2, a3, a4, p)
+    s_pt = _fp_mul(s, pt, a1, a2, a3, a4, p)
+    lo = p + 1 - T
+    giant = _fp_mul(lo, pt, a1, a2, a3, a4, p)
+    for i in range((2 * T) // s + 2):
+        j = baby.get(_fp_neg(giant, a1, a3, p))  # (lo + i*s + j) * pt = O
+        if j is not None and lo + i * s + j > 0:
+            return lo + i * s + j
+        j = baby.get(giant)  # (lo + i*s - j) * pt = O
+        if j is not None and lo + i * s - j > 0:
+            return lo + i * s - j
+        giant = _fp_add(giant, s_pt, a1, a2, a3, a4, p)
+    raise AmbiguousOrderError(f"no annihilator found mod {p}")  # not reachable for prime p
 
 
-def primes_in_range(lo: int, hi: int, base: Sequence[int]) -> Iterable[int]:
-    """Primes in [lo, hi) via a segmented sieve over the given base primes."""
-    lo = max(lo, 2)
-    if lo >= hi:
-        return
-    seg = bytearray([1]) * (hi - lo)
-    for q in base:
-        if q * q >= hi:
-            break
-        start = max(q * q, ((lo + q - 1) // q) * q)
-        seg[start - lo :: q] = bytearray(len(range(start, hi, q)))
-    for i, fl in enumerate(seg):
-        if fl:
-            yield lo + i
+def _odd_order(pt, a1, a2, a3, a4, p) -> bool:
+    """Whether the affine point pt of E(F_p) has odd order.
+
+    ord(pt) divides the annihilator m, so it is odd iff it divides the odd
+    part of m.
+    """
+    m = _annihilator(pt, a1, a2, a3, a4, p)
+    return _fp_mul(m >> ((m & -m).bit_length() - 1), pt, a1, a2, a3, a4, p) is None
 
 
-_SMALL_PRIMES: list[int] = []
-_SMALL_LIMIT = 0
+def _prepare(c: Curve, pt: Point) -> tuple[tuple, int]:
+    """The rational pair (c, pt) as (numerator, denominator) pairs of
+    x, y, a1, a2, a3, a4, and an integer divisible exactly by the primes at
+    which c has no good reduction (a coefficient denominator or the
+    discriminant vanishes)."""
+    if c.p is not None:
+        raise ValueError("the sweep expects a curve over the rationals")
+    if pt is None or not c.contains(pt):
+        raise ValueError("the swept point must be an affine point on the curve")
+    values = (Fraction(pt[0]), Fraction(pt[1]), c.a1, c.a2, c.a3, c.a4)
+    bad = math.prod(v.denominator for v in (c.a1, c.a2, c.a3, c.a4, c.a6))
+    return tuple((v.numerator, v.denominator) for v in values), bad * c.discriminant().numerator
 
 
-def _small_primes(bound: int) -> list[int]:
-    global _SMALL_PRIMES, _SMALL_LIMIT
-    if _SMALL_LIMIT < bound:
-        _SMALL_LIMIT = max(bound, 10_000)
-        _SMALL_PRIMES = primes_up_to(_SMALL_LIMIT)
-    return _SMALL_PRIMES
+def _hit(p: int, parts: tuple, bad: int, overrides: dict) -> bool:
+    """Whether the prepared point has odd order mod p; False at bad primes
+    unless overrides settles p."""
+    if p in overrides:
+        return overrides[p]
+    if bad % p == 0:
+        return False
+    if parts[0][1] % p == 0:
+        return True  # the point reduces to O
+    x, y, a1, a2, a3, a4 = (n * pow(d, -1, p) % p for n, d in parts)
+    return _odd_order((x, y), a1, a2, a3, a4, p)
 
 
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for q in _small_primes(math.isqrt(n) + 1):
-        if q * q > n:
-            break
-        while n % q == 0:
-            out[q] = out.get(q, 0) + 1
-            n //= q
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+_ECHO_PAIR = _prepare(curves.CURVE_E, curves.POINT_P)
+
+
+def has_odd_order(pt: Point, c: Curve) -> bool:
+    """True iff pt has odd order in E(F_p) for the non-singular curve c over F_p."""
+    if c.p is None:
+        raise ValueError("has_odd_order needs a curve over F_p")
+    if c.is_singular():
+        raise curves.SingularCurveError(f"singular reduction mod {c.p}")
+    pt = curves._fp_point(pt, c)
+    return pt is None or _odd_order(pt, c.a1, c.a2, c.a3, c.a4, c.p)
+
+
+def divides_some_term(p: int) -> bool:
+    """Whether the prime p divides some sequence term.
+
+    Bad-reduction primes are hard-wired from the residue cycles; every other
+    prime goes through the odd-order criterion for P mod p.
+    """
+    return _hit(p, *_ECHO_PAIR, _BAD_DIVIDES)
 
 
 # ---------------------------------------------------------------------------
-# fast affine arithmetic on plain ints (internal; the public contract is
-# curves.add / curves.scalar_mul, which the tests check this against)
-
-
-def _fp_neg(pt, a1, a3, p):
-    if pt is None:
-        return None
-    x, y = pt
-    return (x, (-y - a1 * x - a3) % p)
-
-
-def _fp_add(pt1, pt2, a1, a2, a3, a4, p):
-    if pt1 is None:
-        return pt2
-    if pt2 is None:
-        return pt1
-    x1, y1 = pt1
-    x2, y2 = pt2
-    if x1 == x2:
-        if (y1 + y2 + a1 * x1 + a3) % p == 0:
-            return None
-        num = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) % p
-        den = (2 * y1 + a1 * x1 + a3) % p
-    else:
-        num = (y2 - y1) % p
-        den = (x2 - x1) % p
-    lam = num * pow(den, -1, p) % p
-    x3 = (lam * lam + a1 * lam - a2 - x1 - x2) % p
-    y3 = (lam * (x1 - x3) - y1 - a1 * x3 - a3) % p
-    return (x3, y3)
-
-
-def _fp_mul(n, pt, a1, a2, a3, a4, p):
-    if n < 0:
-        n, pt = -n, _fp_neg(pt, a1, a3, p)
-    acc = None
-    run = pt
-    while n:
-        if n & 1:
-            acc = _fp_add(acc, run, a1, a2, a3, a4, p)
-        run = _fp_add(run, run, a1, a2, a3, a4, p)
-        n >>= 1
-    return acc
+# full group orders: the oracle the tests check point counting against
 
 
 def _legendre(a: int, p: int) -> int:
@@ -219,35 +213,9 @@ def _random_point(a1, a2, a3, a4, a6, p, rng) -> tuple[int, int]:
             return (x, (z - a1 * x - a3) * inv2 % p)
 
 
-def _annihilator(pt, a1, a2, a3, a4, p) -> int:
-    """Some positive M in the Hasse interval [p+1-2sqrt(p), p+1+2sqrt(p)] with M*pt = O."""
-    T = math.isqrt(4 * p)
-    s = math.isqrt(2 * T) + 1
-    baby: dict = {}
-    run = None
-    for j in range(s):
-        baby.setdefault(run, j)
-        run = _fp_add(run, pt, a1, a2, a3, a4, p)
-    s_pt = _fp_mul(s, pt, a1, a2, a3, a4, p)
-    giant = _fp_mul(p + 1 - T, pt, a1, a2, a3, a4, p)
-    for i in range((2 * T) // s + 2):
-        j = baby.get(_fp_neg(giant, a1, a3, p))
-        if j is not None:
-            m = p + 1 + (i * s + j - T)
-            if m > 0 and _fp_mul(m, pt, a1, a2, a3, a4, p) is None:
-                return m
-        j = baby.get(giant)
-        if j is not None:
-            m = p + 1 + (i * s - j - T)
-            if m > 0 and _fp_mul(m, pt, a1, a2, a3, a4, p) is None:
-                return m
-        giant = _fp_add(giant, s_pt, a1, a2, a3, a4, p)
-    raise AmbiguousOrderError(f"no annihilator found mod {p}")  # not reachable for prime p
-
-
 def _order_from_multiple(pt, multiple, a1, a2, a3, a4, p) -> int:
     d = multiple
-    for q, e in _factorize(multiple).items():
+    for q, e in factorize(multiple).items():
         for _ in range(e):
             if _fp_mul(d // q, pt, a1, a2, a3, a4, p) is None:
                 d //= q
@@ -278,10 +246,6 @@ def _group_order_fp(a1, a2, a3, a4, a6, p) -> int:
     return _count_exhaustive(a1, a2, a3, a4, a6, p)
 
 
-# ---------------------------------------------------------------------------
-# public operations
-
-
 def group_order(c: Curve) -> int:
     """#E(F_p) for a non-singular curve over a prime field."""
     if c.p is None:
@@ -291,48 +255,15 @@ def group_order(c: Curve) -> int:
     return _group_order_fp(c.a1, c.a2, c.a3, c.a4, c.a6, c.p)
 
 
-def has_odd_order(pt: Point, c: Curve) -> bool:
-    """True iff pt has odd order: m*pt = O for m the odd part of #E(F_p)."""
-    if pt is None:
-        return True
-    m = group_order(c)
-    while m % 2 == 0:
-        m //= 2
-    return _fp_mul(m, (int(pt[0]) % c.p, int(pt[1]) % c.p), c.a1, c.a2, c.a3, c.a4, c.p) is None
-
-
-def divides_some_term(p: int) -> bool:
-    """Whether the prime p divides some sequence term.
-
-    Bad-reduction primes are hard-wired from the residue cycles; every other
-    prime goes through the odd-order criterion for P mod p.
-    """
-    if p in _BAD_DIVIDES:
-        return _BAD_DIVIDES[p]
-    cp, good = curves.reduce_mod_p(curves.CURVE_E, p)
-    assert good
-    return has_odd_order(curves.reduce_point_mod_p(curves.POINT_P, p), cp)
-
-
-def zscore(successes: int, trials: int, hypothesized: Fraction) -> float:
-    """One-proportion z statistic (p_hat - p0) / sqrt(p0 (1-p0) / n)."""
-    if trials <= 0:
-        raise ValueError("trials must be positive")
-    p0 = float(hypothesized)
-    if not 0 < p0 < 1:
-        raise ValueError("hypothesized proportion must be strictly between 0 and 1")
-    p_hat = successes / trials
-    return (p_hat - p0) / math.sqrt(p0 * (1 - p0) / trials)
-
-
 # ---------------------------------------------------------------------------
 # sweep records, checkpoints, parallel driver
 
 
 def ratio_str(num: int, den: int) -> str:
     """num/den rendered to 9 decimal places, ties to even."""
-    getcontext().prec = 50
-    return str((Decimal(num) / Decimal(den)).quantize(Decimal("0.000000001"), ROUND_HALF_EVEN))
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return str((Decimal(num) / Decimal(den)).quantize(Decimal("0.000000001"), ROUND_HALF_EVEN))
 
 
 @dataclass(frozen=True)
@@ -348,42 +279,35 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class Checkpoint:
+    """Sweep progress: the line ``last_prime pi pi_prime``, then one line
+    ``x pi_prime pi`` per row emitted so far."""
+
     last_prime: int
     pi_so_far: int
     pi_prime_so_far: int
+    rows: tuple[SweepRecord, ...] = ()
 
     def save(self, path: str) -> None:
-        with open(path, "w") as fh:
+        tmp = f"{path}.tmp"
+        with open(tmp, "w") as fh:
             fh.write(f"{self.last_prime} {self.pi_so_far} {self.pi_prime_so_far}\n")
+            for r in self.rows:
+                fh.write(f"{r.x} {r.pi_prime} {r.pi}\n")
+        os.replace(tmp, path)
 
     @classmethod
     def load(cls, path: str) -> "Checkpoint":
         with open(path) as fh:
-            parts = fh.read().split()
-        if len(parts) != 3:
-            raise ValueError(f"malformed checkpoint {path!r}: expected three integers")
-        return cls(*(int(v) for v in parts))
-
-
-def _pair_divides(p: int, coeffs, pt) -> Optional[bool]:
-    """Odd-order predicate for an arbitrary rational curve/point pair.
-
-    Returns None for primes the pair cannot be reduced at (bad reduction or
-    coefficient denominators); those primes count toward pi only.
-    """
-    for frac in coeffs:
-        if frac.denominator % p == 0:
-            return None
-    reduced = [f.numerator * pow(f.denominator, -1, p) % p for f in coeffs]
-    c = Curve(*reduced, p=p)
-    if c.is_singular():
-        return None
-    return has_odd_order(curves.reduce_point_mod_p(pt, p), c)
+            lines = [line.split() for line in fh]
+        if not lines or any(len(parts) != 3 for parts in lines):
+            raise ValueError(f"malformed checkpoint {path!r}: expected lines of three integers")
+        head, *rows = [[int(v) for v in parts] for parts in lines]
+        return cls(*head, tuple(SweepRecord(*r) for r in rows))
 
 
 def _sweep_chunk(args):
-    """Count primes and predicate hits in [lo, hi), split at the given cuts."""
-    lo, hi, cuts, mode, coeffs, pt = args
+    """Count primes and odd-order hits in [lo, hi), split at the given cuts."""
+    lo, hi, cuts, parts, bad, overrides = args
     base = primes_up_to(math.isqrt(hi) + 1)
     out = []
     pi = prime_hits = 0
@@ -394,34 +318,19 @@ def _sweep_chunk(args):
             out.append((cut_iter[idx], pi, prime_hits))
             idx += 1
         pi += 1
-        if mode == "echo":
-            hit = divides_some_term(p)
-        else:
-            hit = bool(_pair_divides(p, coeffs, pt))
-        if hit:
-            prime_hits += 1
+        prime_hits += _hit(p, parts, bad, overrides)
     while idx < len(cut_iter):
         out.append((cut_iter[idx], pi, prime_hits))
         idx += 1
     return out
 
 
-def _segments(start: int, x_max: int, boundaries: Sequence[int]):
-    lo = start
-    while lo <= x_max:
-        hi = min(lo + SEGMENT_SIZE, x_max + 1)
-        cuts = [b for b in boundaries if lo <= b < hi]
-        yield (lo, hi, cuts)
-        lo = hi
-
-
 def _run_sweep(
     x_max: int,
     threads: Optional[int],
     checkpoint_path: Optional[str],
-    mode: str,
-    coeffs,
-    pt,
+    pair: tuple[tuple, int],
+    overrides: dict,
 ) -> list[SweepRecord]:
     if x_max < 10:
         raise ValueError("x_max must be >= 10")
@@ -431,45 +340,43 @@ def _run_sweep(
     while b <= x_max:
         boundaries.append(b)
         b *= 10
-    if not boundaries or boundaries[-1] != x_max:
+    if boundaries[-1] != x_max:
         boundaries.append(x_max)
 
     start, pi, prime_hits = 2, 0, 0
+    records: list[SweepRecord] = []
     if checkpoint_path and os.path.exists(checkpoint_path):
         ck = Checkpoint.load(checkpoint_path)
+        if ck.last_prime >= x_max:
+            raise ValueError(
+                f"checkpoint {checkpoint_path!r} already covers primes to {ck.last_prime} >= {x_max}"
+            )
         start, pi, prime_hits = ck.last_prime + 1, ck.pi_so_far, ck.pi_prime_so_far
+        records = [r for r in ck.rows if r.x in boundaries]
 
-    tasks = [(lo, hi, cuts, mode, coeffs, pt) for lo, hi, cuts in _segments(start, x_max, boundaries)]
-    records: list[SweepRecord] = []
+    tasks = []
+    for lo in range(start, x_max + 1, SEGMENT_SIZE):
+        hi = min(lo + SEGMENT_SIZE, x_max + 1)
+        tasks.append((lo, hi, [b for b in boundaries if lo <= b < hi], *pair, overrides))
 
-    def consume(seg, results):
+    def consume(task, results):
         nonlocal pi, prime_hits
-        lo, hi, cuts, *_ = seg
-        base_pi, base_hits = pi, prime_hits
-        for cut, dpi, dhits in results:
-            if cut in cuts:
-                records.append(SweepRecord(cut, base_hits + dhits, base_pi + dpi))
-        pi = base_pi + results[-1][1]
-        prime_hits = base_hits + results[-1][2]
+        hi = task[1]
+        for cut, dpi, dhits in results[:-1]:
+            records.append(SweepRecord(cut, prime_hits + dhits, pi + dpi))
+        pi += results[-1][1]
+        prime_hits += results[-1][2]
         if checkpoint_path:
-            Checkpoint(hi - 1, pi, prime_hits).save(checkpoint_path)
+            Checkpoint(hi - 1, pi, prime_hits, tuple(records)).save(checkpoint_path)
 
     if threads == 1:
-        for seg in tasks:
-            consume(seg, _sweep_chunk(seg))
+        for task in tasks:
+            consume(task, _sweep_chunk(task))
     else:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            for seg, results in zip(tasks, pool.map(_sweep_chunk, tasks, chunksize=1)):
-                consume(seg, results)
-
-    # deduplicate: x_max may coincide with a decade cut
-    seen = set()
-    unique = []
-    for rec in records:
-        if rec.x not in seen:
-            seen.add(rec.x)
-            unique.append(rec)
-    return unique
+            for task, results in zip(tasks, pool.map(_sweep_chunk, tasks, chunksize=1)):
+                consume(task, results)
+    return records
 
 
 def sweep(
@@ -478,9 +385,11 @@ def sweep(
     """Sweep all primes <= x_max for sequence divisibility.
 
     Returns one record per decade boundary plus x_max, each carrying the
-    exact counts pi_prime (primes dividing some term) and pi.
+    exact counts pi_prime (primes dividing some term) and pi.  This is the
+    odd-order scan of (E, P) with the bad primes 3 and 5 settled by the
+    residue cycles.
     """
-    return _run_sweep(x_max, threads, checkpoint_path, "echo", None, None)
+    return _run_sweep(x_max, threads, checkpoint_path, _ECHO_PAIR, _BAD_DIVIDES)
 
 
 def density_scan(
@@ -492,7 +401,4 @@ def density_scan(
     order; primes where the pair does not reduce are skipped (they still
     count toward pi).
     """
-    if c.p is not None:
-        raise ValueError("density_scan expects a curve over the rationals")
-    coeffs = tuple(Fraction(v) for v in (c.a1, c.a2, c.a3, c.a4, c.a6))
-    return _run_sweep(x_max, threads, None, "pair", coeffs, pt)
+    return _run_sweep(x_max, threads, None, _prepare(c, pt), {})

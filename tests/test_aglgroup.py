@@ -28,22 +28,6 @@ def test_inverses_random():
         assert ag.compose(ag.inverse(e), e) == ag.identity(2)
 
 
-def test_embed_3x3_is_a_homomorphism():
-    rng = random.Random(1)
-    pool = sorted(ag.full_agl(3).raw_elements())
-
-    def matmul3(x, y, mod=8):
-        return tuple(
-            tuple(sum(x[i][t] * y[t][j] for t in range(3)) % mod for j in range(3))
-            for i in range(3)
-        )
-
-    for _ in range(1000):
-        e = ag.AglElem(3, *rng.choice(pool))
-        f = ag.AglElem(3, *rng.choice(pool))
-        assert matmul3(ag.embed_3x3(e), ag.embed_3x3(f)) == ag.embed_3x3(ag.compose(e, f))
-
-
 def test_pack_unpack_roundtrip():
     rng = random.Random(2)
     for k in (2, 3, 4):

@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 
+import echotk
 from echotk import cli, sweep
 
 
@@ -60,6 +62,18 @@ def test_sweep_checkpoint_cli(capsys, tmp_path):
     loaded = sweep.Checkpoint.load(str(ck))
     assert loaded.pi_so_far == 168
     assert loaded.pi_prime_so_far == 91
+
+
+def test_sweep_checkpoint_past_max_cli(capsys, tmp_path):
+    # a checkpoint that already reaches --max must not yield a bare header
+    # and exit 0, whether the rerun is as long or shorter
+    ck = tmp_path / "ck.txt"
+    assert run_cli(capsys, "sweep", "--max", "10000", "--threads", "1", "--checkpoint", str(ck))[0] == 0
+    for x_max in ("10000", "5000"):
+        code, out, err = run_cli(capsys, "sweep", "--max", x_max, "--threads", "1", "--checkpoint", str(ck))
+        assert code == 1
+        assert out == ""
+        assert "checkpoint" in err
 
 
 def test_usage_errors(capsys):
@@ -135,10 +149,13 @@ def test_family_cli_json(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the package from where this process found it
+    src = os.path.dirname(os.path.dirname(echotk.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "echotk", "density", "analytic"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "179/336"

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from echotk import curves, seq, sweep
+from echotk import curves, seq
 from echotk.curves import CURVE_E, POINT_P
 
 
@@ -130,18 +130,20 @@ def test_tate_output_shape():
     assert c.a2 == c.a3 == b and c.a4 == 0 and c.a6 == 0
 
 
-def test_fast_fp_arithmetic_matches_generic():
-    # the sweep's internal integer path against the public curve ops
-    for p in (101, 97, 1009):
+def test_fp_group_law_commutes_with_reduction():
+    # reduction mod a good prime is a homomorphism: reduce(n*P over Q) must
+    # equal n*reduce(P) computed by the F_p group law
+    for p in (97, 101, 1009):
         cp, _ = curves.reduce_mod_p(CURVE_E, p)
         base = curves.reduce_point_mod_p(POINT_P, p)
-        args = (cp.a1, cp.a2, cp.a3, cp.a4, p)
-        acc_fast = None
-        acc_generic = None
-        for _ in range(25):
-            acc_fast = sweep._fp_add(acc_fast, base, *args)
-            acc_generic = curves.add(acc_generic, base, cp)
-            assert acc_fast == acc_generic
+        acc_q = None
+        acc_p = None
+        for n in range(1, 26):
+            acc_q = curves.add(acc_q, POINT_P, CURVE_E)
+            acc_p = curves.add(acc_p, base, cp)
+            want = curves.reduce_point_mod_p(acc_q, p)
+            assert acc_p == want, (p, n)
+            assert curves.scalar_mul(n, base, cp) == want, (p, n)
 
 
 def test_tate_normal_form_rejects_infinity_and_off_curve():

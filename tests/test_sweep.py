@@ -1,3 +1,4 @@
+import decimal
 import math
 import os
 import random
@@ -46,7 +47,7 @@ def test_group_order_hasse_and_annihilation():
         assert abs(n - (p + 1)) <= 2 * math.isqrt(p) + 1
         for _ in range(20):
             pt = sweep._random_point(cp.a1, cp.a2, cp.a3, cp.a4, cp.a6, p, rng)
-            assert sweep._fp_mul(n, pt, cp.a1, cp.a2, cp.a3, cp.a4, p) is None
+            assert curves._fp_mul(n, pt, cp.a1, cp.a2, cp.a3, cp.a4, p) is None
 
 
 def _naive_order(pt, cp):
@@ -88,17 +89,43 @@ def test_divides_some_term_matches_sequence_scan():
         assert sweep.divides_some_term(p) == scan, p
 
 
-def test_zscore():
-    assert sweep.zscore(50, 100, Fraction(1, 2)) == 0.0
-    assert abs(sweep.zscore(0, 10, Fraction(1, 2)) + math.sqrt(10)) < 1e-12
-    assert abs(sweep.zscore(41856, 78498, Fraction(179, 336))) < 1
+def test_odd_order_decision_matches_naive_order_on_random_pairs():
+    # normal-form pairs (a, b) with the marked point (0, 0), at every good
+    # prime below 600, p = 2 included: the per-prime decision against the
+    # parity of the order found by repeated addition, and the scan engine's
+    # count against the same oracle
+    rng = random.Random(17)
+    pairs = 0
+    while pairs < 40:
+        a = Fraction(rng.randint(-12, 12), rng.randint(1, 4))
+        b = Fraction(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 4))
+        c = curves.curve_from_pair(a, b)
+        if c.discriminant() == 0:
+            continue
+        pairs += 1
+        hits = 0
+        for p in sweep.primes_up_to(600):
+            if a.denominator % p == 0 or b.denominator % p == 0:
+                continue
+            cp, good = curves.reduce_mod_p(c, p)
+            if not good:
+                continue
+            pt = curves.reduce_point_mod_p((0, 0), p)
+            odd = _naive_order(pt, cp) % 2 == 1
+            assert sweep.has_odd_order(pt, cp) == odd, (a, b, p)
+            hits += odd
+        recs = sweep.density_scan(c, (Fraction(0), Fraction(0)), 600, threads=1)
+        assert (recs[-1].pi_prime, recs[-1].pi) == (hits, 109), (a, b)
 
 
-def test_zscore_validation():
-    with pytest.raises(ValueError):
-        sweep.zscore(1, 0, Fraction(1, 2))
-    with pytest.raises(ValueError):
-        sweep.zscore(1, 2, Fraction(1))
+def test_ratio_str_leaves_decimal_context_alone():
+    saved = decimal.getcontext().prec
+    decimal.getcontext().prec = 7
+    try:
+        assert sweep.ratio_str(41856, 78498) == "0.533211037"
+        assert decimal.getcontext().prec == 7
+    finally:
+        decimal.getcontext().prec = saved
 
 
 def test_primes_segmented_matches_simple():
@@ -159,17 +186,17 @@ def test_sweep_resume_matches_cold_run(tmp_path):
     assert ck.last_prime >= 69_000
     recs = sweep.sweep(100_000, threads=1, checkpoint_path=path)
     cold = sweep.sweep(100_000, threads=1)
-    assert recs[-1].x == 100_000
-    assert (recs[-1].pi_prime, recs[-1].pi) == (cold[-1].pi_prime, cold[-1].pi)
+    assert [r.x for r in recs] == [10, 100, 1000, 10_000, 100_000]
+    assert recs == cold
     os.remove(path)
 
 
 def test_density_scan_consistent_with_sweep():
     # the sequence sweep counts the bad prime 3 (it divides b_4); the
-    # generic scan skips bad primes, so its count sits exactly one below
-    recs = sweep.density_scan(CURVE_E, POINT_P, 1000, threads=1)
-    assert recs[-1].pi == 168
-    assert recs[-1].pi_prime == 90  # 91 including p = 3
+    # generic scan skips bad primes, so every row sits exactly one below
+    recs = sweep.density_scan(CURVE_E, POINT_P, 10_000, threads=1)
+    table = sweep.sweep(10_000, threads=1)
+    assert [(r.x, r.pi_prime + 1, r.pi) for r in recs] == [(r.x, r.pi_prime, r.pi) for r in table]
 
 
 def test_character_sum_count_matches_naive_enumeration():
