@@ -228,16 +228,11 @@ def h2() -> SubgroupRep:
     return rep
 
 
-@lru_cache(maxsize=None)
-def _h2_codes() -> frozenset[int]:
-    return h2().codes
-
-
 def hk_contains(e: AglElem) -> bool:
     """Membership in H_k at any level k >= 2: reduce mod 4 and test against H_2."""
     if e.k < 2:
         raise ValueError("H_k is defined for k >= 2")
-    return pack(_reduce_raw(e.raw, 2), 2) in _h2_codes()
+    return pack(_reduce_raw(e.raw, 2), 2) in h2().codes
 
 
 def _kernel_generators(k: int) -> list[AglElem]:
@@ -251,21 +246,20 @@ def _kernel_generators(k: int) -> list[AglElem]:
     return gens
 
 
-def _gl_matrices(k: int) -> list[tuple]:
-    mod = 1 << k
-    out = []
-    for m00 in range(mod):
-        for m01 in range(mod):
-            for m10 in range(mod):
-                for m11 in range(mod):
-                    if (m00 * m11 - m01 * m10) & 1:
-                        out.append((m00, m01, m10, m11))
-    return out
+def _gl_matrices(k: int) -> np.ndarray:
+    """GL_2(Z/2^k) as rows (m00, m01, m10, m11) of an int64 array, in lexicographic order."""
+    m = np.indices((1 << k,) * 4, dtype=np.int64).reshape(4, -1).T
+    return m[(m[:, 0] * m[:, 3] - m[:, 1] * m[:, 2]) & 1 == 1]
 
 
 @lru_cache(maxsize=None)
 def build_hk(k: int) -> SubgroupRep:
-    """H_k as the full preimage of H_2 under reduction mod 4 (2 <= k <= 4)."""
+    """H_k as the full preimage of H_2 under reduction mod 4 (2 <= k <= 4).
+
+    Every coordinate of an element is its mod-4 part plus 4 times a free
+    value in [0, 2^(k-2)), so the codes are those of H_2's elements
+    re-packed at k bits plus those of 4*t for every t in [0, 2^(k-2))^6.
+    """
     if k < 2:
         raise ValueError("H_k is defined for k >= 2")
     if k == 2:
@@ -273,38 +267,11 @@ def build_hk(k: int) -> SubgroupRep:
     if k > 4:
         raise ResourceBudgetError("H_k materialization is capped at k = 4; use hk_contains")
     gens = [AglElem(k, *g.raw) for g in H2_GENERATORS] + _kernel_generators(k)
-    if k == 3:
-        member = _h2_codes()
-        codes = set()
-        for m in _gl_matrices(3):
-            m4 = tuple(x & 3 for x in m)
-            for v0 in range(8):
-                for v1 in range(8):
-                    if pack((v0 & 3, v1 & 3) + m4, 2) in member:
-                        codes.add(pack((v0, v1) + m, 3))
-        return SubgroupRep(3, tuple(gens), frozenset(codes))
-    return _build_h4(tuple(gens))
-
-
-def _build_h4(gens: tuple) -> SubgroupRep:
-    # vectorized filter over all (v, M) at level 4; membership is decided by
-    # the packed mod-4 reduction against a 2^12 lookup table
-    member = np.zeros(1 << 12, dtype=bool)
-    member[list(_h2_codes())] = True
-    mats = np.array(_gl_matrices(4), dtype=np.int64)  # (n, 4)
-    vs = np.array([(v0, v1) for v0 in range(16) for v1 in range(16)], dtype=np.int64)
-    n_m, n_v = len(mats), len(vs)
-    m_rep = np.repeat(mats, n_v, axis=0)
-    v_rep = np.tile(vs, (n_m, 1))
-    full = np.concatenate([v_rep, m_rep], axis=1)  # columns v0 v1 m00 m01 m10 m11
-    key = np.zeros(len(full), dtype=np.int64)
-    for col in range(6):
-        key = (key << 2) | (full[:, col] & 3)
-    kept = full[member[key]]
-    codes = np.zeros(len(kept), dtype=np.int64)
-    for col in range(6):
-        codes = (codes << 4) | kept[:, col]
-    return SubgroupRep(4, gens, frozenset(codes.tolist()))
+    weights = 1 << (k * np.arange(5, -1, -1, dtype=np.int64))
+    base = np.array(list(h2().raw_elements()), dtype=np.int64) @ weights
+    lifts = 4 * np.indices((1 << (k - 2),) * 6, dtype=np.int64).reshape(6, -1).T @ weights
+    codes = (base[:, None] + lifts[None, :]).ravel()
+    return SubgroupRep(k, tuple(gens), frozenset(codes.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +315,7 @@ def full_agl(k: int) -> SubgroupRep:
 def gl_generating_pair(k: int) -> tuple:
     """A verified generating pair for GL_2(Z/2^k), as matrix 4-tuples."""
     # matrix-only search piggybacks on the affine closure with v = 0
-    elems = [(0, 0) + m for m in _gl_matrices(k)]
+    elems = [(0, 0, *m) for m in _gl_matrices(k).tolist()]
     a, b = _search_generating_pair(elems, k, GL_ORDERS[k], seed=11)
     return a[2:], b[2:]
 

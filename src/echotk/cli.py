@@ -21,7 +21,14 @@ from . import aglgroup, curves, density, fabulous, polyops, seq, sweep
 
 
 def _parse_int(text: str) -> int:
-    return int(Decimal(text))
+    """An integer, also in integral scientific notation such as 1e5."""
+    try:
+        value = Decimal(text)
+    except ArithmeticError:
+        raise ValueError(text) from None
+    if not value.is_finite() or value != value.to_integral_value():
+        raise ValueError(text)
+    return int(value)
 
 
 def _parse_fraction(text: str) -> Fraction:

@@ -3,8 +3,9 @@
 Two independent engines compute the proportion of elements of H_k (or of
 the full affine group) whose translation part lies in im(M - I):
 
-* ``brute_density`` enumerates every matrix at a finite level k and counts
-  image vectors directly;
+* ``brute_density`` sums over every matrix at a finite level k the number
+  of translations in im(M - I), from the 2-adic Smith form of M - I and a
+  table over its mod-4 class;
 * ``analytic_density`` evaluates the exact limit over the lift tower via a
   four-way case split on det(M - I) mod 4, a geometric series for the
   degenerate determinants, and a one-unknown linear solve for the identity
@@ -107,7 +108,7 @@ def colspace_contains(v, a: Matrix, k: int) -> bool:
 
 @lru_cache(maxsize=None)
 def gl2_mod4() -> list[Matrix]:
-    return aglgroup._gl_matrices(2)
+    return [tuple(m) for m in aglgroup._gl_matrices(2).tolist()]
 
 
 @lru_cache(maxsize=None)
@@ -266,19 +267,29 @@ def analytic_density(group: str = "hk") -> DensityReport:
 # brute engine (exact, finite level)
 
 BRUTE_MAX_LEVEL = 5
-_BATCH = 2048
 
 
-def _all_gl_matrices_np(k: int) -> np.ndarray:
-    mod = 1 << k
-    n = mod**4
-    codes = np.arange(n, dtype=np.int64)
-    m = np.empty((n, 4), dtype=np.int64)
-    for col in range(4):
-        m[:, 3 - col] = codes & (mod - 1)
-        codes >>= k
-    det = (m[:, 0] * m[:, 3] - m[:, 1] * m[:, 2]) % mod
-    return m[det % 2 == 1]
+def _v2(x: np.ndarray, cap: int) -> np.ndarray:
+    """min(v2(x), cap) elementwise, with v2(0) infinite."""
+    return sum((x % (1 << i) == 0).astype(np.int64) for i in range(1, cap + 1))
+
+
+def _log2_image_sizes(a: np.ndarray, k: int) -> np.ndarray:
+    """log2 |im A| mod 2^k for each row A = (a00, a01, a10, a11) with entries in [0, 2^k).
+
+    Over the 2-adic integers A has Smith form diag(2^e1 u1, 2^e2 u2) with
+    units u1, u2, so |im A| = 2^(2k - min(k, e1) - min(k, e2)).  Here e1 is
+    the least valuation of the entries and e1 + e2 is the valuation of the
+    determinant of the integer lift.  The determinant mod 2^k does not
+    carry it: diag(4, 4) at k = 3 has det 0 mod 8, yet e2 = 2.
+    """
+    e1 = _v2(np.bitwise_or.reduce(a, axis=1), k)
+    e12 = _v2(a[:, 0] * a[:, 3] - a[:, 1] * a[:, 2], 2 * k)
+    return 2 * k - e1 - np.minimum(k, e12 - e1)
+
+
+def _mod4_matrix(key: int) -> Matrix:
+    return tuple((key >> shift) & 3 for shift in (6, 4, 2, 0))
 
 
 @lru_cache(maxsize=None)
@@ -292,8 +303,26 @@ def _h2_vector_table() -> np.ndarray:
     return vt
 
 
+@lru_cache(maxsize=None)
+def _mod4_image_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Per mod-4 key of M: log2 |im(M - I)| and |im(M - I) ∩ V_M| at level 2."""
+    vt = _h2_vector_table()
+    log_im = np.zeros(256, dtype=np.int64)
+    hits = np.zeros(256, dtype=np.int64)
+    for key in range(256):
+        img = image_of(_m_minus_i(_mod4_matrix(key), 4), 2)
+        log_im[key] = len(img).bit_length() - 1
+        hits[key] = sum(vt[key, (v0 << 2) | v1] for v0, v1 in img)
+    return log_im, hits
+
+
 def brute_report(k: int, group: str = "hk") -> tuple[DensityReport, dict]:
-    """Exact finite-level density by full enumeration of GL_2(Z/2^k).
+    """Exact finite-level density, summed over every M in GL_2(Z/2^k).
+
+    The pairs (v, M) with v in im(M - I) number |im A| per matrix for the
+    full group, where A = M - I.  Inside H_k, v must also reduce mod 4 into
+    V_M; reduction mod 4 maps im A onto im(A mod 4) with fibres of equal
+    size, so the count is |im A| / |im(A mod 4)| * |im(A mod 4) ∩ V_M|.
 
     Returns the report plus the per-mod-4-class pair counts (used to check
     the brute counts against the analytic closed forms class by class).
@@ -303,55 +332,36 @@ def brute_report(k: int, group: str = "hk") -> tuple[DensityReport, dict]:
     if group not in ("hk", "full"):
         raise ValueError(f"unknown group {group!r}")
     mod = 1 << k
-    mats = _all_gl_matrices_np(k)
-    xs = np.array(
-        [(x0, x1) for x0 in range(mod) for x1 in range(mod)], dtype=np.int64
-    )
-    vt = _h2_vector_table()
+    mats = aglgroup._gl_matrices(k)
+    a = (mats - np.array(IDENT)) % mod
+    log_im = _log2_image_sizes(a, k)
+    mkey = ((mats & 3) << np.array([6, 4, 2, 0])).sum(axis=1)
+    if group == "hk":
+        log4, hits4 = _mod4_image_tables()
+        hits = hits4[mkey] << (log_im - log4[mkey])
+    else:
+        hits = 1 << log_im
+    det = (a[:, 0] * a[:, 3] - a[:, 1] * a[:, 2]) % mod
+    class_hits = np.zeros(256, dtype=np.int64)
+    np.add.at(class_hits, mkey, hits)
     denom = (6 if group == "hk" else 24) * 64 ** (k - 1)
-    total = 0
-    s1 = 0
-    class_counts: dict[Matrix, int] = {}
-    for lo in range(0, len(mats), _BATCH):
-        chunk = mats[lo : lo + _BATCH]
-        a = chunk.copy()
-        a[:, 0] = (a[:, 0] - 1) % mod
-        a[:, 3] = (a[:, 3] - 1) % mod
-        y0 = (a[:, 0, None] * xs[None, :, 0] + a[:, 1, None] * xs[None, :, 1]) % mod
-        y1 = (a[:, 2, None] * xs[None, :, 0] + a[:, 3, None] * xs[None, :, 1]) % mod
-        packed = np.sort((y0 << k) | y1, axis=1)
-        first = np.ones_like(packed, dtype=bool)
-        first[:, 1:] = packed[:, 1:] != packed[:, :-1]
-        if group == "hk":
-            v0 = packed >> k
-            v1 = packed & (mod - 1)
-            vkey = ((v0 & 3) << 2) | (v1 & 3)
-            mkey = ((chunk[:, 0] & 3) << 6) | ((chunk[:, 1] & 3) << 4) | ((chunk[:, 2] & 3) << 2) | (chunk[:, 3] & 3)
-            hits = first & vt[mkey[:, None], vkey]
-        else:
-            hits = first
-        counts = hits.sum(axis=1)
-        det = (a[:, 0] * a[:, 3] - a[:, 1] * a[:, 2]) % mod
-        total += int(counts.sum())
-        s1 += int(counts[det != 0].sum())
-        m4 = chunk & 3
-        for row, cnt in zip(m4, counts):
-            key = tuple(int(x) for x in row)
-            class_counts[key] = class_counts.get(key, 0) + int(cnt)
+    class_fracs = {
+        _mod4_matrix(key): Fraction(int(class_hits[key]), denom) for key in np.unique(mkey).tolist()
+    }
     per_case: dict[str, Fraction] = {}
     case_counts: dict[str, int] = {}
-    for key, cnt in sorted(class_counts.items()):
-        if cnt == 0:
+    for key, frac in class_fracs.items():
+        if frac == 0:
             continue
         label = case_label(key)
-        per_case[label] = per_case.get(label, Fraction(0)) + Fraction(cnt, denom)
+        per_case[label] = per_case.get(label, Fraction(0)) + frac
         case_counts[label] = case_counts.get(label, 0) + 1
     ordered = {lab: per_case[lab] for lab in CASE_ORDER if lab in per_case}
     ordered_counts = {lab: case_counts[lab] for lab in CASE_ORDER if lab in case_counts}
     report = DensityReport(
-        f"brute(k={k})", group, ordered, ordered_counts, Fraction(total, denom), Fraction(s1, denom)
+        f"brute(k={k})", group, ordered, ordered_counts,
+        Fraction(int(hits.sum()), denom), Fraction(int(hits[det != 0].sum()), denom),
     )
-    class_fracs = {key: Fraction(cnt, denom) for key, cnt in class_counts.items()}
     return report, class_fracs
 
 

@@ -80,6 +80,17 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "bogus")[0] == 2
     assert run_cli(capsys, "sweep")[0] == 2  # missing --max
     assert run_cli(capsys, "density")[0] == 2  # missing subcommand
+    # integer options take integral values only, in any notation
+    for argv in (
+        ("seq", "--from", "0", "--to", "2.5"),
+        ("sweep", "--max", "inf"),
+        ("sweep", "--max", "nan"),
+        ("sweep", "--max", "abc"),
+        ("point", "--n", "1e-1"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "invalid" in err, argv
 
 
 def test_computation_error_exit_code(capsys):

@@ -28,7 +28,13 @@ def test_colspace_matches_exhaustive_search():
         assert density.colspace_contains(v, a, k) == (v in density.image_of(a, k)), (v, a, k)
 
 
-def _image_sizes_np(mats: np.ndarray, k: int) -> np.ndarray:
+def _all_matrices(k: int) -> np.ndarray:
+    return np.indices((1 << k,) * 4, dtype=np.int64).reshape(4, -1).T
+
+
+def _images_np(mats: np.ndarray, k: int):
+    """Each row's column space mod 2^k by enumeration: its sorted packed
+    vectors and a mask marking the first copy of each."""
     mod = 1 << k
     xs = np.array([(x0, x1) for x0 in range(mod) for x1 in range(mod)], dtype=np.int64)
     y0 = (mats[:, 0, None] * xs[None, :, 0] + mats[:, 1, None] * xs[None, :, 1]) % mod
@@ -36,23 +42,32 @@ def _image_sizes_np(mats: np.ndarray, k: int) -> np.ndarray:
     packed = np.sort((y0 << k) | y1, axis=1)
     first = np.ones_like(packed, dtype=bool)
     first[:, 1:] = packed[:, 1:] != packed[:, :-1]
-    return first.sum(axis=1)
+    return packed, first
+
+
+def _image_sizes_np(mats: np.ndarray, k: int) -> np.ndarray:
+    return np.concatenate(
+        [_images_np(mats[lo : lo + 4096], k)[1].sum(axis=1) for lo in range(0, len(mats), 4096)]
+    )
 
 
 def test_image_size_det_relation_all_matrices_level2():
-    k, mod = 2, 4
-    mats = np.array(
-        [(a, b, c, d) for a in range(mod) for b in range(mod) for c in range(mod) for d in range(mod)],
-        dtype=np.int64,
-    )
-    sizes = _image_sizes_np(mats, k)
-    det = (mats[:, 0] * mats[:, 3] - mats[:, 1] * mats[:, 2]) % mod
-    for a_row, size, d in zip(mats, sizes, det):
+    # the closed form against enumeration on every matrix at k = 2 and 3
+    sizes = {}
+    for k in (2, 3):
+        mats = _all_matrices(k)
+        sizes[k] = _image_sizes_np(mats, k)
+        assert (1 << density._log2_image_sizes(mats, k) == sizes[k]).all(), k
+    mats = _all_matrices(2)
+    det = (mats[:, 0] * mats[:, 3] - mats[:, 1] * mats[:, 2]) % 4
+    for size, d in zip(sizes[2], det):
         if d % 2 == 1:
             assert size == 16
         elif d == 2:
             assert size == 8
         # ord_2(det) >= k: the relation does not apply
+    # det = 0 mod 8, yet the integer lift has det 16 and the image 4 elements
+    assert density._log2_image_sizes(np.array([[4, 0, 0, 4]]), 3)[0] == 2
 
 
 def test_image_size_det_relation_random_levels_3_4():
@@ -60,11 +75,12 @@ def test_image_size_det_relation_random_levels_3_4():
     for k in (3, 4):
         mod = 1 << k
         mats = rng.integers(0, mod, size=(100_000, 4), dtype=np.int64)
+        sizes = _image_sizes_np(mats, k)
+        assert (1 << density._log2_image_sizes(mats, k) == sizes).all(), k
         det = (mats[:, 0] * mats[:, 3] - mats[:, 1] * mats[:, 2]) % mod
         keep = det != 0
-        # restrict to determinants of valuation < k, where |im| = 4^k |det|_2
-        mats, det = mats[keep], det[keep]
-        sizes = _image_sizes_np(mats, k)
+        # for determinants of valuation < k, |im| = 4^k |det|_2
+        sizes, det = sizes[keep], det[keep]
         val = np.zeros(len(det), dtype=np.int64)
         d = det.copy()
         while (even := (d % 2 == 0) & (d != 0)).any():
@@ -108,7 +124,7 @@ def test_coset_shift_bijection():
     for k in (2, 3, 4):
         mod = 1 << k
         rng = random.Random(k)
-        mats = aglgroup._gl_matrices(k) if k < 4 else None
+        mats = list(map(tuple, aglgroup._gl_matrices(k).tolist())) if k < 4 else None
         if mats is None:
             mats = []
             while len(mats) < 2000:
@@ -214,6 +230,45 @@ def test_brute_matches_analytic_on_resolved_classes():
         for m, frac in per_class.items():
             if density.resolved_at_level_2(m):
                 assert frac == density.mu_case(m), (k, m)
+
+
+def _brute_oracle(k: int, group: str):
+    """Pair counts per mod-4 class of M, and the det(M - I) != 0 count, by
+    enumerating im(M - I) for every M in GL_2(Z/2^k)."""
+    mod = 1 << k
+    mats = _all_matrices(k)
+    mats = mats[(mats[:, 0] * mats[:, 3] - mats[:, 1] * mats[:, 2]) % 2 == 1]
+    vt = density._h2_vector_table()
+    counts: dict = {}
+    s1 = 0
+    for lo in range(0, len(mats), 2048):
+        chunk = mats[lo : lo + 2048]
+        a = (chunk - np.array([1, 0, 0, 1])) % mod
+        packed, first = _images_np(a, k)
+        if group == "hk":
+            vkey = (((packed >> k) & 3) << 2) | (packed & 3)
+            mkey = ((chunk & 3) << np.array([6, 4, 2, 0])).sum(axis=1)
+            hits = first & vt[mkey[:, None], vkey]
+        else:
+            hits = first
+        n = hits.sum(axis=1)
+        det = (a[:, 0] * a[:, 3] - a[:, 1] * a[:, 2]) % mod
+        s1 += int(n[det != 0].sum())
+        for row, cnt in zip((chunk & 3).tolist(), n.tolist()):
+            counts[tuple(row)] = counts.get(tuple(row), 0) + cnt
+    return counts, s1
+
+
+def test_brute_matches_enumeration_oracle():
+    # every class, including the 40 per level whose limit is not yet resolved
+    for k in (2, 3, 4):
+        for group in ("hk", "full"):
+            report, per_class = density.brute_report(k, group)
+            counts, s1 = _brute_oracle(k, group)
+            denom = aglgroup.AGL_ORDERS[k] // (4 if group == "hk" else 1)
+            assert per_class == {m: Fraction(c, denom) for m, c in counts.items()}, (k, group)
+            assert report.s1_total == Fraction(s1, denom), (k, group)
+            assert report.total == Fraction(sum(counts.values()), denom), (k, group)
 
 
 def test_brute_level_bounds():
