@@ -8,8 +8,15 @@ and classifies ALL kinetic subgroups at levels 2 and 3 by exhaustive
 search: the expected outcome is exactly two conjugacy classes, the full
 group and H_k.
 
-Internally elements are flat 6-tuples (v0, v1, m00, m01, m10, m11) reduced
-mod 2^k, packed into single integers when stored in bulk.
+Internally an element is a flat 6-tuple (v0, v1, m00, m01, m10, m11) reduced
+mod 2^k, packed big-endian into a 6k-bit integer code: the vector sits in the
+top 2k bits and the matrix in the low 4k bits, so code order is tuple order.
+Subgroups are computed on codes.  The closure engine is a numpy frontier BFS
+from the identity: right multiplication by (b, B) sends (a, A) to
+(a + A*b, A*B), so each generator contributes two tables over the 2^(4k)
+matrix codes (A*b and A*B) and one shared table adds vectors; a BFS step is
+a few gathers over the frontier, deduplicated against a boolean array over
+all 2^(6k) codes.  Matrix and mod-2 images are reductions over code arrays.
 """
 
 from __future__ import annotations
@@ -109,42 +116,111 @@ def _reduce_raw(raw: Elem, k_to: int) -> Elem:
 GL_ORDERS = {k: 6 * 16 ** (k - 1) for k in range(1, 8)}
 AGL_ORDERS = {k: 24 * 64 ** (k - 1) for k in range(1, 8)}
 
+IDENTITY_RAW = (0, 0, 1, 0, 0, 1)
 
-def _closure_raw(
-    gens: Iterable[Elem],
+
+def _repack(codes: np.ndarray, k: int, k_to: int) -> np.ndarray:
+    """Level-k codes re-packed at k_to bits per field (mod 2^k_to when k_to < k)."""
+    mask = (1 << min(k, k_to)) - 1
+    out = np.zeros_like(codes)
+    for i in range(6):
+        out |= ((codes >> (i * k)) & mask) << (i * k_to)
+    return out
+
+
+def _distinct(values: np.ndarray, size: int) -> np.ndarray:
+    """Sorted distinct entries of an array of integers in [0, size)."""
+    mark = np.zeros(size, dtype=bool)
+    mark[values] = True
+    return np.flatnonzero(mark)
+
+
+def _matrix_image_size(codes: np.ndarray, k: int) -> int:
+    return _distinct(codes & ((1 << 4 * k) - 1), 1 << 4 * k).size
+
+
+def _mod2_image_size(codes: np.ndarray, k: int) -> int:
+    return _distinct(_repack(codes, k, 1), 64).size
+
+
+def _is_kinetic(codes: np.ndarray, k: int) -> bool:
+    return _matrix_image_size(codes, k) == GL_ORDERS[k] and _mod2_image_size(codes, k) == AGL_ORDERS[1]
+
+
+@lru_cache(maxsize=None)
+def _vector_sum_table(k: int) -> np.ndarray:
+    """Entry (a << 2k) | c is the code of the vector a + c, shifted into a code's vector field."""
+    mask, half = (1 << k) - 1, 2 * k
+    idx = np.arange(1 << 2 * half, dtype=np.int64)
+    a, c = idx >> half, idx & ((1 << half) - 1)
+    total = (((((a >> k) + (c >> k)) & mask) << k) | ((a + c) & mask)) << 2 * half
+    total.flags.writeable = False  # cached and shared by every closure
+    return total
+
+
+@lru_cache(maxsize=1024)
+def _right_tables(code: int, k: int) -> np.ndarray:
+    """Rows (A*b, A*B) over every matrix code A: the vector and matrix codes, (b, B) = code."""
+    mask = (1 << k) - 1
+    b0, b1, n00, n01, n10, n11 = unpack(code, k)
+    m = np.arange(1 << 4 * k, dtype=np.int64)
+    a00, a01, a10, a11 = (m >> 3 * k) & mask, (m >> 2 * k) & mask, (m >> k) & mask, m & mask
+    ab = (((a00 * b0 + a01 * b1) & mask) << k) | ((a10 * b0 + a11 * b1) & mask)
+    prod = (
+        (((a00 * n00 + a01 * n10) & mask) << 3 * k)
+        | (((a00 * n01 + a01 * n11) & mask) << 2 * k)
+        | (((a10 * n00 + a11 * n10) & mask) << k)
+        | ((a10 * n01 + a11 * n11) & mask)
+    )
+    tables = np.stack([ab, prod]).astype(np.int32)
+    tables.flags.writeable = False  # cached and shared by every closure
+    return tables
+
+
+def _closure_codes(
+    gens: Iterable[int],
     k: int,
     max_size: Optional[int] = None,
-    kernel_guard=None,
-) -> Optional[set]:
-    """BFS orbit of the identity under right-multiplication by gens and inverses.
+    allowed: Optional[np.ndarray] = None,
+) -> Optional[np.ndarray]:
+    """Sorted codes of the subgroup generated by the element codes gens.
 
-    kernel_guard, when given, is a predicate new elements must satisfy; a
-    violation aborts the closure and returns None (used by the classifiers
-    to discard inconsistent lifts early).
+    BFS from the identity under right multiplication by each generator and
+    its inverse.  Returns None when the subgroup has more than max_size
+    elements, or when allowed (a boolean array over all codes) is given and
+    some element other than the identity falls outside it (the classifiers
+    use this to discard inconsistent lifts early).
     """
-    mask = (1 << k) - 1
-    step = []
+    steps: list[int] = []
     for g in gens:
-        g = tuple(x & mask for x in g)
-        step.append(g)
-        step.append(_inv(g, k))
-    ident = (0, 0, 1, 0, 0, 1)
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for e in frontier:
-            for g in step:
-                x = _comp(e, g, mask)
-                if x not in seen:
-                    if kernel_guard is not None and not kernel_guard(x):
-                        return None
-                    seen.add(x)
-                    new.append(x)
-                    if max_size is not None and len(seen) > max_size:
-                        return None
-        frontier = new
-    return seen
+        for h in (g, pack(_inv(unpack(g, k), k), k)):
+            if h not in steps:
+                steps.append(h)
+    tables = np.stack([_right_tables(h, k) for h in steps])
+    ab, prod = tables[:, 0], tables[:, 1]
+    vector_sum = _vector_sum_table(k)
+    matrix_mask = (1 << 4 * k) - 1
+    seen = np.zeros(1 << 6 * k, dtype=bool)
+    slot = np.empty(1 << 6 * k, dtype=np.int64)
+    frontier = np.array([pack(IDENTITY_RAW, k)], dtype=np.int64)
+    seen[frontier] = True
+    size = 1
+    while frontier.size:
+        mat = frontier & matrix_mask
+        vec = (frontier >> 4 * k) << 2 * k
+        cand = (vector_sum[vec | ab[:, mat]] | prod[:, mat]).ravel()
+        cand = cand[~seen[cand]]
+        # one survivor per distinct code: whichever position's write to slot stuck
+        pos = np.arange(cand.size)
+        slot[cand] = pos
+        frontier = cand[slot[cand] == pos]
+        size += frontier.size
+        if max_size is not None and size > max_size:
+            return None
+        if allowed is not None and not allowed[frontier].all():
+            return None
+        seen[frontier] = True
+    return np.flatnonzero(seen)
 
 
 @dataclass(frozen=True)
@@ -172,23 +248,23 @@ class SubgroupRep:
         for code in self.codes:
             yield unpack(code, self.level)
 
+    def code_array(self) -> np.ndarray:
+        """The codes as a fresh int64 array (built on demand, never cached)."""
+        return np.fromiter(self.codes, np.int64, len(self.codes))
+
     def reduce(self, k_to: int) -> "SubgroupRep":
         """Image under coordinate-wise reduction mod 2^k_to."""
         if not 1 <= k_to <= self.level:
             raise ValueError("can only reduce to a lower level")
-        reduced = {pack(_reduce_raw(raw, k_to), k_to) for raw in self.raw_elements()}
+        reduced = _distinct(_repack(self.code_array(), self.level, k_to), 1 << 6 * k_to)
         gens = tuple(AglElem(k_to, *_reduce_raw(g.raw, k_to)) for g in self.generators)
-        return SubgroupRep(k_to, gens, frozenset(reduced))
+        return SubgroupRep(k_to, gens, frozenset(reduced.tolist()))
 
     def matrix_image_size(self) -> int:
-        return len({raw[2:] for raw in self.raw_elements()})
+        return _matrix_image_size(self.code_array(), self.level)
 
     def mod2_image_size(self) -> int:
-        return len({_reduce_raw(raw, 1) for raw in self.raw_elements()})
-
-
-def _wrap(level: int, gens: Sequence[AglElem], raw_set: set) -> SubgroupRep:
-    return SubgroupRep(level, tuple(gens), frozenset(pack(r, level) for r in raw_set))
+        return _mod2_image_size(self.code_array(), self.level)
 
 
 def closure(gens: Sequence[AglElem], max_size: Optional[int] = None) -> SubgroupRep:
@@ -198,18 +274,15 @@ def closure(gens: Sequence[AglElem], max_size: Optional[int] = None) -> Subgroup
     k = gens[0].k
     if any(g.k != k for g in gens):
         raise LevelMismatchError("generators at mixed levels")
-    out = _closure_raw([g.raw for g in gens], k, max_size=max_size)
+    out = _closure_codes([pack(_reduce_raw(g.raw, k), k) for g in gens], k, max_size=max_size)
     if out is None:
         raise ResourceBudgetError(f"closure exceeded the size cap {max_size}")
-    return _wrap(k, gens, out)
+    return SubgroupRep(k, tuple(gens), frozenset(out.tolist()))
 
 
 def is_kinetic(g: SubgroupRep) -> bool:
     """Surjective onto both GL_2(Z/2^k) and the full level-1 affine group."""
-    return (
-        g.matrix_image_size() == GL_ORDERS[g.level]
-        and g.mod2_image_size() == AGL_ORDERS[1]
-    )
+    return _is_kinetic(g.code_array(), g.level)
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +340,8 @@ def build_hk(k: int) -> SubgroupRep:
     if k > 4:
         raise ResourceBudgetError("H_k materialization is capped at k = 4; use hk_contains")
     gens = [AglElem(k, *g.raw) for g in H2_GENERATORS] + _kernel_generators(k)
-    weights = 1 << (k * np.arange(5, -1, -1, dtype=np.int64))
-    base = np.array(list(h2().raw_elements()), dtype=np.int64) @ weights
-    lifts = 4 * np.indices((1 << (k - 2),) * 6, dtype=np.int64).reshape(6, -1).T @ weights
+    base = _repack(h2().code_array(), 2, k)
+    lifts = _repack(np.arange(1 << 6 * (k - 2), dtype=np.int64), k - 2, k) << 2
     codes = (base[:, None] + lifts[None, :]).ravel()
     return SubgroupRep(k, tuple(gens), frozenset(codes.tolist()))
 
@@ -278,16 +350,16 @@ def build_hk(k: int) -> SubgroupRep:
 # generating pairs and full groups
 
 
-def _search_generating_pair(elements: list, k: int, target: int, seed: int = 7):
-    """Find (deterministically) a pair of elements generating the whole list."""
+def _search_generating_pair(codes: Iterable[int], k: int, target: int, seed: int = 7):
+    """Find (deterministically) a pair of element codes generating a group of order target."""
     import random as _random
 
     rng = _random.Random(seed)
-    pool = sorted(elements)
+    pool = sorted(codes)
     for _ in range(20000):
         a, b = rng.choice(pool), rng.choice(pool)
-        got = _closure_raw([a, b], k, max_size=target)
-        if got is not None and len(got) == target:
+        got = _closure_codes([a, b], k, max_size=target)
+        if got is not None and got.size == target:
             return a, b
     raise AssertionError(f"no generating pair found at level {k} (target {target})")
 
@@ -315,17 +387,16 @@ def full_agl(k: int) -> SubgroupRep:
 def gl_generating_pair(k: int) -> tuple:
     """A verified generating pair for GL_2(Z/2^k), as matrix 4-tuples."""
     # matrix-only search piggybacks on the affine closure with v = 0
-    elems = [(0, 0, *m) for m in _gl_matrices(k).tolist()]
+    elems = [pack((0, 0, *m), k) for m in _gl_matrices(k).tolist()]
     a, b = _search_generating_pair(elems, k, GL_ORDERS[k], seed=11)
-    return a[2:], b[2:]
+    return unpack(a, k)[2:], unpack(b, k)[2:]
 
 
 @lru_cache(maxsize=None)
 def agl_generating_pair(k: int) -> tuple[AglElem, AglElem]:
     """A verified generating pair for the full affine group at level k."""
-    elems = [raw for raw in full_agl(k).raw_elements()]
-    a, b = _search_generating_pair(elems, k, AGL_ORDERS[k], seed=13)
-    return AglElem(k, *a), AglElem(k, *b)
+    a, b = _search_generating_pair(full_agl(k).codes, k, AGL_ORDERS[k], seed=13)
+    return AglElem(k, *unpack(a, k)), AglElem(k, *unpack(b, k))
 
 
 # ---------------------------------------------------------------------------
@@ -367,25 +438,28 @@ def _stable_vector_subgroups(k: int) -> list[frozenset]:
     return out
 
 
-def _translation_part(raw_set: set) -> frozenset:
-    return frozenset((e[0], e[1]) for e in raw_set if e[2:] == (1, 0, 0, 1))
+def _translation_part(codes: np.ndarray, k: int) -> frozenset:
+    """The vectors w of the elements (w, I) among codes."""
+    mask = (1 << k) - 1
+    identity_matrix = pack(IDENTITY_RAW, k)
+    vecs = codes[(codes & ((1 << 4 * k) - 1)) == identity_matrix] >> 4 * k
+    return frozenset((v >> k, v & mask) for v in vecs.tolist())
 
 
-def _conjugate_set(t: Elem, raw_set: set, k: int) -> frozenset:
+def _conjugates(t: Elem, codes: Iterable[int], k: int) -> Iterable[int]:
     mask = (1 << k) - 1
     ti = _inv(t, k)
-    return frozenset(_comp(_comp(t, e, mask), ti, mask) for e in raw_set)
+    for code in codes:
+        yield pack(_comp(_comp(t, unpack(code, k), mask), ti, mask), k)
 
 
-def _are_conjugate(s1: set, s2: set, k: int, transversal: list) -> Optional[Elem]:
+def _are_conjugate(s1: frozenset, s2: frozenset, k: int, transversal: list) -> Optional[Elem]:
     if len(s1) != len(s2):
         return None
-    mask = (1 << k) - 1
-    probes = sorted(s1)[: min(6, len(s1))]
-    for t in transversal:
-        ti = _inv(t, k)
-        if all(_comp(_comp(t, e, mask), ti, mask) in s2 for e in probes):
-            if _conjugate_set(t, s1, k) == s2:
+    probes = sorted(s1)[:6]
+    for t in (unpack(code, k) for code in transversal):
+        if all(c in s2 for c in _conjugates(t, probes, k)):
+            if frozenset(_conjugates(t, s1, k)) == s2:
                 return t
     return None
 
@@ -416,9 +490,10 @@ def classify_kinetic(k: int, budget_seconds: float = 3600.0) -> list[KineticClas
         groups = _classify_level3(budget_seconds)
     else:
         raise ValueError("classification is implemented for k in {2, 3}")
-    transversal = sorted(full_agl(k).raw_elements())
-    classes: list[list[set]] = []
+    transversal = sorted(full_agl(k).codes)
+    classes: list[list[frozenset]] = []
     for g in groups:
+        g = frozenset(g.tolist())
         for members in classes:
             if _are_conjugate(g, members[0], k, transversal) is not None:
                 members.append(g)
@@ -426,77 +501,51 @@ def classify_kinetic(k: int, budget_seconds: float = 3600.0) -> list[KineticClas
         else:
             classes.append([g])
     # pick the canonical subgroup as representative whenever its class shows up
-    canonical = frozenset(build_hk(k).raw_elements()) if k in (2, 3) else frozenset()
+    canonical = build_hk(k).codes
     wrapped = []
     for members in classes:
-        rep = next((m for m in members if frozenset(m) == canonical), members[0])
-        gens = _recover_generators(rep, k)
-        wrapped.append(KineticClass(_wrap(k, gens, rep), len(members)))
+        rep = next((m for m in members if m == canonical), members[0])
+        gens = _recover_generators(sorted(rep), k)
+        wrapped.append(KineticClass(SubgroupRep(k, tuple(gens), rep), len(members)))
     wrapped.sort(key=lambda c: -c.order)
     return wrapped
 
 
-def _recover_generators(raw_set: set, k: int) -> list[AglElem]:
-    """A small verified generating set for a concrete subgroup."""
-    target = len(raw_set)
-    ordered = sorted(raw_set)
-    gens: list[Elem] = []
-    have = {(0, 0, 1, 0, 0, 1)}
-    for e in ordered:
-        if e not in have:
+def _recover_generators(codes: list[int], k: int) -> list[AglElem]:
+    """A small verified generating set for the subgroup with these sorted codes."""
+    gens: list[int] = []
+    have = np.zeros(1 << 6 * k, dtype=bool)
+    have[pack(IDENTITY_RAW, k)] = True
+    for e in codes:
+        if not have[e]:
             gens.append(e)
-            have = _closure_raw(gens, k, max_size=target)
-            if len(have) == target:
-                return [AglElem(k, *g) for g in gens]
-    return [AglElem(k, *g) for g in gens]
+            got = _closure_codes(gens, k, max_size=len(codes))
+            if got.size == len(codes):
+                break
+            have[got] = True
+    return [AglElem(k, *unpack(g, k)) for g in gens]
 
 
-def _classify_level2(budget_seconds: float) -> list[set]:
+def _classify_level2(budget_seconds: float) -> list[np.ndarray]:
     deadline = time.monotonic() + budget_seconds
     g1, g2 = gl_generating_pair(2)
     vectors = [(v0, v1) for v0 in range(4) for v1 in range(4)]
-    found: dict[frozenset, set] = {}
+    found: dict[bytes, np.ndarray] = {}
     for w_sub in _stable_vector_subgroups(2):
-        w_gens = [(w0, w1, 1, 0, 0, 1) for (w0, w1) in sorted(w_sub) if (w0, w1) != (0, 0)]
+        w_gens = [pack((w0, w1, 1, 0, 0, 1), 2) for (w0, w1) in sorted(w_sub) if (w0, w1) != (0, 0)]
         for v1 in vectors:
             for v2 in vectors:
                 if time.monotonic() > deadline:
                     raise ResourceBudgetError("level-2 classification budget exceeded")
-                gens = [v1 + g1, v2 + g2] + w_gens
-                got = _closure_raw(gens, 2, max_size=AGL_ORDERS[2])
+                gens = [pack(v1 + g1, 2), pack(v2 + g2, 2)] + w_gens
+                got = _closure_codes(gens, 2, max_size=AGL_ORDERS[2])
                 if got is None:
                     continue
-                if _translation_part(got) != w_sub:
+                if _translation_part(got, 2) != w_sub:
                     continue
-                rep = _wrap(2, [], got)
-                if is_kinetic(rep):
-                    found.setdefault(frozenset(got), set(got))
+                if _is_kinetic(got, 2):
+                    found.setdefault(got.tobytes(), got)
     return list(found.values())
-
-
-def _level3_kernel_elements() -> list[Elem]:
-    out = []
-    for u0 in range(2):
-        for u1 in range(2):
-            for a00 in range(2):
-                for a01 in range(2):
-                    for a10 in range(2):
-                        for a11 in range(2):
-                            out.append(
-                                (4 * u0, 4 * u1, 1 + 4 * a00, 4 * a01, 4 * a10, 1 + 4 * a11)
-                            )
-    return out
-
-
-def _kernel_bits(e: Elem) -> int:
-    # (4u, I + 4A) -> 6-bit code (u0 u1 a00 a01 a10 a11)
-    u0, u1 = e[0] >> 2, e[1] >> 2
-    a00, a01 = (e[2] - 1) >> 2, e[3] >> 2
-    a10, a11 = e[4] >> 2, (e[5] - 1) >> 2
-    code = 0
-    for b in (u0, u1, a00, a01, a10, a11):
-        code = (code << 1) | b
-    return code
 
 
 def _bits_to_kernel(code: int) -> Elem:
@@ -573,55 +622,53 @@ def _stable_kernel_submodules() -> list[frozenset]:
     return sorted(submods, key=lambda s: (len(s), sorted(s)))
 
 
-def _classify_level3(budget_seconds: float) -> list[set]:
+def _level3_guard(w_sub: frozenset) -> np.ndarray:
+    """Over all level-3 codes: False exactly on the kernel elements (4u, I + 4A) outside W.
+
+    A kernel element's 6-bit code (u0 u1 a00 a01 a10 a11) is bit 2 of each
+    field, which the level-1 re-packing of code >> 2 reads off.
+    """
+    codes = np.arange(1 << 18, dtype=np.int64)
+    in_w = np.zeros(64, dtype=bool)
+    in_w[list(w_sub)] = True
+    return (_repack(codes, 3, 2) != pack(IDENTITY_RAW, 2)) | in_w[_repack(codes >> 2, 3, 1)]
+
+
+def _classify_level3(budget_seconds: float) -> list[np.ndarray]:
     deadline = time.monotonic() + budget_seconds
-    id2_code = pack((0, 0, 1, 0, 0, 1), 2)
-    kernel_codes_all = set(range(64))
 
     def quotient_generating_pairs():
         # the mod-4 image of a kinetic subgroup is kinetic, hence (up to
-        # conjugacy, by the level-2 classification) the full group or H_2
+        # conjugacy, by the level-2 classification) the full group or H_2;
+        # entries mod 4 are already valid lifts mod 8
         a, b = agl_generating_pair(2)
-        yield "full", (a.raw, b.raw)
+        yield a.raw, b.raw
         g1, g2 = H2_GENERATORS
-        yield "h2", (g1.raw, g2.raw)
+        yield g1.raw, g2.raw
 
-    found: dict[frozenset, set] = {}
-    for _label, (q1, q2) in quotient_generating_pairs():
-        lift1 = q1  # entries mod 4 are already valid mod 8
-        lift2 = q2
-        for w_sub in _stable_kernel_submodules():
-            w_elems = [_bits_to_kernel(c) for c in sorted(w_sub)]
-            w_set = set(w_sub)
+    # any element reducing to the identity mod 4 must lie in W
+    submodules = [(w_sub, _level3_guard(w_sub)) for w_sub in _stable_kernel_submodules()]
+    found: dict[bytes, np.ndarray] = {}
+    for lift1, lift2 in quotient_generating_pairs():
+        for w_sub, allowed in submodules:
             # transversal of W in the kernel
             reps = []
-            covered = set()
-            for c in sorted(kernel_codes_all):
+            covered: set[int] = set()
+            for c in range(64):
                 if c not in covered:
                     reps.append(c)
-                    covered |= {c ^ w for w in w_set}
-
-            def guard(e: Elem) -> bool:
-                # any element reducing to the identity mod 4 must lie in W
-                if pack(_reduce_raw(e, 2), 2) != id2_code:
-                    return True
-                return _kernel_bits(e) in w_set
-
+                    covered |= {c ^ w for w in w_sub}
             cap = AGL_ORDERS[2] * len(w_sub)  # |Q| * |W| upper bound for a valid lift
-            w_gens = [e for e in w_elems if _kernel_bits(e) != 0]
+            w_gens = [pack(_bits_to_kernel(c), 3) for c in sorted(w_sub) if c != 0]
             for c1 in reps:
                 for c2 in reps:
                     if time.monotonic() > deadline:
                         raise ResourceBudgetError("level-3 classification budget exceeded")
-                    mask = 7
-                    n1 = _comp(_bits_to_kernel(c1), lift1, mask)
-                    n2 = _comp(_bits_to_kernel(c2), lift2, mask)
-                    got = _closure_raw([n1, n2] + w_gens, 3, max_size=cap, kernel_guard=guard)
-                    if got is None:
-                        continue
-                    rep = _wrap(3, [], got)
-                    if is_kinetic(rep):
-                        found.setdefault(frozenset(got), set(got))
+                    n1 = pack(_comp(_bits_to_kernel(c1), lift1, 7), 3)
+                    n2 = pack(_comp(_bits_to_kernel(c2), lift2, 7), 3)
+                    got = _closure_codes([n1, n2] + w_gens, 3, max_size=cap, allowed=allowed)
+                    if got is not None and _is_kinetic(got, 3):
+                        found.setdefault(got.tobytes(), got)
     return list(found.values())
 
 
@@ -630,9 +677,8 @@ def _classify_level3(budget_seconds: float) -> list[set]:
 
 
 def _matrix_closure(gens: list[tuple], k: int) -> set:
-    affine = [(0, 0) + g for g in gens]
-    got = _closure_raw(affine, k)
-    return {e[2:] for e in got}
+    got = _closure_codes([pack((0, 0) + g, k) for g in gens], k)
+    return {unpack(c, k)[2:] for c in got.tolist()}
 
 
 J_GENERATORS = ((0, 3, 1, 0), (1, 3, 3, 0))

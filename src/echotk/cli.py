@@ -31,6 +31,13 @@ def _parse_int(text: str) -> int:
     return int(value)
 
 
+def _parse_positive_int(text: str) -> int:
+    value = _parse_int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
 def _parse_fraction(text: str) -> Fraction:
     return Fraction(text)
 
@@ -349,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="prime sweep for sequence divisibility")
     p_sweep.add_argument("--max", type=_parse_int, required=True)
-    p_sweep.add_argument("--threads", type=int, default=None)
+    p_sweep.add_argument("--threads", type=_parse_positive_int, default=None)
     p_sweep.add_argument("--csv", default=None)
     p_sweep.add_argument("--checkpoint", default=None)
     p_sweep.set_defaults(fn=_cmd_sweep)
@@ -380,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_family = sub.add_parser("family", help="certificate bundle for a parametrized pair")
     p_family.add_argument("--t", type=_parse_fraction, required=True)
     p_family.add_argument("--sweep", type=_parse_int, default=None)
-    p_family.add_argument("--threads", type=int, default=None)
+    p_family.add_argument("--threads", type=_parse_positive_int, default=None)
     p_family.add_argument("--json", action="store_true")
     p_family.add_argument("--out", default=None)
     p_family.set_defaults(fn=_cmd_family)

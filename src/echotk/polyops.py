@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 TRIAL_DIVISION_BOUND = 1_000_000
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -78,19 +78,40 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-_PRIME_CACHE: list[int] = []
+_PRIME_CACHE: list[int] = []  # every prime up to _PRIME_CACHE_LIMIT
+_PRIME_CACHE_LIMIT = 0
+
+
+def _trial_primes() -> Iterator[int]:
+    """Every prime up to TRIAL_DIVISION_BOUND in order, sieved into a shared cache on demand.
+
+    The cache at least doubles when a caller runs past its end, so a caller
+    that stops at isqrt(n) sieves only to about twice that.
+    """
+    global _PRIME_CACHE, _PRIME_CACHE_LIMIT
+    i = 0
+    while True:
+        if i == len(_PRIME_CACHE):
+            if _PRIME_CACHE_LIMIT >= TRIAL_DIVISION_BOUND:
+                return
+            _PRIME_CACHE_LIMIT = min(max(1024, 2 * _PRIME_CACHE_LIMIT), TRIAL_DIVISION_BOUND)
+            _PRIME_CACHE = primes_up_to(_PRIME_CACHE_LIMIT)
+        yield _PRIME_CACHE[i]
+        i += 1
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n| (n nonzero)."""
-    global _PRIME_CACHE
+    """Prime factorization of |n| (n nonzero).
+
+    Trial division stops at the first prime p with p^2 above the cofactor,
+    or after every prime up to TRIAL_DIVISION_BOUND; either way a cofactor
+    below the bound squared has no prime factor up to its square root.
+    """
     if n == 0:
         raise ValueError("cannot factor 0")
     n = abs(n)
     out: dict[int, int] = {}
-    if not _PRIME_CACHE:
-        _PRIME_CACHE = primes_up_to(TRIAL_DIVISION_BOUND)
-    for p in _PRIME_CACHE:
+    for p in _trial_primes():
         if p * p > n:
             break
         while n % p == 0:

@@ -334,7 +334,10 @@ def _run_sweep(
 ) -> list[SweepRecord]:
     if x_max < 10:
         raise ValueError("x_max must be >= 10")
-    threads = threads or default_threads()
+    if threads is None:
+        threads = default_threads()
+    elif threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     boundaries = []
     b = 10
     while b <= x_max:

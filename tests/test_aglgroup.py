@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from echotk import aglgroup as ag
@@ -139,10 +140,113 @@ def test_coset_structure_rejects_random_order24_subgroups():
 
 
 def test_kernel_generators_generate_the_kernel():
-    gens = [g.raw for g in ag._kernel_generators(3)]
-    got = ag._closure_raw(gens, 3)
-    assert len(got) == 64
-    assert all(ag._reduce_raw(e, 2) == (0, 0, 1, 0, 0, 1) for e in got)
+    got = ag._closure_codes([ag.pack(g.raw, 3) for g in ag._kernel_generators(3)], 3)
+    assert got.size == 64
+    assert all(ag._reduce_raw(ag.unpack(c, 3), 2) == (0, 0, 1, 0, 0, 1) for c in got.tolist())
+
+
+def _closure_oracle(gens, k, max_size=None, kernel_guard=None):
+    """Tuple BFS: the orbit of the identity under right multiplication by gens and inverses.
+
+    Returns None as soon as the orbit exceeds max_size or a new element
+    fails kernel_guard.
+    """
+    mask = (1 << k) - 1
+    step = []
+    for g in gens:
+        g = tuple(x & mask for x in g)
+        step.append(g)
+        step.append(ag._inv(g, k))
+    ident = (0, 0, 1, 0, 0, 1)
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        new = []
+        for e in frontier:
+            for g in step:
+                x = ag._comp(e, g, mask)
+                if x not in seen:
+                    if kernel_guard is not None and not kernel_guard(x):
+                        return None
+                    seen.add(x)
+                    new.append(x)
+                    if max_size is not None and len(seen) > max_size:
+                        return None
+        frontier = new
+    return seen
+
+
+def _engine_and_oracle(gens, k, max_size=None, allowed=None):
+    guard = None if allowed is None else (lambda e: bool(allowed[ag.pack(e, k)]))
+    want = _closure_oracle(gens, k, max_size=max_size, kernel_guard=guard)
+    got = ag._closure_codes([ag.pack(g, k) for g in gens], k, max_size=max_size, allowed=allowed)
+    if want is None or got is None:
+        assert want is None and got is None, (gens, k, max_size)
+        return None
+    assert set(got.tolist()) == {ag.pack(e, k) for e in want}, (gens, k, max_size)
+    assert list(got) == sorted(got)
+    return want
+
+
+def test_closure_engine_matches_oracle_on_random_generators():
+    rng = random.Random(21)
+    aborted = 0
+    for k, trials in ((1, 30), (2, 30), (3, 12)):
+        pool = sorted(ag.full_agl(k).raw_elements())
+        for _ in range(trials):
+            gens = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
+            # level 3 caps the size so the oracle stays cheap; most caps are hit
+            cap = rng.choice([None, 50, 400]) if k < 3 else rng.choice([60, 3000])
+            want = _engine_and_oracle(gens, k, max_size=cap)
+            if want is None:
+                aborted += 1
+                continue
+            # the cap is exclusive: one below the order aborts, the order itself does not
+            assert _engine_and_oracle(gens, k, max_size=len(want) - 1) is None
+            assert len(_engine_and_oracle(gens, k, max_size=len(want))) == len(want)
+            # image sizes and reductions agree with the tuple definitions
+            rep = ag.SubgroupRep(k, (), frozenset(ag.pack(e, k) for e in want))
+            assert rep.matrix_image_size() == len({e[2:] for e in want})
+            assert rep.mod2_image_size() == len({ag._reduce_raw(e, 1) for e in want})
+            for k_to in range(1, k + 1):
+                assert rep.reduce(k_to).codes == {ag.pack(ag._reduce_raw(e, k_to), k_to) for e in want}
+    assert aborted > 10
+
+
+def _kernel_element(bits):
+    u0, u1, a00, a01, a10, a11 = ((bits >> (5 - i)) & 1 for i in range(6))
+    return (4 * u0, 4 * u1, 1 + 4 * a00, 4 * a01, 4 * a10, 1 + 4 * a11)
+
+
+def test_level3_guard_rejects_exactly_the_kernel_outside_w():
+    for w_sub in ag._stable_kernel_submodules():
+        allowed = ag._level3_guard(w_sub)
+        outside = sorted(ag.pack(_kernel_element(c), 3) for c in range(64) if c not in w_sub)
+        assert np.flatnonzero(~allowed).tolist() == outside
+
+
+def test_closure_engine_matches_oracle_under_the_level3_guard():
+    rng = random.Random(22)
+    lifts = [ag.agl_generating_pair(2), ag.H2_GENERATORS]
+    # small subgroups meeting the kernel in t^4 = (4, 0, I) or (0, 0, I + 4E_01) and their conjugates
+    extras = [(1, 0, 1, 0, 0, 1), (0, 0, 1, 1, 0, 1), (2, 0, 1, 2, 0, 1)]
+    outcomes = set()
+    for w_sub in ag._stable_kernel_submodules()[:5]:
+        allowed = ag._level3_guard(w_sub)
+        w_gens = [_kernel_element(c) for c in sorted(w_sub) if c]
+        cap = ag.AGL_ORDERS[2] * len(w_sub)
+        # the classifier's own closures: lifted quotient generators plus W, capped at |Q| * |W|
+        for q1, q2 in lifts:
+            for _ in range(2):
+                n1 = ag._comp(_kernel_element(rng.randrange(64)), q1.raw, 7)
+                n2 = ag._comp(_kernel_element(rng.randrange(64)), q2.raw, 7)
+                got = _engine_and_oracle([n1, n2] + w_gens, 3, max_size=cap, allowed=allowed)
+                outcomes.add(got is not None)
+        for x in extras:
+            got = _engine_and_oracle([x] + w_gens, 3, max_size=cap, allowed=allowed)
+            outcomes.add(got is not None)
+    # every W here is proper, so a pass means the guard held on a nontrivial kernel
+    assert outcomes == {True, False}
 
 
 def _all_subspaces_f2(n):

@@ -87,6 +87,11 @@ def test_usage_errors(capsys):
         ("sweep", "--max", "nan"),
         ("sweep", "--max", "abc"),
         ("point", "--n", "1e-1"),
+        # thread counts are positive
+        ("sweep", "--max", "100", "--threads", "0"),
+        ("sweep", "--max", "100", "--threads", "-3"),
+        ("family", "--t", "1", "--threads", "0"),
+        ("family", "--t", "1", "--threads", "-3"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv

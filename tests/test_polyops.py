@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -87,6 +88,49 @@ def test_factorize_beyond_bound_raises():
     q = 1_000_033
     with pytest.raises(polyops.FactorizationError):
         polyops.factorize(p * p * q * q * p)  # cofactor p^3 q^2-ish: composite, not a square
+
+
+def _factorize_oracle(n, primes):
+    """Trial division by the full sieve to the bound, then the same cofactor rules."""
+    n = abs(n)
+    out = {}
+    for p in primes:
+        if p * p > n:
+            break
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    if n > 1:
+        bound = polyops.TRIAL_DIVISION_BOUND
+        root = math.isqrt(n)
+        if n < bound * bound or polyops.is_probable_prime(n):
+            out[n] = 1
+        elif root * root == n and polyops.is_probable_prime(root):
+            out[root] = 2
+        else:
+            raise polyops.FactorizationError(n)
+    return out
+
+
+def test_factorize_matches_full_sieve_trial_division(monkeypatch):
+    # start from an empty prime cache so it grows in steps as n increases
+    monkeypatch.setattr(polyops, "_PRIME_CACHE", [])
+    monkeypatch.setattr(polyops, "_PRIME_CACHE_LIMIT", 0)
+    primes = polyops.primes_up_to(polyops.TRIAL_DIVISION_BOUND)
+    rng = random.Random(12)
+    bound_sq = polyops.TRIAL_DIVISION_BOUND ** 2
+    near = [999_953, 999_959, 999_961, 999_979, 999_983, 1_000_003, 1_000_033, 1_000_037]
+    cases = [rng.randrange(1, 10 ** e) for e in range(1, 13) for _ in range(25)]
+    cases += [p * p for p in near] + [p * q for p in near for q in near if p < q]
+    cases += [bound_sq + d for d in range(-40, 41)]
+    for n in cases:
+        try:
+            want = _factorize_oracle(n, primes)
+        except polyops.FactorizationError:
+            with pytest.raises(polyops.FactorizationError):
+                polyops.factorize(n)
+        else:
+            assert polyops.factorize(n) == want, n
 
 
 def test_divisors():

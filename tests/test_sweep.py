@@ -161,6 +161,14 @@ def test_sweep_thread_count_invariance():
         assert got == want, threads
 
 
+def test_thread_count_must_be_positive():
+    for threads in (0, -3):
+        with pytest.raises(ValueError):
+            sweep.sweep(100, threads=threads)
+        with pytest.raises(ValueError):
+            sweep.density_scan(CURVE_E, POINT_P, 100, threads=threads)
+
+
 def test_checkpoint_roundtrip(tmp_path):
     ck = sweep.Checkpoint(97, 25, 13)
     path = str(tmp_path / "ck.txt")
