@@ -383,9 +383,21 @@ def full_agl(k: int) -> SubgroupRep:
     return rep
 
 
+def _check_two_generated(k: int) -> None:
+    """GL_2(Z/2^k) and AGL_2(Z/2^k) have generating pairs only for k <= 2.
+
+    From k = 3 on, both map onto GL_2(Z/8), which maps onto C2^3 by the
+    determinant in (Z/8)^* = C2^2 and the sign of GL_2(F_2) = S3; C2^3 needs
+    three generators.
+    """
+    if k >= 3:
+        raise ValueError(f"no generating pair exists at level {k}: the group maps onto C2^3")
+
+
 @lru_cache(maxsize=None)
 def gl_generating_pair(k: int) -> tuple:
-    """A verified generating pair for GL_2(Z/2^k), as matrix 4-tuples."""
+    """A verified generating pair for GL_2(Z/2^k), as matrix 4-tuples (k <= 2)."""
+    _check_two_generated(k)
     # matrix-only search piggybacks on the affine closure with v = 0
     elems = [pack((0, 0, *m), k) for m in _gl_matrices(k).tolist()]
     a, b = _search_generating_pair(elems, k, GL_ORDERS[k], seed=11)
@@ -394,7 +406,8 @@ def gl_generating_pair(k: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def agl_generating_pair(k: int) -> tuple[AglElem, AglElem]:
-    """A verified generating pair for the full affine group at level k."""
+    """A verified generating pair for the full affine group at level k <= 2."""
+    _check_two_generated(k)
     a, b = _search_generating_pair(full_agl(k).codes, k, AGL_ORDERS[k], seed=13)
     return AglElem(k, *unpack(a, k)), AglElem(k, *unpack(b, k))
 

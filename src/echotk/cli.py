@@ -403,6 +403,11 @@ def run(argv: Sequence[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(list(argv))
+        if getattr(args, "threads", 1) is None:  # no --threads: ECHO_THREADS or the CPU count
+            try:
+                args.threads = sweep.default_threads()
+            except ValueError as exc:
+                parser.error(str(exc))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

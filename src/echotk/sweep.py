@@ -2,10 +2,14 @@
 
 For a good-reduction prime p the question reduces to whether the base
 point has odd order in E(F_p); the bad primes are settled by the residue
-cycles (3 divides a term, 5 never does).  One baby-step giant-step search
+cycles (3 divides a term, 5 never does).  A baby-step giant-step search
 over the Hasse interval finds a positive multiple m of the point's order,
 and the order is odd exactly when the odd part of m already kills the
-point; #E(F_p) itself is never needed.  The same engine scans any rational
+point; #E(F_p) itself is never needed.  The search runs on numpy int64
+lanes, one prime per lane, for a whole sweep segment at once: projective
+coordinates, one batched inversion per lane, and sorted keys to match
+baby and giant steps.  Lanes hold primes up to LANE_PRIME_MAX = 2^31 - 1;
+larger primes raise ValueError.  The same engine scans any rational
 curve/point pair.  The sweep is parallel over contiguous prime ranges and
 its counts are exact and independent of the worker count.  Full group
 orders (group_order) remain as an oracle for the tests.
@@ -22,8 +26,10 @@ from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from . import curves
-from .curves import Curve, Point, _fp_add, _fp_mul, _fp_neg
+from .curves import Curve, Point, _fp_mul
 from .polyops import factorize, primes_in_range, primes_up_to
 
 SEGMENT_SIZE = 1 << 16
@@ -39,51 +45,219 @@ class AmbiguousOrderError(RuntimeError):
 
 
 def default_threads() -> int:
+    """ECHO_THREADS when set (a positive integer), else the CPU count."""
     env = os.environ.get("ECHO_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        value = int(env)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"invalid ECHO_THREADS value {env!r}: expected a positive integer")
+    return value
 
 
 # ---------------------------------------------------------------------------
-# the odd-order decision
+# the odd-order decision: one baby-step giant-step search over int64 lanes
+#
+# A lane is a prime p, a curve a1..a4 and an affine point (x, y) on it, all
+# reduced mod p; lanes may repeat a prime.  Points are projective triples
+# (X, Y, Z) of lane arrays with O at Z = 0.  Residues stay below
+# LANE_PRIME_MAX < 2^31, so the sum of two residue products fits int64.
+
+LANE_PRIME_MAX = (1 << 31) - 1
+LANE_POINT_BUDGET = 1 << 16  # baby and giant points stored per batch: a few MB per worker
 
 
-def _annihilator(pt, a1, a2, a3, a4, p) -> int:
-    """Some positive M in the Hasse interval [p+1-2sqrt(p), p+1+2sqrt(p)] with M*pt = O.
+def _check_lane_bound(p: int) -> None:
+    if p > LANE_PRIME_MAX:
+        raise ValueError(f"primes above {LANE_PRIME_MAX} exceed the int64 lane bound")
 
-    Every match is an exact point equality, so the M returned kills pt;
-    M <= 0 matches occur only for tiny p and are skipped.
+
+def _finish(u, v, X1, Y1, Z2, w, sx, c):
+    """The sum of (X1 : Y1 : Z1) and a point with Z-coordinate Z2 whose
+    chord or tangent has slope u/v, given w = Z1*Z2 and sx = X1*Z2 + X2*Z1.
+
+    It is (vA : v^2 Z2 (u X1 - v Y1) - A(u + a1 v) - a3 v^3 w : v^3 w) with
+    A = w(u^2 + a1 uv - a2 v^2) - v^2 sx, the affine law cleared of v^3 w.
     """
-    T = math.isqrt(4 * p)
-    s = math.isqrt(2 * T) + 1
-    baby: dict = {}
-    run = None
-    for j in range(s):
-        baby.setdefault(run, j)
-        run = _fp_add(run, pt, a1, a2, a3, a4, p)
-    s_pt = _fp_mul(s, pt, a1, a2, a3, a4, p)
-    lo = p + 1 - T
-    giant = _fp_mul(lo, pt, a1, a2, a3, a4, p)
-    for i in range((2 * T) // s + 2):
-        j = baby.get(_fp_neg(giant, a1, a3, p))  # (lo + i*s + j) * pt = O
-        if j is not None and lo + i * s + j > 0:
-            return lo + i * s + j
-        j = baby.get(giant)  # (lo + i*s - j) * pt = O
-        if j is not None and lo + i * s - j > 0:
-            return lo + i * s - j
-        giant = _fp_add(giant, s_pt, a1, a2, a3, a4, p)
-    raise AmbiguousOrderError(f"no annihilator found mod {p}")  # not reachable for prime p
+    p, a1, a2, a3, _ = c
+    v2 = v * v % p
+    a1v = a1 * v % p
+    A = (w * ((u * (u + a1v) - a2 * v2) % p) - v2 * sx) % p
+    Z3 = v2 * v % p * w % p
+    Y3 = (v2 * Z2 % p * ((u * X1 - v * Y1) % p) - A * (u + a1v)) % p
+    return v * A % p, (Y3 - a3 * Z3) % p, Z3
 
 
-def _odd_order(pt, a1, a2, a3, a4, p) -> bool:
-    """Whether the affine point pt of E(F_p) has odd order.
+def _double(P, c):
+    """2P on every lane; the tangent at a 2-torsion point gives v = 0, so O."""
+    p, a1, a2, a3, a4 = c
+    X, Y, Z = P
+    XZ, ZZ = X * Z % p, Z * Z % p
+    u = (3 * (X * X % p) + 2 * (a2 * XZ % p) + a4 * ZZ - a1 * (Y * Z % p)) % p
+    v = (2 * Y + a1 * X + a3 * Z) % p * Z % p
+    X3, Y3, Z3 = _finish(u, v, X, Y, Z, ZZ, 2 * XZ % p, c)
+    return X3, np.where(Z == 0, 1, Y3), Z3  # O doubles to O, not to (0 : 0 : 0)
 
-    ord(pt) divides the annihilator m, so it is odd iff it divides the odd
-    part of m.
+
+def _add(P, Q, c):
+    """P + Q on every lane.  The chord gives O for P = -Q; it gives
+    (0 : 0 : 0) exactly when an input is O or P = Q, and those lanes are
+    fixed up."""
+    p = c[0]
+    X1, Y1, Z1 = P
+    X2, Y2, Z2 = Q
+    u = (Y2 * Z1 - Y1 * Z2) % p
+    v = (X2 * Z1 - X1 * Z2) % p
+    R = _finish(u, v, X1, Y1, Z2, Z1 * Z2 % p, (X1 * Z2 + X2 * Z1) % p, c)
+    fix = np.flatnonzero(R[2] == 0)
+    fix = fix[R[1][fix] == 0]
+    if fix.size:
+        Pf, Qf = [tuple(a[fix] for a in pt) for pt in (P, Q)]
+        out = [np.where(Pf[2] == 0, q, a) for a, q in zip(Pf, Qf)]
+        same = np.flatnonzero((Pf[2] != 0) & (Qf[2] != 0))
+        if same.size:
+            for o, d in zip(out, _double(tuple(a[same] for a in Pf), tuple(a[fix[same]] for a in c))):
+                o[same] = d
+        for r, o in zip(R, out):
+            r[fix] = o
+    return R
+
+
+def _mul(k, P, c):
+    """k*P on every lane, for lane scalars k >= 0 (right-to-left binary)."""
+    acc = (np.zeros_like(k), np.ones_like(k), np.zeros_like(k))
+    while True:
+        bit = (k & 1) == 1
+        if bit.any():
+            acc = tuple(np.where(bit, s, a) for s, a in zip(_add(acc, P, c), acc))
+        k = k >> 1
+        if not k.any():
+            return acc
+        P = _double(P, c)
+
+
+def _inverse(z, p):
+    """z^(p-2) mod p on every lane: the inverse of z != 0 (Fermat)."""
+    e, r = p - 2, np.ones_like(z)
+    while e.any():
+        r = np.where(e & 1 == 1, r * z % p, r)
+        z = z * z % p
+        e = e >> 1
+    return r
+
+
+def _normalize(pts, p):
+    """Overwrite X and Y of rows of points pts = (X, Y, Z), one row per step
+    along each lane, by x = X/Z and y = Y/Z, with one inverse per lane
+    (Montgomery's trick down the rows).  Rows at O keep Z = 0 and get junk
+    x and y."""
+    X, Y, Z = pts
+    buf = np.empty_like(Z)
+    acc = np.ones_like(p)
+    for i, z in enumerate(Z):
+        buf[i] = acc = acc * (z + (z == 0)) % p
+    inv = _inverse(acc, p)
+    for i in range(len(Z) - 1, 0, -1):
+        buf[i] = inv * buf[i - 1] % p
+        inv = inv * (Z[i] + (Z[i] == 0)) % p
+    buf[0] = inv
+    for row in (X, Y):
+        row *= buf
+        row %= p
+
+
+def _shape(T_max: int) -> tuple[int, int]:
+    """Baby and giant counts (s - 1, n) covering Hasse intervals of radius
+    up to T_max: the giant windows [c_i - s + 1, c_i + s - 1] tile it."""
+    s = math.isqrt(T_max) + 1
+    return s - 1, 1 + max(0, -(-(2 * T_max - 2 * s + 2) // (2 * s - 1)))
+
+
+def _bsgs(p, x, y, a1, a2, a3, a4):
+    """One batch of _annihilating_multiples: babies j*P for 1 <= j < s, and
+    giants at the centres c_i = p + 1 - T + (s - 1) + i(2s - 1), T = isqrt(4p).
+
+    A baby at O gives M = j, a giant at O gives M = c_i, and a giant with the
+    x of baby j is +-j*P, with y picking the sign, so M = c_i -+ j.  Every M
+    is at least p + 1 - T > 0, or j >= 1.
     """
-    m = _annihilator(pt, a1, a2, a3, a4, p)
-    return _fp_mul(m >> ((m & -m).bit_length() - 1), pt, a1, a2, a3, a4, p) is None
+    c = (p, a1, a2, a3, a4)
+    width = len(p)
+    T = np.array([math.isqrt(4 * q) for q in p.tolist()], np.int64)
+    n_baby, n_giant = _shape(int(T.max()))
+    stride = 2 * n_baby + 1
+    P = (x, y, np.ones_like(x))
+
+    baby = np.empty((3, n_baby, width), np.int64)
+    baby[:, 0] = P
+    if n_baby > 1:
+        baby[:, 1] = _double(P, c)
+    for j in range(2, n_baby):
+        baby[:, j] = _add(baby[:, j - 1], P, c)
+    step = _add(_double(baby[:, -1], c), P, c)  # (2s - 1) P
+    centre = p + 1 - T + n_baby
+    giant = np.empty((3, n_giant, width), np.int64)
+    giant[:, 0] = _mul(centre, P, c)
+    for i in range(1, n_giant):
+        giant[:, i] = _add(giant[:, i - 1], step, c)
+
+    # match on keys lane * key_width + x; a baby at O gets key -1
+    offset = np.arange(width, dtype=np.int64) * (int(p.max()) + 1)
+    _normalize(baby, p)
+    baby[0] += offset
+    baby[0][baby[2] == 0] = -1
+    order = np.argsort(baby[0], axis=None)
+    sorted_keys = baby[0].ravel()[order]
+    _normalize(giant, p)
+    giant_keys = (giant[0] + offset).ravel()
+    pos = np.minimum(np.searchsorted(sorted_keys, giant_keys), sorted_keys.size - 1)
+    found = np.flatnonzero((sorted_keys[pos] == giant_keys) & (giant[2] != 0).ravel())
+
+    M = np.zeros(width, np.int64)
+    b = order[pos[found]]
+    i, lane = np.divmod(found, width)
+    sign = np.where(baby[1].ravel()[b] == giant[1].ravel()[found], -1, 1)
+    M[lane] = centre[lane] + i * stride + sign * (b // width + 1)
+    i, lane = np.divmod(np.flatnonzero(giant[2] == 0), width)
+    M[lane] = centre[lane] + i * stride
+    j, lane = np.divmod(np.flatnonzero(baby[2] == 0), width)
+    M[lane] = j + 1
+    if not M.all():
+        raise AmbiguousOrderError("no annihilator found on some lane")  # not reachable for prime p
+    return M
+
+
+def _annihilating_multiples(p, x, y, a1, a2, a3, a4):
+    """One M > 0 per lane with M*(x, y) = O, searched in batches of lanes
+    that store at most LANE_POINT_BUDGET baby and giant points."""
+    n_baby, n_giant = _shape(math.isqrt(4 * int(p.max())))
+    width = max(1, LANE_POINT_BUDGET // (n_baby + n_giant))
+    lanes = (p, x, y, a1, a2, a3, a4)
+    return np.concatenate([_bsgs(*(a[lo:lo + width] for a in lanes)) for lo in range(0, len(p), width)])
+
+
+def _order_is_odd(p, x, y, a1, a2, a3, a4):
+    """Whether (x, y) has odd order on each lane.
+
+    Its order divides the annihilator M, so it is odd iff the odd part of M
+    kills the point; an odd M settles the lane at once.
+    """
+    M = _annihilating_multiples(p, x, y, a1, a2, a3, a4)
+    odd_part = M // (M & -M)
+    even = np.flatnonzero(odd_part != M)
+    out = np.ones(len(p), bool)
+    if even.size:
+        c = tuple(a[even] for a in (p, a1, a2, a3, a4))
+        out[even] = _mul(odd_part[even], (x[even], y[even], np.ones_like(even)), c)[2] == 0
+    return out
+
+
+def _lane_residues(v: int, q):
+    """The integer v, of any size, mod each lane prime."""
+    return (v % q.astype(object)).astype(np.int64)
 
 
 def _prepare(c: Curve, pt: Point) -> tuple[tuple, int]:
@@ -100,17 +274,28 @@ def _prepare(c: Curve, pt: Point) -> tuple[tuple, int]:
     return tuple((v.numerator, v.denominator) for v in values), bad * c.discriminant().numerator
 
 
-def _hit(p: int, parts: tuple, bad: int, overrides: dict) -> bool:
-    """Whether the prepared point has odd order mod p; False at bad primes
-    unless overrides settles p."""
-    if p in overrides:
-        return overrides[p]
-    if bad % p == 0:
-        return False
-    if parts[0][1] % p == 0:
-        return True  # the point reduces to O
-    x, y, a1, a2, a3, a4 = (n * pow(d, -1, p) % p for n, d in parts)
-    return _odd_order((x, y), a1, a2, a3, a4, p)
+def _decide(ps: list[int], parts: tuple, bad: int, overrides: dict):
+    """Whether the prepared point has odd order mod each prime of ps, as a
+    bool array; False at bad primes unless overrides settles them."""
+    out = np.zeros(len(ps), bool)
+    lanes = []
+    for i, p in enumerate(ps):
+        if p in overrides:
+            out[i] = overrides[p]
+        elif bad % p == 0:
+            continue
+        elif parts[0][1] % p == 0:
+            out[i] = True  # the point reduces to O
+        else:
+            lanes.append(i)
+    if lanes:
+        q = np.array([ps[i] for i in lanes], np.int64)
+        values = []
+        for n, d in parts:
+            r = _lane_residues(n, q)
+            values.append(r if d == 1 else r * _inverse(_lane_residues(d, q), q) % q)
+        out[lanes] = _order_is_odd(q, *values)
+    return out
 
 
 _ECHO_PAIR = _prepare(curves.CURVE_E, curves.POINT_P)
@@ -120,10 +305,13 @@ def has_odd_order(pt: Point, c: Curve) -> bool:
     """True iff pt has odd order in E(F_p) for the non-singular curve c over F_p."""
     if c.p is None:
         raise ValueError("has_odd_order needs a curve over F_p")
+    _check_lane_bound(c.p)
     if c.is_singular():
         raise curves.SingularCurveError(f"singular reduction mod {c.p}")
     pt = curves._fp_point(pt, c)
-    return pt is None or _odd_order(pt, c.a1, c.a2, c.a3, c.a4, c.p)
+    if pt is None:
+        return True
+    return bool(_order_is_odd(*np.array([[c.p, *pt, c.a1, c.a2, c.a3, c.a4]], np.int64).T)[0])
 
 
 def divides_some_term(p: int) -> bool:
@@ -132,7 +320,8 @@ def divides_some_term(p: int) -> bool:
     Bad-reduction primes are hard-wired from the residue cycles; every other
     prime goes through the odd-order criterion for P mod p.
     """
-    return _hit(p, *_ECHO_PAIR, _BAD_DIVIDES)
+    _check_lane_bound(p)
+    return bool(_decide([p], *_ECHO_PAIR, _BAD_DIVIDES)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +419,10 @@ def _group_order_fp(a1, a2, a3, a4, a6, p) -> int:
     T = math.isqrt(4 * p)
     lo, hi = p + 1 - T, p + 1 + T
     rng = random.Random(p)
+    pts = [_random_point(a1, a2, a3, a4, a6, p, rng) for _ in range(MAX_ORDER_SAMPLES)]
+    multiples = _annihilating_multiples(*np.array([(p, *pt, a1, a2, a3, a4) for pt in pts], np.int64).T)
     lcm = 1
-    for _ in range(MAX_ORDER_SAMPLES):
-        pt = _random_point(a1, a2, a3, a4, a6, p, rng)
-        m = _annihilator(pt, a1, a2, a3, a4, p)
+    for pt, m in zip(pts, multiples.tolist()):
         d = _order_from_multiple(pt, m, a1, a2, a3, a4, p)
         lcm = lcm * d // math.gcd(lcm, d)
         first = ((lo + lcm - 1) // lcm) * lcm
@@ -250,6 +439,7 @@ def group_order(c: Curve) -> int:
     """#E(F_p) for a non-singular curve over a prime field."""
     if c.p is None:
         raise ValueError("group_order needs a curve over F_p")
+    _check_lane_bound(c.p)
     if c.is_singular():
         raise curves.SingularCurveError(f"singular reduction mod {c.p}")
     return _group_order_fp(c.a1, c.a2, c.a3, c.a4, c.a6, c.p)
@@ -308,21 +498,10 @@ class Checkpoint:
 def _sweep_chunk(args):
     """Count primes and odd-order hits in [lo, hi), split at the given cuts."""
     lo, hi, cuts, parts, bad, overrides = args
-    base = primes_up_to(math.isqrt(hi) + 1)
-    out = []
-    pi = prime_hits = 0
-    cut_iter = list(cuts) + [hi]
-    idx = 0
-    for p in primes_in_range(lo, hi, base):
-        while p > cut_iter[idx]:
-            out.append((cut_iter[idx], pi, prime_hits))
-            idx += 1
-        pi += 1
-        prime_hits += _hit(p, parts, bad, overrides)
-    while idx < len(cut_iter):
-        out.append((cut_iter[idx], pi, prime_hits))
-        idx += 1
-    return out
+    ps = list(primes_in_range(lo, hi, primes_up_to(math.isqrt(hi) + 1)))
+    hits = np.concatenate(([0], np.cumsum(_decide(ps, parts, bad, overrides))))
+    cuts = list(cuts) + [hi]
+    return [(cut, n, int(hits[n])) for cut, n in zip(cuts, np.searchsorted(ps, cuts, side="right").tolist())]
 
 
 def _run_sweep(
@@ -334,6 +513,7 @@ def _run_sweep(
 ) -> list[SweepRecord]:
     if x_max < 10:
         raise ValueError("x_max must be >= 10")
+    _check_lane_bound(x_max)
     if threads is None:
         threads = default_threads()
     elif threads < 1:

@@ -52,6 +52,24 @@ def test_group_order_formulas():
         assert full.matrix_image_size() == 6 * 16 ** (k - 1)
 
 
+def test_generating_pairs_stop_at_level_2():
+    # from level 3 on the groups map onto C2^3, so no pair generates them:
+    # GL_2(Z/8) -> (det mod 8, sign of the mod-2 image in GL_2(F_2) = S3),
+    # where the odd permutations are the three involutions
+    def odd(m):
+        a, b, c, d = (v % 2 for v in m)
+        square = ((a * a + b * c) % 2, (a * b + b * d) % 2, (c * a + d * c) % 2, (c * b + d * d) % 2)
+        return square == (1, 0, 0, 1) != (a, b, c, d)
+    image = {((a * d - b * c) % 8, odd((a, b, c, d))) for a, b, c, d in ag._gl_matrices(3).tolist()}
+    assert len(image) == 8
+    assert len(ag.gl_generating_pair(2)) == 2
+    for k in (3, 4):
+        with pytest.raises(ValueError, match="C2\\^3"):
+            ag.gl_generating_pair(k)
+        with pytest.raises(ValueError, match="C2\\^3"):
+            ag.agl_generating_pair(k)
+
+
 def test_is_kinetic():
     assert ag.is_kinetic(ag.h2())
     assert ag.is_kinetic(ag.full_agl(2))

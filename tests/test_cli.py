@@ -76,7 +76,13 @@ def test_sweep_checkpoint_past_max_cli(capsys, tmp_path):
         assert "checkpoint" in err
 
 
-def test_usage_errors(capsys):
+def test_sweep_past_lane_bound_cli(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--max", "3e9", "--threads", "1")
+    assert (code, out) == (1, "")
+    assert "lane bound" in err
+
+
+def test_usage_errors(capsys, monkeypatch):
     assert run_cli(capsys, "bogus")[0] == 2
     assert run_cli(capsys, "sweep")[0] == 2  # missing --max
     assert run_cli(capsys, "density")[0] == 2  # missing subcommand
@@ -96,6 +102,15 @@ def test_usage_errors(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert "invalid" in err, argv
+    # so is ECHO_THREADS, which stands in for a missing --threads
+    for value in ("0", "-3", "abc"):
+        monkeypatch.setenv("ECHO_THREADS", value)
+        for argv in (("sweep", "--max", "100"), ("family", "--t", "1")):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), (value, argv)
+            assert "invalid ECHO_THREADS" in err, (value, argv)
+    monkeypatch.setenv("ECHO_THREADS", "1")
+    assert run_cli(capsys, "sweep", "--max", "100")[0] == 0
 
 
 def test_computation_error_exit_code(capsys):

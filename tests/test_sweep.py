@@ -4,10 +4,11 @@ import os
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from echotk import curves, seq, sweep
-from echotk.curves import CURVE_E, POINT_P
+from echotk import curves, fabulous, polyops, seq, sweep
+from echotk.curves import CURVE_E, POINT_P, _fp_add, _fp_mul, _fp_neg
 
 
 def _reduced(p):
@@ -59,6 +60,145 @@ def _naive_order(pt, cp):
     return n
 
 
+# The scalar odd-order decision the lane engine replaced, kept as its oracle:
+# one affine baby-step giant-step search per prime with the curves group law.
+
+
+def _annihilator_oracle(pt, a1, a2, a3, a4, p) -> int:
+    """Some M > 0 in the Hasse interval with M*pt = O."""
+    T = math.isqrt(4 * p)
+    s = math.isqrt(2 * T) + 1
+    baby: dict = {}
+    run = None
+    for j in range(s):
+        baby.setdefault(run, j)
+        run = _fp_add(run, pt, a1, a2, a3, a4, p)
+    s_pt = _fp_mul(s, pt, a1, a2, a3, a4, p)
+    lo = p + 1 - T
+    giant = _fp_mul(lo, pt, a1, a2, a3, a4, p)
+    for i in range((2 * T) // s + 2):
+        j = baby.get(_fp_neg(giant, a1, a3, p))
+        if j is not None and lo + i * s + j > 0:
+            return lo + i * s + j
+        j = baby.get(giant)
+        if j is not None and lo + i * s - j > 0:
+            return lo + i * s - j
+        giant = _fp_add(giant, s_pt, a1, a2, a3, a4, p)
+    raise AssertionError(f"no annihilator found mod {p}")
+
+
+def _odd_order_oracle(pt, a1, a2, a3, a4, p) -> bool:
+    m = _annihilator_oracle(pt, a1, a2, a3, a4, p)
+    return _fp_mul(m >> ((m & -m).bit_length() - 1), pt, a1, a2, a3, a4, p) is None
+
+
+def _oracle_hit(p, parts, bad) -> bool:
+    """The scalar decision for a prepared rational pair, bad primes False."""
+    if bad % p == 0:
+        return False
+    if parts[0][1] % p == 0:
+        return True
+    x, y, a1, a2, a3, a4 = (n * pow(d, -1, p) % p for n, d in parts)
+    return _odd_order_oracle((x, y), a1, a2, a3, a4, p)
+
+
+def _lanes(rows):
+    """Engine lanes from (affine point, curve over F_p) rows."""
+    return np.array([(cp.p, *pt, cp.a1, cp.a2, cp.a3, cp.a4) for pt, cp in rows], np.int64).T
+
+
+def _check_engine(rows):
+    """Every lane's M is positive and kills its point, and the decision is the
+    parity of the naive order; returns the decisions."""
+    lanes = _lanes(rows)
+    multiples = sweep._annihilating_multiples(*lanes).tolist()
+    decisions = sweep._order_is_odd(*lanes).tolist()
+    for (pt, cp), m, odd in zip(rows, multiples, decisions):
+        assert m > 0 and curves.scalar_mul(m, pt, cp) is None, (pt, cp)
+        assert odd == (_naive_order(pt, cp) % 2 == 1), (pt, cp)
+    return decisions
+
+
+def test_engine_matches_oracle_and_naive_order_below_1000():
+    rows = [(curves.reduce_point_mod_p(POINT_P, p), _reduced(p)[0])
+            for p in sweep.primes_up_to(999) if p not in (3, 5)]
+    decisions = _check_engine(rows)
+    for (pt, cp), odd in zip(rows, decisions):
+        assert odd == _odd_order_oracle(pt, cp.a1, cp.a2, cp.a3, cp.a4, cp.p), cp.p
+
+
+def test_engine_on_tiny_primes_with_points_of_order_1_to_4():
+    # every affine point of every non-singular curve over F_2 and F_3, and of
+    # seeded curves over F_5 and F_7, in one call with mixed and repeated primes
+    rng = random.Random(3)
+    rows = []
+    for p, count in ((2, None), (3, None), (5, 150), (7, 150)):
+        if count is None:
+            coeffs = [tuple((n // p**i) % p for i in range(5)) for n in range(p**5)]
+        else:
+            coeffs = [tuple(rng.randrange(p) for _ in range(5)) for _ in range(count)]
+        for a in coeffs:
+            cp = curves.Curve(*a, p=p)
+            if not cp.is_singular():
+                rows += [((x, y), cp) for x in range(p) for y in range(p) if cp.contains((x, y))]
+    orders = {_naive_order(pt, cp) for pt, cp in rows}
+    assert {2, 3, 4} <= orders
+    _check_engine(rows)
+    cp7, _ = _reduced(7)
+    assert sweep.has_odd_order(None, cp7)  # order 1: the point at O never reaches a lane
+
+
+def test_engine_at_the_largest_lane_prime():
+    p = sweep.LANE_PRIME_MAX
+    assert p == 2**31 - 1 and polyops.is_probable_prime(p)
+    cp, good = _reduced(p)
+    assert good
+    rng = random.Random(11)
+    pts = [curves.reduce_point_mod_p(POINT_P, p)]
+    pts += [sweep._random_point(cp.a1, cp.a2, cp.a3, cp.a4, cp.a6, p, rng) for _ in range(3)]
+    lanes = _lanes([(pt, cp) for pt in pts])
+    multiples = sweep._annihilating_multiples(*lanes).tolist()
+    decisions = sweep._order_is_odd(*lanes).tolist()
+    for pt, m, odd in zip(pts, multiples, decisions):
+        assert m > 0 and _fp_mul(m, pt, cp.a1, cp.a2, cp.a3, cp.a4, p) is None
+        assert odd == _odd_order_oracle(pt, cp.a1, cp.a2, cp.a3, cp.a4, p)
+    n = sweep.group_order(cp)
+    assert abs(n - p - 1) <= math.isqrt(4 * p)
+    assert all(_fp_mul(n, pt, cp.a1, cp.a2, cp.a3, cp.a4, p) is None for pt in pts)
+
+
+def test_engine_matches_oracle_per_prime_to_1e5():
+    # E, the t = 1 family member and the control pair, prime by prime
+    ps = sweep.primes_up_to(100_000)
+    origin = (Fraction(0), Fraction(0))
+    for c, pt in (
+        (CURVE_E, POINT_P),
+        (curves.curve_from_pair(*fabulous.parametrize(1)), origin),
+        (curves.curve_from_pair(*fabulous.find_control_pair()), origin),
+    ):
+        parts, bad = sweep._prepare(c, pt)
+        got = sweep._decide(ps, parts, bad, {}).tolist()
+        want = [_oracle_hit(p, parts, bad) for p in ps]
+        assert got == want, c
+
+
+def test_lane_bound_fails_loudly():
+    big = sweep.LANE_PRIME_MAX + 1
+    for call in (
+        lambda: sweep.sweep(big, threads=1),
+        lambda: sweep.density_scan(CURVE_E, POINT_P, big, threads=1),
+    ):
+        with pytest.raises(ValueError, match="lane bound"):
+            call()
+    p = 2147483659  # the least prime above the bound
+    assert polyops.is_probable_prime(p)
+    cp, _ = _reduced(p)
+    with pytest.raises(ValueError, match="lane bound"):
+        sweep.has_odd_order(curves.reduce_point_mod_p(POINT_P, p), cp)
+    with pytest.raises(ValueError, match="lane bound"):
+        sweep.group_order(cp)
+
+
 def test_has_odd_order_examples_and_oracle():
     cp7, _ = _reduced(7)
     assert sweep.has_odd_order(curves.reduce_point_mod_p(POINT_P, 7), cp7)
@@ -91,9 +231,9 @@ def test_divides_some_term_matches_sequence_scan():
 
 def test_odd_order_decision_matches_naive_order_on_random_pairs():
     # normal-form pairs (a, b) with the marked point (0, 0), at every good
-    # prime below 600, p = 2 included: the per-prime decision against the
-    # parity of the order found by repeated addition, and the scan engine's
-    # count against the same oracle
+    # prime below 600, p = 2 included: one engine call per pair decides every
+    # prime, against the parity of the order found by repeated addition, and
+    # the scan engine's count against the same oracle
     rng = random.Random(17)
     pairs = 0
     while pairs < 40:
@@ -103,17 +243,14 @@ def test_odd_order_decision_matches_naive_order_on_random_pairs():
         if c.discriminant() == 0:
             continue
         pairs += 1
-        hits = 0
+        rows = []
         for p in sweep.primes_up_to(600):
             if a.denominator % p == 0 or b.denominator % p == 0:
                 continue
             cp, good = curves.reduce_mod_p(c, p)
-            if not good:
-                continue
-            pt = curves.reduce_point_mod_p((0, 0), p)
-            odd = _naive_order(pt, cp) % 2 == 1
-            assert sweep.has_odd_order(pt, cp) == odd, (a, b, p)
-            hits += odd
+            if good:
+                rows.append(((0, 0), cp))
+        hits = sum(_check_engine(rows))
         recs = sweep.density_scan(c, (Fraction(0), Fraction(0)), 600, threads=1)
         assert (recs[-1].pi_prime, recs[-1].pi) == (hits, 109), (a, b)
 
