@@ -17,6 +17,13 @@ from the identity: right multiplication by (b, B) sends (a, A) to
 matrix codes (A*b and A*B) and one shared table adds vectors; a BFS step is
 a few gathers over the frontier, deduplicated against a boolean array over
 all 2^(6k) codes.  Matrix and mod-2 images are reductions over code arrays.
+
+The classification lifts one level at a time.  The kernel K of reduction
+from level k to k - 1 is F_2^6, and a subgroup G at level k is generated by
+W = G & K and one lift of each generator of its image Q one level down.
+The kernel parts of Q's relations are affine-linear over F_2 in the
+unknown lifts, and G & K = W exactly when they all lie in W; so one F_2
+linear solve per (Q, W) yields every valid lift, and only those are closed.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -177,19 +184,12 @@ def _right_tables(code: int, k: int) -> np.ndarray:
     return tables
 
 
-def _closure_codes(
-    gens: Iterable[int],
-    k: int,
-    max_size: Optional[int] = None,
-    allowed: Optional[np.ndarray] = None,
-) -> Optional[np.ndarray]:
+def _closure_codes(gens: Iterable[int], k: int, max_size: Optional[int] = None) -> Optional[np.ndarray]:
     """Sorted codes of the subgroup generated by the element codes gens.
 
     BFS from the identity under right multiplication by each generator and
     its inverse.  Returns None when the subgroup has more than max_size
-    elements, or when allowed (a boolean array over all codes) is given and
-    some element other than the identity falls outside it (the classifiers
-    use this to discard inconsistent lifts early).
+    elements.
     """
     steps: list[int] = []
     for g in gens:
@@ -216,8 +216,6 @@ def _closure_codes(
         frontier = cand[slot[cand] == pos]
         size += frontier.size
         if max_size is not None and size > max_size:
-            return None
-        if allowed is not None and not allowed[frontier].all():
             return None
         seen[frontier] = True
     return np.flatnonzero(seen)
@@ -310,13 +308,8 @@ def hk_contains(e: AglElem) -> bool:
 
 def _kernel_generators(k: int) -> list[AglElem]:
     # generators of ker(level k -> level 2): translations by 4*e_i and
-    # unipotent matrices I + 4*E_rs
-    gens = [AglElem(k, 4, 0, 1, 0, 0, 1), AglElem(k, 0, 4, 1, 0, 0, 1)]
-    for pos in range(4):
-        m = [1, 0, 0, 1]
-        m[pos] += 4
-        gens.append(AglElem(k, 0, 0, *m))
-    return gens
+    # unipotent matrices I + 4*E_rs, the level-3 kernel's basis
+    return [AglElem(k, *_kernel_elem(1 << bit, 3)) for bit in reversed(range(6))]
 
 
 def _gl_matrices(k: int) -> np.ndarray:
@@ -347,21 +340,7 @@ def build_hk(k: int) -> SubgroupRep:
 
 
 # ---------------------------------------------------------------------------
-# generating pairs and full groups
-
-
-def _search_generating_pair(codes: Iterable[int], k: int, target: int, seed: int = 7):
-    """Find (deterministically) a pair of element codes generating a group of order target."""
-    import random as _random
-
-    rng = _random.Random(seed)
-    pool = sorted(codes)
-    for _ in range(20000):
-        a, b = rng.choice(pool), rng.choice(pool)
-        got = _closure_codes([a, b], k, max_size=target)
-        if got is not None and got.size == target:
-            return a, b
-    raise AssertionError(f"no generating pair found at level {k} (target {target})")
+# full groups
 
 
 @lru_cache(maxsize=None)
@@ -383,80 +362,193 @@ def full_agl(k: int) -> SubgroupRep:
     return rep
 
 
-def _check_two_generated(k: int) -> None:
-    """GL_2(Z/2^k) and AGL_2(Z/2^k) have generating pairs only for k <= 2.
+# ---------------------------------------------------------------------------
+# the kernel K of reduction from level k >= 2 to level k - 1
 
-    From k = 3 on, both map onto GL_2(Z/8), which maps onto C2^3 by the
-    determinant in (Z/8)^* = C2^2 and the sign of GL_2(F_2) = S3; C2^3 needs
-    three generators.
+
+def _kernel_elem(c: int, k: int) -> Elem:
+    """kappa(c) = (2^(k-1) u, I + 2^(k-1) A) for the 6-bit code c = (u0 u1 a00 a01 a10 a11).
+
+    kappa(c) * kappa(c') = kappa(c ^ c'), since 2^(k-1) * 2^(k-1) = 0 mod
+    2^k, so K is F_2^6 at every level k >= 2.
     """
-    if k >= 3:
-        raise ValueError(f"no generating pair exists at level {k}: the group maps onto C2^3")
+    return tuple(i + (b << (k - 1)) for i, b in zip(IDENTITY_RAW, unpack(c, 1)))
+
+
+def _kernel_code(e: Elem, k: int) -> int:
+    """The code c with kappa(c) = e, for e in K at level k."""
+    return pack(tuple(((x - i) >> (k - 1)) & 1 for x, i in zip(e, IDENTITY_RAW)), 1)
 
 
 @lru_cache(maxsize=None)
-def gl_generating_pair(k: int) -> tuple:
-    """A verified generating pair for GL_2(Z/2^k), as matrix 4-tuples (k <= 2)."""
-    _check_two_generated(k)
-    # matrix-only search piggybacks on the affine closure with v = 0
-    elems = [pack((0, 0, *m), k) for m in _gl_matrices(k).tolist()]
-    a, b = _search_generating_pair(elems, k, GL_ORDERS[k], seed=11)
-    return unpack(a, k)[2:], unpack(b, k)[2:]
+def _kernel_action(t: Elem) -> tuple[int, ...]:
+    """Entry c is the code of t * kappa(c) * t^-1, for a level-1 element t = (v, M).
+
+    The conjugate is (2^(k-1) (M u + M A M^-1 v), I + 2^(k-1) M A M^-1) mod
+    2^k (signs vanish mod 2): it depends only on t mod 2 and is the same at
+    every level k >= 2, so the table conjugates at level 2.
+    """
+    t_inv = _inv(t, 2)
+    return tuple(_kernel_code(_comp(_comp(t, _kernel_elem(c, 2), 3), t_inv, 3), 2) for c in range(64))
 
 
 @lru_cache(maxsize=None)
-def agl_generating_pair(k: int) -> tuple[AglElem, AglElem]:
-    """A verified generating pair for the full affine group at level k <= 2."""
-    _check_two_generated(k)
-    a, b = _search_generating_pair(full_agl(k).codes, k, AGL_ORDERS[k], seed=13)
-    return AglElem(k, *unpack(a, k)), AglElem(k, *unpack(b, k))
+def _stable_kernel_submodules() -> tuple[frozenset, ...]:
+    """The subspaces of K (as sets of codes) stable under the level-1 action.
+
+    A kinetic subgroup covers the level-1 group and normalizes its own
+    intersection with K, so that intersection is one of these.
+    """
+    tables = [_kernel_action(t) for t in sorted(full_agl(1).raw_elements())]
+
+    def span(codes: Iterable[int]) -> frozenset:
+        out = {0}
+        for row in _f2_echelon(table[c] for table in tables for c in codes).values():
+            out |= {x ^ row for x in out}
+        return frozenset(out)
+
+    submods = {frozenset({0})}
+    frontier = [frozenset({0})]
+    while frontier:
+        nxt = []
+        for sub in frontier:
+            basis = list(_f2_echelon(sub).values())
+            for v in range(1, 64):
+                if v not in sub:
+                    bigger = span(basis + [v])
+                    if bigger not in submods:
+                        submods.add(bigger)
+                        nxt.append(bigger)
+        frontier = nxt
+    return tuple(sorted(submods, key=lambda s: (len(s), sorted(s))))
 
 
 # ---------------------------------------------------------------------------
-# kinetic classification, level 2
+# F_2 linear algebra on ints read as bit vectors
 
 
-def _vector_subgroups(k: int) -> list[frozenset]:
-    mod = 1 << k
-    vectors = [(v0, v1) for v0 in range(mod) for v1 in range(mod)]
-    subs = set()
-    for w1 in vectors:
-        for w2 in vectors:
-            span = {(0, 0)}
-            frontier = [(0, 0)]
-            while frontier:
-                cur = frontier.pop()
-                for w in (w1, w2):
-                    nxt = ((cur[0] + w[0]) % mod, (cur[1] + w[1]) % mod)
-                    if nxt not in span:
-                        span.add(nxt)
-                        frontier.append(nxt)
-            subs.add(frozenset(span))
-    return sorted(subs, key=lambda s: (len(s), sorted(s)))
+def _f2_echelon(rows: Iterable[int]) -> dict[int, int]:
+    """A basis of the span of rows, keyed by each basis row's lowest set bit (a power of 2).
 
-
-def _stable_vector_subgroups(k: int) -> list[frozenset]:
-    g1, g2 = gl_generating_pair(k)
-    mod = 1 << k
-    out = []
-    for sub in _vector_subgroups(k):
-        ok = True
-        for m00, m01, m10, m11 in (g1, g2):
-            img = {((m00 * v0 + m01 * v1) % mod, (m10 * v0 + m11 * v1) % mod) for v0, v1 in sub}
-            if img != sub:
-                ok = False
+    A row is reduced by the basis row keyed by its lowest bit until that bit
+    is new, so no two basis rows share their lowest bit.
+    """
+    basis: dict[int, int] = {}
+    for row in rows:
+        while row:
+            low = row & -row
+            if low not in basis:
+                basis[low] = row
                 break
-        if ok:
-            out.append(sub)
-    return out
+            row ^= basis[low]
+    return basis
 
 
-def _translation_part(codes: np.ndarray, k: int) -> frozenset:
-    """The vectors w of the elements (w, I) among codes."""
+def _f2_solutions(rows: Iterable[int], n: int) -> Iterator[int]:
+    """Every x < 2^n with parity(row & x) = bit n of row, for every row.
+
+    Bit n holds the right-hand side.  Pivots are lowest bits, so bit n is a
+    pivot only for a row that reduced to 0 = 1; otherwise each free choice
+    of the non-pivot bits extends to one solution, set from the top pivot
+    down (the other bits of a pivot's row all lie above it).
+    """
+    basis = _f2_echelon(rows)
+    if 1 << n in basis:
+        return
+    free = [1 << j for j in range(n) if 1 << j not in basis]
+    pivots = sorted(basis, reverse=True)
+    for choice in range(1 << len(free)):
+        x = sum(bit for i, bit in enumerate(free) if choice >> i & 1)
+        for p in pivots:
+            if (bin(basis[p] & x).count("1") ^ (basis[p] >> n)) & 1:
+                x |= p
+        yield x
+
+
+# ---------------------------------------------------------------------------
+# kinetic classification: lifts by one F_2 solve per (quotient, W)
+
+
+def _lift_relations(lifts: Sequence[Elem], k: int) -> list[int]:
+    """A basis of the relations of Q = <lifts mod 2^(k-1)>, as affine maps of the unknown lifts.
+
+    The candidate lifts are g_i = kappa(c_i) * lifts[i], with c_i in bits
+    6i..6i+5 of an n-bit unknown c (n = 6r).  A BFS over Q by right
+    multiplication gives each x in Q a word s(x) in the lifts and the kernel
+    part phi_x of the same word in the g_i, linear in c: appending g_i adds
+    t(c_i), t = s(x) mod 2 acting by conjugation.  An edge that reaches a
+    known y closes the relation s(x) g_i s(y)^-1 = kappa(phi_x + t(c_i) + d
+    + phi_y), d being the code of s(x) lifts[i] s(y)^-1.  A relation packs
+    its value's 6 code bits as affine forms of c, bit b's form in bits
+    b(n+1)..b(n+1)+n with the constant on top.
+    """
+    n = 6 * len(lifts)
+    width = n + 1
     mask = (1 << k) - 1
-    identity_matrix = pack(IDENTITY_RAW, k)
-    vecs = codes[(codes & ((1 << 4 * k) - 1)) == identity_matrix] >> 4 * k
-    return frozenset((v >> k, v & mask) for v in vecs.tolist())
+    tree = {pack(_reduce_raw(IDENTITY_RAW, k - 1), k - 1): (IDENTITY_RAW, 0)}
+    frontier = list(tree.values())
+    relations = []
+    while frontier:
+        nxt = []
+        for s, phi in frontier:
+            table = _kernel_action(_reduce_raw(s, 1))
+            # the action's matrix: row b holds the input bits j whose image has bit b
+            act = sum(((table[1 << j] >> b) & 1) << (j + b * width) for b in range(6) for j in range(6))
+            for i, q in enumerate(lifts):
+                t = _comp(s, q, mask)
+                key = pack(_reduce_raw(t, k - 1), k - 1)
+                moved = phi ^ (act << 6 * i)
+                if key not in tree:
+                    tree[key] = (t, moved)
+                    nxt.append(tree[key])
+                    continue
+                s_y, phi_y = tree[key]
+                d = _kernel_code(_comp(t, _inv(s_y, k), mask), k)
+                const = sum(((d >> b) & 1) << (n + b * width) for b in range(6))
+                relations.append(moved ^ phi_y ^ const)
+        frontier = nxt
+    return list(_f2_echelon(relations).values())
+
+
+def _lifted_subgroups(q: SubgroupRep, deadline: float) -> Iterator[tuple[frozenset, np.ndarray]]:
+    """(W, sorted codes of G) for each G one level above q with image q and W = G & K stable.
+
+    G is generated by W and lifts g_i = kappa(c_i) * q.generators[i].  The
+    intersection G & K is W exactly when every relation of q takes its value
+    in W, that is, when each value is killed by every annihilator of W.  As
+    G contains W, c_i matters only mod W, so the rows that clear c_i on W's
+    pivot bits pick one c per G.  Each solution is closed to check that
+    |G| = |q| * |W|.
+    """
+    k = q.level + 1
+    mask = (1 << k) - 1
+    lifts = [g.raw for g in q.generators]  # entries mod 2^(k-1) are lifts as they stand
+    n = 6 * len(lifts)
+    width = n + 1
+    relations = _lift_relations(lifts, k)
+    for w in _stable_kernel_submodules():
+        w_basis = _f2_echelon(w)
+        annihilator = _f2_echelon(
+            a for a in range(64) if all(bin(a & x).count("1") % 2 == 0 for x in w_basis.values())
+        )
+        rows = []
+        for a in annihilator.values():
+            for rel in relations:
+                row = 0
+                for b in range(6):
+                    if a >> b & 1:
+                        row ^= rel >> b * width
+                rows.append(row & ((1 << width) - 1))
+        rows += [pivot << 6 * i for i in range(len(lifts)) for pivot in w_basis]  # c reduced mod W
+        cap = q.order * len(w)
+        w_gens = [pack(_kernel_elem(c, k), k) for c in sorted(w) if c]
+        for c in _f2_solutions(rows, n):
+            if time.monotonic() > deadline:
+                raise ResourceBudgetError(f"level-{k} classification budget exceeded")
+            gens = [pack(_comp(_kernel_elem(c >> 6 * i & 63, k), g, mask), k) for i, g in enumerate(lifts)]
+            got = _closure_codes(gens + w_gens, k, max_size=cap)
+            assert got is not None and got.size == cap, "a solved lift left W or Q"
+            yield w, got
 
 
 def _conjugates(t: Elem, codes: Iterable[int], k: int) -> Iterable[int]:
@@ -479,7 +571,14 @@ def _are_conjugate(s1: frozenset, s2: frozenset, k: int, transversal: list) -> O
 
 @dataclass(frozen=True)
 class KineticClass:
-    """One conjugacy class of kinetic subgroups, with a chosen representative."""
+    """One conjugacy class of kinetic subgroups, with a chosen representative.
+
+    members_found counts the members of the class whose image one level
+    down is exactly a quotient the search lifted: the whole level-1 group
+    at level 2, so every member is counted, and a level-2 class
+    representative at level 3, so only members whose mod-4 image is exactly
+    the full group or H_2 are counted.
+    """
 
     representative: SubgroupRep
     members_found: int
@@ -492,17 +591,20 @@ class KineticClass:
 def classify_kinetic(k: int, budget_seconds: float = 3600.0) -> list[KineticClass]:
     """All kinetic subgroups at level k in {2, 3}, up to conjugacy.
 
-    Exhaustive: a kinetic subgroup surjects onto the matrix quotient, so it
-    is generated by its intersection with a stable kernel subgroup together
-    with lifts of a generating pair of the quotient; the search runs over
-    all such combinations.  Classes come back sorted by descending order.
+    Exhaustive: a kinetic subgroup maps onto a kinetic subgroup one level
+    down, which up to conjugacy is the whole level-1 group (k = 2) or a
+    representative of classify_kinetic(k - 1), and it meets the kernel K in
+    a stable submodule; _lifted_subgroups finds every subgroup over each
+    such pair.  Classes come back sorted by descending order.
     """
-    if k == 2:
-        groups = _classify_level2(budget_seconds)
-    elif k == 3:
-        groups = _classify_level3(budget_seconds)
-    else:
+    if k not in (2, 3):
         raise ValueError("classification is implemented for k in {2, 3}")
+    deadline = time.monotonic() + budget_seconds
+    if k == 2:
+        quotients = [full_agl(1)]
+    else:
+        quotients = [c.representative for c in classify_kinetic(k - 1, deadline - time.monotonic())]
+    groups = [got for q in quotients for _, got in _lifted_subgroups(q, deadline) if _is_kinetic(got, k)]
     transversal = sorted(full_agl(k).codes)
     classes: list[list[frozenset]] = []
     for g in groups:
@@ -537,152 +639,6 @@ def _recover_generators(codes: list[int], k: int) -> list[AglElem]:
                 break
             have[got] = True
     return [AglElem(k, *unpack(g, k)) for g in gens]
-
-
-def _classify_level2(budget_seconds: float) -> list[np.ndarray]:
-    deadline = time.monotonic() + budget_seconds
-    g1, g2 = gl_generating_pair(2)
-    vectors = [(v0, v1) for v0 in range(4) for v1 in range(4)]
-    found: dict[bytes, np.ndarray] = {}
-    for w_sub in _stable_vector_subgroups(2):
-        w_gens = [pack((w0, w1, 1, 0, 0, 1), 2) for (w0, w1) in sorted(w_sub) if (w0, w1) != (0, 0)]
-        for v1 in vectors:
-            for v2 in vectors:
-                if time.monotonic() > deadline:
-                    raise ResourceBudgetError("level-2 classification budget exceeded")
-                gens = [pack(v1 + g1, 2), pack(v2 + g2, 2)] + w_gens
-                got = _closure_codes(gens, 2, max_size=AGL_ORDERS[2])
-                if got is None:
-                    continue
-                if _translation_part(got, 2) != w_sub:
-                    continue
-                if _is_kinetic(got, 2):
-                    found.setdefault(got.tobytes(), got)
-    return list(found.values())
-
-
-def _bits_to_kernel(code: int) -> Elem:
-    bits = [(code >> (5 - i)) & 1 for i in range(6)]
-    u0, u1, a00, a01, a10, a11 = bits
-    return (4 * u0, 4 * u1, 1 + 4 * a00, 4 * a01, 4 * a10, 1 + 4 * a11)
-
-
-def _stable_kernel_submodules() -> list[frozenset]:
-    """Subspaces of the 64-element level-3 kernel stable under the level-1 action.
-
-    Conjugating (4u, I+4A) by any lift of a level-1 element (v, M) gives
-    (4(Mu + M A M^-1 v), I + 4 M A M^-1) mod 8, so stability only depends
-    on the level-1 affine group, which any kinetic subgroup covers.
-    """
-    level1 = sorted(full_agl(1).raw_elements())
-    action = {}
-    for t in level1:
-        v0, v1, m00, m01, m10, m11 = t
-        det = (m00 * m11 - m01 * m10) & 1
-        assert det == 1
-        i00, i01, i10, i11 = m11, m01, m10, m00  # inverse over F_2
-        table = []
-        for code in range(64):
-            u0 = (code >> 5) & 1
-            u1 = (code >> 4) & 1
-            a00 = (code >> 3) & 1
-            a01 = (code >> 2) & 1
-            a10 = (code >> 1) & 1
-            a11 = code & 1
-            # B = M A M^-1, then image is (M u + B v, B)
-            t00 = (m00 * a00 + m01 * a10) & 1
-            t01 = (m00 * a01 + m01 * a11) & 1
-            t10 = (m10 * a00 + m11 * a10) & 1
-            t11 = (m10 * a01 + m11 * a11) & 1
-            b00 = (t00 * i00 + t01 * i10) & 1
-            b01 = (t00 * i01 + t01 * i11) & 1
-            b10 = (t10 * i00 + t11 * i10) & 1
-            b11 = (t10 * i01 + t11 * i11) & 1
-            w0 = (m00 * u0 + m01 * u1 + b00 * v0 + b01 * v1) & 1
-            w1 = (m10 * u0 + m11 * u1 + b10 * v0 + b11 * v1) & 1
-            table.append((w0 << 5) | (w1 << 4) | (b00 << 3) | (b01 << 2) | (b10 << 1) | b11)
-        action[t] = table
-
-    def module_closure(codes: set) -> frozenset:
-        span = {0} | set(codes)
-        changed = True
-        while changed:
-            changed = False
-            cur = list(span)
-            for x in cur:
-                for y in cur:
-                    if (x ^ y) not in span:
-                        span.add(x ^ y)
-                        changed = True
-                for table in action.values():
-                    if table[x] not in span:
-                        span.add(table[x])
-                        changed = True
-        return frozenset(span)
-
-    submods = {frozenset({0})}
-    frontier = [frozenset({0})]
-    while frontier:
-        nxt = []
-        for sub in frontier:
-            for v in range(1, 64):
-                if v not in sub:
-                    bigger = module_closure(set(sub) | {v})
-                    if bigger not in submods:
-                        submods.add(bigger)
-                        nxt.append(bigger)
-        frontier = nxt
-    return sorted(submods, key=lambda s: (len(s), sorted(s)))
-
-
-def _level3_guard(w_sub: frozenset) -> np.ndarray:
-    """Over all level-3 codes: False exactly on the kernel elements (4u, I + 4A) outside W.
-
-    A kernel element's 6-bit code (u0 u1 a00 a01 a10 a11) is bit 2 of each
-    field, which the level-1 re-packing of code >> 2 reads off.
-    """
-    codes = np.arange(1 << 18, dtype=np.int64)
-    in_w = np.zeros(64, dtype=bool)
-    in_w[list(w_sub)] = True
-    return (_repack(codes, 3, 2) != pack(IDENTITY_RAW, 2)) | in_w[_repack(codes >> 2, 3, 1)]
-
-
-def _classify_level3(budget_seconds: float) -> list[np.ndarray]:
-    deadline = time.monotonic() + budget_seconds
-
-    def quotient_generating_pairs():
-        # the mod-4 image of a kinetic subgroup is kinetic, hence (up to
-        # conjugacy, by the level-2 classification) the full group or H_2;
-        # entries mod 4 are already valid lifts mod 8
-        a, b = agl_generating_pair(2)
-        yield a.raw, b.raw
-        g1, g2 = H2_GENERATORS
-        yield g1.raw, g2.raw
-
-    # any element reducing to the identity mod 4 must lie in W
-    submodules = [(w_sub, _level3_guard(w_sub)) for w_sub in _stable_kernel_submodules()]
-    found: dict[bytes, np.ndarray] = {}
-    for lift1, lift2 in quotient_generating_pairs():
-        for w_sub, allowed in submodules:
-            # transversal of W in the kernel
-            reps = []
-            covered: set[int] = set()
-            for c in range(64):
-                if c not in covered:
-                    reps.append(c)
-                    covered |= {c ^ w for w in w_sub}
-            cap = AGL_ORDERS[2] * len(w_sub)  # |Q| * |W| upper bound for a valid lift
-            w_gens = [pack(_bits_to_kernel(c), 3) for c in sorted(w_sub) if c != 0]
-            for c1 in reps:
-                for c2 in reps:
-                    if time.monotonic() > deadline:
-                        raise ResourceBudgetError("level-3 classification budget exceeded")
-                    n1 = pack(_comp(_bits_to_kernel(c1), lift1, 7), 3)
-                    n2 = pack(_comp(_bits_to_kernel(c2), lift2, 7), 3)
-                    got = _closure_codes([n1, n2] + w_gens, 3, max_size=cap, allowed=allowed)
-                    if got is not None and _is_kinetic(got, 3):
-                        found.setdefault(got.tobytes(), got)
-    return list(found.values())
 
 
 # ---------------------------------------------------------------------------

@@ -112,13 +112,15 @@ def _cmd_group(args) -> int:
         print(f"kinetic: {aglgroup.is_kinetic(rep)}")
         return 0
     classes = aglgroup.classify_kinetic(args.level)
+    # KineticClass states what members_found counts at each level
+    counted = "every member" if args.level == 2 else "members whose mod-4 image is a level-2 representative"
     print(f"kinetic subgroup classes at level {args.level}: {len(classes)}")
     for cl in classes:
         gens = ", ".join(
             f"(({e.v0},{e.v1}),[{e.m00},{e.m01};{e.m10},{e.m11}])"
             for e in cl.representative.generators
         )
-        print(f"  order {cl.order}  (subgroups found in this class: {cl.members_found})")
+        print(f"  order {cl.order}  (members found: {cl.members_found}; counts {counted})")
         print(f"    generators: {gens}")
     return 0
 
@@ -246,7 +248,7 @@ def _suite_sweep() -> list[tuple[str, bool]]:
     return out
 
 
-def _suite_group(full: bool) -> list[tuple[str, bool]]:
+def _suite_group() -> list[tuple[str, bool]]:
     out = []
     out.append(("|H_2| = 384 and kinetic", aglgroup.h2().order == 384 and aglgroup.is_kinetic(aglgroup.h2())))
     out.append(("|H_3| = 24576, |H_4| = 1572864", aglgroup.build_hk(3).order == 24576 and aglgroup.build_hk(4).order == 1572864))
@@ -256,23 +258,22 @@ def _suite_group(full: bool) -> list[tuple[str, bool]]:
         "level-2 classification: full group + one proper class of order 384",
         len(cl2) == 2 and cl2[0].order == 1536 and cl2[1].order == 384,
     ))
-    if full:
-        cl3 = aglgroup.classify_kinetic(3)
-        out.append((
-            "level-3 classification: full group + exactly H_3",
-            len(cl3) == 2
-            and cl3[0].order == 98304
-            and cl3[1].representative.codes == aglgroup.build_hk(3).codes,
-        ))
+    cl3 = aglgroup.classify_kinetic(3)
+    out.append((
+        "level-3 classification: full group + exactly H_3",
+        len(cl3) == 2
+        and cl3[0].order == 98304
+        and cl3[1].representative.codes == aglgroup.build_hk(3).codes,
+    ))
     return out
 
 
-def _suite_density(full: bool) -> list[tuple[str, bool]]:
+def _suite_density() -> list[tuple[str, bool]]:
     out = []
     rep = density.analytic_density("hk")
     out.append(("analytic density = 179/336", rep.total == Fraction(179, 336)))
     out.append(("analytic full-group density = 11/21", density.analytic_density("full").total == Fraction(11, 21)))
-    levels = range(2, 6) if full else range(2, 4)
+    levels = range(2, 6)
     vals = [density.brute_density(k) for k in levels]
     mono = all(x >= y for x, y in zip(vals, vals[1:])) and all(v >= Fraction(179, 336) for v in vals)
     out.append((f"brute densities non-increasing toward 179/336 (k in {list(levels)})", mono))
@@ -313,8 +314,8 @@ def _cmd_verify(args) -> int:
         ("sequence", _suite_sequence),
         ("curve", _suite_curve),
         ("sweep", _suite_sweep),
-        ("group", lambda: _suite_group(args.full)),
-        ("density", lambda: _suite_density(args.full)),
+        ("group", _suite_group),
+        ("density", _suite_density),
         ("family", _suite_family),
     ]
     failures = 0
@@ -393,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_family.set_defaults(fn=_cmd_family)
 
     p_verify = sub.add_parser("verify", help="run the invariant suites")
-    p_verify.add_argument("--full", action="store_true", help="include the slow suites")
     p_verify.set_defaults(fn=_cmd_verify)
 
     return parser

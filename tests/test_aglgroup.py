@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -50,24 +51,6 @@ def test_group_order_formulas():
         full = ag.full_agl(k)
         assert full.order == 24 * 64 ** (k - 1)
         assert full.matrix_image_size() == 6 * 16 ** (k - 1)
-
-
-def test_generating_pairs_stop_at_level_2():
-    # from level 3 on the groups map onto C2^3, so no pair generates them:
-    # GL_2(Z/8) -> (det mod 8, sign of the mod-2 image in GL_2(F_2) = S3),
-    # where the odd permutations are the three involutions
-    def odd(m):
-        a, b, c, d = (v % 2 for v in m)
-        square = ((a * a + b * c) % 2, (a * b + b * d) % 2, (c * a + d * c) % 2, (c * b + d * d) % 2)
-        return square == (1, 0, 0, 1) != (a, b, c, d)
-    image = {((a * d - b * c) % 8, odd((a, b, c, d))) for a, b, c, d in ag._gl_matrices(3).tolist()}
-    assert len(image) == 8
-    assert len(ag.gl_generating_pair(2)) == 2
-    for k in (3, 4):
-        with pytest.raises(ValueError, match="C2\\^3"):
-            ag.gl_generating_pair(k)
-        with pytest.raises(ValueError, match="C2\\^3"):
-            ag.agl_generating_pair(k)
 
 
 def test_is_kinetic():
@@ -124,6 +107,8 @@ def test_classify_level2():
     assert classes[1].order == 384
     assert classes[1].representative.codes == ag.h2().codes
     assert all(ag.is_kinetic(c.representative) for c in classes)
+    # the search lifts the whole level-1 group, so it meets all four conjugates of H_2
+    assert [c.members_found for c in classes] == [1, 4]
 
 
 def test_classify_budget():
@@ -163,11 +148,10 @@ def test_kernel_generators_generate_the_kernel():
     assert all(ag._reduce_raw(ag.unpack(c, 3), 2) == (0, 0, 1, 0, 0, 1) for c in got.tolist())
 
 
-def _closure_oracle(gens, k, max_size=None, kernel_guard=None):
+def _closure_oracle(gens, k, max_size=None):
     """Tuple BFS: the orbit of the identity under right multiplication by gens and inverses.
 
-    Returns None as soon as the orbit exceeds max_size or a new element
-    fails kernel_guard.
+    Returns None as soon as the orbit exceeds max_size.
     """
     mask = (1 << k) - 1
     step = []
@@ -184,8 +168,6 @@ def _closure_oracle(gens, k, max_size=None, kernel_guard=None):
             for g in step:
                 x = ag._comp(e, g, mask)
                 if x not in seen:
-                    if kernel_guard is not None and not kernel_guard(x):
-                        return None
                     seen.add(x)
                     new.append(x)
                     if max_size is not None and len(seen) > max_size:
@@ -194,10 +176,9 @@ def _closure_oracle(gens, k, max_size=None, kernel_guard=None):
     return seen
 
 
-def _engine_and_oracle(gens, k, max_size=None, allowed=None):
-    guard = None if allowed is None else (lambda e: bool(allowed[ag.pack(e, k)]))
-    want = _closure_oracle(gens, k, max_size=max_size, kernel_guard=guard)
-    got = ag._closure_codes([ag.pack(g, k) for g in gens], k, max_size=max_size, allowed=allowed)
+def _engine_and_oracle(gens, k, max_size=None):
+    want = _closure_oracle(gens, k, max_size=max_size)
+    got = ag._closure_codes([ag.pack(g, k) for g in gens], k, max_size=max_size)
     if want is None or got is None:
         assert want is None and got is None, (gens, k, max_size)
         return None
@@ -229,42 +210,6 @@ def test_closure_engine_matches_oracle_on_random_generators():
             for k_to in range(1, k + 1):
                 assert rep.reduce(k_to).codes == {ag.pack(ag._reduce_raw(e, k_to), k_to) for e in want}
     assert aborted > 10
-
-
-def _kernel_element(bits):
-    u0, u1, a00, a01, a10, a11 = ((bits >> (5 - i)) & 1 for i in range(6))
-    return (4 * u0, 4 * u1, 1 + 4 * a00, 4 * a01, 4 * a10, 1 + 4 * a11)
-
-
-def test_level3_guard_rejects_exactly_the_kernel_outside_w():
-    for w_sub in ag._stable_kernel_submodules():
-        allowed = ag._level3_guard(w_sub)
-        outside = sorted(ag.pack(_kernel_element(c), 3) for c in range(64) if c not in w_sub)
-        assert np.flatnonzero(~allowed).tolist() == outside
-
-
-def test_closure_engine_matches_oracle_under_the_level3_guard():
-    rng = random.Random(22)
-    lifts = [ag.agl_generating_pair(2), ag.H2_GENERATORS]
-    # small subgroups meeting the kernel in t^4 = (4, 0, I) or (0, 0, I + 4E_01) and their conjugates
-    extras = [(1, 0, 1, 0, 0, 1), (0, 0, 1, 1, 0, 1), (2, 0, 1, 2, 0, 1)]
-    outcomes = set()
-    for w_sub in ag._stable_kernel_submodules()[:5]:
-        allowed = ag._level3_guard(w_sub)
-        w_gens = [_kernel_element(c) for c in sorted(w_sub) if c]
-        cap = ag.AGL_ORDERS[2] * len(w_sub)
-        # the classifier's own closures: lifted quotient generators plus W, capped at |Q| * |W|
-        for q1, q2 in lifts:
-            for _ in range(2):
-                n1 = ag._comp(_kernel_element(rng.randrange(64)), q1.raw, 7)
-                n2 = ag._comp(_kernel_element(rng.randrange(64)), q2.raw, 7)
-                got = _engine_and_oracle([n1, n2] + w_gens, 3, max_size=cap, allowed=allowed)
-                outcomes.add(got is not None)
-        for x in extras:
-            got = _engine_and_oracle([x] + w_gens, 3, max_size=cap, allowed=allowed)
-            outcomes.add(got is not None)
-    # every W here is proper, so a pass means the guard held on a nontrivial kernel
-    assert outcomes == {True, False}
 
 
 def _all_subspaces_f2(n):
@@ -324,6 +269,117 @@ def test_stable_submodule_enumeration_is_complete():
     }
     assert found == stable
     assert sorted(len(s) for s in found) == [1, 4, 8, 16, 16, 32, 64]
+
+
+def test_kernel_code_roundtrip():
+    # code bits (u0 u1 a00 a01 a10 a11), u0 on top: kappa(c) = (2^(k-1) u, I + 2^(k-1) A)
+    assert ag._kernel_elem(0b100001, 2) == (2, 0, 1, 0, 0, 3)
+    assert ag._kernel_elem(0b010110, 3) == (0, 4, 1, 4, 4, 1)
+    for k in (2, 3, 4):
+        for c in range(64):
+            e = ag._kernel_elem(c, k)
+            assert ag._kernel_code(e, k) == c
+            assert ag._reduce_raw(e, k - 1) == ag._reduce_raw(ag.IDENTITY_RAW, k - 1)
+        # K is F_2^6: composing kernel elements adds their codes
+        a, b = ag._kernel_elem(0b101100, k), ag._kernel_elem(0b011010, k)
+        assert ag._kernel_code(ag._comp(a, b, (1 << k) - 1), k) == 0b101100 ^ 0b011010
+
+
+def _conjugation_codes(t, k):
+    mask = (1 << k) - 1
+    t_inv = ag._inv(t, k)
+    return tuple(
+        ag._kernel_code(ag._comp(ag._comp(t, ag._kernel_elem(c, k), mask), t_inv, mask), k)
+        for c in range(64)
+    )
+
+
+def test_kernel_action_is_conjugation_at_every_level():
+    # the table reads t mod 2 only, so this checks that the action is the same at levels 2 and 3
+    for t in ag.full_agl(2).raw_elements():
+        assert ag._kernel_action(ag._reduce_raw(t, 1)) == _conjugation_codes(t, 2), t
+    rng = random.Random(31)
+    for t in rng.sample(sorted(ag.full_agl(3).raw_elements()), 150):
+        assert ag._kernel_action(ag._reduce_raw(t, 1)) == _conjugation_codes(t, 3), t
+
+
+def test_f2_elimination_matches_brute_force():
+    rng = random.Random(32)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        # bit n is the right-hand side; sparse rows make dependent and inconsistent systems common
+        rows = [rng.getrandbits(n + 1) & rng.getrandbits(n + 1) for _ in range(rng.randint(0, 8))]
+        span = {0}
+        for row in rows:
+            span |= {x ^ row for x in span}
+        basis = ag._f2_echelon(rows)
+        got = {0}
+        for row in basis.values():
+            got |= {x ^ row for x in got}
+        assert got == span
+        assert len(span) == 2 ** len(basis)
+        assert all(row & -row == low for low, row in basis.items())
+        want = [
+            x for x in range(1 << n)
+            if all(bin(row & x).count("1") % 2 == row >> n for row in rows)
+        ]
+        solutions = list(ag._f2_solutions(rows, n))
+        assert sorted(solutions) == want, (n, rows)
+
+
+def _lift_oracle(q):
+    """Closure per lift: for each stable W, every subgroup <W, kappa(c_i) * q_i> that meets K in W.
+
+    Lifts c_i run over a transversal of W in K.  The image of each candidate
+    is q and it contains W, so it meets K in W exactly when its order is
+    |q| * |W|; a closure capped there says which.
+    """
+    k = q.level + 1
+    mask = (1 << k) - 1
+    out = {}
+    for w in ag._stable_kernel_submodules():
+        reps = []
+        covered = set()
+        for c in range(64):
+            if c not in covered:
+                reps.append(c)
+                covered |= {c ^ x for x in w}
+        w_gens = [ag.pack(ag._kernel_elem(c, k), k) for c in sorted(w) if c]
+        found = set()
+        for lift in itertools.product(reps, repeat=len(q.generators)):
+            gens = [
+                ag.pack(ag._comp(ag._kernel_elem(c, k), g.raw, mask), k)
+                for c, g in zip(lift, q.generators)
+            ]
+            got = ag._closure_codes(gens + w_gens, k, max_size=q.order * len(w))
+            if got is None:
+                continue
+            in_kernel = got[ag._repack(got, k, k - 1) == ag.pack(ag.IDENTITY_RAW, k - 1)]
+            assert {ag._kernel_code(ag.unpack(e, k), k) for e in in_kernel.tolist()} == w
+            assert ag.SubgroupRep(k, (), frozenset(got.tolist())).reduce(k - 1).codes == q.codes
+            found.add(got.tobytes())
+        out[w] = found
+    return out
+
+
+def test_lift_solver_matches_closure_per_lift_oracle():
+    # AGL_2(F_2) lifted to level 2 from a generating pair, and H_2 lifted to level 3
+    agl1 = ag.closure([ag.AglElem(1, 0, 0, 0, 1, 1, 0), ag.AglElem(1, 0, 1, 1, 1, 0, 1)])
+    assert agl1.codes == ag.full_agl(1).codes
+    h2 = ag.closure(list(ag.H2_GENERATORS))
+    for q in (agl1, h2):
+        solved = {w: [] for w in ag._stable_kernel_submodules()}
+        for w, got in ag._lifted_subgroups(q, float("inf")):
+            solved[w].append(got.tobytes())
+        want = _lift_oracle(q)
+        for w, found in solved.items():
+            # each subgroup once (c_i is reduced mod W), non-kinetic ones included
+            repeats = len(found) - len(set(found))
+            assert repeats == 0, (q.level, sorted(w))
+            assert set(found) == want[w], (q.level, sorted(w))
+        # H_2 over AGL_2(F_2), H_3 over H_2
+        hk = np.array(sorted(ag.build_hk(q.level + 1).codes), dtype=np.int64)
+        assert hk.tobytes() in set().union(*want.values())
 
 
 def test_h2_is_maximal_spot_check():

@@ -86,6 +86,7 @@ def test_usage_errors(capsys, monkeypatch):
     assert run_cli(capsys, "bogus")[0] == 2
     assert run_cli(capsys, "sweep")[0] == 2  # missing --max
     assert run_cli(capsys, "density")[0] == 2  # missing subcommand
+    assert run_cli(capsys, "verify", "--full")[:2] == (2, "")  # verify always runs every suite
     # integer options take integral values only, in any notation
     for argv in (
         ("seq", "--from", "0", "--to", "2.5"),
@@ -161,6 +162,7 @@ def test_group_classify_cli(capsys):
     assert code == 0
     assert "kinetic subgroup classes at level 2: 2" in out
     assert "order 1536" in out and "order 384" in out
+    assert "(members found: 4; counts every member)" in out
     assert "generators:" in out
 
 
