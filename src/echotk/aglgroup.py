@@ -11,9 +11,9 @@ group and H_k.
 Internally an element is a flat 6-tuple (v0, v1, m00, m01, m10, m11) reduced
 mod 2^k, packed big-endian into a 6k-bit integer code: the vector sits in the
 top 2k bits and the matrix in the low 4k bits, so code order is tuple order.
-Subgroups are computed on codes.  The closure engine is a numpy frontier BFS
-from the identity: right multiplication by (b, B) sends (a, A) to
-(a + A*b, A*B), so each generator contributes two tables over the 2^(4k)
+Subgroups are stored as sorted code arrays.  The closure engine is a numpy
+frontier BFS from the identity: right multiplication by (b, B) sends (a, A)
+to (a + A*b, A*B), so each generator contributes two tables over the 2^(4k)
 matrix codes (A*b and A*B) and one shared table adds vectors; a BFS step is
 a few gathers over the frontier, deduplicated against a boolean array over
 all 2^(6k) codes.  Matrix and mod-2 images are reductions over code arrays.
@@ -221,48 +221,48 @@ def _closure_codes(gens: Iterable[int], k: int, max_size: Optional[int] = None) 
     return np.flatnonzero(seen)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubgroupRep:
-    """A concrete subgroup: level, generators, and its full element set."""
+    """A concrete subgroup: level, generators, and code_array, its elements' codes.
+
+    code_array is int64 and strictly increasing; construction makes it
+    read-only, so cached subgroups share it safely.  codes is a frozenset
+    view built on each call, never cached.  eq=False makes == identity:
+    compare subgroups by their arrays (np.array_equal).
+    """
 
     level: int
     generators: tuple[AglElem, ...]
-    codes: frozenset[int] = field(repr=False)
+    code_array: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        self.code_array.flags.writeable = False
 
     @property
     def order(self) -> int:
-        return len(self.codes)
+        return self.code_array.size
 
-    def contains(self, e: AglElem) -> bool:
-        if e.k != self.level:
-            raise LevelMismatchError(f"element level {e.k}, subgroup level {self.level}")
-        return pack(e.raw, self.level) in self.codes
-
-    def elements(self) -> Iterable[AglElem]:
-        for code in self.codes:
-            yield AglElem(self.level, *unpack(code, self.level))
+    @property
+    def codes(self) -> frozenset[int]:
+        return frozenset(self.code_array.tolist())
 
     def raw_elements(self) -> Iterable[Elem]:
-        for code in self.codes:
+        for code in self.code_array.tolist():
             yield unpack(code, self.level)
-
-    def code_array(self) -> np.ndarray:
-        """The codes as a fresh int64 array (built on demand, never cached)."""
-        return np.fromiter(self.codes, np.int64, len(self.codes))
 
     def reduce(self, k_to: int) -> "SubgroupRep":
         """Image under coordinate-wise reduction mod 2^k_to."""
         if not 1 <= k_to <= self.level:
             raise ValueError("can only reduce to a lower level")
-        reduced = _distinct(_repack(self.code_array(), self.level, k_to), 1 << 6 * k_to)
+        reduced = _distinct(_repack(self.code_array, self.level, k_to), 1 << 6 * k_to)
         gens = tuple(AglElem(k_to, *_reduce_raw(g.raw, k_to)) for g in self.generators)
-        return SubgroupRep(k_to, gens, frozenset(reduced.tolist()))
+        return SubgroupRep(k_to, gens, reduced)
 
     def matrix_image_size(self) -> int:
-        return _matrix_image_size(self.code_array(), self.level)
+        return _matrix_image_size(self.code_array, self.level)
 
     def mod2_image_size(self) -> int:
-        return _mod2_image_size(self.code_array(), self.level)
+        return _mod2_image_size(self.code_array, self.level)
 
 
 def closure(gens: Sequence[AglElem], max_size: Optional[int] = None) -> SubgroupRep:
@@ -275,12 +275,12 @@ def closure(gens: Sequence[AglElem], max_size: Optional[int] = None) -> Subgroup
     out = _closure_codes([pack(_reduce_raw(g.raw, k), k) for g in gens], k, max_size=max_size)
     if out is None:
         raise ResourceBudgetError(f"closure exceeded the size cap {max_size}")
-    return SubgroupRep(k, tuple(gens), frozenset(out.tolist()))
+    return SubgroupRep(k, tuple(gens), out)
 
 
 def is_kinetic(g: SubgroupRep) -> bool:
     """Surjective onto both GL_2(Z/2^k) and the full level-1 affine group."""
-    return _is_kinetic(g.code_array(), g.level)
+    return _is_kinetic(g.code_array, g.level)
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +299,20 @@ def h2() -> SubgroupRep:
     return rep
 
 
+@lru_cache(maxsize=None)
+def _h2_members() -> np.ndarray:
+    """Entry c is whether the level-2 code c lies in H_2, for all 4096 codes."""
+    members = np.zeros(1 << 12, dtype=bool)
+    members[h2().code_array] = True
+    members.flags.writeable = False
+    return members
+
+
 def hk_contains(e: AglElem) -> bool:
     """Membership in H_k at any level k >= 2: reduce mod 4 and test against H_2."""
     if e.k < 2:
         raise ValueError("H_k is defined for k >= 2")
-    return pack(_reduce_raw(e.raw, 2), 2) in h2().codes
+    return bool(_h2_members()[pack(_reduce_raw(e.raw, 2), 2)])
 
 
 def _kernel_generators(k: int) -> list[AglElem]:
@@ -333,10 +342,11 @@ def build_hk(k: int) -> SubgroupRep:
     if k > 4:
         raise ResourceBudgetError("H_k materialization is capped at k = 4; use hk_contains")
     gens = [AglElem(k, *g.raw) for g in H2_GENERATORS] + _kernel_generators(k)
-    base = _repack(h2().code_array(), 2, k)
+    base = _repack(h2().code_array, 2, k)
     lifts = _repack(np.arange(1 << 6 * (k - 2), dtype=np.int64), k - 2, k) << 2
     codes = (base[:, None] + lifts[None, :]).ravel()
-    return SubgroupRep(k, tuple(gens), frozenset(codes.tolist()))
+    codes.sort()  # in place: np.sort would hold a second copy at the peak
+    return SubgroupRep(k, tuple(gens), codes)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +409,7 @@ def _stable_kernel_submodules() -> tuple[frozenset, ...]:
     A kinetic subgroup covers the level-1 group and normalizes its own
     intersection with K, so that intersection is one of these.
     """
-    tables = [_kernel_action(t) for t in sorted(full_agl(1).raw_elements())]
+    tables = [_kernel_action(t) for t in full_agl(1).raw_elements()]
 
     def span(codes: Iterable[int]) -> frozenset:
         out = {0}
@@ -558,13 +568,15 @@ def _conjugates(t: Elem, codes: Iterable[int], k: int) -> Iterable[int]:
         yield pack(_comp(_comp(t, unpack(code, k), mask), ti, mask), k)
 
 
-def _are_conjugate(s1: frozenset, s2: frozenset, k: int, transversal: list) -> Optional[Elem]:
-    if len(s1) != len(s2):
+def _are_conjugate(s1: np.ndarray, s2: np.ndarray, k: int, transversal: np.ndarray) -> Optional[Elem]:
+    """An element t of transversal with t s1 t^-1 = s2 (sorted code arrays), or None."""
+    if s1.size != s2.size:
         return None
-    probes = sorted(s1)[:6]
-    for t in (unpack(code, k) for code in transversal):
-        if all(c in s2 for c in _conjugates(t, probes, k)):
-            if frozenset(_conjugates(t, s1, k)) == s2:
+    probes = s1[:6].tolist()
+    members = frozenset(s2.tolist())
+    for t in (unpack(code, k) for code in transversal.tolist()):
+        if all(c in members for c in _conjugates(t, probes, k)):
+            if frozenset(_conjugates(t, s1.tolist(), k)) == members:
                 return t
     return None
 
@@ -605,10 +617,9 @@ def classify_kinetic(k: int, budget_seconds: float = 3600.0) -> list[KineticClas
     else:
         quotients = [c.representative for c in classify_kinetic(k - 1, deadline - time.monotonic())]
     groups = [got for q in quotients for _, got in _lifted_subgroups(q, deadline) if _is_kinetic(got, k)]
-    transversal = sorted(full_agl(k).codes)
-    classes: list[list[frozenset]] = []
+    transversal = full_agl(k).code_array
+    classes: list[list[np.ndarray]] = []
     for g in groups:
-        g = frozenset(g.tolist())
         for members in classes:
             if _are_conjugate(g, members[0], k, transversal) is not None:
                 members.append(g)
@@ -616,26 +627,26 @@ def classify_kinetic(k: int, budget_seconds: float = 3600.0) -> list[KineticClas
         else:
             classes.append([g])
     # pick the canonical subgroup as representative whenever its class shows up
-    canonical = build_hk(k).codes
+    canonical = build_hk(k).code_array
     wrapped = []
     for members in classes:
-        rep = next((m for m in members if m == canonical), members[0])
-        gens = _recover_generators(sorted(rep), k)
+        rep = next((m for m in members if np.array_equal(m, canonical)), members[0])
+        gens = _recover_generators(rep, k)
         wrapped.append(KineticClass(SubgroupRep(k, tuple(gens), rep), len(members)))
     wrapped.sort(key=lambda c: -c.order)
     return wrapped
 
 
-def _recover_generators(codes: list[int], k: int) -> list[AglElem]:
+def _recover_generators(codes: np.ndarray, k: int) -> list[AglElem]:
     """A small verified generating set for the subgroup with these sorted codes."""
     gens: list[int] = []
     have = np.zeros(1 << 6 * k, dtype=bool)
     have[pack(IDENTITY_RAW, k)] = True
-    for e in codes:
+    for e in codes.tolist():
         if not have[e]:
             gens.append(e)
-            got = _closure_codes(gens, k, max_size=len(codes))
-            if got.size == len(codes):
+            got = _closure_codes(gens, k, max_size=codes.size)
+            if got.size == codes.size:
                 break
             have[got] = True
     return [AglElem(k, *unpack(g, k)) for g in gens]

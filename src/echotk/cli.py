@@ -17,6 +17,8 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import aglgroup, curves, density, fabulous, polyops, seq, sweep
 
 
@@ -263,7 +265,7 @@ def _suite_group() -> list[tuple[str, bool]]:
         "level-3 classification: full group + exactly H_3",
         len(cl3) == 2
         and cl3[0].order == 98304
-        and cl3[1].representative.codes == aglgroup.build_hk(3).codes,
+        and np.array_equal(cl3[1].representative.code_array, aglgroup.build_hk(3).code_array),
     ))
     return out
 

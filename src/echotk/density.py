@@ -292,15 +292,10 @@ def _mod4_matrix(key: int) -> Matrix:
     return tuple((key >> shift) & 3 for shift in (6, 4, 2, 0))
 
 
-@lru_cache(maxsize=None)
 def _h2_vector_table() -> np.ndarray:
     """vt[m4_key, v4_key] = whether (v, M) lies in H_2 (keys are packed 2-bit fields)."""
-    vt = np.zeros((256, 16), dtype=bool)
-    for raw in aglgroup.h2().raw_elements():
-        v0, v1, m00, m01, m10, m11 = raw
-        mkey = (m00 << 6) | (m01 << 4) | (m10 << 2) | m11
-        vt[mkey, (v0 << 2) | v1] = True
-    return vt
+    # a level-2 code is (v4_key << 8) | m4_key
+    return aglgroup._h2_members().reshape(16, 256).T
 
 
 @lru_cache(maxsize=None)

@@ -80,9 +80,10 @@ def test_build_hk_reduction_tower():
 
 
 def test_build_hk_generators_generate():
-    for k in (2, 3):
+    # k = 4 is one closure over the 2^24 level-4 codes (ROADMAP item 2 has its memory)
+    for k in (2, 3, 4):
         rep = ag.build_hk(k)
-        assert ag.closure(rep.generators).codes == rep.codes
+        assert np.array_equal(ag.closure(rep.generators).code_array, rep.code_array)
 
 
 def test_hk_membership_predicate():
@@ -93,6 +94,36 @@ def test_hk_membership_predicate():
     assert ag.build_hk(3).codes == members
     # works at levels beyond materialization
     assert ag.hk_contains(ag.AglElem(6, 0, 0, 1, 0, 0, 1))
+
+
+def test_every_subgroup_is_a_sorted_read_only_code_array():
+    reps = [ag.h2(), ag.closure(list(ag.H2_GENERATORS)), ag.closure([ag.identity(3)])]
+    reps += [ag.build_hk(k) for k in (2, 3, 4)] + [ag.full_agl(k) for k in (1, 2, 3)]
+    reps += [c.representative for k in (2, 3) for c in ag.classify_kinetic(k)]
+    reps += [rep.reduce(k_to) for rep in reps for k_to in range(1, rep.level + 1)]
+    for rep in reps:
+        codes = rep.code_array
+        assert codes.dtype == np.int64
+        assert np.all(np.diff(codes) > 0), rep.level
+        assert not codes.flags.writeable
+        with pytest.raises(ValueError):
+            codes[0] = codes[0]
+    # subgroups compare by identity, never by an elementwise array ==
+    assert all(rep == rep and (rep == other) is (rep is other) for rep, other in zip(reps, reps[1:]))
+    assert np.array_equal(ag.closure(list(ag.H2_GENERATORS)).code_array, ag.h2().code_array)
+
+
+def test_hk_contains_every_level2_code():
+    # all 4096 level-2 codes, so both sides of H_2's smallest and largest code are asked
+    h2 = ag.h2().code_array
+    assert 0 < h2[0] and h2[-1] < 4095
+    members = set(h2.tolist())
+    for code in range(4096):
+        raw = ag.unpack(code, 2)
+        assert ag.hk_contains(ag.AglElem(2, *raw)) == (code in members), raw
+        # the same element with high bits set at level 5 reduces to the same answer
+        lifted = tuple(x + 4 * (i % 3) for i, x in enumerate(raw))
+        assert ag.hk_contains(ag.AglElem(5, *lifted)) == (code in members), raw
 
 
 def test_build_hk_materialization_cap():
@@ -204,7 +235,7 @@ def test_closure_engine_matches_oracle_on_random_generators():
             assert _engine_and_oracle(gens, k, max_size=len(want) - 1) is None
             assert len(_engine_and_oracle(gens, k, max_size=len(want))) == len(want)
             # image sizes and reductions agree with the tuple definitions
-            rep = ag.SubgroupRep(k, (), frozenset(ag.pack(e, k) for e in want))
+            rep = ag.SubgroupRep(k, (), np.array(sorted(ag.pack(e, k) for e in want), dtype=np.int64))
             assert rep.matrix_image_size() == len({e[2:] for e in want})
             assert rep.mod2_image_size() == len({ag._reduce_raw(e, 1) for e in want})
             for k_to in range(1, k + 1):
@@ -356,7 +387,7 @@ def _lift_oracle(q):
                 continue
             in_kernel = got[ag._repack(got, k, k - 1) == ag.pack(ag.IDENTITY_RAW, k - 1)]
             assert {ag._kernel_code(ag.unpack(e, k), k) for e in in_kernel.tolist()} == w
-            assert ag.SubgroupRep(k, (), frozenset(got.tolist())).reduce(k - 1).codes == q.codes
+            assert ag.SubgroupRep(k, (), got).reduce(k - 1).codes == q.codes
             found.add(got.tobytes())
         out[w] = found
     return out
