@@ -201,7 +201,7 @@ def _closure_codes(gens: Iterable[int], k: int, max_size: Optional[int] = None) 
     vector_sum = _vector_sum_table(k)
     matrix_mask = (1 << 4 * k) - 1
     seen = np.zeros(1 << 6 * k, dtype=bool)
-    slot = np.empty(1 << 6 * k, dtype=np.int64)
+    slot = np.empty(1 << 6 * k, dtype=np.int32)
     frontier = np.array([pack(IDENTITY_RAW, k)], dtype=np.int64)
     seen[frontier] = True
     size = 1
@@ -210,8 +210,11 @@ def _closure_codes(gens: Iterable[int], k: int, max_size: Optional[int] = None) 
         vec = (frontier >> 4 * k) << 2 * k
         cand = (vector_sum[vec | ab[:, mat]] | prod[:, mat]).ravel()
         cand = cand[~seen[cand]]
+        # int32 positions: a frontier has fewer than 2^(6k) codes, so H_4's 16
+        # steps give fewer than 16 * 2^24 < 2^31 candidates
+        assert cand.size < 1 << 31
         # one survivor per distinct code: whichever position's write to slot stuck
-        pos = np.arange(cand.size)
+        pos = np.arange(cand.size, dtype=np.int32)
         slot[cand] = pos
         frontier = cand[slot[cand] == pos]
         size += frontier.size

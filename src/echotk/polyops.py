@@ -2,12 +2,11 @@
 rational roots, quartic discriminants, and degree-4 irreducibility over
 the rationals.
 
-Polynomials are coefficient sequences in ascending order.  Root finding
-clears denominators and runs the rational-root theorem over divisor pairs
-of the extreme coefficients; the divisor enumeration factors integers by
-trial division up to a fixed bound with a deterministic Miller-Rabin test
-for the cofactor, and refuses (loudly) inputs whose factorization falls
-outside that reach.
+Polynomials are coefficient sequences in ascending order.  Rational roots
+come from exact integer root isolation on a monic integer transform, with
+no factoring.  factorize uses trial division up to a fixed bound with a
+deterministic Miller-Rabin test for the cofactor, and refuses (loudly)
+inputs whose factorization falls outside that reach.
 """
 
 from __future__ import annotations
@@ -131,18 +130,10 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def divisors(n: int) -> list[int]:
-    """All positive divisors of |n|, sorted."""
-    fact = factorize(n)
-    out = [1]
-    for p, e in fact.items():
-        out = [d * p**i for d in out for i in range(e + 1)]
-    return sorted(out)
-
-
-def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(list(coeffs)):
+def poly_eval(coeffs: Sequence, x):
+    """Horner evaluation; exact for int and Fraction inputs alike."""
+    acc = 0
+    for c in reversed(coeffs):
         acc = acc * x + c
     return acc
 
@@ -155,29 +146,79 @@ def _integer_coeffs(coeffs: Sequence) -> list[int]:
     return [c // content for c in ints]
 
 
+def _brackets(g: Sequence[int], cuts: Sequence[int]) -> list[int]:
+    """Integer bisection in each gap lo < hi of the sorted cuts with
+    hi - lo > 1 and g(lo) * g(hi) < 0.  g is monotone on every such gap, and
+    the m returned for it has g's one root there in (m, m + 1]."""
+    out = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        if hi - lo > 1 and poly_eval(g, lo) * poly_eval(g, hi) < 0:
+            neg = poly_eval(g, lo) < 0
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                v = poly_eval(g, mid)
+                if v != 0 and (v < 0) == neg:
+                    lo = mid
+                else:
+                    hi = mid
+            out.append(lo)
+    return out
+
+
+def _cuts(g: Sequence[int]) -> list[int]:
+    """Sorted integers C such that every real root of g lies strictly between
+    min C and max C, and g is strictly monotone on [c, c'] for consecutive
+    cuts c < c' with c' - c > 1.
+
+    C holds +-B for a Cauchy bound B, all of cuts(g'), and the endpoints m,
+    m + 1 around the sign change of g' in each long gap of cuts(g').  Induction:
+    g' is monotone on such a gap, so it has at most one root there, and
+    splitting the gap at that root leaves g' of one sign on each side;
+    outside cuts(g') g' has no root at all.  The brackets alone are not
+    enough: two critical points of g in one unit interval (m, m + 1) leave
+    g' of one sign at every integer, and g is not monotone across them.
+    g' is not monotone on (m, m + 1) then, so m and m + 1 are in cuts(g').
+    """
+    if len(g) == 1:
+        return []  # nonzero constant
+    bound = 1 + -(-max(abs(c) for c in g[:-1]) // abs(g[-1]))
+    deriv = [i * c for i, c in enumerate(g)][1:]
+    inner = _cuts(deriv)
+    out = set(inner) | {-bound, bound}
+    for m in _brackets(deriv, inner):
+        out.update((m, m + 1))
+    return sorted(out)
+
+
 def rational_roots(coeffs: Sequence) -> list[Fraction]:
-    """All rational roots of the polynomial, each verified by exact evaluation."""
+    """All rational roots of the polynomial, sorted, by exact integer root isolation.
+
+    After x^m is stripped and denominators and content are cleared,
+    F = sum a_i x^i has integer coefficients with a_0, a_n nonzero, and
+    G(y) = a_n^(n-1) F(y / a_n) is monic with integer coefficients.  A
+    rational root of F is y / a_n for a rational root y of G, and rational
+    roots of a monic integer polynomial are integers.  _cuts(G) splits the
+    line into gaps on which G is strictly monotone, so G has an integer
+    root either at a cut or at the end of an integer bisection in a gap
+    where G changes sign.  That is O(n^2 log B) exact integer evaluations
+    for a Cauchy bound B, with no factoring.
+    """
     fr = [Fraction(c) for c in coeffs]
     while fr and fr[-1] == 0:
         fr.pop()
     if not fr:
         raise ValueError("zero polynomial")
-    roots = set()
-    # strip x^m so the constant coefficient is nonzero
     shift = 0
     while fr[shift] == 0:
         shift += 1
-    if shift:
-        roots.add(Fraction(0))
-        fr = fr[shift:]
-    if len(fr) > 1:
-        ints = _integer_coeffs(fr)
-        for p in divisors(ints[0]):
-            for q in divisors(ints[-1]):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    if cand not in roots and poly_eval(fr, cand) == 0:
-                        roots.add(cand)
-    return sorted(roots)
+    roots = [Fraction(0)] if shift else []
+    ints = _integer_coeffs(fr[shift:])
+    n, lead = len(ints) - 1, ints[-1]
+    g = [c * lead ** (n - 1 - i) for i, c in enumerate(ints[:-1])] + [1]
+    cuts = _cuts(g)
+    ys = [c for c in cuts if poly_eval(g, c) == 0]
+    ys += [m + 1 for m in _brackets(g, cuts) if poly_eval(g, m + 1) == 0]
+    return sorted(roots + [Fraction(y, lead) for y in ys])
 
 
 def quartic_discriminant(coeffs: Sequence) -> Fraction:

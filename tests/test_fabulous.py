@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -151,6 +152,30 @@ def test_family_report_without_sweep():
     payload = report.as_json_dict()
     assert payload["certificate_all_true"] is True
     assert payload["a"] == "-27/4"
+
+
+def test_family_members_beyond_t1_carry_the_designated_root():
+    for t in (2, 3, -3, 7, Fraction(1, 2)):
+        report = fabulous.family_report(t)
+        assert -96 * report.b**2 in report.fabulous_roots, t
+
+
+def test_family_member_t2_certificate():
+    # -Delta is a rational square at t = 2, so that one flag is False
+    report = fabulous.family_report(2)
+    assert report.certificate.as_dict() == {
+        "delta_nonsquare": True,
+        "two_delta_nonsquare": True,
+        "neg_delta_nonsquare": False,
+        "neg_two_delta_nonsquare": True,
+        "no_rational_2_torsion": True,
+        "j_equation_no_root": True,
+        "halving_poly_irreducible": True,
+    }
+    neg_disc = -curves.curve_from_pair(report.a, report.b).discriminant()
+    assert neg_disc > 0
+    for part in (neg_disc.numerator, neg_disc.denominator):
+        assert math.isqrt(part) ** 2 == part
 
 
 def test_family_report_excluded_t():

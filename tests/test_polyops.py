@@ -4,7 +4,47 @@ from fractions import Fraction
 
 import pytest
 
-from echotk import polyops
+from echotk import fabulous, polyops
+
+
+def divisors(n):
+    """All positive divisors of |n|, sorted."""
+    out = [1]
+    for p, e in polyops.factorize(n).items():
+        out = [d * p**i for d in out for i in range(e + 1)]
+    return sorted(out)
+
+
+def _rational_roots_by_divisor_pairs(coeffs):
+    """Oracle: the rational-root theorem over every divisor pair p/q of the
+    extreme integer coefficients, each candidate tested in Fraction arithmetic."""
+    fr = [Fraction(c) for c in coeffs]
+    while fr and fr[-1] == 0:
+        fr.pop()
+    roots = set()
+    shift = 0
+    while fr[shift] == 0:
+        shift += 1
+    if shift:
+        roots.add(Fraction(0))
+        fr = fr[shift:]
+    if len(fr) > 1:
+        scale = math.lcm(*(c.denominator for c in fr))
+        ints = [int(c * scale) for c in fr]
+        for p in divisors(ints[0]):
+            for q in divisors(ints[-1]):
+                for cand in (Fraction(p, q), Fraction(-p, q)):
+                    if cand not in roots and sum(c * cand**i for i, c in enumerate(fr)) == 0:
+                        roots.add(cand)
+    return sorted(roots)
+
+
+def _from_roots(roots, lead=1, extra=(1,)):
+    """lead * prod (x - r) * extra, ascending coefficients."""
+    poly = _mul([Fraction(lead)], [Fraction(c) for c in extra])
+    for r in roots:
+        poly = _mul(poly, [-Fraction(r), Fraction(1)])
+    return poly
 
 
 def test_rational_roots_examples():
@@ -37,6 +77,63 @@ def test_rational_roots_completeness_random():
             poly = _mul(poly, [-r, Fraction(1)])
         poly = _mul(poly, [Fraction(1), Fraction(0), Fraction(1)])
         assert polyops.rational_roots(poly) == sorted(set(roots))
+        assert _rational_roots_by_divisor_pairs(poly) == sorted(set(roots))
+
+
+def test_rational_roots_clustered_in_one_unit_interval():
+    # 2-4 roots m + j/d in one unit interval, with and without a far root
+    # and an irreducible quadratic factor
+    rng = random.Random(41)
+    quadratics = [(1,), (1, 0, 1), (-2, 0, 1), (1, 1, 1), (-7, 3, 5)]
+    for _ in range(80):
+        m, d = rng.randint(-4, 4), rng.randint(2, 7)
+        roots = [m + Fraction(j, d) for j in rng.sample(range(d), rng.randint(2, min(4, d)))]
+        if rng.random() < 0.5:
+            roots.append(Fraction(rng.choice((-1, 1)) * rng.randint(100, 1000), rng.randint(1, 3)))
+        poly = _from_roots(roots, rng.choice((1, -1, 2, 3, 6)), rng.choice(quadratics))
+        want = sorted(set(roots))
+        assert polyops.rational_roots(poly) == want == _rational_roots_by_divisor_pairs(poly)
+
+
+def test_rational_roots_random_non_monic_integer_polynomials():
+    rng = random.Random(43)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        lead = rng.choice((-1, 1)) * rng.randint(2, 30)
+        poly = [rng.randint(-30, 30) for _ in range(n)] + [lead]
+        assert polyops.rational_roots(poly) == _rational_roots_by_divisor_pairs(poly), poly
+
+
+def test_rational_roots_edge_cases():
+    cases = [
+        [7, 3],  # degree 1: -7/3
+        [0, 5],  # degree 1 with root 0
+        [-1, 1],  # x - 1
+        _from_roots([0, 0, 1, -1], extra=(1, 0, 1)),
+        _from_roots([1, 1, 2]),  # (x - 1)^2 (x - 2): a double root next to a simple one
+        _from_roots([-1, -1, -1, 1, 1]),
+        # (x - M)(x^2 + 1): the root M is one below the Cauchy bound M + 1
+        [-1000, 1, -1000, 1],
+        [-(2**61 - 1), 1],  # large root
+        [Fraction(-3, 2), Fraction(1, 5)],  # non-integer coefficients: 15/2
+        [0, 0, 0, 4, 0, -4],  # x^3 (1 - x^2) scaled: 0, -1, 1
+        [5],  # nonzero constant: no roots
+    ]
+    for poly in cases:
+        assert polyops.rational_roots(poly) == _rational_roots_by_divisor_pairs(poly), poly
+    assert polyops.rational_roots([-1000, 1, -1000, 1]) == [1000]
+    with pytest.raises(ValueError):
+        polyops.rational_roots([0, 0])
+
+
+def test_rational_roots_family_member_and_control_quartics():
+    # the t = 1 member quartic and the (-1, -1) control quartic
+    a, b = fabulous.parametrize(1)
+    member = fabulous.fabulous_poly(a, b).coeffs
+    want = [Fraction(-1594323, 128)]
+    assert polyops.rational_roots(member) == want == _rational_roots_by_divisor_pairs(member)
+    control = fabulous.fabulous_poly(-1, -1).coeffs
+    assert polyops.rational_roots(control) == [] == _rational_roots_by_divisor_pairs(control)
 
 
 def test_quartic_discriminant_matches_resultant():
@@ -134,8 +231,8 @@ def test_factorize_matches_full_sieve_trial_division(monkeypatch):
 
 
 def test_divisors():
-    assert polyops.divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert polyops.divisors(-9) == [1, 3, 9]
+    assert divisors(12) == [1, 2, 3, 4, 6, 12]
+    assert divisors(-9) == [1, 3, 9]
 
 
 IRREDUCIBLE = [
@@ -204,6 +301,8 @@ def test_quartic_irreducibility_against_bounded_search():
     rng = random.Random(31)
     for _ in range(150):
         coeffs = [rng.randint(-4, 4) for _ in range(4)] + [1]
-        has_root = bool(polyops.rational_roots(coeffs))
+        roots = polyops.rational_roots(coeffs)
+        assert roots == _rational_roots_by_divisor_pairs(coeffs), coeffs
+        has_root = bool(roots)
         reducible = has_root or _reducible_by_bounded_search(coeffs)
         assert polyops.is_quartic_irreducible(coeffs) == (not reducible), coeffs
