@@ -275,10 +275,12 @@ def _suite_density() -> list[tuple[str, bool]]:
     rep = density.analytic_density("hk")
     out.append(("analytic density = 179/336", rep.total == Fraction(179, 336)))
     out.append(("analytic full-group density = 11/21", density.analytic_density("full").total == Fraction(11, 21)))
-    levels = range(2, 6)
-    vals = [density.brute_density(k) for k in levels]
-    mono = all(x >= y for x, y in zip(vals, vals[1:])) and all(v >= Fraction(179, 336) for v in vals)
-    out.append((f"brute densities non-increasing toward 179/336 (k in {list(levels)})", mono))
+    forms = {"hk": (Fraction(179, 336), Fraction(7, 20), Fraction(32, 105)),
+             "full": (Fraction(11, 21), Fraction(2, 5), Fraction(8, 105))}
+    exact = all(density.brute_density(k, g) == c + a / 4**k + b / 64**k
+                for g, (c, a, b) in forms.items() for k in range(2, 17))
+    label = "; ".join(f"{g} {c} + ({a}) 4^-k + ({b}) 64^-k" for g, (c, a, b) in forms.items())
+    out.append((f"brute densities: {label} (k in 2..16)", exact))
     return out
 
 

@@ -3,25 +3,27 @@
 Two independent engines compute the proportion of elements of H_k (or of
 the full affine group) whose translation part lies in im(M - I):
 
-* ``brute_density`` sums over every matrix at a finite level k the number
-  of translations in im(M - I), from the 2-adic Smith form of M - I and a
-  table over its mod-4 class;
+* ``brute_density`` counts the matrices at a finite level k by the mod-4
+  class of M and the 2-adic Smith form of M - I, which fix |im(M - I)|;
 * ``analytic_density`` evaluates the exact limit over the lift tower via a
   four-way case split on det(M - I) mod 4, a geometric series for the
   degenerate determinants, and a one-unknown linear solve for the identity
   class.
 
 The analytic totals are exactly 179/336 for H_k and 11/21 for the full
-group; the brute values converge to them from above as k grows, and the
-two engines agree exactly on every matrix class whose determinant
-valuation is already resolved at the finite level.
+group.  The brute values are exactly 179/336 + (7/20) 4^-k + (32/105) 64^-k
+and 11/21 + (2/5) 4^-k + (8/105) 64^-k, and the two engines agree exactly
+on every matrix class whose determinant valuation is already resolved at
+the finite level.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -31,6 +33,7 @@ from . import aglgroup
 Matrix = tuple  # (m00, m01, m10, m11)
 
 IDENT: Matrix = (1, 0, 0, 1)
+_MOD2_MATRICES = tuple(product(range(2), repeat=4))
 
 CASE_DET_ODD = "det_odd"
 CASE_DET_2 = "det_2_mod_4"
@@ -156,18 +159,12 @@ def _nu_level1(n: Matrix) -> Fraction:
         return Fraction(1, 4) / (1 - Fraction(1, 4))
     # the zero matrix references the average over all classes: solve a*x = b
     others = Fraction(0)
-    for m in _all_mod2_matrices():
+    for m in _MOD2_MATRICES:
         if m != (0, 0, 0, 0):
             others += _nu_level1(m)
     a = 1 - Fraction(1, 64)
     b = Fraction(1, 64) * others
     return b / a
-
-
-def _all_mod2_matrices():
-    return [
-        (a, b, c, d) for a in range(2) for b in range(2) for c in range(2) for d in range(2)
-    ]
 
 
 def _nu_level2(a: Matrix) -> Fraction:
@@ -241,55 +238,60 @@ class DensityReport:
         return out
 
 
+def _case_report(mode: str, group: str, class_fracs: dict, s1_total=None) -> DensityReport:
+    """Sum per-mod-4-class contributions by ``case_label``, skipping classes of 0."""
+    per_case: dict[str, Fraction] = {}
+    counts: dict[str, int] = {}
+    for m, frac in class_fracs.items():
+        if frac:
+            label = case_label(m)
+            per_case[label] = per_case.get(label, Fraction(0)) + frac
+            counts[label] = counts.get(label, 0) + 1
+    labels = [lab for lab in CASE_ORDER if lab in per_case]
+    return DensityReport(
+        mode, group, {lab: per_case[lab] for lab in labels}, {lab: counts[lab] for lab in labels},
+        sum(class_fracs.values(), Fraction(0)), s1_total,
+    )
+
+
 def analytic_density(group: str = "hk") -> DensityReport:
     """Exact limiting density with its per-case breakdown.
 
     The cases partition GL_2(Z/4) by the 2-adic shape of M - I; only
     matrices with a nonzero limit are counted.
     """
-    per_case: dict[str, Fraction] = {}
-    counts: dict[str, int] = {}
-    total = Fraction(0)
-    for m in gl2_mod4():
-        mu = mu_case(m, group)
-        if mu == 0:
-            continue
-        label = case_label(m)
-        per_case[label] = per_case.get(label, Fraction(0)) + mu
-        counts[label] = counts.get(label, 0) + 1
-        total += mu
-    ordered = {lab: per_case[lab] for lab in CASE_ORDER if lab in per_case}
-    ordered_counts = {lab: counts[lab] for lab in CASE_ORDER if lab in counts}
-    return DensityReport("analytic", group, ordered, ordered_counts, total)
+    return _case_report("analytic", group, {m: mu_case(m, group) for m in gl2_mod4()})
 
 
 # ---------------------------------------------------------------------------
 # brute engine (exact, finite level)
 
-BRUTE_MAX_LEVEL = 5
+BRUTE_MAX_LEVEL = 64
 
 
-def _v2(x: np.ndarray, cap: int) -> np.ndarray:
-    """min(v2(x), cap) elementwise, with v2(0) infinite."""
-    return sum((x % (1 << i) == 0).astype(np.int64) for i in range(1, cap + 1))
-
-
-def _log2_image_sizes(a: np.ndarray, k: int) -> np.ndarray:
-    """log2 |im A| mod 2^k for each row A = (a00, a01, a10, a11) with entries in [0, 2^k).
-
-    Over the 2-adic integers A has Smith form diag(2^e1 u1, 2^e2 u2) with
-    units u1, u2, so |im A| = 2^(2k - min(k, e1) - min(k, e2)).  Here e1 is
-    the least valuation of the entries and e1 + e2 is the valuation of the
-    determinant of the integer lift.  The determinant mod 2^k does not
-    carry it: diag(4, 4) at k = 3 has det 0 mod 8, yet e2 = 2.
+def _smith_cells(a: Matrix, r: int, k: int) -> Counter:
+    """Lifts A' to Z/2^k of the mod-2^r matrix A (r <= 2, r <= k; r = 0 means
+    every matrix), counted by t = e1 + e2, where diag(2^e1, 2^e2) is the Smith
+    form of A' with each e capped at k.  Then |im A'| = 2^(2k - t), and
+    det A' = 0 mod 2^k iff t = k.
     """
-    e1 = _v2(np.bitwise_or.reduce(a, axis=1), k)
-    e12 = _v2(a[:, 0] * a[:, 3] - a[:, 1] * a[:, 2], 2 * k)
-    return 2 * k - e1 - np.minimum(k, e12 - e1)
-
-
-def _mod4_matrix(key: int) -> Matrix:
-    return tuple((key >> shift) & 3 for shift in (6, 4, 2, 0))
+    if k == 0:
+        return Counter({0: 1})
+    if r == 0:
+        return sum((_smith_cells(n, 1, k) for n in _MOD2_MATRICES), Counter())
+    lifts = 1 << 4 * (k - r)
+    if any(x & 1 for x in a):
+        # e1 = 0, and with a unit entry det A' is uniform over the 2^(k-r)
+        # lifts of det A mod 2^r: its valuation is fixed or geometric over r..k
+        d = _det(a, 1 << r)
+        if d:
+            return Counter({_val2(d, r): lifts})
+        cells = Counter({j: lifts >> (j + 1 - r) for j in range(r, k)})
+        cells[k] = lifts >> (k - r)  # det A' = 0 mod 2^k
+        return cells
+    # A' = 2B, with B over Z/2^(k-1) lifting A/2 from mod 2^(r-1)
+    sub = _smith_cells(tuple(x >> 1 for x in a), r - 1, k - 1)
+    return Counter({t + 2: n for t, n in sub.items()})
 
 
 def _h2_vector_table() -> np.ndarray:
@@ -299,71 +301,66 @@ def _h2_vector_table() -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _mod4_image_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Per mod-4 key of M: log2 |im(M - I)| and |im(M - I) ∩ V_M| at level 2."""
+def _mod4_image_tables() -> dict:
+    """Per M in GL_2(Z/4): log2 |im(M - I)| and |im(M - I) ∩ V_M| at level 2."""
     vt = _h2_vector_table()
-    log_im = np.zeros(256, dtype=np.int64)
-    hits = np.zeros(256, dtype=np.int64)
-    for key in range(256):
-        img = image_of(_m_minus_i(_mod4_matrix(key), 4), 2)
-        log_im[key] = len(img).bit_length() - 1
-        hits[key] = sum(vt[key, (v0 << 2) | v1] for v0, v1 in img)
-    return log_im, hits
+    tables = {}
+    for m in gl2_mod4():
+        key = (m[0] << 6) | (m[1] << 4) | (m[2] << 2) | m[3]
+        img = image_of(_m_minus_i(m, 4), 2)
+        tables[m] = (len(img).bit_length() - 1, int(sum(vt[key, (v0 << 2) | v1] for v0, v1 in img)))
+    return tables
 
 
 def brute_report(k: int, group: str = "hk") -> tuple[DensityReport, dict]:
-    """Exact finite-level density, summed over every M in GL_2(Z/2^k).
+    """Exact finite-level density over GL_2(Z/2^k), counted by Smith-form cell.
 
-    The pairs (v, M) with v in im(M - I) number |im A| per matrix for the
-    full group, where A = M - I.  Inside H_k, v must also reduce mod 4 into
-    V_M; reduction mod 4 maps im A onto im(A mod 4) with fibres of equal
-    size, so the count is |im A| / |im(A mod 4)| * |im(A mod 4) ∩ V_M|.
+    A pair (v, M) counts when v lies in im A, A = M - I, and |im A| =
+    2^(2k - t) for the cell t of ``_smith_cells``.  Inside H_k, v must also
+    reduce mod 4 into V_M; reduction mod 4 maps im A onto im(A mod 4) with
+    fibres of equal size, so the count is |im A| / |im(A mod 4)| *
+    |im(A mod 4) ∩ V_M|.  ``s1_total`` keeps the cells t < k, where
+    det(M - I) != 0 mod 2^k.
 
-    Returns the report plus the per-mod-4-class pair counts (used to check
-    the brute counts against the analytic closed forms class by class).
+    Closed forms: the mean of 2^-t over the 16^(k-2) lifts of a class is
+    1, 1/2 and 1/4 for det_odd, det_2_mod_4 and halved_invertible, and the
+    geometric series sum to sum_{j=2}^{k-1} 2^(1-2j) + 2^(2-2k) =
+    1/6 + (4/3) 4^-k for det_0_odd_entry, and to a quarter of
+    sum_{j=1}^{k-2} 4^-j + 2^(3-2k) = 1/3 + (8/3) 4^-k for
+    halved_nonzero_singular.  The identity's is z(k-2)/16, where the mean
+    z(n) over every matrix mod 2^n, split into 6 invertible, 9 nonzero
+    singular and 1 zero mod-2 class, is z(n) = 9/16 + (3/8) 4^-n +
+    z(n-1)/64 with z(0) = 1, so z(n) = 4/7 + (2/5) 4^-n + (1/35) 64^-n.
+    A class weighs 1/96 in the full group (32, 24, 24, 6, 9, 1 classes per
+    case) and f_M/24 in H_k (f_M sums to 8, 6, 6, 3, 0, 1 per case):
+      D_full(k) = 11/21 + (2/5) 4^-k + (8/105) 64^-k,
+      D_hk(k) = 179/336 + (7/20) 4^-k + (32/105) 64^-k.
+
+    ``BRUTE_MAX_LEVEL`` = 64 is the range the tests check: a call costs
+    about 55 ms there (2-core Xeon VM), and ``_smith_cells`` recurses k deep.
+    Returns the report and the per-mod-4-class fractions, which tests check
+    against the analytic closed forms class by class.
     """
     if not 2 <= k <= BRUTE_MAX_LEVEL:
         raise ValueError(f"brute level must be in 2..{BRUTE_MAX_LEVEL}")
     if group not in ("hk", "full"):
         raise ValueError(f"unknown group {group!r}")
-    mod = 1 << k
-    mats = aglgroup._gl_matrices(k)
-    a = (mats - np.array(IDENT)) % mod
-    log_im = _log2_image_sizes(a, k)
-    mkey = ((mats & 3) << np.array([6, 4, 2, 0])).sum(axis=1)
-    if group == "hk":
-        log4, hits4 = _mod4_image_tables()
-        hits = hits4[mkey] << (log_im - log4[mkey])
-    else:
-        hits = 1 << log_im
-    det = (a[:, 0] * a[:, 3] - a[:, 1] * a[:, 2]) % mod
-    class_hits = np.zeros(256, dtype=np.int64)
-    np.add.at(class_hits, mkey, hits)
     denom = (6 if group == "hk" else 24) * 64 ** (k - 1)
-    class_fracs = {
-        _mod4_matrix(key): Fraction(int(class_hits[key]), denom) for key in np.unique(mkey).tolist()
-    }
-    per_case: dict[str, Fraction] = {}
-    case_counts: dict[str, int] = {}
-    for key, frac in class_fracs.items():
-        if frac == 0:
-            continue
-        label = case_label(key)
-        per_case[label] = per_case.get(label, Fraction(0)) + frac
-        case_counts[label] = case_counts.get(label, 0) + 1
-    ordered = {lab: per_case[lab] for lab in CASE_ORDER if lab in per_case}
-    ordered_counts = {lab: case_counts[lab] for lab in CASE_ORDER if lab in case_counts}
-    report = DensityReport(
-        f"brute(k={k})", group, ordered, ordered_counts,
-        Fraction(int(hits.sum()), denom), Fraction(int(hits[det != 0].sum()), denom),
-    )
-    return report, class_fracs
+    class_fracs = {}
+    s1 = 0
+    for m, (log4, hits4) in _mod4_image_tables().items():
+        if group == "full":
+            log4, hits4 = 0, 1
+        cells = _smith_cells(_m_minus_i(m, 4), 2, k).items()
+        pairs = {t: hits4 * n << (2 * k - t - log4) for t, n in cells}
+        class_fracs[m] = Fraction(sum(pairs.values()), denom)
+        s1 += sum(p for t, p in pairs.items() if t < k)
+    return _case_report(f"brute(k={k})", group, class_fracs, Fraction(s1, denom)), class_fracs
 
 
 def brute_density(k: int, group: str = "hk") -> Fraction:
     """Exact density |{(v, M) : v in im(M - I)}| / |group| at finite level k."""
-    report, _ = brute_report(k, group)
-    return report.total
+    return brute_report(k, group)[0].total
 
 
 def resolved_at_level_2(m: Matrix) -> bool:

@@ -94,6 +94,7 @@ def test_usage_errors(capsys, monkeypatch):
         ("sweep", "--max", "nan"),
         ("sweep", "--max", "abc"),
         ("point", "--n", "1e-1"),
+        ("density", "brute", "--level", "2.5"),
         # thread counts are positive
         ("sweep", "--max", "100", "--threads", "0"),
         ("sweep", "--max", "100", "--threads", "-3"),
@@ -112,6 +113,11 @@ def test_usage_errors(capsys, monkeypatch):
             assert "invalid ECHO_THREADS" in err, (value, argv)
     monkeypatch.setenv("ECHO_THREADS", "1")
     assert run_cli(capsys, "sweep", "--max", "100")[0] == 0
+    # brute levels outside 2..BRUTE_MAX_LEVEL fail in the engine
+    for level in ("65", "1"):
+        code, out, err = run_cli(capsys, "density", "brute", "--level", level)
+        assert (code, out) == (1, ""), level
+        assert "brute level" in err, level
 
 
 def test_computation_error_exit_code(capsys):

@@ -51,13 +51,32 @@ def _image_sizes_np(mats: np.ndarray, k: int) -> np.ndarray:
     )
 
 
+def _v2(x: np.ndarray, cap: int) -> np.ndarray:
+    """min(v2(x), cap) elementwise, with v2(0) infinite."""
+    return sum((x % (1 << i) == 0).astype(np.int64) for i in range(1, cap + 1))
+
+
+def _log2_image_sizes(a: np.ndarray, k: int) -> np.ndarray:
+    """log2 |im A| mod 2^k for each row A = (a00, a01, a10, a11) with entries in [0, 2^k).
+
+    Over the 2-adic integers A has Smith form diag(2^e1 u1, 2^e2 u2) with
+    units u1, u2, so |im A| = 2^(2k - min(k, e1) - min(k, e2)).  Here e1 is
+    the least valuation of the entries and e1 + e2 is the valuation of the
+    determinant of the integer lift.  The determinant mod 2^k does not
+    carry it: diag(4, 4) at k = 3 has det 0 mod 8, yet e2 = 2.
+    """
+    e1 = _v2(np.bitwise_or.reduce(a, axis=1), k)
+    e12 = _v2(a[:, 0] * a[:, 3] - a[:, 1] * a[:, 2], 2 * k)
+    return 2 * k - e1 - np.minimum(k, e12 - e1)
+
+
 def test_image_size_det_relation_all_matrices_level2():
     # the closed form against enumeration on every matrix at k = 2 and 3
     sizes = {}
     for k in (2, 3):
         mats = _all_matrices(k)
         sizes[k] = _image_sizes_np(mats, k)
-        assert (1 << density._log2_image_sizes(mats, k) == sizes[k]).all(), k
+        assert (1 << _log2_image_sizes(mats, k) == sizes[k]).all(), k
     mats = _all_matrices(2)
     det = (mats[:, 0] * mats[:, 3] - mats[:, 1] * mats[:, 2]) % 4
     for size, d in zip(sizes[2], det):
@@ -67,7 +86,7 @@ def test_image_size_det_relation_all_matrices_level2():
             assert size == 8
         # ord_2(det) >= k: the relation does not apply
     # det = 0 mod 8, yet the integer lift has det 16 and the image 4 elements
-    assert density._log2_image_sizes(np.array([[4, 0, 0, 4]]), 3)[0] == 2
+    assert _log2_image_sizes(np.array([[4, 0, 0, 4]]), 3)[0] == 2
 
 
 def test_image_size_det_relation_random_levels_3_4():
@@ -76,7 +95,7 @@ def test_image_size_det_relation_random_levels_3_4():
         mod = 1 << k
         mats = rng.integers(0, mod, size=(100_000, 4), dtype=np.int64)
         sizes = _image_sizes_np(mats, k)
-        assert (1 << density._log2_image_sizes(mats, k) == sizes).all(), k
+        assert (1 << _log2_image_sizes(mats, k) == sizes).all(), k
         det = (mats[:, 0] * mats[:, 3] - mats[:, 1] * mats[:, 2]) % mod
         keep = det != 0
         # for determinants of valuation < k, |im| = 4^k |det|_2
@@ -271,9 +290,55 @@ def test_brute_matches_enumeration_oracle():
             assert report.total == Fraction(sum(counts.values()), denom), (k, group)
 
 
+def _smith_oracle(k: int, group: str):
+    """Per-mod-4-class fractions (ordered by class), total and s1_total, by
+    enumerating GL_2(Z/2^k) with each image size from the 2-adic Smith form
+    and each class's level-2 intersection with V_M by enumeration."""
+    mod = 1 << k
+    mats = aglgroup._gl_matrices(k)
+    a = (mats - np.array([1, 0, 0, 1])) % mod
+    log_im = _log2_image_sizes(a, k)
+    mkey = ((mats & 3) << np.array([6, 4, 2, 0])).sum(axis=1)
+    if group == "hk":
+        # row key of _all_matrices(2) is the mod-4 key; a packed level-2 vector is its v4 key
+        packed, first = _images_np((_all_matrices(2) - np.array([1, 0, 0, 1])) % 4, 2)
+        hits4 = (first & density._h2_vector_table()[np.arange(256)[:, None], packed]).sum(axis=1)
+        hits = (hits4[mkey] << log_im) // first.sum(axis=1)[mkey]
+    else:
+        hits = 1 << log_im
+    det = (a[:, 0] * a[:, 3] - a[:, 1] * a[:, 2]) % mod
+    class_hits = np.zeros(256, dtype=np.int64)
+    np.add.at(class_hits, mkey, hits)
+    denom = aglgroup.AGL_ORDERS[k] // (4 if group == "hk" else 1)
+    per_class = {
+        tuple((key >> s) & 3 for s in (6, 4, 2, 0)): Fraction(int(class_hits[key]), denom)
+        for key in np.unique(mkey).tolist()
+    }
+    return per_class, Fraction(int(hits.sum()), denom), Fraction(int(hits[det != 0].sum()), denom)
+
+
+def test_brute_matches_smith_oracle_level5():
+    for group in ("hk", "full"):
+        report, per_class = density.brute_report(5, group)
+        oracle, total, s1 = _smith_oracle(5, group)
+        assert list(per_class.items()) == list(oracle.items()), group
+        assert (report.total, report.s1_total) == (total, s1), group
+
+
+def test_brute_closed_forms():
+    # the finite-level identities derived in the brute_report docstring
+    for k in range(2, 65):
+        assert density.brute_density(k) == (
+            Fraction(179, 336) + Fraction(7, 20) / 4**k + Fraction(32, 105) / 64**k
+        ), k
+        assert density.brute_density(k, "full") == (
+            Fraction(11, 21) + Fraction(2, 5) / 4**k + Fraction(8, 105) / 64**k
+        ), k
+
+
 def test_brute_level_bounds():
     with pytest.raises(ValueError):
-        density.brute_density(6)
+        density.brute_density(density.BRUTE_MAX_LEVEL + 1)
     with pytest.raises(ValueError):
         density.brute_density(1)
 
