@@ -2,7 +2,7 @@
 
 Machine output renders exact rationals as "num/den" strings; decimal
 ratios appear only in the sweep tables, at 9 places.  Exit codes: 0 on
-success, 1 when a computation violates its contract (a verify suite
+success, 1 when a computation violates its contract (a verify check
 fails), 2 on usage errors.
 """
 
@@ -12,10 +12,12 @@ import argparse
 import csv
 import io
 import json
+import math
+import random
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -167,168 +169,135 @@ def _cmd_family(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify: the invariant suites
+# verify: the invariant table, one (suite, label, check) row per invariant;
+# tests/test_acceptance.py runs each row as its own test
 
 
-def _suite_sequence() -> list[tuple[str, bool]]:
-    out = []
-    out.append((
-        "primary/alternate definitions agree, |n| <= 300",
-        all(seq.term(n) == seq.term_alt(n) for n in range(-300, 301)),
-    ))
-    out.append((
-        "index symmetry b_n = -b_{-(n+1)}, |n| <= 300",
-        all(seq.term(n) == -seq.term(-(n + 1)) for n in range(-300, 301)),
-    ))
-    out.append(("h(n) = 0 for 0 <= n <= 500", all(seq.h_value(n) == 0 for n in range(501))))
-    out.append((
-        "neighbor coprimality to n = 300",
-        seq.coprimality_report(300),
-    ))
-    rc3, rc5 = seq.residue_cycle(3), seq.residue_cycle(5)
-    out.append((
-        "mod-3 period 9 with pattern (1,1,2,1,0,2,1,2,2)",
-        rc3.period == 9 and rc3.pattern == (1, 1, 2, 1, 0, 2, 1, 2, 2),
-    ))
-    out.append(("mod-5 period 24, zero-free", rc5.period == 24 and not rc5.contains_zero))
-    out.append((
-        "d-sequence shift relation, 0 <= n <= 300",
-        all(
-            seq.term(n + 7) * seq.d_value(n) == seq.term(n + 1) * seq.d_value(n + 3)
-            for n in range(301)
-        ),
-    ))
-    out.append((
-        "d_n/(b_{n+1} b_{n+4}) is 3 iff n = 0 mod 3, else 1, 0 <= n <= 300",
-        all(seq.d_ratio(n) == (3 if n % 3 == 0 else 1) for n in range(301)),
-    ))
-    return out
+def _odd_multiples_reduced() -> bool:
+    def ok(om: curves.OddMultiple) -> bool:
+        direct = curves.scalar_mul(2 * om.n + 1, curves.POINT_P, curves.CURVE_E)
+        return om.as_point() == direct and math.gcd(om.x_num * om.y_num, om.denom_base) == 1
+
+    return all(ok(curves.odd_multiple_coords(n)) for n in range(101))
 
 
-def _suite_curve() -> list[tuple[str, bool]]:
-    import math
-    import random
-
-    out = []
-    e, p = curves.CURVE_E, curves.POINT_P
-    ok = True
-    for n in range(101):
-        om = curves.odd_multiple_coords(n)
-        ok = ok and om.as_point() == curves.scalar_mul(2 * n + 1, p, e)
-        ok = ok and math.gcd(om.x_num, om.denom_base) == 1
-    out.append(("odd multiples match double-and-add, n <= 100, reduced", ok))
-    rng = random.Random(1)
-    pts = curves.random_rational_points(12, rng)
-    ok = all(
+def _group_law_samples() -> bool:
+    e = curves.CURVE_E
+    pts = curves.random_rational_points(12, random.Random(1))
+    return all(
         curves.add(a, b, e) == curves.add(b, a, e)
         and curves.add(curves.add(a, b, e), c, e) == curves.add(a, curves.add(b, c, e), e)
         for a, b, c in zip(pts, pts[1:], pts[2:])
     )
-    out.append(("group law commutes/associates on rational samples", ok))
-    a, b, tmap = curves.tate_normal_form(e, p)
-    out.append((
-        "normal form of (E, P) is (6/5, 3/25) and maps P to the origin",
-        (a, b) == (Fraction(6, 5), Fraction(3, 25)) and tmap.apply(p) == (0, 0),
-    ))
-    return out
 
 
-def _suite_sweep() -> list[tuple[str, bool]]:
-    out = []
-    recs = sweep.sweep(10_000, threads=1)
-    out.append((
-        "sweep table to 1e4: (3,4) (13,25) (91,168) (636,1229)",
-        [(r.x, r.pi_prime, r.pi) for r in recs]
-        == [(10, 3, 4), (100, 13, 25), (1000, 91, 168), (10000, 636, 1229)],
-    ))
-    ok = True
-    seq._PRIMARY.warm(0, 250)  # scan bound below stays under 230 for p < 200
-    for p in sweep.primes_up_to(199):
-        scan = any(seq.term(n) % p == 0 for n in range(p + 2 * (int(p**0.5) + 1) + 2))
-        ok = ok and sweep.divides_some_term(p) == scan
-    out.append(("odd-order criterion matches direct sequence scan, p < 200", ok))
-    return out
+def _normal_form_of_base_pair() -> bool:
+    a, b, tmap = curves.tate_normal_form(curves.CURVE_E, curves.POINT_P)
+    return (a, b) == (Fraction(6, 5), Fraction(3, 25)) and tmap.apply(curves.POINT_P) == (0, 0)
 
 
-def _suite_group() -> list[tuple[str, bool]]:
-    out = []
-    out.append(("|H_2| = 384 and kinetic", aglgroup.h2().order == 384 and aglgroup.is_kinetic(aglgroup.h2())))
-    out.append(("|H_3| = 24576, |H_4| = 1572864", aglgroup.build_hk(3).order == 24576 and aglgroup.build_hk(4).order == 1572864))
-    out.append(("coset decomposition of H_2", aglgroup.coset_structure_check()))
-    cl2 = aglgroup.classify_kinetic(2)
-    out.append((
-        "level-2 classification: full group + one proper class of order 384",
-        len(cl2) == 2 and cl2[0].order == 1536 and cl2[1].order == 384,
-    ))
+def _criterion_matches_scan() -> bool:
+    # p | b_n forces (2n+1)P = O mod p, so the first hit lies within half
+    # the group order, which p + 2 isqrt(p) + 4 exceeds
+    return all(
+        sweep.divides_some_term(p)
+        == any(seq.term(n) % p == 0 for n in range(p + 2 * math.isqrt(p) + 4))
+        for p in sweep.primes_up_to(199)
+    )
+
+
+def _level3_classification() -> bool:
     cl3 = aglgroup.classify_kinetic(3)
-    out.append((
-        "level-3 classification: full group + exactly H_3",
-        len(cl3) == 2
-        and cl3[0].order == 98304
-        and np.array_equal(cl3[1].representative.code_array, aglgroup.build_hk(3).code_array),
-    ))
-    return out
+    return (
+        [c.order for c in cl3] == [98304, 24576]
+        and np.array_equal(cl3[1].representative.code_array, aglgroup.build_hk(3).code_array)
+    )
 
 
-def _suite_density() -> list[tuple[str, bool]]:
-    out = []
-    rep = density.analytic_density("hk")
-    out.append(("analytic density = 179/336", rep.total == Fraction(179, 336)))
-    out.append(("analytic full-group density = 11/21", density.analytic_density("full").total == Fraction(11, 21)))
-    forms = {"hk": (Fraction(179, 336), Fraction(7, 20), Fraction(32, 105)),
-             "full": (Fraction(11, 21), Fraction(2, 5), Fraction(8, 105))}
-    exact = all(density.brute_density(k, g) == c + a / 4**k + b / 64**k
-                for g, (c, a, b) in forms.items() for k in range(2, 17))
-    label = "; ".join(f"{g} {c} + ({a}) 4^-k + ({b}) 64^-k" for g, (c, a, b) in forms.items())
-    out.append((f"brute densities: {label} (k in 2..16)", exact))
-    return out
-
-
-def _suite_family() -> list[tuple[str, bool]]:
-    import random
-
-    out = []
+def _discriminant_identity() -> bool:
     rng = random.Random(17)
-    ok = True
-    n = 0
-    while n < 10:
+    pairs = []
+    while len(pairs) < 10:
         a = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
         b = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-        if b == 0 or curves.curve_from_pair(a, b).discriminant() == 0:
-            continue
-        ok = ok and fabulous.discriminant_identity_check(a, b)
-        n += 1
-    out.append(("quartic discriminant identity at 10 random pairs", ok))
-    ok = True
-    for t in (1, 2, 3, 7, Fraction(1, 2)):
-        a, b = fabulous.parametrize(t)
-        ok = ok and -96 * b * b in fabulous.fabulous_poly(a, b).rational_roots()
-    out.append(("rational_roots finds the quartic root -96b^2 at t in {1, 2, 3, 7, 1/2}", ok))
+        if b != 0 and curves.curve_from_pair(a, b).discriminant() != 0:
+            pairs.append((a, b))
+    return all(fabulous.discriminant_identity_check(a, b) for a, b in pairs)
+
+
+def _base_pair_certificate() -> bool:
     a, b, _ = curves.tate_normal_form(curves.CURVE_E, curves.POINT_P)
-    cert = fabulous.certify_kinetic_conditions(a, b)
-    out.append((
-        "certificate of the base pair is all-true with a rational quartic root",
-        cert.all_true and bool(fabulous.fabulous_poly(a, b).rational_roots()),
-    ))
-    return out
+    return fabulous.certify_kinetic_conditions(a, b).all_true and bool(
+        fabulous.fabulous_poly(a, b).rational_roots()
+    )
+
+
+_BRUTE_FORMS_LABEL = "; ".join(
+    f"{g} {c} + ({a}) 4^-k + ({b}) 64^-k" for g, (c, a, b) in density.BRUTE_CLOSED_FORMS.items()
+)
+
+INVARIANTS: tuple[tuple[str, str, Callable[[], bool]], ...] = (
+    ("sequence", "primary/alternate definitions agree, |n| <= 300",
+     lambda: all(seq.term(n) == seq.term_alt(n) for n in range(-300, 301))),
+    ("sequence", "index symmetry b_n = -b_{-(n+1)}, |n| <= 300",
+     lambda: all(seq.term(n) == -seq.term(-(n + 1)) for n in range(-300, 301))),
+    ("sequence", "h(n) = 0 for 0 <= n <= 500",
+     lambda: all(seq.h_value(n) == 0 for n in range(501))),
+    ("sequence", "neighbor coprimality to n = 300",
+     lambda: seq.coprimality_report(300)),
+    ("sequence", "mod-3 period 9 with pattern (1,1,2,1,0,2,1,2,2)",
+     lambda: seq.residue_cycle(3) == seq.ResidueCycle(3, 9, (1, 1, 2, 1, 0, 2, 1, 2, 2), True)),
+    ("sequence", "mod-5 period 24, zero-free",
+     lambda: (rc := seq.residue_cycle(5)).period == 24 and not rc.contains_zero),
+    ("sequence", "d-sequence shift relation, 0 <= n <= 300",
+     lambda: all(
+         seq.term(n + 7) * seq.d_value(n) == seq.term(n + 1) * seq.d_value(n + 3) for n in range(301)
+     )),
+    ("sequence", "d_n/(b_{n+1} b_{n+4}) is 3 iff n = 0 mod 3, else 1, 0 <= n <= 300",
+     lambda: all(seq.d_ratio(n) == (3 if n % 3 == 0 else 1) for n in range(301))),
+    ("curve", "odd multiples match double-and-add, n <= 100, reduced", _odd_multiples_reduced),
+    ("curve", "group law commutes/associates on rational samples", _group_law_samples),
+    ("curve", "normal form of (E, P) is (6/5, 3/25) and maps P to the origin",
+     _normal_form_of_base_pair),
+    ("sweep", "sweep table to 1e4: (3,4) (13,25) (91,168) (636,1229)",
+     lambda: [(r.x, r.pi_prime, r.pi) for r in sweep.sweep(10_000, threads=1)]
+     == [(10, 3, 4), (100, 13, 25), (1000, 91, 168), (10000, 636, 1229)]),
+    ("sweep", "odd-order criterion matches direct sequence scan, p < 200", _criterion_matches_scan),
+    ("group", "|H_2| = 384 and kinetic",
+     lambda: aglgroup.h2().order == 384 and aglgroup.is_kinetic(aglgroup.h2())),
+    ("group", "|H_3| = 24576, |H_4| = 1572864",
+     lambda: (aglgroup.build_hk(3).order, aglgroup.build_hk(4).order) == (24576, 1572864)),
+    ("group", "coset decomposition of H_2", aglgroup.coset_structure_check),
+    ("group", "level-2 classification: full group + one proper class of order 384",
+     lambda: [c.order for c in aglgroup.classify_kinetic(2)] == [1536, 384]),
+    ("group", "level-3 classification: full group + exactly H_3", _level3_classification),
+    ("density", "analytic density = 179/336",
+     lambda: density.analytic_density("hk").total == Fraction(179, 336)),
+    ("density", "analytic full-group density = 11/21",
+     lambda: density.analytic_density("full").total == Fraction(11, 21)),
+    ("density", f"brute densities: {_BRUTE_FORMS_LABEL} (k in 2..16)",
+     lambda: all(
+         density.brute_density(k, g) == c + a / 4**k + b / 64**k
+         for g, (c, a, b) in density.BRUTE_CLOSED_FORMS.items()
+         for k in range(2, 17)
+     )),
+    ("family", "quartic discriminant identity at 10 random pairs", _discriminant_identity),
+    ("family", "rational_roots finds the quartic root -96b^2 at t in {1, 2, 3, 7, 1/2}",
+     lambda: all(
+         -96 * b * b in fabulous.fabulous_poly(a, b).rational_roots()
+         for a, b in map(fabulous.parametrize, (1, 2, 3, 7, Fraction(1, 2)))
+     )),
+    ("family", "certificate of the base pair is all-true with a rational quartic root",
+     _base_pair_certificate),
+)
 
 
 def _cmd_verify(args) -> int:
-    suites = [
-        ("sequence", _suite_sequence),
-        ("curve", _suite_curve),
-        ("sweep", _suite_sweep),
-        ("group", _suite_group),
-        ("density", _suite_density),
-        ("family", _suite_family),
-    ]
     failures = 0
-    for name, fn in suites:
-        for label, ok in fn():
-            status = "PASS" if ok else "FAIL"
-            if not ok:
-                failures += 1
-            print(f"[{status}] {name}: {label}")
+    for suite, label, check in INVARIANTS:
+        ok = check()
+        failures += not ok
+        print(f"[{'PASS' if ok else 'FAIL'}] {suite}: {label}")
     if failures:
         print(f"{failures} invariant check(s) failed", file=sys.stderr)
         return 1
@@ -397,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_family.add_argument("--out", default=None)
     p_family.set_defaults(fn=_cmd_family)
 
-    p_verify = sub.add_parser("verify", help="run the invariant suites")
+    p_verify = sub.add_parser("verify", help="run every row of the invariant table")
     p_verify.set_defaults(fn=_cmd_verify)
 
     return parser
@@ -412,6 +381,8 @@ def run(argv: Sequence[str]) -> int:
                 args.threads = sweep.default_threads()
             except ValueError as exc:
                 parser.error(str(exc))
+        if args.command == "seq" and args.start > args.to:
+            parser.error(f"seq: --from {args.start} exceeds --to {args.to}")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
@@ -422,6 +393,10 @@ def run(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
+    # b_n passes the default 4300-digit limit on int -> str at n = 409; lift
+    # it for this process, not in run(), so library callers keep their own
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     sys.exit(run(sys.argv[1:]))
 
 

@@ -11,8 +11,8 @@ the full affine group) whose translation part lies in im(M - I):
   class.
 
 The analytic totals are exactly 179/336 for H_k and 11/21 for the full
-group.  The brute values are exactly 179/336 + (7/20) 4^-k + (32/105) 64^-k
-and 11/21 + (2/5) 4^-k + (8/105) 64^-k, and the two engines agree exactly
+group.  The brute values are exactly c + a 4^-k + b 64^-k, with (c, a, b)
+from ``BRUTE_CLOSED_FORMS``, and the two engines agree exactly
 on every matrix class whose determinant valuation is already resolved at
 the finite level.
 """
@@ -114,34 +114,29 @@ def gl2_mod4() -> list[Matrix]:
     return [tuple(m) for m in aglgroup._gl_matrices(2).tolist()]
 
 
+def _h2_vector_table() -> np.ndarray:
+    """vt[m4_key, v4_key] = whether (v, M) lies in H_2 (keys are packed 2-bit fields)."""
+    # a level-2 code is (v4_key << 8) | m4_key
+    return aglgroup._h2_members().reshape(16, 256).T
+
+
 @lru_cache(maxsize=None)
-def associated_vectors() -> dict:
-    """V_M = {v : (v, M) in H_2} for every M in GL_2(Z/4)."""
-    table: dict[Matrix, set] = {m: set() for m in gl2_mod4()}
-    for raw in aglgroup.h2().raw_elements():
-        table[raw[2:]].add((raw[0], raw[1]))
-    assert all(len(v) == 4 for v in table.values())
-    return table
+def _mod4_image_tables() -> dict:
+    """Per M in GL_2(Z/4): log2 |im(M - I)| and |im(M - I) ∩ V_M| at level 2."""
+    vt = _h2_vector_table()
+    tables = {}
+    for m in gl2_mod4():
+        key = (m[0] << 6) | (m[1] << 4) | (m[2] << 2) | m[3]
+        img = image_of(_m_minus_i(m, 4), 2)
+        tables[m] = (len(img).bit_length() - 1, int(sum(vt[key, (v0 << 2) | v1] for v0, v1 in img)))
+    return tables
 
 
-def f_fraction(m: Matrix, k: int = 2, v_set: Optional[set] = None) -> Fraction:
-    """f_M = |im(M - I) ∩ V_M| / |im(M - I)|, a value in {0, 1/4, 1/2, 1}.
-
-    At level 2 the associated vectors come from H_2 itself; at higher
-    levels V_M consists of all lifts of the mod-4 associated vectors
-    (used by the lift-stability tests).
-    """
-    mod = 1 << k
-    if v_set is None:
-        base = associated_vectors()[tuple(x & 3 for x in m)]
-        v_set = {
-            (v0, v1)
-            for v0 in range(mod)
-            for v1 in range(mod)
-            if (v0 & 3, v1 & 3) in base
-        }
-    img = image_of(_m_minus_i(m, mod), k)
-    return Fraction(len(img & v_set), len(img))
+def f_fraction(m: Matrix) -> Fraction:
+    """f_M = |im(M - I) ∩ V_M| / |im(M - I)| at level 2, a value in {0, 1/4, 1/2, 1},
+    where V_M = {v : (v, M) in H_2}."""
+    log4, hits4 = _mod4_image_tables()[tuple(x & 3 for x in m)]
+    return Fraction(hits4, 1 << log4)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +263,13 @@ def analytic_density(group: str = "hk") -> DensityReport:
 
 BRUTE_MAX_LEVEL = 64
 
+# (c, a, b) with brute_density(k, group) = c + a 4^-k + b 64^-k exactly,
+# as summed in the ``brute_report`` docstring
+BRUTE_CLOSED_FORMS = {
+    "hk": (Fraction(179, 336), Fraction(7, 20), Fraction(32, 105)),
+    "full": (Fraction(11, 21), Fraction(2, 5), Fraction(8, 105)),
+}
+
 
 def _smith_cells(a: Matrix, r: int, k: int) -> Counter:
     """Lifts A' to Z/2^k of the mod-2^r matrix A (r <= 2, r <= k; r = 0 means
@@ -294,24 +296,6 @@ def _smith_cells(a: Matrix, r: int, k: int) -> Counter:
     return Counter({t + 2: n for t, n in sub.items()})
 
 
-def _h2_vector_table() -> np.ndarray:
-    """vt[m4_key, v4_key] = whether (v, M) lies in H_2 (keys are packed 2-bit fields)."""
-    # a level-2 code is (v4_key << 8) | m4_key
-    return aglgroup._h2_members().reshape(16, 256).T
-
-
-@lru_cache(maxsize=None)
-def _mod4_image_tables() -> dict:
-    """Per M in GL_2(Z/4): log2 |im(M - I)| and |im(M - I) ∩ V_M| at level 2."""
-    vt = _h2_vector_table()
-    tables = {}
-    for m in gl2_mod4():
-        key = (m[0] << 6) | (m[1] << 4) | (m[2] << 2) | m[3]
-        img = image_of(_m_minus_i(m, 4), 2)
-        tables[m] = (len(img).bit_length() - 1, int(sum(vt[key, (v0 << 2) | v1] for v0, v1 in img)))
-    return tables
-
-
 def brute_report(k: int, group: str = "hk") -> tuple[DensityReport, dict]:
     """Exact finite-level density over GL_2(Z/2^k), counted by Smith-form cell.
 
@@ -332,9 +316,9 @@ def brute_report(k: int, group: str = "hk") -> tuple[DensityReport, dict]:
     singular and 1 zero mod-2 class, is z(n) = 9/16 + (3/8) 4^-n +
     z(n-1)/64 with z(0) = 1, so z(n) = 4/7 + (2/5) 4^-n + (1/35) 64^-n.
     A class weighs 1/96 in the full group (32, 24, 24, 6, 9, 1 classes per
-    case) and f_M/24 in H_k (f_M sums to 8, 6, 6, 3, 0, 1 per case):
-      D_full(k) = 11/21 + (2/5) 4^-k + (8/105) 64^-k,
-      D_hk(k) = 179/336 + (7/20) 4^-k + (32/105) 64^-k.
+    case) and f_M/24 in H_k (f_M sums to 8, 6, 6, 3, 0, 1 per case), which
+    gives D(k) = c + a 4^-k + b 64^-k with the (c, a, b) of
+    ``BRUTE_CLOSED_FORMS``.
 
     ``BRUTE_MAX_LEVEL`` = 64 is the range the tests check: a call costs
     about 55 ms there (2-core Xeon VM), and ``_smith_cells`` recurses k deep.

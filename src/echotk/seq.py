@@ -45,20 +45,24 @@ class EchoSequence:
         self.definition = definition
         seed = SEED_PRIMARY if definition == "primary" else SEED_ALT
         self._cache: dict[int, int] = dict(enumerate(seed))
+        self._lo, self._hi = 0, len(seed) - 1  # the cache holds lo..hi
 
     def term(self, n: int) -> int:
         cached = self._cache.get(n)
         if cached is not None:
             return cached
-        if self.definition == "primary":
-            value = self._term_primary(n)
-        else:
-            value = self._term_appendix(n)
-        self._cache[n] = value
-        return value
+        # fill the cache one index at a time from its nearer end, so no call
+        # recurses however far n lies outside it
+        step = self._term_primary if self.definition == "primary" else self._term_appendix
+        fill = range(self._hi + 1, n + 1) if n > self._hi else range(self._lo - 1, n - 1, -1)
+        for i in fill:
+            if i not in self._cache:
+                self._cache[i] = step(i)
+            self._lo, self._hi = min(self._lo, i), max(self._hi, i)
+        return self._cache[n]
 
     def _term_primary(self, n: int) -> int:
-        b = self.term
+        b = self._cache.__getitem__
         if n >= 4:
             c = 3 if n % 3 == 0 else 1
             return _exact_div(b(n - 1) * b(n - 3) - c * b(n - 2) ** 2, b(n - 4), f"b_{n}")
@@ -67,15 +71,10 @@ class EchoSequence:
         return _exact_div(b(n + 3) * b(n + 1) - c * b(n + 2) ** 2, b(n + 4), f"b_{n}")
 
     def _term_appendix(self, n: int) -> int:
-        b = self.term
+        b = self._cache.__getitem__
         if n >= 7:
             return _exact_div(-b(n - 6) * b(n - 1) + 5 * b(n - 4) * b(n - 3), b(n - 7), f"b_{n}")
         return _exact_div(-b(n + 1) * b(n + 6) + 5 * b(n + 3) * b(n + 4), b(n + 7), f"b_{n}")
-
-    def warm(self, lo: int, hi: int) -> None:
-        """Populate the cache for lo..hi inclusive (single-threaded)."""
-        for n in range(lo, hi + 1):
-            self.term(n)
 
 
 _PRIMARY = EchoSequence("primary")
@@ -173,7 +172,6 @@ def coprimality_report(n_max: int) -> bool:
     """True iff gcd(b_n, b_{n-i}) = 1 for i in {1,2,3} and all 3 <= n <= n_max."""
     if n_max < 3:
         raise ValueError("n_max must be >= 3")
-    _PRIMARY.warm(0, n_max)
     for n in range(3, n_max + 1):
         bn = term(n)
         for i in (1, 2, 3):

@@ -1,21 +1,29 @@
-"""Acceptance gate: one test per criterion, each printing a PASS line.
+"""Acceptance gate: one test per criterion and one per row of the invariant
+table that `verify` runs (`cli.INVARIANTS`), each printing a PASS line.
 
 Run with `pytest -s tests/test_acceptance.py` to watch the lines appear.
 The sweep to 1e6 and the empirical density scans dominate the runtime
 (about 13 s on two cores).
 """
 
-import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from echotk import aglgroup, curves, density, fabulous, seq, sweep
+from echotk import aglgroup, cli, curves, density, fabulous, sweep
 from echotk.curves import CURVE_E, POINT_P
 
 TARGET_HK = Fraction(179, 336)
 TARGET_FULL = Fraction(11, 21)
+
+
+@pytest.mark.parametrize(
+    "suite, label, check", cli.INVARIANTS, ids=[f"{suite}: {label}" for suite, label, _ in cli.INVARIANTS]
+)
+def test_invariant(suite, label, check):
+    assert check()
+    print(f"[PASS] {suite}: {label}")
 
 
 @pytest.fixture(scope="module")
@@ -117,29 +125,6 @@ def test_criterion_4_classification(classes2, classes3):
     )
 
 
-def test_criterion_5_sequence_and_curve_identities():
-    for n in range(-300, 301):
-        assert seq.term(n) == seq.term_alt(n)
-        assert seq.term(n) == -seq.term(-(n + 1))
-    for n in range(0, 501):
-        assert seq.h_value(n) == 0
-    for n in range(3, 301):
-        for i in (1, 2, 3):
-            assert math.gcd(seq.term(n), seq.term(n - i)) == 1
-    rc3 = seq.residue_cycle(3)
-    rc5 = seq.residue_cycle(5)
-    assert rc3.period == 9 and rc3.pattern == (1, 1, 2, 1, 0, 2, 1, 2, 2)
-    assert rc5.period == 24 and not rc5.contains_zero
-    acc = POINT_P
-    two_p = curves.add(POINT_P, POINT_P, CURVE_E)
-    for n in range(0, 101):
-        om = curves.odd_multiple_coords(n)
-        assert om.as_point() == acc
-        assert om.as_point()[0].denominator == seq.term(n) ** 2
-        acc = curves.add(acc, two_p, CURVE_E)
-    print("[PASS] criterion 5: sequence and curve identity suites are exact")
-
-
 def test_criterion_6_family_pipeline():
     t_values = [1, 2, 3, 5, 7, 11, 12, 100, -1, -2, -9, -17, -100,
                 Fraction(1, 2), Fraction(-3, 4), Fraction(7, 3), Fraction(22, 7),
@@ -148,22 +133,13 @@ def test_criterion_6_family_pipeline():
     for t in t_values:
         a, b = fabulous.parametrize(t)
         assert fabulous.fabulous_poly(a, b).eval(-96 * b * b) == 0, t
-    rng = random.Random(3)
-    n = 0
-    while n < 10:
-        a = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-        b = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-        if b == 0 or curves.curve_from_pair(a, b).discriminant() == 0:
-            continue
-        assert fabulous.discriminant_identity_check(a, b), (a, b)
-        n += 1
     a, b, _ = curves.tate_normal_form(CURVE_E, POINT_P)
     assert (a, b) == (Fraction(6, 5), Fraction(3, 25))
     assert fabulous.fabulous_poly(a, b).rational_roots()
     assert fabulous.certify_kinetic_conditions(a, b).all_true
     print(
         "[PASS] criterion 6: family pipeline exact (20 parametrized roots, "
-        "discriminant guard, certified base pair with rational quartic root)"
+        "certified base pair with rational quartic root)"
     )
 
 

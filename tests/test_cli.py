@@ -87,6 +87,10 @@ def test_usage_errors(capsys, monkeypatch):
     assert run_cli(capsys, "sweep")[0] == 2  # missing --max
     assert run_cli(capsys, "density")[0] == 2  # missing subcommand
     assert run_cli(capsys, "verify", "--full")[:2] == (2, "")  # verify always runs every suite
+    code, out, err = run_cli(capsys, "seq", "--from", "5", "--to", "2")  # an empty range
+    assert (code, out) == (2, "")
+    assert "exceeds --to" in err
+    assert run_cli(capsys, "seq", "--from", "5", "--to", "2", "--json")[:2] == (2, "")
     # integer options take integral values only, in any notation
     for argv in (
         ("seq", "--from", "0", "--to", "2.5"),
@@ -172,11 +176,17 @@ def test_group_classify_cli(capsys):
     assert "generators:" in out
 
 
-def test_verify_cli(capsys):
-    code, out, _ = run_cli(capsys, "verify")
-    assert code == 0
-    assert "[FAIL]" not in out
-    assert out.strip().endswith("all invariant suites passed")
+def test_verify_cli(capsys, monkeypatch):
+    # verify runs cli.INVARIANTS row by row; tests/test_acceptance.py runs the real rows
+    monkeypatch.setattr(cli, "INVARIANTS", (("s", "one", lambda: True), ("t", "two", lambda: True)))
+    assert run_cli(capsys, "verify") == (0, "[PASS] s: one\n[PASS] t: two\nall invariant suites passed\n", "")
+
+
+def test_verify_cli_failure(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "INVARIANTS", (("s", "holds", lambda: True), ("s", "breaks", lambda: False)))
+    code, out, err = run_cli(capsys, "verify")
+    assert (code, out) == (1, "[PASS] s: holds\n[FAIL] s: breaks\n")
+    assert "1 invariant check(s) failed" in err
 
 
 def test_family_cli_json(capsys):
@@ -187,17 +197,30 @@ def test_family_cli_json(capsys):
     assert payload["b"] == "-729/64"
 
 
-def test_module_entry_point():
+def run_module(*argv):
     # the child imports the package from where this process found it
     src = os.path.dirname(os.path.dirname(echotk.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-m", "echotk", "density", "analytic"],
+    return subprocess.run(
+        [sys.executable, "-m", "echotk", *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
     )
+
+
+def test_module_entry_point():
+    proc = run_module("density", "analytic")
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "179/336"
+
+
+def test_module_prints_terms_past_the_str_digit_limit():
+    # b_450 has more digits than int -> str allows by default; main() lifts
+    # the limit for its own process
+    proc = run_module("seq", "--from", "450", "--to", "450")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    n, value = proc.stdout.split("\t")
+    assert n == "450" and len(value.strip().lstrip("-")) > 4300
 
 
 def test_deterministic_output_bytes(capsys):

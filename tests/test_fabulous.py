@@ -78,12 +78,6 @@ def test_bad_locus_examples():
     assert fabulous.bad_locus_g(1, 0) == 1
 
 
-def test_discriminant_identity():
-    # disc(f) = 2^62 b^6 disc(E)^3 g^2 at random pairs (transcription guard)
-    for a, b in _random_good_pairs(10, 3):
-        assert fabulous.discriminant_identity_check(a, b), (a, b)
-
-
 def test_rational_roots_of_quartic():
     assert fabulous.fabulous_poly(0, 0).rational_roots() == [0]
     a, b = fabulous.parametrize(1)

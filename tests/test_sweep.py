@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from echotk import curves, fabulous, polyops, seq, sweep
+from echotk import curves, fabulous, polyops, sweep
 from echotk.curves import CURVE_E, POINT_P, _fp_add, _fp_mul, _fp_neg
 
 
@@ -220,15 +220,6 @@ def test_divides_some_term_examples():
     assert sweep.divides_some_term(2) is True
 
 
-def test_divides_some_term_matches_sequence_scan():
-    # p | b_n forces (2n+1)P = O mod p, so the first hit appears within
-    # half the group order; p + 2*sqrt(p) + 2 is a safe scan bound
-    for p in sweep.primes_up_to(199):
-        bound = p + 2 * math.isqrt(p) + 2
-        scan = any(seq.term(n) % p == 0 for n in range(bound))
-        assert sweep.divides_some_term(p) == scan, p
-
-
 def test_odd_order_decision_matches_naive_order_on_random_pairs():
     # normal-form pairs (a, b) with the marked point (0, 0), at every good
     # prime below 600, p = 2 included: one engine call per pair decides every
@@ -270,19 +261,6 @@ def test_primes_segmented_matches_simple():
     got = list(sweep.primes_in_range(100, 400, base))
     want = [p for p in sweep.primes_up_to(400) if p >= 100]
     assert got == want
-
-
-def test_sweep_table_to_1e4():
-    recs = sweep.sweep(10_000, threads=1)
-    assert [(r.x, r.pi_prime, r.pi) for r in recs] == [
-        (10, 3, 4),
-        (100, 13, 25),
-        (1000, 91, 168),
-        (10000, 636, 1229),
-    ]
-    assert recs[0].ratio == "0.750000000"
-    assert recs[2].ratio == "0.541666667"
-    assert recs[3].ratio == "0.517493897"
 
 
 def test_sweep_non_decade_endpoint():
