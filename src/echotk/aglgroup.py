@@ -302,20 +302,13 @@ def h2() -> SubgroupRep:
     return rep
 
 
-@lru_cache(maxsize=None)
-def _h2_members() -> np.ndarray:
-    """Entry c is whether the level-2 code c lies in H_2, for all 4096 codes."""
-    members = np.zeros(1 << 12, dtype=bool)
-    members[h2().code_array] = True
-    members.flags.writeable = False
-    return members
-
-
 def hk_contains(e: AglElem) -> bool:
-    """Membership in H_k at any level k >= 2: reduce mod 4 and test against H_2."""
+    """Membership in H_k at any level k >= 2: reduce mod 4 and look the code up in H_2."""
     if e.k < 2:
         raise ValueError("H_k is defined for k >= 2")
-    return bool(_h2_members()[pack(_reduce_raw(e.raw, 2), 2)])
+    codes = h2().code_array
+    code = pack(_reduce_raw(e.raw, 2), 2)
+    return bool(codes[min(np.searchsorted(codes, code), codes.size - 1)] == code)
 
 
 def _kernel_generators(k: int) -> list[AglElem]:

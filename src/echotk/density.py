@@ -1,14 +1,17 @@
 """Density of pairs (v, M) with v in the column space of M - I.
 
-Two independent engines compute the proportion of elements of H_k (or of
-the full affine group) whose translation part lies in im(M - I):
+A group is given by a level-2 subgroup G_2 of AGL_2(Z/4), read from its
+code array and standing for its full preimage at every level k >= 2: H_2
+for H_k, or the whole affine group.  ``_group_table`` turns G_2 into |G_2|
+and, per M in GL_2(Z/4), log2 |im(M - I)| and the number of v in that image
+with (v, M) in G_2.  Both engines read only that table:
 
-* ``brute_density`` counts the matrices at a finite level k by the mod-4
+* ``brute_report`` counts the matrices at a finite level k by the mod-4
   class of M and the 2-adic Smith form of M - I, which fix |im(M - I)|;
-* ``analytic_density`` evaluates the exact limit over the lift tower via a
-  four-way case split on det(M - I) mod 4, a geometric series for the
-  degenerate determinants, and a one-unknown linear solve for the identity
-  class.
+* ``analytic_density`` evaluates the exact limit over the lift tower.  The
+  case split of M - I mod 4 lives in ``case_label``, and ``_NU`` gives each
+  case its limiting image size: a geometric series for the degenerate
+  determinants and a one-unknown linear solve for the identity class.
 
 The analytic totals are exactly 179/336 for H_k and 11/21 for the full
 group.  The brute values are exactly c + a 4^-k + b 64^-k, with (c, a, b)
@@ -26,13 +29,10 @@ from functools import lru_cache
 from itertools import product
 from typing import Optional
 
-import numpy as np
-
 from . import aglgroup
 
 Matrix = tuple  # (m00, m01, m10, m11)
 
-IDENT: Matrix = (1, 0, 0, 1)
 _MOD2_MATRICES = tuple(product(range(2), repeat=4))
 
 CASE_DET_ODD = "det_odd"
@@ -106,7 +106,10 @@ def colspace_contains(v, a: Matrix, k: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# level-2 data derived from the concrete H_2
+# the groups: each a level-2 subgroup G_2, standing for its full preimage at
+# every level k >= 2, read from its code array
+
+_LEVEL2_GROUPS = {"hk": aglgroup.h2, "full": lambda: aglgroup.full_agl(2)}
 
 
 @lru_cache(maxsize=None)
@@ -114,28 +117,24 @@ def gl2_mod4() -> list[Matrix]:
     return [tuple(m) for m in aglgroup._gl_matrices(2).tolist()]
 
 
-def _h2_vector_table() -> np.ndarray:
-    """vt[m4_key, v4_key] = whether (v, M) lies in H_2 (keys are packed 2-bit fields)."""
-    # a level-2 code is (v4_key << 8) | m4_key
-    return aglgroup._h2_members().reshape(16, 256).T
-
-
 @lru_cache(maxsize=None)
-def _mod4_image_tables() -> dict:
-    """Per M in GL_2(Z/4): log2 |im(M - I)| and |im(M - I) ∩ V_M| at level 2."""
-    vt = _h2_vector_table()
-    tables = {}
+def _group_table(group: str) -> tuple[int, dict]:
+    """|G_2|, and per M in GL_2(Z/4) the pair (log2 |im(M - I)|, |im(M - I) ∩ V_M|)
+    at level 2, where V_M = {v : (v, M) in G_2}."""
+    if group not in _LEVEL2_GROUPS:
+        raise ValueError(f"unknown group {group!r}")
+    members = set(_LEVEL2_GROUPS[group]().code_array.tolist())
+    table = {}
     for m in gl2_mod4():
-        key = (m[0] << 6) | (m[1] << 4) | (m[2] << 2) | m[3]
         img = image_of(_m_minus_i(m, 4), 2)
-        tables[m] = (len(img).bit_length() - 1, int(sum(vt[key, (v0 << 2) | v1] for v0, v1 in img)))
-    return tables
+        table[m] = (len(img).bit_length() - 1, sum(aglgroup.pack((*v, *m), 2) in members for v in img))
+    return len(members), table
 
 
 def f_fraction(m: Matrix) -> Fraction:
     """f_M = |im(M - I) ∩ V_M| / |im(M - I)| at level 2, a value in {0, 1/4, 1/2, 1},
     where V_M = {v : (v, M) in H_2}."""
-    log4, hits4 = _mod4_image_tables()[tuple(x & 3 for x in m)]
+    log4, hits4 = _group_table("hk")[1][tuple(x & 3 for x in m)]
     return Fraction(hits4, 1 << log4)
 
 
@@ -162,23 +161,10 @@ def _nu_level1(n: Matrix) -> Fraction:
     return b / a
 
 
-def _nu_level2(a: Matrix) -> Fraction:
-    """Limit of E[|im A'| / 4^k] over lifts A' of the mod-4 matrix A = M - I."""
-    det = _det(a, 4)
-    if det % 2 == 1:
-        return Fraction(1)
-    if det == 2:
-        return Fraction(1, 2)
-    if any(x % 2 == 1 for x in a):
-        # det = 0 mod 4 with an odd entry: geometric series over the level
-        # where the determinant valuation resolves, summed in closed form
-        first = Fraction(1, 2) * Fraction(1, 4)  # i = 2 term of 2^(1-i) * 2^(-i)
-        return first / (1 - Fraction(1, 4))
-    n = tuple((x >> 1) & 1 for x in a)
-    return Fraction(1, 4) * _nu_level1(n)
-
-
 def case_label(m: Matrix) -> str:
+    """The case of M's class by the 2-adic shape of A = M - I mod 4: det A odd,
+    det A = 2, det A = 0 with an odd entry, or A = 2N with N mod 2 invertible,
+    nonzero singular or zero (M = I)."""
     a = _m_minus_i(m, 4)
     det = _det(a, 4)
     if det % 2 == 1:
@@ -187,28 +173,40 @@ def case_label(m: Matrix) -> str:
         return CASE_DET_2
     if any(x % 2 == 1 for x in a):
         return CASE_DET_0_ODD
-    if m == IDENT:
+    if a == (0, 0, 0, 0):
         return CASE_IDENTITY
     n = tuple((x >> 1) & 1 for x in a)
     return CASE_HALVED_INV if _det(n, 2) == 1 else CASE_HALVED_SING
 
 
+# Limit of E[|im A'| / 4^k] over lifts A' of A = M - I mod 4, per case of A.
+# With det A = 0 mod 4 and an odd entry, the determinant valuation resolves
+# at level i >= 2 with probability 2^(1-i) and leaves |im| a share 2^-i: a
+# geometric series.  An even A is 2N, and N mod 2 carries the level-1 limit.
+_NU = {
+    CASE_DET_ODD: Fraction(1),
+    CASE_DET_2: Fraction(1, 2),
+    CASE_DET_0_ODD: Fraction(1, 2) * Fraction(1, 4) / (1 - Fraction(1, 4)),
+    CASE_HALVED_INV: Fraction(1, 4) * _nu_level1((1, 0, 0, 1)),
+    CASE_HALVED_SING: Fraction(1, 4) * _nu_level1((1, 0, 0, 0)),
+    CASE_IDENTITY: Fraction(1, 4) * _nu_level1((0, 0, 0, 0)),
+}
+
+
 def mu_case(m: Matrix, group: str = "hk") -> Fraction:
-    """Exact limiting contribution of the mod-4 class of M to the density."""
+    """Exact limiting contribution of the mod-4 class of M to the density.
+
+    Each of the 16^(k-2) lifts A' of A = M - I holds |im A'| f_M counted
+    pairs of the |G_2| 64^(k-2) elements, where f_M = |im A ∩ V_M| / |im A|
+    at level 2.  As the mean of |im A'| / 4^k tends to the ``_NU`` of its
+    case, the class contributes 16 f_M / |G_2| times that limit.
+    """
     if _det(m, 4) % 2 == 0:
         raise ValueError("M must be invertible mod 4")
-    if group == "hk":
-        f = f_fraction(m)
-        weight = Fraction(1, 24)
-    elif group == "full":
-        f = Fraction(1)
-        weight = Fraction(1, 96)
-    else:
-        raise ValueError(f"unknown group {group!r}")
-    if f == 0:
-        return Fraction(0)
-    nu = _nu_level2(_m_minus_i(m, 4))
-    return weight * f * nu
+    m = tuple(x & 3 for x in m)
+    order, table = _group_table(group)
+    log4, hits4 = table[m]
+    return Fraction(16 * hits4, order << log4) * _NU[case_label(m)]
 
 
 @dataclass(frozen=True)
@@ -300,11 +298,11 @@ def brute_report(k: int, group: str = "hk") -> tuple[DensityReport, dict]:
     """Exact finite-level density over GL_2(Z/2^k), counted by Smith-form cell.
 
     A pair (v, M) counts when v lies in im A, A = M - I, and |im A| =
-    2^(2k - t) for the cell t of ``_smith_cells``.  Inside H_k, v must also
-    reduce mod 4 into V_M; reduction mod 4 maps im A onto im(A mod 4) with
-    fibres of equal size, so the count is |im A| / |im(A mod 4)| *
-    |im(A mod 4) ∩ V_M|.  ``s1_total`` keeps the cells t < k, where
-    det(M - I) != 0 mod 2^k.
+    2^(2k - t) for the cell t of ``_smith_cells``, and v must also reduce
+    mod 4 into V_M = {v : (v, M) in G_2}.  Reduction mod 4 maps im A onto
+    im(A mod 4) with fibres of equal size, so the count is |im A| /
+    |im(A mod 4)| * |im(A mod 4) ∩ V_M|.  ``s1_total`` keeps the cells
+    t < k, where det(M - I) != 0 mod 2^k.
 
     Closed forms: the mean of 2^-t over the 16^(k-2) lifts of a class is
     1, 1/2 and 1/4 for det_odd, det_2_mod_4 and halved_invertible, and the
@@ -315,10 +313,10 @@ def brute_report(k: int, group: str = "hk") -> tuple[DensityReport, dict]:
     z(n) over every matrix mod 2^n, split into 6 invertible, 9 nonzero
     singular and 1 zero mod-2 class, is z(n) = 9/16 + (3/8) 4^-n +
     z(n-1)/64 with z(0) = 1, so z(n) = 4/7 + (2/5) 4^-n + (1/35) 64^-n.
-    A class weighs 1/96 in the full group (32, 24, 24, 6, 9, 1 classes per
-    case) and f_M/24 in H_k (f_M sums to 8, 6, 6, 3, 0, 1 per case), which
-    gives D(k) = c + a 4^-k + b 64^-k with the (c, a, b) of
-    ``BRUTE_CLOSED_FORMS``.
+    A class weighs 16 f_M / |G_2|: 1/96 in the full group, where f_M = 1
+    (32, 24, 24, 6, 9, 1 classes per case), and f_M/24 in H_k (f_M sums to
+    8, 6, 6, 3, 0, 1 per case), which gives D(k) = c + a 4^-k + b 64^-k
+    with the (c, a, b) of ``BRUTE_CLOSED_FORMS``.
 
     ``BRUTE_MAX_LEVEL`` = 64 is the range the tests check: a call costs
     about 55 ms there (2-core Xeon VM), and ``_smith_cells`` recurses k deep.
@@ -327,14 +325,11 @@ def brute_report(k: int, group: str = "hk") -> tuple[DensityReport, dict]:
     """
     if not 2 <= k <= BRUTE_MAX_LEVEL:
         raise ValueError(f"brute level must be in 2..{BRUTE_MAX_LEVEL}")
-    if group not in ("hk", "full"):
-        raise ValueError(f"unknown group {group!r}")
-    denom = (6 if group == "hk" else 24) * 64 ** (k - 1)
+    order, table = _group_table(group)
+    denom = order * 64 ** (k - 2)
     class_fracs = {}
     s1 = 0
-    for m, (log4, hits4) in _mod4_image_tables().items():
-        if group == "full":
-            log4, hits4 = 0, 1
+    for m, (log4, hits4) in table.items():
         cells = _smith_cells(_m_minus_i(m, 4), 2, k).items()
         pairs = {t: hits4 * n << (2 * k - t - log4) for t, n in cells}
         class_fracs[m] = Fraction(sum(pairs.values()), denom)
@@ -353,5 +348,4 @@ def resolved_at_level_2(m: Matrix) -> bool:
     For these the finite-level brute fraction equals the analytic limit
     exactly, at every level.
     """
-    det = _det(_m_minus_i(m, 4), 4)
-    return det % 2 == 1 or det == 2
+    return case_label(m) in (CASE_DET_ODD, CASE_DET_2)

@@ -15,7 +15,7 @@ parametrized-root identity guard the transcription in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -163,28 +163,10 @@ class KineticCertificate:
 
     @property
     def all_true(self) -> bool:
-        return all(
-            (
-                self.delta_nonsquare,
-                self.two_delta_nonsquare,
-                self.neg_delta_nonsquare,
-                self.neg_two_delta_nonsquare,
-                self.no_rational_2_torsion,
-                self.j_equation_no_root,
-                self.halving_poly_irreducible,
-            )
-        )
+        return all(self.as_dict().values())
 
     def as_dict(self) -> dict:
-        return {
-            "delta_nonsquare": self.delta_nonsquare,
-            "two_delta_nonsquare": self.two_delta_nonsquare,
-            "neg_delta_nonsquare": self.neg_delta_nonsquare,
-            "neg_two_delta_nonsquare": self.neg_two_delta_nonsquare,
-            "no_rational_2_torsion": self.no_rational_2_torsion,
-            "j_equation_no_root": self.j_equation_no_root,
-            "halving_poly_irreducible": self.halving_poly_irreducible,
-        }
+        return asdict(self)
 
 
 def certify_kinetic_conditions(a, b) -> KineticCertificate:

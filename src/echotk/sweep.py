@@ -301,19 +301,6 @@ def _decide(ps: list[int], parts: tuple, bad: int, overrides: dict):
 _ECHO_PAIR = _prepare(curves.CURVE_E, curves.POINT_P)
 
 
-def has_odd_order(pt: Point, c: Curve) -> bool:
-    """True iff pt has odd order in E(F_p) for the non-singular curve c over F_p."""
-    if c.p is None:
-        raise ValueError("has_odd_order needs a curve over F_p")
-    _check_lane_bound(c.p)
-    if c.is_singular():
-        raise curves.SingularCurveError(f"singular reduction mod {c.p}")
-    pt = curves._fp_point(pt, c)
-    if pt is None:
-        return True
-    return bool(_order_is_odd(*np.array([[c.p, *pt, c.a1, c.a2, c.a3, c.a4]], np.int64).T)[0])
-
-
 def divides_some_term(p: int) -> bool:
     """Whether the prime p divides some sequence term.
 

@@ -159,6 +159,13 @@ def test_f_fraction_lift_stability():
             assert _f_by_sets(lift, 3) == f_base, (m, lift)
 
 
+def test_case_label_depends_only_on_the_mod4_class():
+    for m in density.gl2_mod4():
+        for bits in range(16):
+            lift = tuple(x + 4 * ((bits >> i) & 1) for i, x in enumerate(m))
+            assert density.case_label(lift) == density.case_label(m), lift
+
+
 def test_coset_shift_bijection():
     # |im(M-I) n V_M| = |im(M-I) n V_00| whenever the first is nonempty
     vect = _associated_vectors()
@@ -273,13 +280,22 @@ def test_brute_matches_analytic_on_resolved_classes():
                 assert frac == density.mu_case(m), (k, m)
 
 
+@lru_cache(maxsize=None)
+def _h2_vector_table() -> np.ndarray:
+    """vt[m4_key, v4_key] = whether (v, M) lies in H_2, from H_2's code array
+    (a level-2 code is (v4_key << 8) | m4_key)."""
+    members = np.zeros(1 << 12, dtype=bool)
+    members[aglgroup.h2().code_array] = True
+    return members.reshape(16, 256).T
+
+
 def _brute_oracle(k: int, group: str):
     """Pair counts per mod-4 class of M, and the det(M - I) != 0 count, by
     enumerating im(M - I) for every M in GL_2(Z/2^k)."""
     mod = 1 << k
     mats = _all_matrices(k)
     mats = mats[(mats[:, 0] * mats[:, 3] - mats[:, 1] * mats[:, 2]) % 2 == 1]
-    vt = density._h2_vector_table()
+    vt = _h2_vector_table()
     counts: dict = {}
     s1 = 0
     for lo in range(0, len(mats), 2048):
@@ -324,7 +340,7 @@ def _smith_oracle(k: int, group: str):
     if group == "hk":
         # row key of _all_matrices(2) is the mod-4 key; a packed level-2 vector is its v4 key
         packed, first = _images_np((_all_matrices(2) - np.array([1, 0, 0, 1])) % 4, 2)
-        hits4 = (first & density._h2_vector_table()[np.arange(256)[:, None], packed]).sum(axis=1)
+        hits4 = (first & _h2_vector_table()[np.arange(256)[:, None], packed]).sum(axis=1)
         hits = (hits4[mkey] << log_im) // first.sum(axis=1)[mkey]
     else:
         hits = 1 << log_im

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from echotk import seq
@@ -55,19 +53,6 @@ def test_terms_far_from_the_cache_without_recursion():
         assert fresh.term(600) == -fresh.term(-601), definition
 
 
-def test_residue_cycle_mod3():
-    rc = seq.residue_cycle(3)
-    assert rc.period == 9
-    assert rc.pattern == (1, 1, 2, 1, 0, 2, 1, 2, 2)
-    assert rc.contains_zero
-
-
-def test_residue_cycle_mod5():
-    rc = seq.residue_cycle(5)
-    assert rc.period == 24
-    assert not rc.contains_zero
-
-
 def test_residue_cycle_mod1():
     rc = seq.residue_cycle(1)
     assert rc.period == 1
@@ -91,15 +76,8 @@ def test_residue_patterns_hold_along_the_sequence():
 def test_coprimality_report():
     assert seq.coprimality_report(3)
     assert seq.coprimality_report(10)
-    assert seq.coprimality_report(200)
     with pytest.raises(ValueError):
         seq.coprimality_report(2)
-
-
-def test_explicit_gcds_small_range():
-    for n in range(3, 11):
-        for i in (1, 2, 3):
-            assert math.gcd(seq.term(n), seq.term(n - i)) == 1
 
 
 def test_inexact_division_guard():

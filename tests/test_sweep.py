@@ -144,8 +144,6 @@ def test_engine_on_tiny_primes_with_points_of_order_1_to_4():
     orders = {_naive_order(pt, cp) for pt, cp in rows}
     assert {2, 3, 4} <= orders
     _check_engine(rows)
-    cp7, _ = _reduced(7)
-    assert sweep.has_odd_order(None, cp7)  # order 1: the point at O never reaches a lane
 
 
 def test_engine_at_the_largest_lane_prime():
@@ -194,23 +192,27 @@ def test_lane_bound_fails_loudly():
     assert polyops.is_probable_prime(p)
     cp, _ = _reduced(p)
     with pytest.raises(ValueError, match="lane bound"):
-        sweep.has_odd_order(curves.reduce_point_mod_p(POINT_P, p), cp)
-    with pytest.raises(ValueError, match="lane bound"):
         sweep.group_order(cp)
 
 
-def test_has_odd_order_examples_and_oracle():
-    cp7, _ = _reduced(7)
-    assert sweep.has_odd_order(curves.reduce_point_mod_p(POINT_P, 7), cp7)
-    cp2, _ = _reduced(2)
-    assert sweep.has_odd_order(curves.reduce_point_mod_p(POINT_P, 2), cp2)
-    assert sweep.has_odd_order(None, cp7)
-    for p in sweep.primes_up_to(999):
-        if p in (3, 5):
-            continue
-        cp, _ = _reduced(p)
-        pt = curves.reduce_point_mod_p(POINT_P, p)
-        assert sweep.has_odd_order(pt, cp) == (_naive_order(pt, cp) % 2 == 1), p
+@pytest.mark.parametrize("n, at_o", [(5, 2), (13, 17)])
+def test_density_scan_where_the_point_reduces_to_o(n, at_o):
+    # x(5P) and x(13P) have denominators b_2^2 = 2^2 and b_6^2 = 17^2, so at
+    # one good prime the point reduces to O, of odd order 1, and never
+    # reaches a lane; every prime's decision is the parity of the naive order
+    pt = curves.scalar_mul(n, POINT_P, CURVE_E)
+    ps = sweep.primes_up_to(1000)
+    good = [p for p in ps if _reduced(p)[1]]
+    assert [p for p in good if curves.reduce_point_mod_p(pt, p) is None] == [at_o]
+    odd = {}
+    for p in good:
+        red = curves.reduce_point_mod_p(pt, p)
+        odd[p] = red is None or _naive_order(red, _reduced(p)[0]) % 2 == 1
+    assert sweep._decide(ps, *sweep._prepare(CURVE_E, pt), {}).tolist() == [odd.get(p, False) for p in ps]
+    recs = sweep.density_scan(CURVE_E, pt, 1000, threads=1)
+    assert [(r.x, r.pi_prime, r.pi) for r in recs] == [
+        (x, sum(odd[p] for p in good if p <= x), sum(p <= x for p in ps)) for x in (10, 100, 1000)
+    ]
 
 
 def test_divides_some_term_examples():
