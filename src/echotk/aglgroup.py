@@ -62,10 +62,6 @@ class AglElem(NamedTuple):
         return self[1:]
 
 
-def identity(k: int) -> AglElem:
-    return AglElem(k, 0, 0, 1, 0, 0, 1)
-
-
 def _comp(a: Elem, b: Elem, mask: int) -> Elem:
     a0, a1, a00, a01, a10, a11 = a
     b0, b1, b00, b01, b10, b11 = b
@@ -87,16 +83,6 @@ def _inv(a: Elem, k: int) -> Elem:
     n00, n01 = a11 * di & mask, -a01 * di & mask
     n10, n11 = -a10 * di & mask, a00 * di & mask
     return (-(n00 * a0 + n01 * a1) & mask, -(n10 * a0 + n11 * a1) & mask, n00, n01, n10, n11)
-
-
-def compose(e1: AglElem, e2: AglElem) -> AglElem:
-    if e1.k != e2.k:
-        raise LevelMismatchError(f"levels {e1.k} and {e2.k}")
-    return AglElem(e1.k, *_comp(e1.raw, e2.raw, (1 << e1.k) - 1))
-
-
-def inverse(e: AglElem) -> AglElem:
-    return AglElem(e.k, *_inv(e.raw, e.k))
 
 
 def pack(raw: Elem, k: int) -> int:
@@ -253,20 +239,6 @@ class SubgroupRep:
         for code in self.code_array.tolist():
             yield unpack(code, self.level)
 
-    def reduce(self, k_to: int) -> "SubgroupRep":
-        """Image under coordinate-wise reduction mod 2^k_to."""
-        if not 1 <= k_to <= self.level:
-            raise ValueError("can only reduce to a lower level")
-        reduced = _distinct(_repack(self.code_array, self.level, k_to), 1 << 6 * k_to)
-        gens = tuple(AglElem(k_to, *_reduce_raw(g.raw, k_to)) for g in self.generators)
-        return SubgroupRep(k_to, gens, reduced)
-
-    def matrix_image_size(self) -> int:
-        return _matrix_image_size(self.code_array, self.level)
-
-    def mod2_image_size(self) -> int:
-        return _mod2_image_size(self.code_array, self.level)
-
 
 def closure(gens: Sequence[AglElem], max_size: Optional[int] = None) -> SubgroupRep:
     """Subgroup generated by gens; raises if max_size would be exceeded."""
@@ -302,15 +274,6 @@ def h2() -> SubgroupRep:
     return rep
 
 
-def hk_contains(e: AglElem) -> bool:
-    """Membership in H_k at any level k >= 2: reduce mod 4 and look the code up in H_2."""
-    if e.k < 2:
-        raise ValueError("H_k is defined for k >= 2")
-    codes = h2().code_array
-    code = pack(_reduce_raw(e.raw, 2), 2)
-    return bool(codes[min(np.searchsorted(codes, code), codes.size - 1)] == code)
-
-
 def _kernel_generators(k: int) -> list[AglElem]:
     # generators of ker(level k -> level 2): translations by 4*e_i and
     # unipotent matrices I + 4*E_rs, the level-3 kernel's basis
@@ -336,7 +299,7 @@ def build_hk(k: int) -> SubgroupRep:
     if k == 2:
         return h2()
     if k > 4:
-        raise ResourceBudgetError("H_k materialization is capped at k = 4; use hk_contains")
+        raise ResourceBudgetError("H_k materialization is capped at k = 4; H_k is the mod-4 preimage of h2()")
     gens = [AglElem(k, *g.raw) for g in H2_GENERATORS] + _kernel_generators(k)
     base = _repack(h2().code_array, 2, k)
     lifts = _repack(np.arange(1 << 6 * (k - 2), dtype=np.int64), k - 2, k) << 2
@@ -547,7 +510,7 @@ def _lifted_subgroups(q: SubgroupRep, deadline: float) -> Iterator[tuple[frozens
                 rows.append(row & ((1 << width) - 1))
         rows += [pivot << 6 * i for i in range(len(lifts)) for pivot in w_basis]  # c reduced mod W
         cap = q.order * len(w)
-        w_gens = [pack(_kernel_elem(c, k), k) for c in sorted(w) if c]
+        w_gens = [pack(_kernel_elem(c, k), k) for c in w_basis.values()]
         for c in _f2_solutions(rows, n):
             if time.monotonic() > deadline:
                 raise ResourceBudgetError(f"level-{k} classification budget exceeded")
@@ -666,30 +629,12 @@ COSET_SHIFTS = {
 }
 
 
-def _mat_mul(a: tuple, b: tuple, mask: int) -> tuple:
-    return (
-        (a[0] * b[0] + a[1] * b[2]) & mask,
-        (a[0] * b[1] + a[1] * b[3]) & mask,
-        (a[2] * b[0] + a[3] * b[2]) & mask,
-        (a[2] * b[1] + a[3] * b[3]) & mask,
-    )
-
-
-def _sylow3_is_normal_and_nonabelian(mats: set) -> bool:
-    mask = 3
-    order3 = [m for m in mats if m != (1, 0, 0, 1) and _mat_pow(m, 3, mask) == (1, 0, 0, 1)]
-    nonabelian = any(
-        _mat_mul(a, b, mask) != _mat_mul(b, a, mask) for a in mats for b in mats
-    )
+def _sylow3_is_normal_and_nonabelian(mats: list) -> bool:
+    # mats are level-2 elements (0, M), so _comp multiplies their matrices
+    order3 = [m for m in mats if m != IDENTITY_RAW and _comp(_comp(m, m, 3), m, 3) == IDENTITY_RAW]
+    nonabelian = any(_comp(a, b, 3) != _comp(b, a, 3) for a in mats for b in mats)
     # a unique Sylow-3 subgroup of order 3 shows up as exactly two order-3 elements
     return nonabelian and len(order3) == 2
-
-
-def _mat_pow(m: tuple, n: int, mask: int) -> tuple:
-    out = (1, 0, 0, 1)
-    for _ in range(n):
-        out = _mat_mul(out, m, mask)
-    return out
 
 
 def coset_structure_check(
@@ -705,7 +650,8 @@ def coset_structure_check(
     if h.level != 2 or h.order != 384:
         return False
     j = j_mats if j_mats is not None else _matrix_closure(list(J_GENERATORS), 2)
-    if len(j) != 24 or not _sylow3_is_normal_and_nonabelian(j):
+    j_elems = [(0, 0) + m for m in j]
+    if len(j) != 24 or not _sylow3_is_normal_and_nonabelian(j_elems):
         return False
     cells: dict[tuple, set] = {par: set() for par in COSET_SHIFTS}
     for raw in h.raw_elements():
@@ -715,7 +661,7 @@ def coset_structure_check(
         for par in COSET_SHIFTS
     }
     for par, shift in COSET_SHIFTS.items():
-        coset = {_mat_mul(shift, m, 3) for m in j}
+        coset = {_comp((0, 0) + shift, m, 3)[2:] for m in j_elems}
         expected = {(v0, v1) + m for (v0, v1) in vectors[par] for m in coset}
         if cells[par] != expected:
             return False

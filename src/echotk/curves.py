@@ -22,8 +22,6 @@ from . import seq
 FieldElem = Union[int, Fraction]
 Point = Optional[tuple]  # (x, y) affine, or None for the point at infinity
 
-INFINITY: Point = None
-
 
 class SingularCurveError(ValueError):
     """Operation needs a non-singular curve."""

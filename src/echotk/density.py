@@ -131,13 +131,6 @@ def _group_table(group: str) -> tuple[int, dict]:
     return len(members), table
 
 
-def f_fraction(m: Matrix) -> Fraction:
-    """f_M = |im(M - I) ∩ V_M| / |im(M - I)| at level 2, a value in {0, 1/4, 1/2, 1},
-    where V_M = {v : (v, M) in H_2}."""
-    log4, hits4 = _group_table("hk")[1][tuple(x & 3 for x in m)]
-    return Fraction(hits4, 1 << log4)
-
-
 # ---------------------------------------------------------------------------
 # analytic engine
 

@@ -37,9 +37,6 @@ class FabulousQuartic:
         """Ascending coefficient order, degree 0 first."""
         return (self.c0, self.c1, self.c2, self.c3, Fraction(1))
 
-    def eval(self, x) -> Fraction:
-        return polyops.poly_eval(self.coeffs, Fraction(x))
-
     def rational_roots(self) -> list[Fraction]:
         return polyops.rational_roots(self.coeffs)
 

@@ -246,47 +246,6 @@ def quartic_discriminant(coeffs: Sequence) -> Fraction:
     )
 
 
-def sylvester_resultant(f: Sequence, g: Sequence) -> Fraction:
-    """Res(f, g) via the Sylvester matrix determinant (exact)."""
-    f = [Fraction(c) for c in f]
-    g = [Fraction(c) for c in g]
-    while f and f[-1] == 0:
-        f.pop()
-    while g and g[-1] == 0:
-        g.pop()
-    n, m = len(f) - 1, len(g) - 1
-    if n < 0 or m < 0:
-        raise ValueError("resultant of the zero polynomial")
-    size = n + m
-    rows = []
-    for i in range(m):
-        row = [Fraction(0)] * size
-        for j, c in enumerate(reversed(f)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(n):
-        row = [Fraction(0)] * size
-        for j, c in enumerate(reversed(g)):
-            row[i + j] = c
-        rows.append(row)
-    # fraction-based Gaussian elimination
-    det = Fraction(1)
-    for col in range(size):
-        piv = next((r for r in range(col, size) if rows[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, size):
-            factor = rows[r][col] * inv
-            if factor:
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return det
-
-
 def is_rational_square(q) -> bool:
     """Exact: a rational is a square iff its reduced parts are both squares."""
     q = Fraction(q)

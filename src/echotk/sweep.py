@@ -264,14 +264,17 @@ def _prepare(c: Curve, pt: Point) -> tuple[tuple, int]:
     """The rational pair (c, pt) as (numerator, denominator) pairs of
     x, y, a1, a2, a3, a4, and an integer divisible exactly by the primes at
     which c has no good reduction (a coefficient denominator or the
-    discriminant vanishes)."""
+    discriminant vanishes).  A singular curve raises SingularCurveError."""
     if c.p is not None:
         raise ValueError("the sweep expects a curve over the rationals")
     if pt is None or not c.contains(pt):
         raise ValueError("the swept point must be an affine point on the curve")
+    disc = c.discriminant()
+    if disc == 0:
+        raise curves.SingularCurveError("the swept curve is singular: every prime has bad reduction")
     values = (Fraction(pt[0]), Fraction(pt[1]), c.a1, c.a2, c.a3, c.a4)
     bad = math.prod(v.denominator for v in (c.a1, c.a2, c.a3, c.a4, c.a6))
-    return tuple((v.numerator, v.denominator) for v in values), bad * c.discriminant().numerator
+    return tuple((v.numerator, v.denominator) for v in values), bad * disc.numerator
 
 
 def _decide(ps: list[int], parts: tuple, bad: int, overrides: dict):
@@ -348,23 +351,12 @@ def _sqrt_mod(a: int, p: int) -> int:
     return r
 
 
-def _quartic_rhs_coeffs(a1, a2, a3, a4, a6, p):
-    # completing the square: (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6
-    b2 = (a1 * a1 + 4 * a2) % p
-    b4 = (2 * a4 + a1 * a3) % p
-    b6 = (a3 * a3 + 4 * a6) % p
-    return b2, b4, b6
-
-
-def _count_exhaustive(a1, a2, a3, a4, a6, p) -> int:
+def _count_exhaustive(c: Curve) -> int:
+    p = c.p
     if p == 2:
-        n = 1
-        for x in range(2):
-            for y in range(2):
-                if (y * y + a1 * x * y + a3 * y - (x**3 + a2 * x * x + a4 * x + a6)) % 2 == 0:
-                    n += 1
-        return n
-    b2, b4, b6 = _quartic_rhs_coeffs(a1, a2, a3, a4, a6, p)
+        return 1 + sum(c.contains((x, y)) for x in range(2) for y in range(2))
+    # completing the square: (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6
+    b2, b4, b6, _ = c.b_invariants()
     # precompute the squares table once; membership gives the character
     squares = bytearray(p)
     for z in range((p + 1) // 2):
@@ -378,39 +370,42 @@ def _count_exhaustive(a1, a2, a3, a4, a6, p) -> int:
     return n
 
 
-def _random_point(a1, a2, a3, a4, a6, p, rng) -> tuple[int, int]:
-    b2, b4, b6 = _quartic_rhs_coeffs(a1, a2, a3, a4, a6, p)
+def _random_point(c: Curve, rng) -> tuple[int, int]:
+    p = c.p
+    b2, b4, b6, _ = c.b_invariants()
     inv2 = pow(2, -1, p)
     while True:
         x = rng.randrange(p)
         g = (4 * x * x * x + b2 * x * x + 2 * b4 * x + b6) % p
         if _legendre(g, p) >= 0:
             z = _sqrt_mod(g, p)
-            return (x, (z - a1 * x - a3) * inv2 % p)
+            return (x, (z - c.a1 * x - c.a3) * inv2 % p)
 
 
-def _order_from_multiple(pt, multiple, a1, a2, a3, a4, p) -> int:
+def _order_from_multiple(pt, multiple, c: Curve) -> int:
     d = multiple
     for q, e in factorize(multiple).items():
         for _ in range(e):
-            if _fp_mul(d // q, pt, a1, a2, a3, a4, p) is None:
+            if _fp_mul(d // q, pt, c.a1, c.a2, c.a3, c.a4, c.p) is None:
                 d //= q
             else:
                 break
     return d
 
 
-def _group_order_fp(a1, a2, a3, a4, a6, p) -> int:
+def _group_order_fp(c: Curve) -> int:
+    p = c.p
     if p < EXHAUSTIVE_LIMIT:
-        return _count_exhaustive(a1, a2, a3, a4, a6, p)
+        return _count_exhaustive(c)
     T = math.isqrt(4 * p)
     lo, hi = p + 1 - T, p + 1 + T
     rng = random.Random(p)
-    pts = [_random_point(a1, a2, a3, a4, a6, p, rng) for _ in range(MAX_ORDER_SAMPLES)]
-    multiples = _annihilating_multiples(*np.array([(p, *pt, a1, a2, a3, a4) for pt in pts], np.int64).T)
+    pts = [_random_point(c, rng) for _ in range(MAX_ORDER_SAMPLES)]
+    lanes = np.array([(p, *pt, c.a1, c.a2, c.a3, c.a4) for pt in pts], np.int64)
+    multiples = _annihilating_multiples(*lanes.T)
     lcm = 1
     for pt, m in zip(pts, multiples.tolist()):
-        d = _order_from_multiple(pt, m, a1, a2, a3, a4, p)
+        d = _order_from_multiple(pt, m, c)
         lcm = lcm * d // math.gcd(lcm, d)
         first = ((lo + lcm - 1) // lcm) * lcm
         if first > hi:  # impossible: the true order is a multiple of lcm in range
@@ -419,7 +414,7 @@ def _group_order_fp(a1, a2, a3, a4, a6, p) -> int:
             return first
     if p > EXHAUSTIVE_FALLBACK_CAP:
         raise AmbiguousOrderError(f"order ambiguous mod {p} after {MAX_ORDER_SAMPLES} samples")
-    return _count_exhaustive(a1, a2, a3, a4, a6, p)
+    return _count_exhaustive(c)
 
 
 def group_order(c: Curve) -> int:
@@ -429,7 +424,7 @@ def group_order(c: Curve) -> int:
     _check_lane_bound(c.p)
     if c.is_singular():
         raise curves.SingularCurveError(f"singular reduction mod {c.p}")
-    return _group_order_fp(c.a1, c.a2, c.a3, c.a4, c.a6, c.p)
+    return _group_order_fp(c)
 
 
 # ---------------------------------------------------------------------------
@@ -539,11 +534,13 @@ def _run_sweep(
         if checkpoint_path:
             Checkpoint(hi - 1, pi, prime_hits, tuple(records)).save(checkpoint_path)
 
-    if threads == 1:
+    # a fork-started pool forks every worker at the first submit, so never ask for idle ones
+    workers = min(threads, len(tasks))
+    if workers <= 1:
         for task in tasks:
             consume(task, _sweep_chunk(task))
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for task, results in zip(tasks, pool.map(_sweep_chunk, tasks, chunksize=1)):
                 consume(task, results)
     return records

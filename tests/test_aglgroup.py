@@ -7,27 +7,30 @@ import pytest
 from echotk import aglgroup as ag
 
 
+def _reduced(codes, k, k_to):
+    """Sorted codes of the image of a level-k code array under reduction mod 2^k_to."""
+    return ag._distinct(ag._repack(codes, k, k_to), 1 << 6 * k_to)
+
+
 def test_compose_identity_and_translations():
-    e = ag.AglElem(2, 1, 2, 2, 1, 3, 0)
-    assert ag.compose(ag.identity(2), e) == e
-    assert ag.compose(e, ag.identity(2)) == e
-    t1 = ag.AglElem(2, 1, 0, 1, 0, 0, 1)
-    t2 = ag.AglElem(2, 0, 1, 1, 0, 0, 1)
-    assert ag.compose(t1, t2) == ag.AglElem(2, 1, 1, 1, 0, 0, 1)
+    e = (1, 2, 2, 1, 3, 0)
+    assert ag._comp(ag.IDENTITY_RAW, e, 3) == e
+    assert ag._comp(e, ag.IDENTITY_RAW, 3) == e
+    assert ag._comp((1, 0, 1, 0, 0, 1), (0, 1, 1, 0, 0, 1), 3) == (1, 1, 1, 0, 0, 1)
 
 
-def test_compose_level_mismatch():
+def test_closure_level_mismatch():
     with pytest.raises(ag.LevelMismatchError):
-        ag.compose(ag.identity(2), ag.identity(3))
+        ag.closure([ag.AglElem(2, *ag.IDENTITY_RAW), ag.AglElem(3, *ag.IDENTITY_RAW)])
 
 
 def test_inverses_random():
     rng = random.Random(0)
     pool = sorted(ag.full_agl(2).raw_elements())
     for _ in range(100):
-        e = ag.AglElem(2, *rng.choice(pool))
-        assert ag.compose(e, ag.inverse(e)) == ag.identity(2)
-        assert ag.compose(ag.inverse(e), e) == ag.identity(2)
+        e = rng.choice(pool)
+        assert ag._comp(e, ag._inv(e, 2), 3) == ag.IDENTITY_RAW
+        assert ag._comp(ag._inv(e, 2), e, 3) == ag.IDENTITY_RAW
 
 
 def test_pack_unpack_roundtrip():
@@ -42,7 +45,7 @@ def test_closure_examples():
     assert ag.h2().order == 384
     assert ag.full_agl(2).order == 1536
     assert ag.full_agl(1).order == 24
-    assert ag.closure([ag.identity(2)]).order == 1
+    assert ag.closure([ag.AglElem(2, *ag.IDENTITY_RAW)]).order == 1
 
 
 def test_group_order_formulas():
@@ -50,13 +53,13 @@ def test_group_order_formulas():
     for k in (1, 2, 3):
         full = ag.full_agl(k)
         assert full.order == 24 * 64 ** (k - 1)
-        assert full.matrix_image_size() == 6 * 16 ** (k - 1)
+        assert ag._matrix_image_size(full.code_array, k) == 6 * 16 ** (k - 1)
 
 
 def test_is_kinetic():
     assert ag.is_kinetic(ag.h2())
     assert ag.is_kinetic(ag.full_agl(2))
-    assert not ag.is_kinetic(ag.closure([ag.identity(2)]))
+    assert not ag.is_kinetic(ag.closure([ag.AglElem(2, *ag.IDENTITY_RAW)]))
 
 
 def test_build_hk_orders_and_index():
@@ -70,13 +73,13 @@ def test_build_hk_orders_and_index():
 def test_build_hk_surjectivity():
     for k in (2, 3, 4):
         rep = ag.build_hk(k)
-        assert rep.matrix_image_size() == ag.GL_ORDERS[k]
-        assert rep.mod2_image_size() == 24
+        assert ag._matrix_image_size(rep.code_array, k) == ag.GL_ORDERS[k]
+        assert ag._mod2_image_size(rep.code_array, k) == 24
 
 
 def test_build_hk_reduction_tower():
     for k in (3, 4):
-        assert ag.build_hk(k).reduce(k - 1).codes == ag.build_hk(k - 1).codes
+        assert np.array_equal(_reduced(ag.build_hk(k).code_array, k, k - 1), ag.build_hk(k - 1).code_array)
 
 
 def test_build_hk_generators_generate():
@@ -88,19 +91,15 @@ def test_build_hk_generators_generate():
 
 def test_hk_membership_predicate():
     # exhaustive over AGL_2(Z/8): the lifted H_3 is exactly the mod-4 preimage of H_2
-    members = {
-        code for code in ag.full_agl(3).codes if ag.hk_contains(ag.AglElem(3, *ag.unpack(code, 3)))
-    }
-    assert ag.build_hk(3).codes == members
-    # works at levels beyond materialization
-    assert ag.hk_contains(ag.AglElem(6, 0, 0, 1, 0, 0, 1))
+    full = ag.full_agl(3).code_array
+    members = full[np.isin(ag._repack(full, 3, 2), ag.h2().code_array)]
+    assert np.array_equal(ag.build_hk(3).code_array, members)
 
 
 def test_every_subgroup_is_a_sorted_read_only_code_array():
-    reps = [ag.h2(), ag.closure(list(ag.H2_GENERATORS)), ag.closure([ag.identity(3)])]
+    reps = [ag.h2(), ag.closure(list(ag.H2_GENERATORS)), ag.closure([ag.AglElem(3, *ag.IDENTITY_RAW)])]
     reps += [ag.build_hk(k) for k in (2, 3, 4)] + [ag.full_agl(k) for k in (1, 2, 3)]
     reps += [c.representative for k in (2, 3) for c in ag.classify_kinetic(k)]
-    reps += [rep.reduce(k_to) for rep in reps for k_to in range(1, rep.level + 1)]
     for rep in reps:
         codes = rep.code_array
         assert codes.dtype == np.int64
@@ -113,21 +112,8 @@ def test_every_subgroup_is_a_sorted_read_only_code_array():
     assert np.array_equal(ag.closure(list(ag.H2_GENERATORS)).code_array, ag.h2().code_array)
 
 
-def test_hk_contains_every_level2_code():
-    # all 4096 level-2 codes, so both sides of H_2's smallest and largest code are asked
-    h2 = ag.h2().code_array
-    assert 0 < h2[0] and h2[-1] < 4095
-    members = set(h2.tolist())
-    for code in range(4096):
-        raw = ag.unpack(code, 2)
-        assert ag.hk_contains(ag.AglElem(2, *raw)) == (code in members), raw
-        # the same element with high bits set at level 5 reduces to the same answer
-        lifted = tuple(x + 4 * (i % 3) for i, x in enumerate(raw))
-        assert ag.hk_contains(ag.AglElem(5, *lifted)) == (code in members), raw
-
-
 def test_build_hk_materialization_cap():
-    with pytest.raises(ag.ResourceBudgetError):
+    with pytest.raises(ag.ResourceBudgetError, match="mod-4 preimage of h2"):
         ag.build_hk(5)
 
 
@@ -235,11 +221,12 @@ def test_closure_engine_matches_oracle_on_random_generators():
             assert _engine_and_oracle(gens, k, max_size=len(want) - 1) is None
             assert len(_engine_and_oracle(gens, k, max_size=len(want))) == len(want)
             # image sizes and reductions agree with the tuple definitions
-            rep = ag.SubgroupRep(k, (), np.array(sorted(ag.pack(e, k) for e in want), dtype=np.int64))
-            assert rep.matrix_image_size() == len({e[2:] for e in want})
-            assert rep.mod2_image_size() == len({ag._reduce_raw(e, 1) for e in want})
+            codes = np.array(sorted(ag.pack(e, k) for e in want), dtype=np.int64)
+            assert ag._matrix_image_size(codes, k) == len({e[2:] for e in want})
+            assert ag._mod2_image_size(codes, k) == len({ag._reduce_raw(e, 1) for e in want})
             for k_to in range(1, k + 1):
-                assert rep.reduce(k_to).codes == {ag.pack(ag._reduce_raw(e, k_to), k_to) for e in want}
+                want_codes = sorted({ag.pack(ag._reduce_raw(e, k_to), k_to) for e in want})
+                assert _reduced(codes, k, k_to).tolist() == want_codes
     assert aborted > 10
 
 
@@ -387,7 +374,7 @@ def _lift_oracle(q):
                 continue
             in_kernel = got[ag._repack(got, k, k - 1) == ag.pack(ag.IDENTITY_RAW, k - 1)]
             assert {ag._kernel_code(ag.unpack(e, k), k) for e in in_kernel.tolist()} == w
-            assert ag.SubgroupRep(k, (), got).reduce(k - 1).codes == q.codes
+            assert np.array_equal(_reduced(got, k, k - 1), q.code_array)
             found.add(got.tobytes())
         out[w] = found
     return out

@@ -109,10 +109,16 @@ def test_image_size_det_relation_random_levels_3_4():
         assert (sizes == (1 << (2 * k)) >> val).all()
 
 
+def _f(m) -> Fraction:
+    """f_M = |im(M - I) ∩ V_M| / |im(M - I)| at level 2, from the H_k group table."""
+    log, hits = density._group_table("hk")[1][tuple(x & 3 for x in m)]
+    return Fraction(hits, 1 << log)
+
+
 def test_f_fraction_values_and_case2():
     values = {}
     for m in density.gl2_mod4():
-        f = density.f_fraction(m)
+        f = _f(m)
         assert f in (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)), m
         values[m] = f
     # the twelve contributing matrices with det(M - I) = 2 mod 4 all have f = 1/2
@@ -126,7 +132,7 @@ def test_f_fraction_values_and_case2():
 
 
 def test_f_fraction_identity_matrix():
-    assert density.f_fraction((1, 0, 0, 1)) == 1  # im = {0} inside V_I
+    assert _f((1, 0, 0, 1)) == 1  # im = {0} inside V_I
 
 
 @lru_cache(maxsize=None)
@@ -152,7 +158,7 @@ def test_f_fraction_lift_stability():
     # the engine's table agrees with set enumeration, and every mod-8 lift
     # of every M in GL_2(Z/4) has the same f as M
     for m in density.gl2_mod4():
-        f_base = density.f_fraction(m)
+        f_base = _f(m)
         assert _f_by_sets(m, 2) == f_base, m
         for bits in range(16):
             lift = tuple(m[i] + 4 * ((bits >> i) & 1) for i in range(4))
@@ -201,7 +207,7 @@ def test_mu_case_examples():
     m_case3 = next(
         m
         for m in density.gl2_mod4()
-        if density.case_label(m) == density.CASE_DET_0_ODD and density.f_fraction(m) != 0
+        if density.case_label(m) == density.CASE_DET_0_ODD and _f(m) != 0
     )
     assert density.mu_case(m_case3) == Fraction(1, 96) * Fraction(1, 3)
     assert density.mu_case((1, 0, 0, 1)) == Fraction(1, 672)
@@ -380,7 +386,7 @@ def test_brute_level_bounds():
 def test_f_fraction_exact_distribution():
     from collections import Counter
 
-    dist = Counter(density.f_fraction(m) for m in density.gl2_mod4())
+    dist = Counter(_f(m) for m in density.gl2_mod4())
     assert dist == {
         Fraction(0): 36,
         Fraction(1, 4): 32,

@@ -36,7 +36,7 @@ def test_group_order_bsgs_matches_exhaustive():
             continue
         cp, _ = _reduced(p)
         n_bsgs = sweep.group_order(cp)
-        n_exh = sweep._count_exhaustive(cp.a1, cp.a2, cp.a3, cp.a4, cp.a6, p)
+        n_exh = sweep._count_exhaustive(cp)
         assert n_bsgs == n_exh, p
 
 
@@ -47,7 +47,7 @@ def test_group_order_hasse_and_annihilation():
         n = sweep.group_order(cp)
         assert abs(n - (p + 1)) <= 2 * math.isqrt(p) + 1
         for _ in range(20):
-            pt = sweep._random_point(cp.a1, cp.a2, cp.a3, cp.a4, cp.a6, p, rng)
+            pt = sweep._random_point(cp, rng)
             assert curves._fp_mul(n, pt, cp.a1, cp.a2, cp.a3, cp.a4, p) is None
 
 
@@ -153,7 +153,7 @@ def test_engine_at_the_largest_lane_prime():
     assert good
     rng = random.Random(11)
     pts = [curves.reduce_point_mod_p(POINT_P, p)]
-    pts += [sweep._random_point(cp.a1, cp.a2, cp.a3, cp.a4, cp.a6, p, rng) for _ in range(3)]
+    pts += [sweep._random_point(cp, rng) for _ in range(3)]
     lanes = _lanes([(pt, cp) for pt in pts])
     multiples = sweep._annihilating_multiples(*lanes).tolist()
     decisions = sweep._order_is_odd(*lanes).tolist()
@@ -272,10 +272,41 @@ def test_sweep_non_decade_endpoint():
 
 
 def test_sweep_thread_count_invariance():
-    want = [(r.x, r.pi_prime, r.pi) for r in sweep.sweep(10_000, threads=1)]
-    for threads in (4, 8):
-        got = [(r.x, r.pi_prime, r.pi) for r in sweep.sweep(10_000, threads=threads)]
+    # three segments, so both thread counts run a real pool (of 2 and of 3 workers)
+    x = 3 * sweep.SEGMENT_SIZE
+    want = [(r.x, r.pi_prime, r.pi) for r in sweep.sweep(x, threads=1)]
+    for threads in (2, 8):
+        got = [(r.x, r.pi_prime, r.pi) for r in sweep.sweep(x, threads=threads)]
         assert got == want, threads
+
+
+def test_sweep_asks_for_no_more_workers_than_tasks(monkeypatch):
+    made = []
+
+    class RecordingPool:
+        """Records max_workers and maps in this process: no worker is started."""
+
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+    want = [(r.x, r.pi_prime, r.pi) for r in sweep.sweep(sweep.SEGMENT_SIZE + 2, threads=1)]
+    # one task runs in-process, whatever the thread count
+    assert sweep.sweep(100, threads=64)[-1].pi == 25
+    assert made == []
+    # two tasks ask for two workers
+    got = [(r.x, r.pi_prime, r.pi) for r in sweep.sweep(sweep.SEGMENT_SIZE + 2, threads=64)]
+    assert made == [2]
+    assert got == want
 
 
 def test_thread_count_must_be_positive():
@@ -284,6 +315,14 @@ def test_thread_count_must_be_positive():
             sweep.sweep(100, threads=threads)
         with pytest.raises(ValueError):
             sweep.density_scan(CURVE_E, POINT_P, 100, threads=threads)
+
+
+def test_density_scan_rejects_a_singular_curve():
+    # y^2 = x^3 has bad reduction everywhere: a table of zeros would hide that
+    cusp = curves.Curve(0, 0, 0, 0, 0)
+    assert cusp.contains((1, 1))
+    with pytest.raises(curves.SingularCurveError):
+        sweep.density_scan(cusp, (1, 1), 100, threads=1)
 
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -332,4 +371,4 @@ def test_character_sum_count_matches_naive_enumeration():
             for y in range(p):
                 if cp.contains((x, y)):
                     naive += 1
-        assert sweep._count_exhaustive(cp.a1, cp.a2, cp.a3, cp.a4, cp.a6, p) == naive, p
+        assert sweep._count_exhaustive(cp) == naive, p
