@@ -28,7 +28,6 @@ linear solve per (Q, W) yields every valid lift, and only those are closed.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -43,7 +42,7 @@ class LevelMismatchError(ValueError):
 
 
 class ResourceBudgetError(RuntimeError):
-    """Classification exceeded its configured time or size budget."""
+    """A materialization exceeded its configured size cap."""
 
 
 class AglElem(NamedTuple):
@@ -240,17 +239,14 @@ class SubgroupRep:
             yield unpack(code, self.level)
 
 
-def closure(gens: Sequence[AglElem], max_size: Optional[int] = None) -> SubgroupRep:
-    """Subgroup generated by gens; raises if max_size would be exceeded."""
+def closure(gens: Sequence[AglElem]) -> SubgroupRep:
+    """Subgroup generated by gens."""
     if not gens:
         raise ValueError("need at least one generator")
     k = gens[0].k
     if any(g.k != k for g in gens):
         raise LevelMismatchError("generators at mixed levels")
-    out = _closure_codes([pack(_reduce_raw(g.raw, k), k) for g in gens], k, max_size=max_size)
-    if out is None:
-        raise ResourceBudgetError(f"closure exceeded the size cap {max_size}")
-    return SubgroupRep(k, tuple(gens), out)
+    return SubgroupRep(k, tuple(gens), _closure_codes([pack(_reduce_raw(g.raw, k), k) for g in gens], k))
 
 
 def is_kinetic(g: SubgroupRep) -> bool:
@@ -479,7 +475,7 @@ def _lift_relations(lifts: Sequence[Elem], k: int) -> list[int]:
     return list(_f2_echelon(relations).values())
 
 
-def _lifted_subgroups(q: SubgroupRep, deadline: float) -> Iterator[tuple[frozenset, np.ndarray]]:
+def _lifted_subgroups(q: SubgroupRep) -> Iterator[tuple[frozenset, np.ndarray]]:
     """(W, sorted codes of G) for each G one level above q with image q and W = G & K stable.
 
     G is generated by W and lifts g_i = kappa(c_i) * q.generators[i].  The
@@ -512,8 +508,6 @@ def _lifted_subgroups(q: SubgroupRep, deadline: float) -> Iterator[tuple[frozens
         cap = q.order * len(w)
         w_gens = [pack(_kernel_elem(c, k), k) for c in w_basis.values()]
         for c in _f2_solutions(rows, n):
-            if time.monotonic() > deadline:
-                raise ResourceBudgetError(f"level-{k} classification budget exceeded")
             gens = [pack(_comp(_kernel_elem(c >> 6 * i & 63, k), g, mask), k) for i, g in enumerate(lifts)]
             got = _closure_codes(gens + w_gens, k, max_size=cap)
             assert got is not None and got.size == cap, "a solved lift left W or Q"
@@ -559,7 +553,7 @@ class KineticClass:
         return self.representative.order
 
 
-def classify_kinetic(k: int, budget_seconds: float = 3600.0) -> list[KineticClass]:
+def classify_kinetic(k: int) -> list[KineticClass]:
     """All kinetic subgroups at level k in {2, 3}, up to conjugacy.
 
     Exhaustive: a kinetic subgroup maps onto a kinetic subgroup one level
@@ -570,12 +564,11 @@ def classify_kinetic(k: int, budget_seconds: float = 3600.0) -> list[KineticClas
     """
     if k not in (2, 3):
         raise ValueError("classification is implemented for k in {2, 3}")
-    deadline = time.monotonic() + budget_seconds
     if k == 2:
         quotients = [full_agl(1)]
     else:
-        quotients = [c.representative for c in classify_kinetic(k - 1, deadline - time.monotonic())]
-    groups = [got for q in quotients for _, got in _lifted_subgroups(q, deadline) if _is_kinetic(got, k)]
+        quotients = [c.representative for c in classify_kinetic(k - 1)]
+    groups = [got for q in quotients for _, got in _lifted_subgroups(q) if _is_kinetic(got, k)]
     transversal = full_agl(k).code_array
     classes: list[list[np.ndarray]] = []
     for g in groups:

@@ -376,11 +376,6 @@ def run(argv: Sequence[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(list(argv))
-        if getattr(args, "threads", 1) is None:  # no --threads: ECHO_THREADS or the CPU count
-            try:
-                args.threads = sweep.default_threads()
-            except ValueError as exc:
-                parser.error(str(exc))
         if args.command == "seq" and args.start > args.to:
             parser.error(f"seq: --from {args.start} exceeds --to {args.to}")
     except SystemExit as exc:

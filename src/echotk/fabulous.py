@@ -252,10 +252,13 @@ def family_report(
     return report_for_pair(a, b, t=t, sweep_x=sweep_x, threads=threads)
 
 
-def find_control_pair(search_bound: int = 6) -> tuple[Fraction, Fraction]:
+CONTROL_SEARCH_HEIGHT = 6  # the largest max(|a|, |b|) find_control_pair tries
+
+
+def find_control_pair() -> tuple[Fraction, Fraction]:
     """Smallest integer pair (a, b) whose certificate is all-true while the
     attached quartic has no rational root (a full-image control)."""
-    for height in range(1, search_bound + 1):
+    for height in range(1, CONTROL_SEARCH_HEIGHT + 1):
         for a in range(-height, height + 1):
             for b in range(-height, height + 1):
                 if b == 0 or max(abs(a), abs(b)) != height:
@@ -268,4 +271,4 @@ def find_control_pair(search_bound: int = 6) -> tuple[Fraction, Fraction]:
                     continue
                 if not fabulous_poly(a, b).rational_roots():
                     return Fraction(a), Fraction(b)
-    raise RuntimeError(f"no control pair within height {search_bound}")
+    raise RuntimeError(f"no control pair within height {CONTROL_SEARCH_HEIGHT}")

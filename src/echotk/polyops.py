@@ -1,27 +1,16 @@
-"""Exact polynomial and integer helpers: prime sieves, factorization,
-rational roots, quartic discriminants, and degree-4 irreducibility over
-the rationals.
+"""Exact polynomial and integer helpers: prime sieves, rational roots,
+quartic discriminants, and degree-4 irreducibility over the rationals.
 
 Polynomials are coefficient sequences in ascending order.  Rational roots
 come from exact integer root isolation on a monic integer transform, with
-no factoring.  factorize uses trial division up to a fixed bound with a
-deterministic Miller-Rabin test for the cofactor, and refuses (loudly)
-inputs whose factorization falls outside that reach.
+no factoring.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
-
-TRIAL_DIVISION_BOUND = 1_000_000
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_LIMIT = 3_317_044_064_679_887_385_961_981  # deterministic below this
-
-
-class FactorizationError(ArithmeticError):
-    """Integer outside the configured factorization reach."""
+from typing import Iterable, Sequence
 
 
 def primes_up_to(bound: int) -> list[int]:
@@ -50,84 +39,6 @@ def primes_in_range(lo: int, hi: int, base: Sequence[int]) -> Iterable[int]:
     for i, fl in enumerate(seg):
         if fl:
             yield lo + i
-
-
-def is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if n in small:
-        return True
-    if any(n % p == 0 for p in small):
-        return False
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-_PRIME_CACHE: list[int] = []  # every prime up to _PRIME_CACHE_LIMIT
-_PRIME_CACHE_LIMIT = 0
-
-
-def _trial_primes() -> Iterator[int]:
-    """Every prime up to TRIAL_DIVISION_BOUND in order, sieved into a shared cache on demand.
-
-    The cache at least doubles when a caller runs past its end, so a caller
-    that stops at isqrt(n) sieves only to about twice that.
-    """
-    global _PRIME_CACHE, _PRIME_CACHE_LIMIT
-    i = 0
-    while True:
-        if i == len(_PRIME_CACHE):
-            if _PRIME_CACHE_LIMIT >= TRIAL_DIVISION_BOUND:
-                return
-            _PRIME_CACHE_LIMIT = min(max(1024, 2 * _PRIME_CACHE_LIMIT), TRIAL_DIVISION_BOUND)
-            _PRIME_CACHE = primes_up_to(_PRIME_CACHE_LIMIT)
-        yield _PRIME_CACHE[i]
-        i += 1
-
-
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n| (n nonzero).
-
-    Trial division stops at the first prime p with p^2 above the cofactor,
-    or after every prime up to TRIAL_DIVISION_BOUND; either way a cofactor
-    below the bound squared has no prime factor up to its square root.
-    """
-    if n == 0:
-        raise ValueError("cannot factor 0")
-    n = abs(n)
-    out: dict[int, int] = {}
-    for p in _trial_primes():
-        if p * p > n:
-            break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    if n > 1:
-        if n < TRIAL_DIVISION_BOUND * TRIAL_DIVISION_BOUND:
-            out[n] = out.get(n, 0) + 1  # below the trial square: must be prime
-        else:
-            root = math.isqrt(n)
-            if root * root == n and is_probable_prime(root) and root < _MR_LIMIT:
-                out[root] = out.get(root, 0) + 2
-            elif n < _MR_LIMIT and is_probable_prime(n):
-                out[n] = out.get(n, 0) + 1
-            else:
-                raise FactorizationError(f"cofactor {n} beyond factorization bound")
-    return out
 
 
 def poly_eval(coeffs: Sequence, x):

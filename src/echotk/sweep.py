@@ -11,15 +11,17 @@ coordinates, one batched inversion per lane, and sorted keys to match
 baby and giant steps.  Lanes hold primes up to LANE_PRIME_MAX = 2^31 - 1;
 larger primes raise ValueError.  The same engine scans any rational
 curve/point pair.  The sweep is parallel over contiguous prime ranges and
-its counts are exact and independent of the worker count.  Full group
-orders (group_order) remain as an oracle for the tests.
+its counts are exact and independent of the worker count.
+
+group_order counts #E(F_p) by an exhaustive character sum over every x in
+F_p, for p up to EXHAUSTIVE_MAX.  It shares no code with the lanes, so the
+tests and the benchmark probes check the lanes against it.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
@@ -29,33 +31,17 @@ from typing import Optional
 import numpy as np
 
 from . import curves
-from .curves import Curve, Point, _fp_mul
-from .polyops import factorize, primes_in_range, primes_up_to
+from .curves import Curve, Point
+from .polyops import primes_in_range, primes_up_to
 
 SEGMENT_SIZE = 1 << 16
-EXHAUSTIVE_LIMIT = 100          # below this, group_order counts points by character sum
-MAX_ORDER_SAMPLES = 12
-EXHAUSTIVE_FALLBACK_CAP = 10_000_000
+EXHAUSTIVE_MAX = 1 << 22  # group_order's largest p: a few int64 arrays of length p
 
 _BAD_DIVIDES = {3: True, 5: False}  # bad-reduction primes of E, settled by residue cycles
 
 
 class AmbiguousOrderError(RuntimeError):
-    """Group order not pinned down and the modulus is too large to enumerate."""
-
-
-def default_threads() -> int:
-    """ECHO_THREADS when set (a positive integer), else the CPU count."""
-    env = os.environ.get("ECHO_THREADS")
-    if not env:
-        return os.cpu_count() or 1
-    try:
-        value = int(env)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(f"invalid ECHO_THREADS value {env!r}: expected a positive integer")
-    return value
+    """A lane's baby-step giant-step search found no multiple of its point's order."""
 
 
 # ---------------------------------------------------------------------------
@@ -315,116 +301,32 @@ def divides_some_term(p: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# full group orders: the oracle the tests check point counting against
-
-
-def _legendre(a: int, p: int) -> int:
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
-
-
-def _sqrt_mod(a: int, p: int) -> int:
-    """Tonelli-Shanks; a must be a quadratic residue mod odd prime p."""
-    a %= p
-    if a == 0:
-        return 0
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while _legendre(z, p) != -1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        t2, i = t, 0
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
-
-
-def _count_exhaustive(c: Curve) -> int:
-    p = c.p
-    if p == 2:
-        return 1 + sum(c.contains((x, y)) for x in range(2) for y in range(2))
-    # completing the square: (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6
-    b2, b4, b6, _ = c.b_invariants()
-    # precompute the squares table once; membership gives the character
-    squares = bytearray(p)
-    for z in range((p + 1) // 2):
-        squares[z * z % p] = 1
-    n = p + 1
-    for x in range(p):
-        g = (4 * x * x * x + b2 * x * x + 2 * b4 * x + b6) % p
-        if g == 0:
-            continue
-        n += 1 if squares[g] else -1
-    return n
-
-
-def _random_point(c: Curve, rng) -> tuple[int, int]:
-    p = c.p
-    b2, b4, b6, _ = c.b_invariants()
-    inv2 = pow(2, -1, p)
-    while True:
-        x = rng.randrange(p)
-        g = (4 * x * x * x + b2 * x * x + 2 * b4 * x + b6) % p
-        if _legendre(g, p) >= 0:
-            z = _sqrt_mod(g, p)
-            return (x, (z - c.a1 * x - c.a3) * inv2 % p)
-
-
-def _order_from_multiple(pt, multiple, c: Curve) -> int:
-    d = multiple
-    for q, e in factorize(multiple).items():
-        for _ in range(e):
-            if _fp_mul(d // q, pt, c.a1, c.a2, c.a3, c.a4, c.p) is None:
-                d //= q
-            else:
-                break
-    return d
-
-
-def _group_order_fp(c: Curve) -> int:
-    p = c.p
-    if p < EXHAUSTIVE_LIMIT:
-        return _count_exhaustive(c)
-    T = math.isqrt(4 * p)
-    lo, hi = p + 1 - T, p + 1 + T
-    rng = random.Random(p)
-    pts = [_random_point(c, rng) for _ in range(MAX_ORDER_SAMPLES)]
-    lanes = np.array([(p, *pt, c.a1, c.a2, c.a3, c.a4) for pt in pts], np.int64)
-    multiples = _annihilating_multiples(*lanes.T)
-    lcm = 1
-    for pt, m in zip(pts, multiples.tolist()):
-        d = _order_from_multiple(pt, m, c)
-        lcm = lcm * d // math.gcd(lcm, d)
-        first = ((lo + lcm - 1) // lcm) * lcm
-        if first > hi:  # impossible: the true order is a multiple of lcm in range
-            raise AmbiguousOrderError(f"no multiple of {lcm} in Hasse interval mod {p}")
-        if first + lcm > hi:
-            return first
-    if p > EXHAUSTIVE_FALLBACK_CAP:
-        raise AmbiguousOrderError(f"order ambiguous mod {p} after {MAX_ORDER_SAMPLES} samples")
-    return _count_exhaustive(c)
+# full group orders: the oracle the tests check the lanes against
 
 
 def group_order(c: Curve) -> int:
-    """#E(F_p) for a non-singular curve over a prime field."""
-    if c.p is None:
+    """#E(F_p) for a non-singular curve over a prime field p <= EXHAUSTIVE_MAX.
+
+    p = 2 enumerates the four affine pairs.  Otherwise completing the square
+    gives (2y + a1 x + a3)^2 = g(x) = 4x^3 + b2 x^2 + 2 b4 x + b6, so each x
+    has 1 + chi(g(x)) points over it: #E = 1 + #{g = 0} + 2 #{g a nonzero
+    square}, counted over every x in F_p at once.
+    """
+    p = c.p
+    if p is None:
         raise ValueError("group_order needs a curve over F_p")
-    _check_lane_bound(c.p)
+    if p > EXHAUSTIVE_MAX:
+        raise ValueError(f"group_order counts points exhaustively, so p must be <= {EXHAUSTIVE_MAX}")
     if c.is_singular():
-        raise curves.SingularCurveError(f"singular reduction mod {c.p}")
-    return _group_order_fp(c)
+        raise curves.SingularCurveError(f"singular reduction mod {p}")
+    if p == 2:
+        return 1 + sum(c.contains((x, y)) for x in range(2) for y in range(2))
+    b2, b4, b6, _ = c.b_invariants()
+    x = np.arange(p, dtype=np.int64)
+    g = (((4 * x + b2) * x + 2 * b4) % p * x + b6) % p  # every term below 5p^2 < 2^47
+    is_square = np.zeros(p, bool)
+    is_square[x[: (p + 1) // 2] ** 2 % p] = True
+    return 1 + int(np.count_nonzero(g == 0)) + 2 * int(np.count_nonzero(is_square[g] & (g != 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +399,7 @@ def _run_sweep(
         raise ValueError("x_max must be >= 10")
     _check_lane_bound(x_max)
     if threads is None:
-        threads = default_threads()
+        threads = os.cpu_count() or 1
     elif threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     boundaries = []

@@ -128,11 +128,6 @@ def test_classify_level2():
     assert [c.members_found for c in classes] == [1, 4]
 
 
-def test_classify_budget():
-    with pytest.raises(ag.ResourceBudgetError):
-        ag.classify_kinetic(2, budget_seconds=1e-9)
-
-
 def test_classify_rejects_other_levels():
     with pytest.raises(ValueError):
         ag.classify_kinetic(4)
@@ -387,7 +382,7 @@ def test_lift_solver_matches_closure_per_lift_oracle():
     h2 = ag.closure(list(ag.H2_GENERATORS))
     for q in (agl1, h2):
         solved = {w: [] for w in ag._stable_kernel_submodules()}
-        for w, got in ag._lifted_subgroups(q, float("inf")):
+        for w, got in ag._lifted_subgroups(q):
             solved[w].append(got.tobytes())
         want = _lift_oracle(q)
         for w, found in solved.items():

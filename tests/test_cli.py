@@ -82,7 +82,7 @@ def test_sweep_past_lane_bound_cli(capsys):
     assert "lane bound" in err
 
 
-def test_usage_errors(capsys, monkeypatch):
+def test_usage_errors(capsys):
     assert run_cli(capsys, "bogus")[0] == 2
     assert run_cli(capsys, "sweep")[0] == 2  # missing --max
     assert run_cli(capsys, "density")[0] == 2  # missing subcommand
@@ -108,15 +108,6 @@ def test_usage_errors(capsys, monkeypatch):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert "invalid" in err, argv
-    # so is ECHO_THREADS, which stands in for a missing --threads
-    for value in ("0", "-3", "abc"):
-        monkeypatch.setenv("ECHO_THREADS", value)
-        for argv in (("sweep", "--max", "100"), ("family", "--t", "1")):
-            code, out, err = run_cli(capsys, *argv)
-            assert (code, out) == (2, ""), (value, argv)
-            assert "invalid ECHO_THREADS" in err, (value, argv)
-    monkeypatch.setenv("ECHO_THREADS", "1")
-    assert run_cli(capsys, "sweep", "--max", "100")[0] == 0
     # brute levels outside 2..BRUTE_MAX_LEVEL fail in the engine
     for level in ("65", "1"):
         code, out, err = run_cli(capsys, "density", "brute", "--level", level)

