@@ -597,7 +597,7 @@ def _recover_generators(codes: np.ndarray, k: int) -> list[AglElem]:
     for e in codes.tolist():
         if not have[e]:
             gens.append(e)
-            got = _closure_codes(gens, k, max_size=codes.size)
+            got = _closure_codes(gens, k)
             if got.size == codes.size:
                 break
             have[got] = True

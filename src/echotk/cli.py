@@ -43,7 +43,10 @@ def _parse_positive_int(text: str) -> int:
 
 
 def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:  # n/0: argparse reports only ValueError as invalid
+        raise ValueError(text) from None
 
 
 def emit_sweep_csv(records, path: Optional[str]) -> str:

@@ -1,14 +1,16 @@
 """Exact elliptic-curve arithmetic in long Weierstrass form.
 
 Curves live either over the rationals (coefficients are Fractions) or over
-a prime field F_p (coefficients are ints mod p).  The chord-tangent law
-has a Fraction body for Q and a plain-int body for F_p, which the prime
-sweep calls directly.  Points are affine ``(x, y)`` pairs, with
-``None`` standing for the point at infinity.  The module also houses the
-bridge from the ECHO sequence to odd multiples of the base point
-P = (4, 7) on E: y^2 + y = x^3 - 3x + 4, and the normal-form reduction
-that moves an arbitrary curve/point pair to y^2 + axy + by = x^3 + bx^2
-with the point at the origin.
+a prime field F_p (coefficients are ints mod p).  One chord-tangent law
+serves both fields: ``Curve._norm`` maps a value into the curve's field,
+a rational n/d going to n * d^-1 mod p, and ``Curve._div`` divides there.
+The prime sweep runs its own numpy lanes, and the tests check them against
+this law.  Points are affine ``(x, y)`` pairs, with ``None`` standing for
+the point at infinity.  The module also houses the bridge from the ECHO
+sequence to odd multiples of the base point P = (4, 7) on
+E: y^2 + y = x^3 - 3x + 4, and the normal-form reduction that moves an
+arbitrary curve/point pair to y^2 + axy + by = x^3 + bx^2 with the point
+at the origin.
 """
 
 from __future__ import annotations
@@ -28,7 +30,16 @@ class SingularCurveError(ValueError):
 
 
 class NonIntegralModelError(ValueError):
-    """Coefficient denominator vanishes mod p; reduce an integral model instead."""
+    """A coefficient or coordinate has a denominator divisible by p: no residue mod p."""
+
+
+def _residue(v, p: int) -> int:
+    """The rational v = n/d as n * d^-1 mod p."""
+    v = Fraction(v)
+    n, d = int(v.numerator), int(v.denominator)  # numpy integers become ints
+    if d % p == 0:
+        raise NonIntegralModelError(f"{v} has a denominator divisible by {p}")
+    return n * pow(d, -1, p) % p
 
 
 @dataclass(frozen=True)
@@ -43,12 +54,18 @@ class Curve:
     p: Optional[int] = None
 
     def __post_init__(self):
-        if self.p is None:
-            for name in ("a1", "a2", "a3", "a4", "a6"):
-                object.__setattr__(self, name, Fraction(getattr(self, name)))
-        else:
-            for name in ("a1", "a2", "a3", "a4", "a6"):
-                object.__setattr__(self, name, int(getattr(self, name)) % self.p)
+        for name in ("a1", "a2", "a3", "a4", "a6"):
+            object.__setattr__(self, name, self._norm(getattr(self, name)))
+
+    # the two field operations; nothing else here looks at p
+    def _norm(self, v) -> FieldElem:
+        p = self.p
+        if p is None:
+            return Fraction(v)
+        return v % p if isinstance(v, int) else _residue(v, p)
+
+    def _div(self, num: FieldElem, den: FieldElem) -> FieldElem:
+        return num / den if self.p is None else num * pow(den, -1, self.p) % self.p
 
     # standard quantities b2, b4, b6, b8, c4, and the discriminant
     def b_invariants(self):
@@ -57,28 +74,21 @@ class Curve:
         b4 = 2 * a4 + a1 * a3
         b6 = a3 * a3 + 4 * a6
         b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-        if self.p is not None:
-            b2, b4, b6, b8 = (v % self.p for v in (b2, b4, b6, b8))
-        return b2, b4, b6, b8
+        return tuple(self._norm(v) for v in (b2, b4, b6, b8))
 
     def discriminant(self) -> FieldElem:
         b2, b4, b6, b8 = self.b_invariants()
-        d = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-        return d % self.p if self.p is not None else d
+        return self._norm(-b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6)
 
     def c4(self) -> FieldElem:
         b2, b4, _, _ = self.b_invariants()
-        c = b2 * b2 - 24 * b4
-        return c % self.p if self.p is not None else c
+        return self._norm(b2 * b2 - 24 * b4)
 
     def j_invariant(self) -> FieldElem:
         disc = self.discriminant()
         if disc == 0:
             raise SingularCurveError("j-invariant of a singular curve")
-        c4 = self.c4()
-        if self.p is None:
-            return Fraction(c4**3, disc)
-        return c4**3 * pow(disc, -1, self.p) % self.p
+        return self._div(self.c4() ** 3, disc)
 
     def is_singular(self) -> bool:
         return self.discriminant() == 0
@@ -86,15 +96,10 @@ class Curve:
     def contains(self, pt: Point) -> bool:
         if pt is None:
             return True
-        x, y = self._norm(pt[0]), self._norm(pt[1])
+        x, y = _point(pt, self)
         lhs = y * y + self.a1 * x * y + self.a3 * y
         rhs = x**3 + self.a2 * x * x + self.a4 * x + self.a6
-        if self.p is not None:
-            return (lhs - rhs) % self.p == 0
-        return lhs == rhs
-
-    def _norm(self, v: FieldElem) -> FieldElem:
-        return int(v) % self.p if self.p is not None else Fraction(v)
+        return self._norm(lhs - rhs) == 0
 
 
 # The curve and point the sequence is tied to.
@@ -102,100 +107,51 @@ CURVE_E = Curve(0, 0, 1, -3, 4)
 POINT_P: Point = (Fraction(4), Fraction(7))
 
 
-# The group law over F_p on plain ints, the one the sweep runs: points are
-# reduced (x, y) pairs or None, and only a1..a4 enter the formulas.
-
-
-def _fp_neg(pt, a1, a3, p):
-    if pt is None:
-        return None
-    x, y = pt
-    return (x, (-y - a1 * x - a3) % p)
-
-
-def _fp_add(pt1, pt2, a1, a2, a3, a4, p):
-    if pt1 is None:
-        return pt2
-    if pt2 is None:
-        return pt1
-    x1, y1 = pt1
-    x2, y2 = pt2
-    if x1 == x2:
-        if (y1 + y2 + a1 * x1 + a3) % p == 0:
-            return None
-        num = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) % p
-        den = (2 * y1 + a1 * x1 + a3) % p
-    else:
-        num = (y2 - y1) % p
-        den = (x2 - x1) % p
-    lam = num * pow(den, -1, p) % p
-    x3 = (lam * lam + a1 * lam - a2 - x1 - x2) % p
-    y3 = (lam * (x1 - x3) - y1 - a1 * x3 - a3) % p
-    return (x3, y3)
-
-
-def _fp_mul(n, pt, a1, a2, a3, a4, p):
-    if n < 0:
-        n, pt = -n, _fp_neg(pt, a1, a3, p)
-    acc = None
-    run = pt
-    while n:
-        if n & 1:
-            acc = _fp_add(acc, run, a1, a2, a3, a4, p)
-        run = _fp_add(run, run, a1, a2, a3, a4, p)
-        n >>= 1
-    return acc
-
-
-def _fp_point(pt: Point, c: Curve) -> Point:
+def _point(pt: Point, c: Curve) -> Point:
     return None if pt is None else (c._norm(pt[0]), c._norm(pt[1]))
 
 
 def negate(pt: Point, c: Curve) -> Point:
-    if c.p is not None:
-        return _fp_neg(_fp_point(pt, c), c.a1, c.a3, c.p)
     if pt is None:
         return None
-    x, y = Fraction(pt[0]), Fraction(pt[1])
-    return (x, -y - c.a1 * x - c.a3)
+    x, y = _point(pt, c)
+    return (x, c._norm(-y - c.a1 * x - c.a3))
 
 
-def add(pt1: Point, pt2: Point, c: Curve) -> Point:
-    """Chord-tangent sum; the third intersection reflected by y -> -y-a1*x-a3."""
-    if c.p is not None:
-        return _fp_add(_fp_point(pt1, c), _fp_point(pt2, c), c.a1, c.a2, c.a3, c.a4, c.p)
+def _add(pt1: Point, pt2: Point, c: Curve) -> Point:
+    # the chord-tangent law on points already in the curve's field
     if pt1 is None:
         return pt2
     if pt2 is None:
         return pt1
-    x1, y1 = Fraction(pt1[0]), Fraction(pt1[1])
-    x2, y2 = Fraction(pt2[0]), Fraction(pt2[1])
+    (x1, y1), (x2, y2) = pt1, pt2
+    a1, a2, a3 = c.a1, c.a2, c.a3
     if x1 == x2:
-        if y1 + y2 + c.a1 * x1 + c.a3 == 0:
+        # pt2 is pt1 or -pt1, so this is the tangent's slope denominator or 0
+        den = c._norm(y1 + y2 + a1 * x1 + a3)
+        if den == 0:
             return None
-        num = 3 * x1 * x1 + 2 * c.a2 * x1 + c.a4 - c.a1 * y1
-        den = 2 * y1 + c.a1 * x1 + c.a3
+        lam = c._div(3 * x1 * x1 + 2 * a2 * x1 + c.a4 - a1 * y1, den)
     else:
-        num = y2 - y1
-        den = x2 - x1
-    lam = num / den
-    x3 = lam * lam + c.a1 * lam - c.a2 - x1 - x2
-    y3 = lam * (x1 - x3) - y1 - c.a1 * x3 - c.a3
-    return (x3, y3)
+        lam = c._div(y2 - y1, x2 - x1)
+    x3 = c._norm(lam * lam + a1 * lam - a2 - x1 - x2)
+    return (x3, c._norm(lam * (x1 - x3) - y1 - a1 * x3 - a3))
+
+
+def add(pt1: Point, pt2: Point, c: Curve) -> Point:
+    """Chord-tangent sum; the third intersection reflected by y -> -y-a1*x-a3."""
+    return _add(_point(pt1, c), _point(pt2, c), c)
 
 
 def scalar_mul(n: int, pt: Point, c: Curve) -> Point:
     """n*pt by double-and-add; n may be zero or negative."""
-    if c.p is not None:
-        return _fp_mul(n, _fp_point(pt, c), c.a1, c.a2, c.a3, c.a4, c.p)
-    if n < 0:
-        return scalar_mul(-n, negate(pt, c), c)
+    run = negate(pt, c) if n < 0 else _point(pt, c)
+    n = abs(n)
     acc: Point = None
-    run = pt
     while n:
         if n & 1:
-            acc = add(acc, run, c)
-        run = add(run, run, c)
+            acc = _add(acc, run, c)
+        run = _add(run, run, c)
         n >>= 1
     return acc
 
@@ -204,27 +160,17 @@ def reduce_mod_p(c: Curve, p: int) -> tuple[Curve, bool]:
     """Reduce a rational curve mod p; good = (discriminant nonzero mod p)."""
     if c.p is not None:
         raise ValueError("curve is already over a prime field")
-    coeffs = []
-    for v in (c.a1, c.a2, c.a3, c.a4, c.a6):
-        v = Fraction(v)
-        if v.denominator % p == 0:
-            raise NonIntegralModelError(f"coefficient {v} has denominator divisible by {p}")
-        coeffs.append(v.numerator * pow(v.denominator, -1, p) % p)
-    cp = Curve(*coeffs, p=p)
-    return cp, cp.discriminant() % p != 0
+    cp = Curve(c.a1, c.a2, c.a3, c.a4, c.a6, p=p)
+    return cp, cp.discriminant() != 0
 
 
 def reduce_point_mod_p(pt: Point, p: int) -> Point:
-    """Reduce an affine rational point mod p (denominators must be units)."""
-    if pt is None:
+    """Reduce an affine rational point mod p; a denominator divisible by p
+    means the point reduces to the point at infinity."""
+    try:
+        return None if pt is None else tuple(_residue(v, p) for v in pt)
+    except NonIntegralModelError:
         return None
-    out = []
-    for v in pt:
-        v = Fraction(v)
-        if v.denominator % p == 0:
-            return None  # reduces to the point at infinity
-        out.append(v.numerator * pow(v.denominator, -1, p) % p)
-    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -104,6 +104,9 @@ def test_usage_errors(capsys):
         ("sweep", "--max", "100", "--threads", "-3"),
         ("family", "--t", "1", "--threads", "0"),
         ("family", "--t", "1", "--threads", "-3"),
+        # rational options reject a zero denominator
+        ("family", "--t", "1/0"),
+        ("tate", "--px", "1/0", "--py", "7"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv

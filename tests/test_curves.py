@@ -117,8 +117,9 @@ def test_tate_output_shape():
 
 def test_fp_group_law_commutes_with_reduction():
     # reduction mod a good prime is a homomorphism: reduce(n*P over Q) must
-    # equal n*reduce(P) computed by the F_p group law
-    for p in (97, 101, 1009):
+    # equal n*reduce(P) computed by the F_p group law, which also takes n*P
+    # itself, with its b_n^2 and b_n^3 denominators, and reduces it first
+    for p in (7, 97, 101, 1009):
         cp, _ = curves.reduce_mod_p(CURVE_E, p)
         base = curves.reduce_point_mod_p(POINT_P, p)
         acc_q = None
@@ -129,6 +130,25 @@ def test_fp_group_law_commutes_with_reduction():
             want = curves.reduce_point_mod_p(acc_q, p)
             assert acc_p == want, (p, n)
             assert curves.scalar_mul(n, base, cp) == want, (p, n)
+            if want is None:
+                continue
+            assert cp.contains(acc_q), (p, n)
+            twice = curves.reduce_point_mod_p(curves.add(acc_q, acc_q, CURVE_E), p)
+            assert curves.add(acc_q, acc_q, cp) == twice, (p, n)
+            assert curves.scalar_mul(-2, acc_q, cp) == curves.negate(twice, cp), (p, n)
+    assert curves.Curve(Fraction(1, 2), 0, 1, -3, 4, p=7).a1 == 4
+    # P has order #E(F_7) = 11 mod 7, so 7 divides the denominators of 11P
+    cp7, _ = curves.reduce_mod_p(CURVE_E, 7)
+    p11 = curves.scalar_mul(11, POINT_P, CURVE_E)
+    assert curves.reduce_point_mod_p(p11, 7) is None
+    for call in (
+        lambda: curves.Curve(0, 0, 1, Fraction(-3, 7), 4, p=7),
+        lambda: cp7.contains(p11),
+        lambda: curves.add(p11, POINT_P, cp7),
+        lambda: curves.scalar_mul(2, p11, cp7),
+    ):
+        with pytest.raises(curves.NonIntegralModelError):
+            call()
 
 
 def test_tate_normal_form_rejects_infinity_and_off_curve():

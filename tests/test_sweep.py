@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from echotk import curves, fabulous, sweep
-from echotk.curves import CURVE_E, POINT_P, _fp_add, _fp_mul, _fp_neg
+from echotk.curves import CURVE_E, POINT_P
 
 
 def _reduced(p):
@@ -64,7 +64,7 @@ def test_group_order_hasse_and_annihilation():
         n = sweep.group_order(cp)
         assert abs(n - (p + 1)) <= 2 * math.isqrt(p) + 1
         for pt in _random_points(cp, rng, 20):
-            assert curves._fp_mul(n, pt, cp.a1, cp.a2, cp.a3, cp.a4, p) is None
+            assert curves.scalar_mul(n, pt, cp) is None
     # at the largest prime the count takes, its int64 terms come nearest to wrapping
     top = next(n for n in range(sweep.EXHAUSTIVE_MAX, 1, -1) if _is_prime(n))
     cp, _ = _reduced(top)
@@ -86,32 +86,33 @@ def _naive_order(pt, cp):
 # one affine baby-step giant-step search per prime with the curves group law.
 
 
-def _annihilator_oracle(pt, a1, a2, a3, a4, p) -> int:
+def _annihilator_oracle(pt, cp) -> int:
     """Some M > 0 in the Hasse interval with M*pt = O."""
+    p = cp.p
     T = math.isqrt(4 * p)
     s = math.isqrt(2 * T) + 1
     baby: dict = {}
     run = None
     for j in range(s):
         baby.setdefault(run, j)
-        run = _fp_add(run, pt, a1, a2, a3, a4, p)
-    s_pt = _fp_mul(s, pt, a1, a2, a3, a4, p)
+        run = curves.add(run, pt, cp)
+    s_pt = curves.scalar_mul(s, pt, cp)
     lo = p + 1 - T
-    giant = _fp_mul(lo, pt, a1, a2, a3, a4, p)
+    giant = curves.scalar_mul(lo, pt, cp)
     for i in range((2 * T) // s + 2):
-        j = baby.get(_fp_neg(giant, a1, a3, p))
+        j = baby.get(curves.negate(giant, cp))
         if j is not None and lo + i * s + j > 0:
             return lo + i * s + j
         j = baby.get(giant)
         if j is not None and lo + i * s - j > 0:
             return lo + i * s - j
-        giant = _fp_add(giant, s_pt, a1, a2, a3, a4, p)
+        giant = curves.add(giant, s_pt, cp)
     raise AssertionError(f"no annihilator found mod {p}")
 
 
-def _odd_order_oracle(pt, a1, a2, a3, a4, p) -> bool:
-    m = _annihilator_oracle(pt, a1, a2, a3, a4, p)
-    return _fp_mul(m >> ((m & -m).bit_length() - 1), pt, a1, a2, a3, a4, p) is None
+def _odd_order_oracle(pt, cp) -> bool:
+    m = _annihilator_oracle(pt, cp)
+    return curves.scalar_mul(m >> ((m & -m).bit_length() - 1), pt, cp) is None
 
 
 def _oracle_hit(p, parts, bad) -> bool:
@@ -121,7 +122,7 @@ def _oracle_hit(p, parts, bad) -> bool:
     if parts[0][1] % p == 0:
         return True
     x, y, a1, a2, a3, a4 = (n * pow(d, -1, p) % p for n, d in parts)
-    return _odd_order_oracle((x, y), a1, a2, a3, a4, p)
+    return _odd_order_oracle((x, y), curves.Curve(a1, a2, a3, a4, 0, p=p))  # a6 enters no formula
 
 
 def _lanes(rows):
@@ -146,7 +147,7 @@ def test_engine_matches_oracle_and_naive_order_below_1000():
             for p in sweep.primes_up_to(999) if p not in (3, 5)]
     decisions = _check_engine(rows)
     for (pt, cp), odd in zip(rows, decisions):
-        assert odd == _odd_order_oracle(pt, cp.a1, cp.a2, cp.a3, cp.a4, cp.p), cp.p
+        assert odd == _odd_order_oracle(pt, cp), cp.p
 
 
 def test_engine_on_tiny_primes_with_points_of_order_1_to_4():
@@ -180,8 +181,8 @@ def test_engine_at_the_largest_lane_prime():
     multiples = sweep._annihilating_multiples(*lanes).tolist()
     decisions = sweep._order_is_odd(*lanes).tolist()
     for pt, m, odd in zip(pts, multiples, decisions):
-        assert m > 0 and _fp_mul(m, pt, cp.a1, cp.a2, cp.a3, cp.a4, p) is None
-        assert odd == _odd_order_oracle(pt, cp.a1, cp.a2, cp.a3, cp.a4, p)
+        assert m > 0 and curves.scalar_mul(m, pt, cp) is None
+        assert odd == _odd_order_oracle(pt, cp)
 
 
 def test_engine_matches_oracle_per_prime_to_1e5():
