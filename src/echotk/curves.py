@@ -259,8 +259,11 @@ def tate_normal_form(c: Curve, pt: Point) -> tuple[Fraction, Fraction, TateMap]:
 
     Translate the point to the origin, shear away the linear x-term, then
     scale by u = a3/a2 to equalize a2 and a3.  The degenerate divisions
-    correspond exactly to 2*pt or 3*pt being the identity.
+    correspond exactly to 2*pt or 3*pt being the identity.  A singular
+    curve raises SingularCurveError.
     """
+    if c.is_singular():
+        raise SingularCurveError("normal form needs a non-singular curve")
     if c.p is not None:
         raise ValueError("normal form is computed over the rationals")
     if pt is None or not c.contains(pt):

@@ -172,12 +172,23 @@ def test_criterion_7_empirical_densities():
     )
 
 
-@pytest.mark.skipif(
+extended = pytest.mark.skipif(
     not __import__("os").environ.get("ECHO_EXTENDED"),
-    reason="extended check (a few minutes): set ECHO_EXTENDED=1 to enable",
+    reason="extended check (about 15 s on two cores): set ECHO_EXTENDED=1 to enable",
 )
+
+
+@extended
 def test_extended_sweep_to_1e7():
     recs = sweep.sweep(10_000_000)
     assert (recs[-1].x, recs[-1].pi_prime, recs[-1].pi) == (10_000_000, 354158, 664579)
     assert recs[-1].ratio == "0.532905794"
     print("[PASS] extended: pi'(1e7) = 354158 of pi(1e7) = 664579")
+
+
+@extended
+def test_extended_t2_member_scan_to_1e6():
+    c = curves.curve_from_pair(*fabulous.parametrize(2))
+    recs = sweep.density_scan(c, (Fraction(0), Fraction(0)), 1_000_000)
+    assert (recs[-1].x, recs[-1].pi_prime, recs[-1].pi) == (1_000_000, 34606, 78498)
+    print("[PASS] extended: the t = 2 member's scan gives 34606 of 78498 at 1e6")

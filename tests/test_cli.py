@@ -153,6 +153,14 @@ def test_tate_cli(capsys):
     assert "a = 6/5" in out and "b = 3/25" in out
 
 
+def test_tate_cli_rejects_a_singular_curve(capsys):
+    # the node y^2 = x^3 + x^2 at a smooth point, and the cusp y^2 = x^3 at its singular point
+    for argv in (("--a2", "1", "--px", "3", "--py", "6"), ("--px", "0", "--py", "0")):
+        code, out, err = run_cli(capsys, "tate", *argv)
+        assert (code, out) == (1, ""), argv
+        assert "non-singular" in err, argv
+
+
 def test_group_hk_cli(capsys):
     code, out, _ = run_cli(capsys, "group", "hk", "--level", "3")
     assert code == 0

@@ -200,6 +200,78 @@ def test_engine_matches_oracle_per_prime_to_1e5():
         assert got == want, c
 
 
+def _pair_lanes(c, pt, ps):
+    """Engine lanes of a rational pair at the primes of ps where the curve
+    has good reduction and pt does not reduce to O."""
+    parts, bad = sweep._prepare(c, pt)
+    rows = [p for p in ps if bad % p and parts[0][1] % p]
+    return np.array([[p] + [n * pow(d, -1, p) % p for n, d in parts] for p in rows], np.int64).T
+
+
+def test_two_division_classifier_against_group_order_and_bsgs():
+    # E, the t = 1 and t = 2 family members and the control pair at every
+    # good prime below 3000: a lane whose 2-Sylow order s is decided has
+    # #E = s mod 2s (odd for s = 1, 2 mod 4 for s = 2), and its decision is
+    # the BSGS decision on that lane
+    origin = (Fraction(0), Fraction(0))
+    for c, pt in (
+        (CURVE_E, POINT_P),
+        (curves.curve_from_pair(*fabulous.parametrize(1)), origin),
+        (curves.curve_from_pair(*fabulous.parametrize(2)), origin),
+        (curves.curve_from_pair(*fabulous.find_control_pair()), origin),
+    ):
+        lanes = _pair_lanes(c, pt, sweep.primes_up_to(3000))
+        sylow, odd = sweep._two_sylow(*lanes)
+        assert set(sylow.tolist()) == {0, 1, 2}, c
+        decided = np.flatnonzero(sylow)
+        assert odd[decided].tolist() == sweep._odd_by_bsgs(*lanes[:, decided]).tolist(), c
+        for (p, x, y, a1, a2, a3, a4), s in zip(lanes.T.tolist(), sylow.tolist()):
+            if s:
+                a6 = (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x) % p
+                assert sweep.group_order(curves.Curve(a1, a2, a3, a4, a6, p=p)) % (2 * s) == s, (c, p)
+
+
+def test_bsgs_runs_only_on_lanes_the_classifier_leaves(monkeypatch):
+    # E's primes 7..1e5: the classifier decides at least half of them, and
+    # only the rest reach the BSGS
+    ps = [p for p in sweep.primes_up_to(100_000) if p >= 7]
+    bsgs_lanes = []
+    bsgs = sweep._odd_by_bsgs
+
+    def recording_bsgs(p, *rest):
+        bsgs_lanes.append(len(p))
+        return bsgs(p, *rest)
+
+    monkeypatch.setattr(sweep, "_odd_by_bsgs", recording_bsgs)
+    assert sweep._decide(ps, *sweep._ECHO_PAIR, {}).sum() == 5118 - 2  # of the table, less 2 and 3
+    sylow, _ = sweep._two_sylow(*_pair_lanes(CURVE_E, POINT_P, ps))
+    assert len(sylow) == len(ps)
+    assert sum(bsgs_lanes) == np.count_nonzero(sylow == 0) <= len(ps) / 2
+
+
+def test_classifier_decides_the_rational_2_torsion_point_even():
+    # y^2 = x^3 + x^2 + 2x and its 2-torsion point T = (0, 0): f = x(x^2 + x + 2)
+    # has the one root 0 iff -7 is a non-residue, and the lane is decided iff
+    # f'(0) = 2 is a non-residue too; there T has order 2
+    def chi(a, p):
+        return pow(a % p, (p - 1) // 2, p)
+
+    ps = [p for p in sweep.primes_up_to(3000) if p not in (2, 7)]
+    lanes = np.array([(p, 0, 0, 0, 1, 0, 2) for p in ps], np.int64).T
+    sylow, odd = sweep._two_sylow(*lanes)
+    assert [p for p, s in zip(ps, sylow.tolist()) if s] == [p for p in ps if chi(-7, p) == chi(2, p) == p - 1]
+    assert set(sylow.tolist()) == {0, 2} and not odd[sylow == 2].any()
+    assert not sweep._order_is_odd(*lanes).any()
+
+
+def test_density_scan_of_the_t2_family_member():
+    # t = 2's 2-adic image is an index-2 subgroup of H_2, so its primes mix
+    # the classifier's cases differently from E's
+    c = curves.curve_from_pair(*fabulous.parametrize(2))
+    recs = sweep.density_scan(c, (Fraction(0), Fraction(0)), 100_000, threads=1)
+    assert (recs[-1].x, recs[-1].pi_prime, recs[-1].pi) == (100_000, 4267, 9592)
+
+
 def test_lane_bound_fails_loudly():
     big = sweep.LANE_PRIME_MAX + 1
     for call in (
