@@ -9,11 +9,15 @@ roots are the x of the 2-torsion points come from gcd(f, X^p - X).  If f
 has no root, #E(F_p) is odd and so is the point's order.  If f has one
 root e1 and f'(e1) is a non-residue, the 2-Sylow subgroup is Z/2 and the
 point has odd order iff x - e1 is a nonzero square.  That decides about
-59% of E's primes.  The rest (three roots, one root with f'(e1) a
-square, p = 2 and rare degenerate gcd steps) go to a baby-step giant-step
-search over the Hasse interval, which finds a positive multiple m of the
-point's order; the order is odd exactly when the odd part of m already
-kills the point.  The search uses projective coordinates, one batched
+59% of E's primes.  The rest go to a baby-step giant-step search, which
+finds a positive multiple m of the point's order; the order is odd
+exactly when the odd part of m already kills the point, which an x-only
+Montgomery ladder tests.  On nearly all of those lanes the cubic proves
+4 | #E(F_p): three roots put E[2] in E(F_p), and one root with f'(e1) a
+square makes the 2-Sylow subgroup cyclic of order at least 4.  There the
+search runs on 4P over a quarter of the Hasse interval, with half the
+baby and giant steps.  Only p = 2 and rare degenerate gcd steps search
+the whole interval.  The search uses projective coordinates, one batched
 inversion per lane, and sorted keys to match baby and giant steps.  Lanes
 hold primes up to LANE_PRIME_MAX = 2^31 - 1; larger primes raise
 ValueError.  The same engine scans any rational curve/point pair.  The
@@ -165,38 +169,45 @@ def _normalize(pts, p):
         row %= p
 
 
-def _shape(T_max: int) -> tuple[int, int]:
-    """Baby and giant counts (s - 1, n) covering Hasse intervals of radius
-    up to T_max: the giant windows [c_i - s + 1, c_i + s - 1] tile it."""
-    s = math.isqrt(T_max) + 1
-    return s - 1, 1 + max(0, -(-(2 * T_max - 2 * s + 2) // (2 * s - 1)))
+def _shape(W_max: int) -> tuple[int, int]:
+    """Baby and giant counts (s - 1, n) covering intervals [lo, lo + W] for
+    every W <= W_max: the giant windows [c_i - s + 1, c_i + s - 1] tile it."""
+    s = max(2, math.isqrt(W_max // 2) + 1)
+    return s - 1, -(-(W_max + 1) // (2 * s - 1))
 
 
-def _bsgs(p, x, y, a1, a2, a3, a4):
-    """One batch of _annihilating_multiples: babies j*P for 1 <= j < s, and
-    giants at the centres c_i = p + 1 - T + (s - 1) + i(2s - 1), T = isqrt(4p).
+def _bsgs(p, x, y, a1, a2, a3, a4, d):
+    """One batch of _annihilating_multiples, for a cofactor d of #E(F_p) on
+    every lane: the search runs on Q = d(x, y) over the interval
+    [lo, hi] = [ceil((p + 1 - T)/d), floor((p + 1 + T)/d)], T = isqrt(4p),
+    which holds #E(F_p)/d.  Babies are j*Q for 1 <= j < s, and giants sit
+    at the centres c_i = lo + (s - 1) + i(2s - 1).
 
     A baby at O gives M = j, a giant at O gives M = c_i, and a giant with the
-    x of baby j is +-j*P, with y picking the sign, so M = c_i -+ j.  Every M
-    is at least p + 1 - T > 0, or j >= 1.
+    x of baby j is +-j*Q, with y picking the sign, so M = c_i -+ j.  Every M
+    is at least lo > 0, or j >= 1, and the lane returns d*M, which kills
+    (x, y).  Babies plus giants fall by sqrt(d) with the interval.
     """
     c = (p, a1, a2, a3, a4)
     width = len(p)
     T = np.array([math.isqrt(4 * q) for q in p.tolist()], np.int64)
-    n_baby, n_giant = _shape(int(T.max()))
+    lo = -(-(p + 1 - T) // d)
+    n_baby, n_giant = _shape(int(((p + 1 + T) // d - lo).max()))
     stride = 2 * n_baby + 1
-    P = (x, y, np.ones_like(x))
+    Q = (x, y, np.ones_like(x))
+    for _ in range(d.bit_length() - 1):
+        Q = _double(Q, c)
 
     baby = np.empty((3, n_baby, width), np.int64)
-    baby[:, 0] = P
+    baby[:, 0] = Q
     if n_baby > 1:
-        baby[:, 1] = _double(P, c)
+        baby[:, 1] = _double(Q, c)
     for j in range(2, n_baby):
-        baby[:, j] = _add(baby[:, j - 1], P, c)
-    step = _add(_double(baby[:, -1], c), P, c)  # (2s - 1) P
-    centre = p + 1 - T + n_baby
+        baby[:, j] = _add(baby[:, j - 1], Q, c)
+    step = _add(_double(baby[:, -1], c), Q, c)  # (2s - 1) Q
+    centre = lo + n_baby
     giant = np.empty((3, n_giant, width), np.int64)
-    giant[:, 0] = _mul(centre, P, c)
+    giant[:, 0] = _mul(centre, Q, c)
     for i in range(1, n_giant):
         giant[:, i] = _add(giant[:, i - 1], step, c)
 
@@ -223,34 +234,38 @@ def _bsgs(p, x, y, a1, a2, a3, a4):
     M[lane] = j + 1
     if not M.all():
         raise AmbiguousOrderError("no annihilator found on some lane")  # not reachable for prime p
-    return M
+    return d * M
 
 
-def _annihilating_multiples(p, x, y, a1, a2, a3, a4):
-    """One M > 0 per lane with M*(x, y) = O, searched in batches of lanes
-    that store at most LANE_POINT_BUDGET baby and giant points."""
-    n_baby, n_giant = _shape(math.isqrt(4 * int(p.max())))
+def _annihilating_multiples(p, x, y, a1, a2, a3, a4, d):
+    """One M > 0 per lane with M*(x, y) = O, for a cofactor d of #E(F_p) on
+    every lane, searched in batches of lanes that store at most
+    LANE_POINT_BUDGET baby and giant points."""
+    n_baby, n_giant = _shape(2 * math.isqrt(4 * int(p.max())) // d)
     width = max(1, LANE_POINT_BUDGET // (n_baby + n_giant))
     lanes = (p, x, y, a1, a2, a3, a4)
-    return np.concatenate([_bsgs(*(a[lo:lo + width] for a in lanes)) for lo in range(0, len(p), width)])
+    return np.concatenate([_bsgs(*(a[lo:lo + width] for a in lanes), d) for lo in range(0, len(p), width)])
 
 
 def _two_sylow(p, x, y, a1, a2, a3, a4):
-    """The order of the 2-Sylow subgroup of E(F_p) where the 2-division cubic
-    settles it, else 0, and on the lanes where it is 1 or 2 whether (x, y)
-    has odd order.
+    """What the 2-division cubic shows on each lane, as three arrays: the
+    order of the 2-Sylow subgroup of E(F_p) where it settles it (1 or 2),
+    else 0; on those lanes whether (x, y) has odd order; and on the lanes it
+    leaves, whether it proves 4 | #E(F_p).
 
     The x of the 2-torsion points are the roots of the monic f with
     4f(x) = 4x^3 + b2 x^2 + 2 b4 x + b6 = (2y + a1 x + a3)^2, so f's
     constant term comes from the point and a6 is never needed.  The roots
     in F_p are those of gcd(f, h), h = X^p - X mod f.  No root: #E is odd.
-    One root e1: Q -> x(Q) - e1 maps E(F_p)/2E(F_p) injectively into
-    F_p^*/F_p^*2 and sends T = (e1, .) to f'(e1) (Miret, Moreno, Rio and
-    Valls, Math. Comp. 74, 2005).  So if f'(e1) is a non-residue, T is not
-    in 2E(F_p), the 2-Sylow subgroup is Z/2, and the point has odd order
-    iff it lies in 2E(F_p), iff x - e1 is a nonzero square.  Three roots,
-    one root with f'(e1) a square, p = 2, and the rare lanes where the gcd
-    steps below degenerate (h2 = 0 or l1 = 0) stay undecided.
+    Three roots, i.e. h = 0: E[2] lies in E(F_p), so 4 | #E.  One root e1:
+    Q -> x(Q) - e1 maps E(F_p)/2E(F_p) injectively into F_p^*/F_p^*2 and
+    sends T = (e1, .) to f'(e1) (Miret, Moreno, Rio and Valls, Math. Comp.
+    74, 2005).  So if f'(e1) is a non-residue, T is not in 2E(F_p), the
+    2-Sylow subgroup is Z/2, and the point has odd order iff it lies in
+    2E(F_p), iff x - e1 is a nonzero square.  If f'(e1) is a square, T is
+    in 2E(F_p) and the cyclic 2-Sylow subgroup has order at least 4.  p = 2
+    and the rare lanes where the gcd steps below degenerate (h2 = 0 with
+    h != 0, or l1 = 0) stay undecided with no flag.
     """
     inv2 = (p + 1) >> 1
     inv4 = inv2 * inv2 % p
@@ -281,6 +296,7 @@ def _two_sylow(p, x, y, a1, a2, a3, a4):
     ok = (p != 2) & (h2 != 0) & (l1 != 0)
     sylow = np.where(ok & (z != 0), 1, 0)
     odd = sylow == 1
+    four = (h0 == 0) & (h1 == 0) & (h2 == 0)  # never at p = 2, where h = X^2 - X
 
     # one root e1 = -l0/l1: chi of l1^2 f'(e1), of x l1 + l0 and of l1
     one = np.flatnonzero(ok & (z == 0))
@@ -291,33 +307,78 @@ def _two_sylow(p, x, y, a1, a2, a3, a4):
         z2 = chi[0] == p - 1
         sylow[one[z2]] = 2
         odd[one[z2]] = (chi[1] * chi[2] % p == 1)[z2]
-    return sylow, odd
+        four[one[~z2]] = True
+    return sylow, odd, four
 
 
 def _order_is_odd(p, x, y, a1, a2, a3, a4):
     """Whether (x, y) has odd order on each lane: _two_sylow decides most
-    lanes, and _odd_by_bsgs the rest."""
-    sylow, out = _two_sylow(p, x, y, a1, a2, a3, a4)
-    rest = np.flatnonzero(sylow == 0)
-    if rest.size:
-        out[rest] = _odd_by_bsgs(*(a[rest] for a in (p, x, y, a1, a2, a3, a4)))
+    lanes, and _odd_by_bsgs the rest, with the cofactor 4 where _two_sylow
+    proves 4 | #E(F_p)."""
+    lanes = (p, x, y, a1, a2, a3, a4)
+    sylow, out, four = _two_sylow(*lanes)
+    for d, rest in ((1, (sylow == 0) & ~four), (4, four)):
+        rest = np.flatnonzero(rest)
+        if rest.size:
+            out[rest] = _odd_by_bsgs(*(a[rest] for a in lanes), d)
     return out
 
 
-def _odd_by_bsgs(p, x, y, a1, a2, a3, a4):
-    """Whether (x, y) has odd order on each lane, by its annihilator M.
+def _odd_by_bsgs(p, x, y, a1, a2, a3, a4, d):
+    """Whether (x, y) has odd order on each lane, by its annihilator M, for
+    a cofactor d of #E(F_p) on every lane.
 
     Its order divides M, so it is odd iff the odd part of M kills the
-    point; an odd M settles the lane at once.
+    point; an odd M settles the lane at once, and _kills tests the rest.
     """
-    M = _annihilating_multiples(p, x, y, a1, a2, a3, a4)
+    M = _annihilating_multiples(p, x, y, a1, a2, a3, a4, d)
     odd_part = M // (M & -M)
     even = np.flatnonzero(odd_part != M)
     out = np.ones(len(p), bool)
     if even.size:
-        c = tuple(a[even] for a in (p, a1, a2, a3, a4))
-        out[even] = _mul(odd_part[even], (x[even], y[even], np.ones_like(even)), c)[2] == 0
+        out[even] = _kills(odd_part[even], *(a[even] for a in (p, x, y, a1, a2, a3, a4)))
     return out
+
+
+def _kills(k, p, x, y, a1, a2, a3, a4):
+    """Whether k*(x, y) = O on each lane, for lane scalars k >= 1, by
+    Montgomery's x-only ladder (Math. Comp. 48, 1987).
+
+    Y = 2y + a1 x + a3 keeps x and turns the curve into
+    Y^2 = 4x^3 + b2 x^2 + 2 b4 x + b6, where Q and -Q share x.  The ladder
+    keeps R0 = nP and R1 = (n + 1)P as (X : Z), O at Z = 0, so R1 - R0 = P
+    and every sum needs only x(P):
+      sum:    Z' = (X0 Z1 - X1 Z0)^2 and X' = N(R0, R1) - x(P) Z', where
+              N = (X0 Z1 + X1 Z0)(2 X0 X1 + b4 Z0 Z1) + Z0 Z1 (b2 X0 X1 + b6 Z0 Z1),
+              since x(R0 + R1) + x(R0 - R1) = N/Z' and R0 - R1 = -P;
+      double: Z' = N(R, R) and X' = X^4 - b4 X^2 Z^2 - 2 b6 X Z^3 - b8 Z^4.
+    The additive form holds at x(P) = 0, where the product form
+    x(R0 + R1) x(R0 - R1) does not, and the formulas are identities over Z,
+    so p = 2 needs no other path.  The b_i come from a1..a4 and the point,
+    whose a6 = y^2 + a1 xy + a3 y - x^3 - a2 x^2 - a4 x.  Every term stays
+    below 2^63 for p <= LANE_PRIME_MAX.
+    """
+    a6 = (y * ((y + a1 * x + a3) % p) - x * (((x + a2) % p * x + a4) % p)) % p
+    b2, b4 = (a1 * a1 + 4 * a2) % p, (a1 * a3 + 2 * a4) % p
+    b6 = (a3 * a3 + 4 * a6) % p
+    b8 = ((b2 * a6 - a1 * a3 % p * a4) + (a2 * (a3 * a3 % p) - a4 * a4)) % p
+    tb6 = 2 * b6 % p
+
+    def n_form(s, xx, zz):
+        return (s * ((2 * xx + b4 * zz) % p) + zz * ((b2 * xx + b6 * zz) % p)) % p
+
+    X0, Z0, X1, Z1 = np.ones_like(x), np.zeros_like(x), x, np.ones_like(x)
+    for bit in range(int(k.max()).bit_length() - 1, -1, -1):
+        on = (k >> bit) & 1 == 1
+        A, B = X0 * Z1 % p, X1 * Z0 % p
+        Zs = (A - B) * (A - B) % p
+        Xs = (n_form((A + B) % p, X0 * X1 % p, Z0 * Z1 % p) - x * Zs) % p
+        X, Z = np.where(on, X1, X0), np.where(on, Z1, Z0)  # R1 doubles where the bit is set
+        XX, ZZ, XZ = X * X % p, Z * Z % p, X * Z % p
+        Zd = n_form(2 * XZ % p, XX, ZZ)
+        Xd = ((XX - b4 * ZZ) % p * XX - (tb6 * XZ + b8 * ZZ) % p * ZZ) % p
+        X0, Z0, X1, Z1 = np.where(on, Xs, Xd), np.where(on, Zs, Zd), np.where(on, Xd, Xs), np.where(on, Zd, Zs)
+    return Z0 == 0
 
 
 def _lane_residues(v: int, q):
@@ -373,9 +434,12 @@ def divides_some_term(p: int) -> bool:
     """Whether the prime p divides some sequence term.
 
     Bad-reduction primes are hard-wired from the residue cycles; every other
-    prime goes through the odd-order criterion for P mod p.
+    prime goes through the odd-order criterion for P mod p.  Any other
+    integer raises ValueError.
     """
     _check_lane_bound(p)
+    if p < 2 or not all(p % q for q in range(2, math.isqrt(p) + 1)):
+        raise ValueError(f"{p} is not a prime")
     return bool(_decide([p], *_ECHO_PAIR, _BAD_DIVIDES)[0])
 
 

@@ -174,7 +174,7 @@ def test_criterion_7_empirical_densities():
 
 extended = pytest.mark.skipif(
     not __import__("os").environ.get("ECHO_EXTENDED"),
-    reason="extended check (about 15 s on two cores): set ECHO_EXTENDED=1 to enable",
+    reason="extended check (the four take about 11 s on two cores): set ECHO_EXTENDED=1 to enable",
 )
 
 
@@ -192,3 +192,19 @@ def test_extended_t2_member_scan_to_1e6():
     recs = sweep.density_scan(c, (Fraction(0), Fraction(0)), 1_000_000)
     assert (recs[-1].x, recs[-1].pi_prime, recs[-1].pi) == (1_000_000, 34606, 78498)
     print("[PASS] extended: the t = 2 member's scan gives 34606 of 78498 at 1e6")
+
+
+@extended
+def test_extended_control_pair_scan_to_1e6():
+    c = curves.curve_from_pair(Fraction(-1), Fraction(-1))
+    recs = sweep.density_scan(c, (Fraction(0), Fraction(0)), 1_000_000)
+    assert (recs[-1].x, recs[-1].pi_prime, recs[-1].pi) == (1_000_000, 41048, 78498)
+    print("[PASS] extended: the control pair (-1, -1) scan gives 41048 of 78498 at 1e6")
+
+
+@extended
+def test_extended_somos4_scan_to_1e6():
+    c = curves.Curve(0, 0, 1, -1, 0)  # (0, 0) on y^2 + y = x^3 - x
+    recs = sweep.density_scan(c, (Fraction(0), Fraction(0)), 1_000_000)
+    assert (recs[-1].x, recs[-1].pi_prime, recs[-1].pi) == (1_000_000, 41080, 78498)
+    print("[PASS] extended: the Somos-4 pair's scan gives 41080 of 78498 at 1e6")

@@ -131,10 +131,17 @@ def _lanes(rows):
 
 
 def _check_engine(rows):
-    """Every lane's M is positive and kills its point, and the decision is the
-    parity of the naive order; returns the decisions."""
+    """Every lane's M is positive and kills its point, also from the quarter
+    interval on the lanes flagged 4 | #E, and the decision is the parity of
+    the naive order; returns the decisions."""
     lanes = _lanes(rows)
-    multiples = sweep._annihilating_multiples(*lanes).tolist()
+    multiples = sweep._annihilating_multiples(*lanes, 1).tolist()
+    four = np.flatnonzero(sweep._two_sylow(*lanes)[2])
+    if four.size:
+        quarter = sweep._annihilating_multiples(*lanes[:, four], 4).tolist()
+        for i, m in zip(four.tolist(), quarter):
+            pt, cp = rows[i]
+            assert m > 0 and m % 4 == 0 and curves.scalar_mul(m, pt, cp) is None, (pt, cp)
     decisions = sweep._order_is_odd(*lanes).tolist()
     for (pt, cp), m, odd in zip(rows, multiples, decisions):
         assert m > 0 and curves.scalar_mul(m, pt, cp) is None, (pt, cp)
@@ -150,9 +157,9 @@ def test_engine_matches_oracle_and_naive_order_below_1000():
         assert odd == _odd_order_oracle(pt, cp), cp.p
 
 
-def test_engine_on_tiny_primes_with_points_of_order_1_to_4():
-    # every affine point of every non-singular curve over F_2 and F_3, and of
-    # seeded curves over F_5 and F_7, in one call with mixed and repeated primes
+def _tiny_rows():
+    """Every affine point of every non-singular curve over F_2 and F_3, and
+    of seeded curves over F_5 and F_7, with mixed and repeated primes."""
     rng = random.Random(3)
     rows = []
     for p, count in ((2, None), (3, None), (5, 150), (7, 150)):
@@ -164,9 +171,28 @@ def test_engine_on_tiny_primes_with_points_of_order_1_to_4():
             cp = curves.Curve(*a, p=p)
             if not cp.is_singular():
                 rows += [((x, y), cp) for x in range(p) for y in range(p) if cp.contains((x, y))]
+    return rows
+
+
+def test_engine_on_tiny_primes_with_points_of_order_1_to_4():
+    # in one call, then one prime a call: at p = 3 and 5 the quarter
+    # interval holds one or two values
+    rows = _tiny_rows()
     orders = {_naive_order(pt, cp) for pt, cp in rows}
     assert {2, 3, 4} <= orders
     _check_engine(rows)
+    for p in (2, 3, 5, 7):
+        _check_engine([row for row in rows if row[1].p == p])
+
+
+def test_x_only_ladder_on_tiny_primes():
+    # the ladder's O test against the curves group law for every k <= 16 on
+    # every point of the tiny-prime curves, p = 2 and x(P) = 0 included
+    rows = _tiny_rows()
+    lanes = _lanes(rows)
+    for k in range(1, 17):
+        got = sweep._kills(np.full(len(rows), k, np.int64), *lanes).tolist()
+        assert got == [curves.scalar_mul(k, pt, cp) is None for pt, cp in rows], k
 
 
 def test_engine_at_the_largest_lane_prime():
@@ -178,11 +204,19 @@ def test_engine_at_the_largest_lane_prime():
     pts = [curves.reduce_point_mod_p(POINT_P, p)]
     pts += _random_points(cp, rng, 3)
     lanes = _lanes([(pt, cp) for pt in pts])
-    multiples = sweep._annihilating_multiples(*lanes).tolist()
+    multiples = sweep._annihilating_multiples(*lanes, 1).tolist()
     decisions = sweep._order_is_odd(*lanes).tolist()
     for pt, m, odd in zip(pts, multiples, decisions):
         assert m > 0 and curves.scalar_mul(m, pt, cp) is None
         assert odd == _odd_order_oracle(pt, cp)
+    # the ladder against the group law where its terms come nearest to
+    # wrapping: the annihilators, their odd parts and neighbours, and random
+    # scalars below 2^32, above any M a search returns at this prime
+    for pt, m in zip(pts, multiples):
+        ks = [1, 2, 3, 2**32 - 1, m, m - 1, m + 1, m >> ((m & -m).bit_length() - 1)]
+        ks += [rng.randrange(1, 2**32) for _ in range(8)]
+        got = sweep._kills(np.array(ks, np.int64), *_lanes([(pt, cp)] * len(ks))).tolist()
+        assert got == [curves.scalar_mul(k, pt, cp) is None for k in ks], pt
 
 
 def test_engine_matches_oracle_per_prime_to_1e5():
@@ -208,45 +242,84 @@ def _pair_lanes(c, pt, ps):
     return np.array([[p] + [n * pow(d, -1, p) % p for n, d in parts] for p in rows], np.int64).T
 
 
+def _poly_mod(a, f, p):
+    """a mod f over F_p, coefficient lists in ascending order, trimmed."""
+    a = [v % p for v in a]
+    inv = pow(f[-1], -1, p)
+    while len(a) >= len(f):
+        q, shift = a[-1] * inv % p, len(a) - len(f)
+        a = [(v - q * f[i - shift]) % p if i >= shift else v for i, v in enumerate(a)][:-1]
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _gcd_steps_degenerate(p, x, y, a1, a2, a3, a4):
+    """Whether h = X^p - X mod the monic 2-division cubic f is nonzero and
+    Euclid on f and h, by true division, misses the degrees 3, 2, 1:
+    deg h < 2 or deg(f mod h) < 1."""
+    b2, b4 = a1 * a1 + 4 * a2, a1 * a3 + 2 * a4
+    b6 = (2 * y + a1 * x + a3) ** 2 - ((4 * x + b2) * x + 2 * b4) * x
+    f = [v * pow(4, -1, p) % p for v in (b6, 2 * b4, b2, 4)]
+    r, base = [1], [0, 1]
+    for bit in bin(p)[2:]:
+        r = _poly_mod(np.convolve(r, r).tolist(), f, p)
+        if bit == "1":
+            r = _poly_mod([0] + r, f, p)
+    h = _poly_mod([v - w for v, w in itertools.zip_longest(r, base, fillvalue=0)], f, p)
+    return bool(h) and (len(h) < 3 or len(_poly_mod(f, h, p)) < 2)
+
+
 def test_two_division_classifier_against_group_order_and_bsgs():
-    # E, the t = 1 and t = 2 family members and the control pair at every
-    # good prime below 3000: a lane whose 2-Sylow order s is decided has
+    # E, the t = 1, t = 2 and t = -23 family members and the control pair at
+    # every good prime below 3000: a lane whose 2-Sylow order s is decided has
     # #E = s mod 2s (odd for s = 1, 2 mod 4 for s = 2), and its decision is
-    # the BSGS decision on that lane
+    # the BSGS decision on that lane; a lane flagged 4 | #E has #E = 0 mod 4;
+    # and the undecided lanes with no flag are exactly p = 2 and the lanes
+    # where the gcd steps degenerate
+    # (t = -23's cubic has a root at every prime here, so no lane has sylow 1)
     origin = (Fraction(0), Fraction(0))
-    for c, pt in (
-        (CURVE_E, POINT_P),
-        (curves.curve_from_pair(*fabulous.parametrize(1)), origin),
-        (curves.curve_from_pair(*fabulous.parametrize(2)), origin),
-        (curves.curve_from_pair(*fabulous.find_control_pair()), origin),
+    for c, pt, cases in (
+        (CURVE_E, POINT_P, {0, 1, 2}),
+        (curves.curve_from_pair(*fabulous.parametrize(1)), origin, {0, 1, 2}),
+        (curves.curve_from_pair(*fabulous.parametrize(2)), origin, {0, 1, 2}),
+        (curves.curve_from_pair(*fabulous.parametrize(-23)), origin, {0, 2}),
+        (curves.curve_from_pair(*fabulous.find_control_pair()), origin, {0, 1, 2}),
     ):
         lanes = _pair_lanes(c, pt, sweep.primes_up_to(3000))
-        sylow, odd = sweep._two_sylow(*lanes)
-        assert set(sylow.tolist()) == {0, 1, 2}, c
+        sylow, odd, four = sweep._two_sylow(*lanes)
+        assert set(sylow.tolist()) == cases, c
+        assert not (four & (sylow != 0)).any(), c
         decided = np.flatnonzero(sylow)
-        assert odd[decided].tolist() == sweep._odd_by_bsgs(*lanes[:, decided]).tolist(), c
-        for (p, x, y, a1, a2, a3, a4), s in zip(lanes.T.tolist(), sylow.tolist()):
-            if s:
+        assert odd[decided].tolist() == sweep._odd_by_bsgs(*lanes[:, decided], 1).tolist(), c
+        for (p, x, y, a1, a2, a3, a4), s, f4 in zip(lanes.T.tolist(), sylow.tolist(), four.tolist()):
+            if s or f4:
                 a6 = (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x) % p
-                assert sweep.group_order(curves.Curve(a1, a2, a3, a4, a6, p=p)) % (2 * s) == s, (c, p)
+                n = sweep.group_order(curves.Curve(a1, a2, a3, a4, a6, p=p))
+                assert n % 4 == 0 if f4 else n % (2 * s) == s, (c, p)
+            unflagged = p == 2 or _gcd_steps_degenerate(p, x, y, a1, a2, a3, a4)
+            assert unflagged == (not s and not f4), (c, p)
+        assert np.count_nonzero((sylow == 0) & ~four) < len(sylow) / 100, c
 
 
 def test_bsgs_runs_only_on_lanes_the_classifier_leaves(monkeypatch):
-    # E's primes 7..1e5: the classifier decides at least half of them, and
-    # only the rest reach the BSGS
+    # E's primes 7..1e5: the classifier decides at least half of them, only
+    # the rest reach the BSGS, and all but 7 and 17 of those search a quarter
+    # of the Hasse interval
     ps = [p for p in sweep.primes_up_to(100_000) if p >= 7]
-    bsgs_lanes = []
+    bsgs_lanes = {1: [], 4: []}
     bsgs = sweep._odd_by_bsgs
 
     def recording_bsgs(p, *rest):
-        bsgs_lanes.append(len(p))
+        bsgs_lanes[rest[-1]] += p.tolist()
         return bsgs(p, *rest)
 
     monkeypatch.setattr(sweep, "_odd_by_bsgs", recording_bsgs)
     assert sweep._decide(ps, *sweep._ECHO_PAIR, {}).sum() == 5118 - 2  # of the table, less 2 and 3
-    sylow, _ = sweep._two_sylow(*_pair_lanes(CURVE_E, POINT_P, ps))
+    sylow, _, four = sweep._two_sylow(*_pair_lanes(CURVE_E, POINT_P, ps))
     assert len(sylow) == len(ps)
-    assert sum(bsgs_lanes) == np.count_nonzero(sylow == 0) <= len(ps) / 2
+    assert len(bsgs_lanes[1]) + len(bsgs_lanes[4]) == np.count_nonzero(sylow == 0) <= len(ps) / 2
+    assert bsgs_lanes[1] == [7, 17] and len(bsgs_lanes[4]) == np.count_nonzero(four)
 
 
 def test_classifier_decides_the_rational_2_torsion_point_even():
@@ -258,7 +331,7 @@ def test_classifier_decides_the_rational_2_torsion_point_even():
 
     ps = [p for p in sweep.primes_up_to(3000) if p not in (2, 7)]
     lanes = np.array([(p, 0, 0, 0, 1, 0, 2) for p in ps], np.int64).T
-    sylow, odd = sweep._two_sylow(*lanes)
+    sylow, odd, _ = sweep._two_sylow(*lanes)
     assert [p for p, s in zip(ps, sylow.tolist()) if s] == [p for p in ps if chi(-7, p) == chi(2, p) == p - 1]
     assert set(sylow.tolist()) == {0, 2} and not odd[sylow == 2].any()
     assert not sweep._order_is_odd(*lanes).any()
@@ -270,6 +343,17 @@ def test_density_scan_of_the_t2_family_member():
     c = curves.curve_from_pair(*fabulous.parametrize(2))
     recs = sweep.density_scan(c, (Fraction(0), Fraction(0)), 100_000, threads=1)
     assert (recs[-1].x, recs[-1].pi_prime, recs[-1].pi) == (100_000, 4267, 9592)
+
+
+@pytest.mark.parametrize("t, hits", [(-23, 2556), (-29, 5101), (-5, 2571), (-11, 7667), (None, 5029)])
+def test_density_scan_of_other_2_adic_images(t, hits):
+    # family members whose 2-adic images differ from E's, and Somos-4's pair
+    # (0, 0) on y^2 + y = x^3 - x (t = None), mix the classifier's cases
+    # differently: t = -23 and t = -5 have no lane with sylow 1, and three
+    # quarters of their lanes search a quarter of the Hasse interval
+    c = curves.Curve(0, 0, 1, -1, 0) if t is None else curves.curve_from_pair(*fabulous.parametrize(t))
+    recs = sweep.density_scan(c, (Fraction(0), Fraction(0)), 100_000, threads=1)
+    assert (recs[-1].x, recs[-1].pi_prime, recs[-1].pi) == (100_000, hits, 9592)
 
 
 def test_lane_bound_fails_loudly():
@@ -313,6 +397,14 @@ def test_divides_some_term_examples():
     assert sweep.divides_some_term(5) is False
     assert sweep.divides_some_term(7) is True
     assert sweep.divides_some_term(2) is True
+
+
+def test_divides_some_term_rejects_non_primes():
+    # 0, 1 and negatives once raised ZeroDivisionError or an isqrt error, and
+    # composites got an answer; 2147450879 = 32767 * 65537 sits below the lane bound
+    for n in (0, 1, -7, 4, 9, 91, 2147450879):
+        with pytest.raises(ValueError, match="not a prime"):
+            sweep.divides_some_term(n)
 
 
 def test_odd_order_decision_matches_naive_order_on_random_pairs():
