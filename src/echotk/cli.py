@@ -235,8 +235,14 @@ def _base_pair_certificate() -> bool:
     )
 
 
+# (c, a, b) with brute_density(k, group) = c + a 4^-k + b 64^-k, as summed in
+# the ``brute_report`` docstring
+_BRUTE_CLOSED_FORMS = {
+    "hk": (Fraction(179, 336), Fraction(7, 20), Fraction(32, 105)),
+    "full": (Fraction(11, 21), Fraction(2, 5), Fraction(8, 105)),
+}
 _BRUTE_FORMS_LABEL = "; ".join(
-    f"{g} {c} + ({a}) 4^-k + ({b}) 64^-k" for g, (c, a, b) in density.BRUTE_CLOSED_FORMS.items()
+    f"{g} {c} + ({a}) 4^-k + ({b}) 64^-k" for g, (c, a, b) in _BRUTE_CLOSED_FORMS.items()
 )
 
 INVARIANTS: tuple[tuple[str, str, Callable[[], bool]], ...] = (
@@ -280,9 +286,9 @@ INVARIANTS: tuple[tuple[str, str, Callable[[], bool]], ...] = (
      lambda: density.analytic_density("full").total == Fraction(11, 21)),
     ("density", f"brute densities: {_BRUTE_FORMS_LABEL} (k in 2..16)",
      lambda: all(
-         density.brute_density(k, g) == c + a / 4**k + b / 64**k
-         for g, (c, a, b) in density.BRUTE_CLOSED_FORMS.items()
-         for k in range(2, 17)
+         density.brute_closed_form(g) == (c, a, b)
+         and all(density.brute_density(k, g) == c + a / 4**k + b / 64**k for k in range(2, 17))
+         for g, (c, a, b) in _BRUTE_CLOSED_FORMS.items()
      )),
     ("family", "quartic discriminant identity at 10 random pairs", _discriminant_identity),
     ("family", "rational_roots finds the quartic root -96b^2 at t in {1, 2, 3, 7, 1/2}",

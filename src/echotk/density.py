@@ -4,20 +4,20 @@ A group is given by a level-2 subgroup G_2 of AGL_2(Z/4), read from its
 code array and standing for its full preimage at every level k >= 2: H_2
 for H_k, or the whole affine group.  ``_group_table`` turns G_2 into |G_2|
 and, per M in GL_2(Z/4), log2 |im(M - I)| and the number of v in that image
-with (v, M) in G_2.  Both engines read only that table:
+with (v, M) in G_2.  One engine reads that table:
 
-* ``brute_report`` counts the matrices at a finite level k by the mod-4
-  class of M and the 2-adic Smith form of M - I, which fix |im(M - I)|;
-* ``analytic_density`` evaluates the exact limit over the lift tower.  The
-  case split of M - I mod 4 lives in ``case_label``, and ``_NU`` gives each
-  case its limiting image size: a geometric series for the degenerate
-  determinants and a one-unknown linear solve for the identity class.
+* ``_smith_cells`` counts the lifts A' of A = M - I mod 4 to level k by
+  their 2-adic Smith form, which fixes |im A'|, and ``brute_report`` sums
+  the cells into the exact density at level k;
+* every class's mean of |im A'| / 4^k is c + a 4^-k + b 64^-k (the
+  ``brute_report`` docstring proves it), so the levels k = 2, 3, 4 fix the
+  limit c exactly: ``mu_case`` and ``analytic_density`` solve it per class,
+  and ``brute_closed_form`` solves the (c, a, b) of the totals.
 
-The analytic totals are exactly 179/336 for H_k and 11/21 for the full
-group.  The brute values are exactly c + a 4^-k + b 64^-k, with (c, a, b)
-from ``BRUTE_CLOSED_FORMS``, and the two engines agree exactly
-on every matrix class whose determinant valuation is already resolved at
-the finite level.
+``case_label`` splits the classes by the 2-adic shape of M - I mod 4 for
+the per-case reports.  The limits are exactly 179/336 for H_k and 11/21
+for the full group, and each finite level equals the limit on every class
+whose determinant valuation is already resolved mod 4.
 """
 
 from __future__ import annotations
@@ -131,29 +131,6 @@ def _group_table(group: str) -> tuple[int, dict]:
     return len(members), table
 
 
-# ---------------------------------------------------------------------------
-# analytic engine
-
-
-@lru_cache(maxsize=None)
-def _nu_level1(n: Matrix) -> Fraction:
-    """Limit of E[|im N'| / 4^k] over lifts N' of the mod-2 matrix N."""
-    det = _det(n, 2)
-    if det == 1:
-        return Fraction(1)
-    if n != (0, 0, 0, 0):
-        # half the lifts gain one valuation step at each level
-        return Fraction(1, 4) / (1 - Fraction(1, 4))
-    # the zero matrix references the average over all classes: solve a*x = b
-    others = Fraction(0)
-    for m in _MOD2_MATRICES:
-        if m != (0, 0, 0, 0):
-            others += _nu_level1(m)
-    a = 1 - Fraction(1, 64)
-    b = Fraction(1, 64) * others
-    return b / a
-
-
 def case_label(m: Matrix) -> str:
     """The case of M's class by the 2-adic shape of A = M - I mod 4: det A odd,
     det A = 2, det A = 0 with an odd entry, or A = 2N with N mod 2 invertible,
@@ -170,36 +147,6 @@ def case_label(m: Matrix) -> str:
         return CASE_IDENTITY
     n = tuple((x >> 1) & 1 for x in a)
     return CASE_HALVED_INV if _det(n, 2) == 1 else CASE_HALVED_SING
-
-
-# Limit of E[|im A'| / 4^k] over lifts A' of A = M - I mod 4, per case of A.
-# With det A = 0 mod 4 and an odd entry, the determinant valuation resolves
-# at level i >= 2 with probability 2^(1-i) and leaves |im| a share 2^-i: a
-# geometric series.  An even A is 2N, and N mod 2 carries the level-1 limit.
-_NU = {
-    CASE_DET_ODD: Fraction(1),
-    CASE_DET_2: Fraction(1, 2),
-    CASE_DET_0_ODD: Fraction(1, 2) * Fraction(1, 4) / (1 - Fraction(1, 4)),
-    CASE_HALVED_INV: Fraction(1, 4) * _nu_level1((1, 0, 0, 1)),
-    CASE_HALVED_SING: Fraction(1, 4) * _nu_level1((1, 0, 0, 0)),
-    CASE_IDENTITY: Fraction(1, 4) * _nu_level1((0, 0, 0, 0)),
-}
-
-
-def mu_case(m: Matrix, group: str = "hk") -> Fraction:
-    """Exact limiting contribution of the mod-4 class of M to the density.
-
-    Each of the 16^(k-2) lifts A' of A = M - I holds |im A'| f_M counted
-    pairs of the |G_2| 64^(k-2) elements, where f_M = |im A ∩ V_M| / |im A|
-    at level 2.  As the mean of |im A'| / 4^k tends to the ``_NU`` of its
-    case, the class contributes 16 f_M / |G_2| times that limit.
-    """
-    if _det(m, 4) % 2 == 0:
-        raise ValueError("M must be invertible mod 4")
-    m = tuple(x & 3 for x in m)
-    order, table = _group_table(group)
-    log4, hits4 = table[m]
-    return Fraction(16 * hits4, order << log4) * _NU[case_label(m)]
 
 
 @dataclass(frozen=True)
@@ -240,26 +187,10 @@ def _case_report(mode: str, group: str, class_fracs: dict, s1_total=None) -> Den
     )
 
 
-def analytic_density(group: str = "hk") -> DensityReport:
-    """Exact limiting density with its per-case breakdown.
-
-    The cases partition GL_2(Z/4) by the 2-adic shape of M - I; only
-    matrices with a nonzero limit are counted.
-    """
-    return _case_report("analytic", group, {m: mu_case(m, group) for m in gl2_mod4()})
-
-
 # ---------------------------------------------------------------------------
-# brute engine (exact, finite level)
+# finite level k: Smith cells
 
 BRUTE_MAX_LEVEL = 64
-
-# (c, a, b) with brute_density(k, group) = c + a 4^-k + b 64^-k exactly,
-# as summed in the ``brute_report`` docstring
-BRUTE_CLOSED_FORMS = {
-    "hk": (Fraction(179, 336), Fraction(7, 20), Fraction(32, 105)),
-    "full": (Fraction(11, 21), Fraction(2, 5), Fraction(8, 105)),
-}
 
 
 def _smith_cells(a: Matrix, r: int, k: int) -> Counter:
@@ -308,13 +239,13 @@ def brute_report(k: int, group: str = "hk") -> tuple[DensityReport, dict]:
     z(n-1)/64 with z(0) = 1, so z(n) = 4/7 + (2/5) 4^-n + (1/35) 64^-n.
     A class weighs 16 f_M / |G_2|: 1/96 in the full group, where f_M = 1
     (32, 24, 24, 6, 9, 1 classes per case), and f_M/24 in H_k (f_M sums to
-    8, 6, 6, 3, 0, 1 per case), which gives D(k) = c + a 4^-k + b 64^-k
-    with the (c, a, b) of ``BRUTE_CLOSED_FORMS``.
+    8, 6, 6, 3, 0, 1 per case), which gives D(k) = c + a 4^-k + b 64^-k,
+    and ``brute_closed_form`` solves (c, a, b) from three levels.
 
     ``BRUTE_MAX_LEVEL`` = 64 is the range the tests check: a call costs
     about 55 ms there (2-core Xeon VM), and ``_smith_cells`` recurses k deep.
     Returns the report and the per-mod-4-class fractions, which tests check
-    against the analytic closed forms class by class.
+    class by class against enumeration and against ``mu_case``.
     """
     if not 2 <= k <= BRUTE_MAX_LEVEL:
         raise ValueError(f"brute level must be in 2..{BRUTE_MAX_LEVEL}")
@@ -333,6 +264,65 @@ def brute_report(k: int, group: str = "hk") -> tuple[DensityReport, dict]:
 def brute_density(k: int, group: str = "hk") -> Fraction:
     """Exact density |{(v, M) : v in im(M - I)}| / |group| at finite level k."""
     return brute_report(k, group)[0].total
+
+
+# ---------------------------------------------------------------------------
+# the limit, read off levels 2, 3 and 4
+
+
+def _span_limit(d2, d3, d4) -> Fraction:
+    """The c of d_k = c + a 4^-k + b 64^-k, from exact d_k at k = 2, 3, 4, by
+    Richardson extrapolation: r_k = 64 d_(k+1) - d_k = 63 c + 15 a 4^-k drops
+    the 64^-k term, and 4 r_3 - r_2 = 189 c drops the 4^-k term."""
+    return Fraction(4 * (64 * d4 - d3) - (64 * d3 - d2), 189)
+
+
+def _solve_span(d2, d3, d4) -> tuple[Fraction, Fraction, Fraction]:
+    """(c, a, b) with d_k = c + a 4^-k + b 64^-k at k = 2, 3, 4."""
+    c = _span_limit(d2, d3, d4)
+    a = (64 * d3 - d2 - 63 * c) * Fraction(16, 15)
+    return c, a, (d2 - c - a / 16) * 4096
+
+
+@lru_cache(maxsize=None)
+def _mean_image_limit(a: Matrix) -> Fraction:
+    """Limit over k of the mean of |im A'| / 4^k = 2^-t over the 16^(k-2)
+    lifts A' of the mod-4 matrix A, from its Smith cells at k = 2, 3, 4.
+    Scaled by 2^16 = 4^4 16^2, their common denominator, the means are
+    integers."""
+    scaled = (sum(n << 24 - 4 * k - t for t, n in _smith_cells(a, 2, k).items()) for k in (2, 3, 4))
+    return _span_limit(*scaled) / (1 << 16)
+
+
+def mu_case(m: Matrix, group: str = "hk") -> Fraction:
+    """Exact limiting contribution of the mod-4 class of M to the density.
+
+    Each of the 16^(k-2) lifts A' of A = M - I holds |im A'| f_M counted
+    pairs of the |G_2| 64^(k-2) elements, where f_M = |im A ∩ V_M| / |im A|
+    at level 2.  So the class contributes 16 f_M / |G_2| times the limit of
+    the mean of |im A'| / 4^k, which ``_mean_image_limit`` reads off the
+    Smith cells.
+    """
+    if _det(m, 4) % 2 == 0:
+        raise ValueError("M must be invertible mod 4")
+    m = tuple(x & 3 for x in m)
+    order, table = _group_table(group)
+    log4, hits4 = table[m]
+    return Fraction(16 * hits4, order << log4) * _mean_image_limit(_m_minus_i(m, 4))
+
+
+def analytic_density(group: str = "hk") -> DensityReport:
+    """Exact limiting density with its per-case breakdown.
+
+    The cases partition GL_2(Z/4) by the 2-adic shape of M - I; only
+    matrices with a nonzero limit are counted.
+    """
+    return _case_report("analytic", group, {m: mu_case(m, group) for m in gl2_mod4()})
+
+
+def brute_closed_form(group: str = "hk") -> tuple[Fraction, Fraction, Fraction]:
+    """(c, a, b) with brute_density(k, group) = c + a 4^-k + b 64^-k at every k."""
+    return _solve_span(*(brute_density(k, group) for k in (2, 3, 4)))
 
 
 def resolved_at_level_2(m: Matrix) -> bool:

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 
 def primes_up_to(bound: int) -> list[int]:
@@ -25,20 +27,19 @@ def primes_up_to(bound: int) -> list[int]:
     return [i for i, fl in enumerate(sieve) if fl]
 
 
-def primes_in_range(lo: int, hi: int, base: Sequence[int]) -> Iterable[int]:
-    """Primes in [lo, hi) via a segmented sieve over the given base primes."""
+def primes_in_range(lo: int, hi: int, base: Sequence[int]) -> list[int]:
+    """Primes in [lo, hi), ascending, via a segmented sieve over the given
+    base primes."""
     lo = max(lo, 2)
     if lo >= hi:
-        return
+        return []
     seg = bytearray([1]) * (hi - lo)
     for q in base:
         if q * q >= hi:
             break
         start = max(q * q, ((lo + q - 1) // q) * q)
         seg[start - lo :: q] = bytearray(len(range(start, hi, q)))
-    for i, fl in enumerate(seg):
-        if fl:
-            yield lo + i
+    return (np.flatnonzero(np.frombuffer(seg, dtype=np.uint8)) + lo).tolist()
 
 
 def poly_eval(coeffs: Sequence, x):

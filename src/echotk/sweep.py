@@ -525,7 +525,7 @@ class Checkpoint:
 def _sweep_chunk(args):
     """Count primes and odd-order hits in [lo, hi), split at the given cuts."""
     lo, hi, cuts, parts, bad, overrides = args
-    ps = list(primes_in_range(lo, hi, primes_up_to(math.isqrt(hi) + 1)))
+    ps = primes_in_range(lo, hi, primes_up_to(math.isqrt(hi) + 1))
     hits = np.concatenate(([0], np.cumsum(_decide(ps, parts, bad, overrides))))
     cuts = list(cuts) + [hi]
     return [(cut, n, int(hits[n])) for cut, n in zip(cuts, np.searchsorted(ps, cuts, side="right").tolist())]

@@ -243,10 +243,57 @@ def test_analytic_density_full():
     assert sum(rep.case_counts.values()) == 96  # every class contributes
 
 
+# ---------------------------------------------------------------------------
+# the case calculus: the limit of each class derived by hand, case by case,
+# as an oracle independent of the Smith cells that the engine solves from
+
+
+@lru_cache(maxsize=None)
+def _nu_level1(n) -> Fraction:
+    """Limit of E[|im N'| / 4^k] over lifts N' of the mod-2 matrix N."""
+    if density._det(n, 2) == 1:
+        return Fraction(1)
+    if n != (0, 0, 0, 0):
+        # half the lifts gain one valuation step at each level
+        return Fraction(1, 4) / (1 - Fraction(1, 4))
+    # the zero matrix references the average over all classes: solve a*x = b
+    others = Fraction(0)
+    for m in density._MOD2_MATRICES:
+        if m != (0, 0, 0, 0):
+            others += _nu_level1(m)
+    a = 1 - Fraction(1, 64)
+    b = Fraction(1, 64) * others
+    return b / a
+
+
+# Limit of E[|im A'| / 4^k] over lifts A' of A = M - I mod 4, per case of A.
+# With det A = 0 mod 4 and an odd entry, the determinant valuation resolves
+# at level i >= 2 with probability 2^(1-i) and leaves |im| a share 2^-i: a
+# geometric series.  An even A is 2N, and N mod 2 carries the level-1 limit.
+_NU = {
+    density.CASE_DET_ODD: Fraction(1),
+    density.CASE_DET_2: Fraction(1, 2),
+    density.CASE_DET_0_ODD: Fraction(1, 2) * Fraction(1, 4) / (1 - Fraction(1, 4)),
+    density.CASE_HALVED_INV: Fraction(1, 4) * _nu_level1((1, 0, 0, 1)),
+    density.CASE_HALVED_SING: Fraction(1, 4) * _nu_level1((1, 0, 0, 0)),
+    density.CASE_IDENTITY: Fraction(1, 4) * _nu_level1((0, 0, 0, 0)),
+}
+
+
 def test_case4_solve_value():
     # the self-referential level-1 class solves to 1/7; scaled into the
     # identity-matrix contribution it lands at 1/672
-    assert density._nu_level1((0, 0, 0, 0)) == Fraction(1, 7)
+    assert _nu_level1((0, 0, 0, 0)) == Fraction(1, 7)
+
+
+def test_mu_case_matches_the_case_calculus():
+    # all 192 class values: 96 classes of GL_2(Z/4), in both groups
+    for group in ("hk", "full"):
+        order, table = density._group_table(group)
+        for m in density.gl2_mod4():
+            log4, hits4 = table[m]
+            want = Fraction(16 * hits4, order << log4) * _NU[density.case_label(m)]
+            assert density.mu_case(m, group) == want, (group, m)
 
 
 def test_brute_level2_exact_value():
@@ -370,10 +417,28 @@ def test_brute_matches_smith_oracle_level5():
 
 
 def test_brute_closed_forms():
-    # the finite-level identities derived in the brute_report docstring
-    for group, (c, a, b) in density.BRUTE_CLOSED_FORMS.items():
+    # the finite-level identities derived in the brute_report docstring,
+    # and the (c, a, b) that brute_closed_form solves from three levels
+    forms = {
+        "hk": (Fraction(179, 336), Fraction(7, 20), Fraction(32, 105)),
+        "full": (Fraction(11, 21), Fraction(2, 5), Fraction(8, 105)),
+    }
+    for group, (c, a, b) in forms.items():
+        assert density.brute_closed_form(group) == (c, a, b), group
         for k in range(2, density.BRUTE_MAX_LEVEL + 1):
             assert density.brute_density(k, group) == c + a / 4**k + b / 64**k, (group, k)
+
+
+def test_every_class_lies_in_the_span_the_limit_is_solved_from():
+    # each class's brute fraction is c + a 4^-k + b 64^-k with the (c, a, b)
+    # solved from k = 2, 3, 4, at every further level, and c is mu_case
+    for group in ("hk", "full"):
+        per_level = {k: density.brute_report(k, group)[1] for k in range(2, 17)}
+        for m in density.gl2_mod4():
+            c, a, b = density._solve_span(*(per_level[k][m] for k in (2, 3, 4)))
+            assert c == density.mu_case(m, group), (group, m)
+            for k in range(5, 17):
+                assert per_level[k][m] == c + a / 4**k + b / 64**k, (group, m, k)
 
 
 def test_brute_level_bounds():
