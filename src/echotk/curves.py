@@ -15,6 +15,7 @@ at the origin.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -36,7 +37,7 @@ class NonIntegralModelError(ValueError):
 def _residue(v, p: int) -> int:
     """The rational v = n/d as n * d^-1 mod p."""
     v = Fraction(v)
-    n, d = int(v.numerator), int(v.denominator)  # numpy integers become ints
+    n, d, p = int(v.numerator), int(v.denominator), operator.index(p)  # numpy integers become ints
     if d % p == 0:
         raise NonIntegralModelError(f"{v} has a denominator divisible by {p}")
     return n * pow(d, -1, p) % p
@@ -54,6 +55,8 @@ class Curve:
     p: Optional[int] = None
 
     def __post_init__(self):
+        if self.p is not None:
+            object.__setattr__(self, "p", operator.index(self.p))  # a numpy prime becomes an int
         for name in ("a1", "a2", "a3", "a4", "a6"):
             object.__setattr__(self, name, self._norm(getattr(self, name)))
 

@@ -193,29 +193,33 @@ def _case_report(mode: str, group: str, class_fracs: dict, s1_total=None) -> Den
 BRUTE_MAX_LEVEL = 64
 
 
-def _smith_cells(a: Matrix, r: int, k: int) -> Counter:
+@lru_cache(maxsize=None)
+def _smith_cells(a: Matrix, r: int, k: int) -> tuple[tuple[int, int], ...]:
     """Lifts A' to Z/2^k of the mod-2^r matrix A (r <= 2, r <= k; r = 0 means
     every matrix), counted by t = e1 + e2, where diag(2^e1, 2^e2) is the Smith
     form of A' with each e capped at k.  Then |im A'| = 2^(2k - t), and
-    det A' = 0 mod 2^k iff t = k.
+    det A' = 0 mod 2^k iff t = k.  Returned as (t, count) pairs, ascending
+    in t: the cells depend on no group, so they are cached, and immutable
+    so that every caller can share them.
     """
     if k == 0:
-        return Counter({0: 1})
+        return ((0, 1),)
     if r == 0:
-        return sum((_smith_cells(n, 1, k) for n in _MOD2_MATRICES), Counter())
+        cells = Counter()
+        for n in _MOD2_MATRICES:
+            cells.update(dict(_smith_cells(n, 1, k)))
+        return tuple(sorted(cells.items()))
     lifts = 1 << 4 * (k - r)
     if any(x & 1 for x in a):
         # e1 = 0, and with a unit entry det A' is uniform over the 2^(k-r)
         # lifts of det A mod 2^r: its valuation is fixed or geometric over r..k
         d = _det(a, 1 << r)
         if d:
-            return Counter({_val2(d, r): lifts})
-        cells = Counter({j: lifts >> (j + 1 - r) for j in range(r, k)})
-        cells[k] = lifts >> (k - r)  # det A' = 0 mod 2^k
-        return cells
+            return ((_val2(d, r), lifts),)
+        # det A' = 0 mod 2^k in the last cell
+        return tuple((j, lifts >> (j + 1 - r)) for j in range(r, k)) + ((k, lifts >> (k - r)),)
     # A' = 2B, with B over Z/2^(k-1) lifting A/2 from mod 2^(r-1)
-    sub = _smith_cells(tuple(x >> 1 for x in a), r - 1, k - 1)
-    return Counter({t + 2: n for t, n in sub.items()})
+    return tuple((t + 2, n) for t, n in _smith_cells(tuple(x >> 1 for x in a), r - 1, k - 1))
 
 
 def brute_report(k: int, group: str = "hk") -> tuple[DensityReport, dict]:
@@ -254,8 +258,7 @@ def brute_report(k: int, group: str = "hk") -> tuple[DensityReport, dict]:
     class_fracs = {}
     s1 = 0
     for m, (log4, hits4) in table.items():
-        cells = _smith_cells(_m_minus_i(m, 4), 2, k).items()
-        pairs = {t: hits4 * n << (2 * k - t - log4) for t, n in cells}
+        pairs = {t: hits4 * n << (2 * k - t - log4) for t, n in _smith_cells(_m_minus_i(m, 4), 2, k)}
         class_fracs[m] = Fraction(sum(pairs.values()), denom)
         s1 += sum(p for t, p in pairs.items() if t < k)
     return _case_report(f"brute(k={k})", group, class_fracs, Fraction(s1, denom)), class_fracs
@@ -290,7 +293,7 @@ def _mean_image_limit(a: Matrix) -> Fraction:
     lifts A' of the mod-4 matrix A, from its Smith cells at k = 2, 3, 4.
     Scaled by 2^16 = 4^4 16^2, their common denominator, the means are
     integers."""
-    scaled = (sum(n << 24 - 4 * k - t for t, n in _smith_cells(a, 2, k).items()) for k in (2, 3, 4))
+    scaled = (sum(n << 24 - 4 * k - t for t, n in _smith_cells(a, 2, k)) for k in (2, 3, 4))
     return _span_limit(*scaled) / (1 << 16)
 
 

@@ -27,19 +27,19 @@ def primes_up_to(bound: int) -> list[int]:
     return [i for i, fl in enumerate(sieve) if fl]
 
 
-def primes_in_range(lo: int, hi: int, base: Sequence[int]) -> list[int]:
-    """Primes in [lo, hi), ascending, via a segmented sieve over the given
-    base primes."""
+def primes_in_range(lo: int, hi: int, base: Sequence[int]) -> np.ndarray:
+    """Primes in [lo, hi), ascending, as an int64 array, via a segmented
+    sieve over the given base primes."""
     lo = max(lo, 2)
     if lo >= hi:
-        return []
+        return np.zeros(0, np.int64)
     seg = bytearray([1]) * (hi - lo)
     for q in base:
         if q * q >= hi:
             break
         start = max(q * q, ((lo + q - 1) // q) * q)
         seg[start - lo :: q] = bytearray(len(range(start, hi, q)))
-    return (np.flatnonzero(np.frombuffer(seg, dtype=np.uint8)) + lo).tolist()
+    return np.flatnonzero(np.frombuffer(seg, dtype=np.uint8)).astype(np.int64) + lo
 
 
 def poly_eval(coeffs: Sequence, x):

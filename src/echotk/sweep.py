@@ -4,20 +4,23 @@ For a good-reduction prime p the question reduces to whether the base
 point has odd order in E(F_p); the bad primes are settled by the residue
 cycles (3 divides a term, 5 never does).  The decision runs on numpy int64
 lanes, one prime per lane, for a whole sweep segment at once, in two
-stages.  First the 2-division rule: the roots in F_p of the cubic f whose
-roots are the x of the 2-torsion points come from gcd(f, X^p - X).  If f
-has no root, #E(F_p) is odd and so is the point's order.  If f has one
-root e1 and f'(e1) is a non-residue, the 2-Sylow subgroup is Z/2 and the
-point has odd order iff x - e1 is a nonzero square.  That decides about
-59% of E's primes.  The rest go to a baby-step giant-step search, which
-finds a positive multiple m of the point's order; the order is odd
-exactly when the odd part of m already kills the point, which an x-only
-Montgomery ladder tests.  On nearly all of those lanes the cubic proves
-4 | #E(F_p): three roots put E[2] in E(F_p), and one root with f'(e1) a
-square makes the 2-Sylow subgroup cyclic of order at least 4.  There the
+stages.  First the 2-descent map on the cubic f whose roots are the x of
+the 2-torsion points: a point of odd order lies in 2E(F_p) and is not
+2-torsion, so x - e is a nonzero square for every root e of f in F_p.
+The roots come from gcd(f, X^p - X).  If f has no root, #E(F_p) is odd
+and so is the point's order.  If f has one root e1 and f'(e1) is a
+non-residue, the 2-Sylow subgroup is Z/2 and the point has odd order iff
+x - e1 is a nonzero square.  If f'(e1) is a square, or f has three roots,
+4 | #E(F_p), and the order is even unless every x - e is a nonzero square,
+which one power (x - X)^((p-1)/2) mod f tests for all three roots at
+once.  That decides about 83% of E's primes, close to
+1/3 + 1/4 + 1/8 + 1/8 = 5/6.  The rest go to a baby-step giant-step
+search, which finds a positive multiple m of the point's order; the
+order is odd exactly when the odd part of m already kills the point,
+which an x-only Montgomery ladder tests.  On all of those lanes but
+p = 2 and rare degenerate gcd steps the cubic proves 4 | #E(F_p), so the
 search runs on 4P over a quarter of the Hasse interval, with half the
-baby and giant steps.  Only p = 2 and rare degenerate gcd steps search
-the whole interval.  The search uses projective coordinates, one batched
+baby and giant steps.  The search uses projective coordinates, one batched
 inversion per lane, and sorted keys to match baby and giant steps.  Lanes
 hold primes up to LANE_PRIME_MAX = 2^31 - 1; larger primes raise
 ValueError.  The same engine scans any rational curve/point pair.  The
@@ -247,25 +250,67 @@ def _annihilating_multiples(p, x, y, a1, a2, a3, a4, d):
     return np.concatenate([_bsgs(*(a[lo:lo + width] for a in lanes), d) for lo in range(0, len(p), width)])
 
 
+# the per-lane cases of _two_sylow: four settle the lane, and two send it to
+# the BSGS with the cofactor 4 or 1
+NO_ROOT, Z2, CYCLIC_EVEN, SPLIT_EVEN, BSGS_4, BSGS_1 = range(6)
+_BSGS_COFACTOR = {BSGS_4: 4, BSGS_1: 1}
+
+
+def _cubic_pow(b0, b1, e, c):
+    """(b0 + b1 X)^e in F_p[X]/(f) on every lane, for the monic cubic
+    f = X^3 + c2 X^2 + c1 X + c0 with c = (p, c0, c1, c2) and lane exponents
+    e >= 0, as the coefficients (r0, r1, r2) of 1, X, X^2.  Left to right:
+    square, then times b0 + b1 X where e has the bit."""
+    p, c0, c1, c2 = c
+    r0, r1, r2 = np.ones_like(p), np.zeros_like(p), np.zeros_like(p)
+    for bit in range(int(e.max()).bit_length() - 1, -1, -1):
+        s4, s3 = r2 * r2 % p, 2 * (r1 * r2 % p)
+        s2 = (r1 * r1 + 2 * (r0 * r2 % p)) % p
+        s3 = (s3 - c2 * s4) % p  # X^4 = X * X^3, X^3 = -(c2 X^2 + c1 X + c0)
+        s2 = (s2 - c1 * s4 - c2 * s3) % p
+        s1 = (2 * (r0 * r1 % p) - c0 * s4 % p - c1 * s3) % p
+        r0, r1, r2 = (r0 * r0 - c0 * s3) % p, s1, s2
+        on = (e >> bit) & 1 == 1
+        xr = (-c0 * r2 % p, (r0 - c1 * r2) % p, (r1 - c2 * r2) % p)  # X r
+        times = ((b0 * r + b1 * t) % p for r, t in zip((r0, r1, r2), xr))
+        r0, r1, r2 = (np.where(on, t, r) for t, r in zip(times, (r0, r1, r2)))
+    return r0, r1, r2
+
+
 def _two_sylow(p, x, y, a1, a2, a3, a4):
-    """What the 2-division cubic shows on each lane, as three arrays: the
-    order of the 2-Sylow subgroup of E(F_p) where it settles it (1 or 2),
-    else 0; on those lanes whether (x, y) has odd order; and on the lanes it
-    leaves, whether it proves 4 | #E(F_p).
+    """What the 2-division cubic shows on each lane, as two arrays: the case
+    code, and on the lanes it settles (NO_ROOT, Z2, CYCLIC_EVEN, SPLIT_EVEN)
+    whether (x, y) has odd order.  BSGS_4 marks lanes where it proves
+    4 | #E(F_p) but not the parity of the order, and BSGS_1 the lanes it
+    learns nothing on.
 
     The x of the 2-torsion points are the roots of the monic f with
     4f(x) = 4x^3 + b2 x^2 + 2 b4 x + b6 = (2y + a1 x + a3)^2, so f's
     constant term comes from the point and a6 is never needed.  The roots
-    in F_p are those of gcd(f, h), h = X^p - X mod f.  No root: #E is odd.
-    Three roots, i.e. h = 0: E[2] lies in E(F_p), so 4 | #E.  One root e1:
-    Q -> x(Q) - e1 maps E(F_p)/2E(F_p) injectively into F_p^*/F_p^*2 and
-    sends T = (e1, .) to f'(e1) (Miret, Moreno, Rio and Valls, Math. Comp.
-    74, 2005).  So if f'(e1) is a non-residue, T is not in 2E(F_p), the
-    2-Sylow subgroup is Z/2, and the point has odd order iff it lies in
-    2E(F_p), iff x - e1 is a nonzero square.  If f'(e1) is a square, T is
-    in 2E(F_p) and the cyclic 2-Sylow subgroup has order at least 4.  p = 2
-    and the rare lanes where the gcd steps below degenerate (h2 = 0 with
-    h != 0, or l1 = 0) stay undecided with no flag.
+    in F_p are those of gcd(f, h), h = X^p - X mod f; as the roots sum to
+    -c2, there are 0, 1 or 3 of them, and 3 iff h = 0.
+
+    The rule is the 2-descent map (Miret, Moreno, Rio and Valls, Math.
+    Comp. 74, 2005; Knapp, Elliptic Curves, Thm 4.2): for each root e,
+    Q -> x(Q) - e is a homomorphism E(F_p) -> F_p^*/F_p^*2 (sending
+    (e, .) to f'(e)) that kills 2E(F_p), and with one root it is
+    injective on E(F_p)/2E(F_p).  A point of odd order lies in 2E(F_p),
+    since 2 is invertible on its cyclic group, and is not 2-torsion, so
+    every x - e is a nonzero square.  Where one is not, the order is even.
+      No root: #E(F_p) is odd, and so is the order (NO_ROOT).
+      One root e1 = -l0/l1, with f'(e1) a non-residue: T = (e1, .) is not
+        in 2E(F_p), so the 2-Sylow subgroup is Z/2 and the point has odd
+        order iff it lies in 2E(F_p), iff x - e1 is a nonzero square (Z2).
+      One root, f'(e1) a square: T is in 2E(F_p) and the 2-Sylow subgroup
+        is cyclic of order at least 4.  If x - e1 is not a nonzero square,
+        the order is even (CYCLIC_EVEN); otherwise BSGS_4.
+      Three roots: E[2] lies in E(F_p), so 4 | #E(F_p).  By CRT,
+        F_p[X]/(f) = F_p^3 through X -> (e1, e2, e3), so
+        u = (x - X)^((p-1)/2) mod f is 1 iff every x - e_i is a nonzero
+        square.  If u != 1 the order is even (SPLIT_EVEN); otherwise
+        BSGS_4.
+    p = 2 and the rare lanes where the gcd steps below degenerate (h2 = 0
+    with h != 0, or l1 = 0) are BSGS_1.
     """
     inv2 = (p + 1) >> 1
     inv4 = inv2 * inv2 % p
@@ -274,51 +319,43 @@ def _two_sylow(p, x, y, a1, a2, a3, a4):
     w = (2 * y + a1 * x + a3) % p
     c0 = (w * w % p * inv4 - ((x + c2) * x % p + c1) % p * x) % p  # f(x) = w^2/4 at the point
 
-    # r = X^p mod f, left to right: square, then times X where p has the bit
-    r0, r1, r2 = np.ones_like(p), np.zeros_like(p), np.zeros_like(p)
-    for bit in range(int(p.max()).bit_length() - 1, -1, -1):
-        s4, s3 = r2 * r2 % p, 2 * (r1 * r2 % p)
-        s2 = (r1 * r1 + 2 * (r0 * r2 % p)) % p
-        s3 = (s3 - c2 * s4) % p  # X^4 = X * X^3, X^3 = -(c2 X^2 + c1 X + c0)
-        s2 = (s2 - c1 * s4 - c2 * s3) % p
-        s1 = (2 * (r0 * r1 % p) - c0 * s4 % p - c1 * s3) % p
-        r0, r1, r2 = (r0 * r0 - c0 * s3) % p, s1, s2
-        on = (p >> bit) & 1 == 1
-        times_x = (-c0 * r2 % p, (r0 - c1 * r2) % p, (r1 - c2 * r2) % p)
-        r0, r1, r2 = (np.where(on, t, r) for t, r in zip(times_x, (r0, r1, r2)))
-
     # gcd(f, h): two pseudo-remainder steps leave l1 X + l0, whose root is a
     # root of h exactly when z = l1^2 h(-l0/l1) vanishes
-    h0, h1, h2 = r0, (r1 - 1) % p, r2
+    h0, h1, h2 = _cubic_pow(0, 1, p, (p, c0, c1, c2))
+    h1 = (h1 - 1) % p
     g2, g1, g0 = (h2 * c2 - h1) % p, (h2 * c1 - h0) % p, h2 * c0 % p
     l1, l0 = (h2 * g1 - g2 * h1) % p, (h2 * g0 - g2 * h0) % p
     z = ((h2 * (l0 * l0 % p) - h1 * (l0 * l1 % p)) % p + h0 * (l1 * l1 % p)) % p
     ok = (p != 2) & (h2 != 0) & (l1 != 0)
-    sylow = np.where(ok & (z != 0), 1, 0)
-    odd = sylow == 1
-    four = (h0 == 0) & (h1 == 0) & (h2 == 0)  # never at p = 2, where h = X^2 - X
+    case = np.where(ok & (z != 0), NO_ROOT, BSGS_1)
+    odd = case == NO_ROOT
 
     # one root e1 = -l0/l1: chi of l1^2 f'(e1), of x l1 + l0 and of l1
     one = np.flatnonzero(ok & (z == 0))
     if one.size:
-        p, l0, l1, c1, c2 = (a[one] for a in (p, l0, l1, c1, c2))
-        fprime = (3 * (l0 * l0 % p) - 2 * (c2 * (l0 * l1 % p) % p) + c1 * (l1 * l1 % p)) % p
-        chi = _pow(np.stack([fprime, (x[one] * l1 + l0) % p, l1]), (p - 1) >> 1, p)
-        z2 = chi[0] == p - 1
-        sylow[one[z2]] = 2
-        odd[one[z2]] = (chi[1] * chi[2] % p == 1)[z2]
-        four[one[~z2]] = True
-    return sylow, odd, four
+        q, m0, m1 = p[one], l0[one], l1[one]
+        fprime = (3 * (m0 * m0 % q) - 2 * (c2[one] * (m0 * m1 % q) % q) + c1[one] * (m1 * m1 % q)) % q
+        chi = _pow(np.stack([fprime, (x[one] * m1 + m0) % q, m1]), (q - 1) >> 1, q)
+        square = chi[1] * chi[2] % q == 1  # x - e1 is a nonzero square
+        cyclic = chi[0] == 1
+        case[one] = np.where(cyclic, np.where(square, BSGS_4, CYCLIC_EVEN), Z2)
+        odd[one] = ~cyclic & square
+
+    three = np.flatnonzero((h0 == 0) & (h1 == 0) & (h2 == 0))  # never at p = 2, where h = X^2 - X
+    if three.size:
+        q = p[three]
+        u0, u1, u2 = _cubic_pow(x[three], -1, (q - 1) >> 1, (q, c0[three], c1[three], c2[three]))
+        case[three] = np.where((u0 == 1) & (u1 == 0) & (u2 == 0), BSGS_4, SPLIT_EVEN)
+    return case, odd
 
 
 def _order_is_odd(p, x, y, a1, a2, a3, a4):
-    """Whether (x, y) has odd order on each lane: _two_sylow decides most
-    lanes, and _odd_by_bsgs the rest, with the cofactor 4 where _two_sylow
-    proves 4 | #E(F_p)."""
+    """Whether (x, y) has odd order on each lane: _two_sylow settles most
+    lanes, and _odd_by_bsgs the rest, with the cofactor their case gives."""
     lanes = (p, x, y, a1, a2, a3, a4)
-    sylow, out, four = _two_sylow(*lanes)
-    for d, rest in ((1, (sylow == 0) & ~four), (4, four)):
-        rest = np.flatnonzero(rest)
+    case, out = _two_sylow(*lanes)
+    for code, d in _BSGS_COFACTOR.items():
+        rest = np.flatnonzero(case == code)
         if rest.size:
             out[rest] = _odd_by_bsgs(*(a[rest] for a in lanes), d)
     return out
@@ -383,6 +420,8 @@ def _kills(k, p, x, y, a1, a2, a3, a4):
 
 def _lane_residues(v: int, q):
     """The integer v, of any size, mod each lane prime."""
+    if -(1 << 63) <= v < 1 << 63:
+        return v % q
     return (v % q.astype(object)).astype(np.int64)
 
 
@@ -403,22 +442,22 @@ def _prepare(c: Curve, pt: Point) -> tuple[tuple, int]:
     return tuple((v.numerator, v.denominator) for v in values), bad * disc.numerator
 
 
-def _decide(ps: list[int], parts: tuple, bad: int, overrides: dict):
+def _decide(ps, parts: tuple, bad: int, overrides: dict):
     """Whether the prepared point has odd order mod each prime of ps, as a
-    bool array; False at bad primes unless overrides settles them."""
+    bool array: overrides first, then False at bad primes, then True where
+    the point reduces to O, and the lanes decide the rest."""
+    ps = np.asarray(ps, np.int64)
     out = np.zeros(len(ps), bool)
-    lanes = []
-    for i, p in enumerate(ps):
-        if p in overrides:
-            out[i] = overrides[p]
-        elif bad % p == 0:
-            continue
-        elif parts[0][1] % p == 0:
-            out[i] = True  # the point reduces to O
-        else:
-            lanes.append(i)
-    if lanes:
-        q = np.array([ps[i] for i in lanes], np.int64)
+    todo = np.ones(len(ps), bool)
+    for p, hit in overrides.items():
+        at = ps == p
+        out[at], todo[at] = hit, False
+    todo &= _lane_residues(bad, ps) != 0
+    at_o = todo & (_lane_residues(parts[0][1], ps) == 0)
+    out[at_o] = True
+    lanes = np.flatnonzero(todo & ~at_o)
+    if lanes.size:
+        q = ps[lanes]
         values = []
         for n, d in parts:
             r = _lane_residues(n, q)

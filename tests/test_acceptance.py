@@ -174,7 +174,7 @@ def test_criterion_7_empirical_densities():
 
 extended = pytest.mark.skipif(
     not __import__("os").environ.get("ECHO_EXTENDED"),
-    reason="extended check (the four take about 11 s on two cores): set ECHO_EXTENDED=1 to enable",
+    reason="extended check (the six take about 8 s on two cores): set ECHO_EXTENDED=1 to enable",
 )
 
 
@@ -208,3 +208,14 @@ def test_extended_somos4_scan_to_1e6():
     recs = sweep.density_scan(c, (Fraction(0), Fraction(0)), 1_000_000)
     assert (recs[-1].x, recs[-1].pi_prime, recs[-1].pi) == (1_000_000, 41080, 78498)
     print("[PASS] extended: the Somos-4 pair's scan gives 41080 of 78498 at 1e6")
+
+
+@extended
+@pytest.mark.parametrize("t, hits", [(-23, 20760), (-5, 20838)])
+def test_extended_split_rule_member_scans_to_1e6(t, hits):
+    # the members whose lanes the split rule settles most: three roots on
+    # about 3/8 of their primes, and about a quarter left to the BSGS
+    c = curves.curve_from_pair(*fabulous.parametrize(t))
+    recs = sweep.density_scan(c, (Fraction(0), Fraction(0)), 1_000_000)
+    assert (recs[-1].x, recs[-1].pi_prime, recs[-1].pi) == (1_000_000, hits, 78498)
+    print(f"[PASS] extended: the t = {t} member's scan gives {hits} of 78498 at 1e6")

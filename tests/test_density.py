@@ -458,3 +458,20 @@ def test_f_fraction_exact_distribution():
         Fraction(1, 2): 24,
         Fraction(1): 4,
     }
+
+
+def test_smith_cells_are_cached_immutable_and_reused_by_the_limit():
+    # the cells depend on no group: brute_report at k = 2, 3, 4 builds every
+    # cell the analytic limit reads, and each is an immutable tuple of
+    # (t, count) pairs, so sharing the cached value is safe
+    density._smith_cells.cache_clear()
+    density._mean_image_limit.cache_clear()
+    for k in (2, 3, 4):
+        density.brute_report(k, "hk")
+    built = density._smith_cells.cache_info().misses
+    assert density.analytic_density("hk").total == Fraction(179, 336)
+    assert density.analytic_density("full").total == Fraction(11, 21)
+    assert density._smith_cells.cache_info().misses == built
+    cells = density._smith_cells((1, 0, 0, 0), 2, 5)
+    assert cells == ((2, 2048), (3, 1024), (4, 512), (5, 512))  # the 16^3 lifts of a det-0 class
+    assert cells is density._smith_cells((1, 0, 0, 0), 2, 5)

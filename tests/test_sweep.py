@@ -130,13 +130,18 @@ def _lanes(rows):
     return np.array([(cp.p, *pt, cp.a1, cp.a2, cp.a3, cp.a4) for pt, cp in rows], np.int64).T
 
 
+# the cases of sweep._two_sylow that settle a lane, and those that prove 4 | #E
+_SETTLED = (sweep.NO_ROOT, sweep.Z2, sweep.CYCLIC_EVEN, sweep.SPLIT_EVEN)
+_FOUR_DIVIDES = (sweep.CYCLIC_EVEN, sweep.SPLIT_EVEN, sweep.BSGS_4)
+
+
 def _check_engine(rows):
     """Every lane's M is positive and kills its point, also from the quarter
-    interval on the lanes flagged 4 | #E, and the decision is the parity of
-    the naive order; returns the decisions."""
+    interval on the lanes whose case proves 4 | #E, and the decision is the
+    parity of the naive order; returns the decisions."""
     lanes = _lanes(rows)
     multiples = sweep._annihilating_multiples(*lanes, 1).tolist()
-    four = np.flatnonzero(sweep._two_sylow(*lanes)[2])
+    four = np.flatnonzero(np.isin(sweep._two_sylow(*lanes)[0], _FOUR_DIVIDES))
     if four.size:
         quarter = sweep._annihilating_multiples(*lanes[:, four], 4).tolist()
         for i, m in zip(four.tolist(), quarter):
@@ -270,71 +275,136 @@ def _gcd_steps_degenerate(p, x, y, a1, a2, a3, a4):
     return bool(h) and (len(h) < 3 or len(_poly_mod(f, h, p)) < 2)
 
 
+def _case_by_roots(p, x, y, a1, a2, a3, a4):
+    """The case of sweep._two_sylow from the roots of the 2-division cubic,
+    found by trying every x in F_p, and Euler's criterion; for odd p."""
+    b2, b4 = a1 * a1 + 4 * a2, a1 * a3 + 2 * a4
+    b6 = (2 * y + a1 * x + a3) ** 2 - ((4 * x + b2) * x + 2 * b4) * x
+    xs = np.arange(p, dtype=np.int64)
+    roots = xs[(((4 * xs + b2) * xs + 2 * b4) % p * xs + b6) % p == 0].tolist()  # of 4f
+
+    def square(a):  # a nonzero square mod p
+        return pow(a % p, (p - 1) // 2, p) == 1
+
+    if not roots:
+        return sweep.NO_ROOT
+    if len(roots) == 1:
+        e = roots[0]
+        if not square((12 * e + 2 * b2) * e + 2 * b4):  # (4f)'(e1) = 4 f'(e1)
+            return sweep.Z2
+        return sweep.BSGS_4 if square(x - e) else sweep.CYCLIC_EVEN
+    return sweep.BSGS_4 if all(square(x - e) for e in roots) else sweep.SPLIT_EVEN
+
+
 def test_two_division_classifier_against_group_order_and_bsgs():
-    # E, the t = 1, t = 2 and t = -23 family members and the control pair at
-    # every good prime below 3000: a lane whose 2-Sylow order s is decided has
-    # #E = s mod 2s (odd for s = 1, 2 mod 4 for s = 2), and its decision is
-    # the BSGS decision on that lane; a lane flagged 4 | #E has #E = 0 mod 4;
-    # and the undecided lanes with no flag are exactly p = 2 and the lanes
-    # where the gcd steps degenerate
-    # (t = -23's cubic has a root at every prime here, so no lane has sylow 1)
+    # E, the t = 1, t = 2 and t = -23 family members, the control pair, and
+    # the 2-torsion point T = (0, 0) of y^2 = x^3 + x^2 + 2x, at every good
+    # prime below 3000.  Each lane's case is the one the roots of f give,
+    # found by trying every x; BSGS_1 holds exactly p = 2 and the lanes where
+    # the gcd steps degenerate.  Against #E from group_order: NO_ROOT has #E
+    # odd, Z2 has #E = 2 mod 4, and the other cases 4 | #E.  On the two
+    # "even" cases the odd part of #E does not kill the point, and every
+    # settled lane's decision is the BSGS decision.  T's x is a root of f at
+    # every prime, so T gives lanes with x = e1 to both even rules.  On
+    # y^2 = x^3 - 25x = x(x - 5)(x + 5) with (45, 300), u's constant term
+    # u(0) = chi(45) is 1 on lanes where u != 1, so the split rule must
+    # check all of u.
     origin = (Fraction(0), Fraction(0))
+    six = set(range(6))
     for c, pt, cases in (
-        (CURVE_E, POINT_P, {0, 1, 2}),
-        (curves.curve_from_pair(*fabulous.parametrize(1)), origin, {0, 1, 2}),
-        (curves.curve_from_pair(*fabulous.parametrize(2)), origin, {0, 1, 2}),
-        (curves.curve_from_pair(*fabulous.parametrize(-23)), origin, {0, 2}),
-        (curves.curve_from_pair(*fabulous.find_control_pair()), origin, {0, 1, 2}),
+        (CURVE_E, POINT_P, six),
+        (curves.curve_from_pair(*fabulous.parametrize(1)), origin, six - {sweep.BSGS_1}),
+        (curves.curve_from_pair(*fabulous.parametrize(2)), origin, six - {sweep.CYCLIC_EVEN}),
+        (curves.curve_from_pair(*fabulous.parametrize(-23)), origin, six - {sweep.NO_ROOT, sweep.BSGS_1}),
+        (curves.curve_from_pair(*fabulous.find_control_pair()), origin, six),
+        (curves.Curve(0, 1, 0, 2, 0), origin, {sweep.Z2, sweep.CYCLIC_EVEN, sweep.SPLIT_EVEN}),
+        (curves.Curve(0, 0, 0, -25, 0), (Fraction(45), Fraction(300)), {sweep.SPLIT_EVEN, sweep.BSGS_4}),
     ):
         lanes = _pair_lanes(c, pt, sweep.primes_up_to(3000))
-        sylow, odd, four = sweep._two_sylow(*lanes)
-        assert set(sylow.tolist()) == cases, c
-        assert not (four & (sylow != 0)).any(), c
-        decided = np.flatnonzero(sylow)
-        assert odd[decided].tolist() == sweep._odd_by_bsgs(*lanes[:, decided], 1).tolist(), c
-        for (p, x, y, a1, a2, a3, a4), s, f4 in zip(lanes.T.tolist(), sylow.tolist(), four.tolist()):
-            if s or f4:
-                a6 = (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x) % p
-                n = sweep.group_order(curves.Curve(a1, a2, a3, a4, a6, p=p))
-                assert n % 4 == 0 if f4 else n % (2 * s) == s, (c, p)
-            unflagged = p == 2 or _gcd_steps_degenerate(p, x, y, a1, a2, a3, a4)
-            assert unflagged == (not s and not f4), (c, p)
-        assert np.count_nonzero((sylow == 0) & ~four) < len(sylow) / 100, c
+        case, odd = sweep._two_sylow(*lanes)
+        assert set(case.tolist()) == cases, c
+        settled = np.flatnonzero(np.isin(case, _SETTLED))
+        assert odd[settled].tolist() == sweep._odd_by_bsgs(*lanes[:, settled], 1).tolist(), c
+        for (p, x, y, a1, a2, a3, a4), k in zip(lanes.T.tolist(), case.tolist()):
+            if p == 2 or _gcd_steps_degenerate(p, x, y, a1, a2, a3, a4):
+                assert k == sweep.BSGS_1, (c, p)
+                continue
+            assert k == _case_by_roots(p, x, y, a1, a2, a3, a4), (c, p)
+            a6 = (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x) % p
+            cp = curves.Curve(a1, a2, a3, a4, a6, p=p)
+            n = sweep.group_order(cp)
+            assert n % 2 == 1 if k == sweep.NO_ROOT else n % 4 == (2 if k == sweep.Z2 else 0), (c, p)
+            if k in (sweep.CYCLIC_EVEN, sweep.SPLIT_EVEN):
+                assert curves.scalar_mul(n >> ((n & -n).bit_length() - 1), (x, y), cp) is not None, (c, p)
+        assert np.count_nonzero(case == sweep.BSGS_1) < len(case) / 100, c
 
 
 def test_bsgs_runs_only_on_lanes_the_classifier_leaves(monkeypatch):
-    # E's primes 7..1e5: the classifier decides at least half of them, only
-    # the rest reach the BSGS, and all but 7 and 17 of those search a quarter
-    # of the Hasse interval
+    # E's primes 7..1e5: the classifier settles all but at most 17% of them
+    # (about 1/6), only the BSGS cases reach the search, and all but 7 and
+    # 17 of those search a quarter of the Hasse interval
     ps = [p for p in sweep.primes_up_to(100_000) if p >= 7]
-    bsgs_lanes = {1: [], 4: []}
-    bsgs = sweep._odd_by_bsgs
+    searched = {1: [], 4: []}
+    search = sweep._annihilating_multiples
 
-    def recording_bsgs(p, *rest):
-        bsgs_lanes[rest[-1]] += p.tolist()
-        return bsgs(p, *rest)
+    def recording_search(p, *rest):
+        searched[rest[-1]] += p.tolist()
+        return search(p, *rest)
 
-    monkeypatch.setattr(sweep, "_odd_by_bsgs", recording_bsgs)
+    monkeypatch.setattr(sweep, "_annihilating_multiples", recording_search)
     assert sweep._decide(ps, *sweep._ECHO_PAIR, {}).sum() == 5118 - 2  # of the table, less 2 and 3
-    sylow, _, four = sweep._two_sylow(*_pair_lanes(CURVE_E, POINT_P, ps))
-    assert len(sylow) == len(ps)
-    assert len(bsgs_lanes[1]) + len(bsgs_lanes[4]) == np.count_nonzero(sylow == 0) <= len(ps) / 2
-    assert bsgs_lanes[1] == [7, 17] and len(bsgs_lanes[4]) == np.count_nonzero(four)
+    case, _ = sweep._two_sylow(*_pair_lanes(CURVE_E, POINT_P, ps))
+    assert len(case) == len(ps)
+    assert searched[1] == [7, 17] and searched[4] == np.array(ps)[case == sweep.BSGS_4].tolist()
+    assert len(searched[1]) + len(searched[4]) <= 0.17 * len(ps)
 
 
 def test_classifier_decides_the_rational_2_torsion_point_even():
     # y^2 = x^3 + x^2 + 2x and its 2-torsion point T = (0, 0): f = x(x^2 + x + 2)
-    # has the one root 0 iff -7 is a non-residue, and the lane is decided iff
-    # f'(0) = 2 is a non-residue too; there T has order 2
+    # has the one root 0 iff -7 is a non-residue, and three roots otherwise.
+    # With one root the lane is Z2 iff f'(0) = 2 is a non-residue, and
+    # CYCLIC_EVEN otherwise, as x - e1 = 0 is not a nonzero square; with
+    # three roots x - 0 = 0 makes u != 1, so SPLIT_EVEN.  T has order 2 on
+    # every lane, and no lane reaches the BSGS
     def chi(a, p):
         return pow(a % p, (p - 1) // 2, p)
 
     ps = [p for p in sweep.primes_up_to(3000) if p not in (2, 7)]
     lanes = np.array([(p, 0, 0, 0, 1, 0, 2) for p in ps], np.int64).T
-    sylow, odd, _ = sweep._two_sylow(*lanes)
-    assert [p for p, s in zip(ps, sylow.tolist()) if s] == [p for p in ps if chi(-7, p) == chi(2, p) == p - 1]
-    assert set(sylow.tolist()) == {0, 2} and not odd[sylow == 2].any()
-    assert not sweep._order_is_odd(*lanes).any()
+    case, odd = sweep._two_sylow(*lanes)
+    want = [
+        sweep.SPLIT_EVEN if chi(-7, p) == 1 else sweep.Z2 if chi(2, p) == p - 1 else sweep.CYCLIC_EVEN for p in ps
+    ]
+    assert case.tolist() == want
+    assert set(want) == {sweep.Z2, sweep.CYCLIC_EVEN, sweep.SPLIT_EVEN}
+    assert not odd.any() and not sweep._order_is_odd(*lanes).any()
+
+
+def test_cubic_pow_against_polynomial_arithmetic():
+    # (b0 + b1 X)^e mod a seeded monic cubic f over F_p, for every prime
+    # p < 200 and every e in 0..p + 1, against successive products reduced
+    # by _poly_mod; the bases include X (as for X^p), x - X (as for u) and 0
+    def times(a, b):
+        out = [0] * (len(a) + len(b) - 1) if a and b else []
+        for i, u in enumerate(a):
+            for j, v in enumerate(b):
+                out[i + j] += u * v
+        return out
+
+    rng = random.Random(23)
+    rows, want = [], []
+    for p in sweep.primes_up_to(199):
+        c0, c1, c2 = (rng.randrange(p) for _ in range(3))
+        f = [c0, c1, c2, 1]
+        for b0, b1 in ((rng.randrange(p), rng.randrange(p)), (0, 1), (rng.randrange(p), -1), (0, 0)):
+            power = [1]
+            for e in range(p + 2):
+                rows.append((p, c0, c1, c2, b0, b1, e))
+                want.append(power + [0] * (3 - len(power)))
+                power = _poly_mod(times(power, [b0, b1]), f, p)
+    p, c0, c1, c2, b0, b1, e = np.array(rows, np.int64).T
+    got = np.stack(sweep._cubic_pow(b0, b1, e, (p, c0, c1, c2))).T.tolist()
+    assert got == want
 
 
 def test_density_scan_of_the_t2_family_member():
@@ -445,9 +515,10 @@ def test_ratio_str_leaves_decimal_context_alone():
 
 def test_primes_segmented_matches_simple():
     base = sweep.primes_up_to(500)
-    got = list(sweep.primes_in_range(100, 400, base))
+    got = sweep.primes_in_range(100, 400, base)
     want = [p for p in sweep.primes_up_to(400) if p >= 100]
-    assert got == want
+    assert got.dtype == np.int64 and got.tolist() == want
+    assert sweep.primes_in_range(400, 100, base).tolist() == []
 
 
 def test_sweep_non_decade_endpoint():
