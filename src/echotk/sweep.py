@@ -24,7 +24,10 @@ baby and giant steps.  The search uses projective coordinates, one batched
 inversion per lane, and sorted keys to match baby and giant steps.  Lanes
 hold primes up to LANE_PRIME_MAX = 2^31 - 1; larger primes raise
 ValueError.  The same engine scans any rational curve/point pair.  The
-sweep is parallel over contiguous prime ranges of equal width and its
+sweep cuts its primes into contiguous ranges of equal width, at most
+SEGMENT_SIZE, and deals them round-robin to `threads` processes: the
+calling process is worker 0 and starts the others, each of which sends its
+counts down its own pipe, and the caller takes them in range order.  The
 counts are exact and independent of the worker count.
 
 group_order counts #E(F_p) by an exhaustive character sum over every x in
@@ -35,8 +38,9 @@ tests and the benchmark probes check the lanes against it.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+import traceback
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
@@ -256,11 +260,11 @@ NO_ROOT, Z2, CYCLIC_EVEN, SPLIT_EVEN, BSGS_4, BSGS_1 = range(6)
 _BSGS_COFACTOR = {BSGS_4: 4, BSGS_1: 1}
 
 
-def _cubic_pow(b0, b1, e, c):
-    """(b0 + b1 X)^e in F_p[X]/(f) on every lane, for the monic cubic
+def _cubic_pow(e, c):
+    """X^e in F_p[X]/(f) on every lane, for the monic cubic
     f = X^3 + c2 X^2 + c1 X + c0 with c = (p, c0, c1, c2) and lane exponents
     e >= 0, as the coefficients (r0, r1, r2) of 1, X, X^2.  Left to right:
-    square, then times b0 + b1 X where e has the bit."""
+    square, then times X where e has the bit."""
     p, c0, c1, c2 = c
     r0, r1, r2 = np.ones_like(p), np.zeros_like(p), np.zeros_like(p)
     for bit in range(int(e.max()).bit_length() - 1, -1, -1):
@@ -272,8 +276,7 @@ def _cubic_pow(b0, b1, e, c):
         r0, r1, r2 = (r0 * r0 - c0 * s3) % p, s1, s2
         on = (e >> bit) & 1 == 1
         xr = (-c0 * r2 % p, (r0 - c1 * r2) % p, (r1 - c2 * r2) % p)  # X r
-        times = ((b0 * r + b1 * t) % p for r, t in zip((r0, r1, r2), xr))
-        r0, r1, r2 = (np.where(on, t, r) for t, r in zip(times, (r0, r1, r2)))
+        r0, r1, r2 = (np.where(on, t, r) for t, r in zip(xr, (r0, r1, r2)))
     return r0, r1, r2
 
 
@@ -307,8 +310,11 @@ def _two_sylow(p, x, y, a1, a2, a3, a4):
       Three roots: E[2] lies in E(F_p), so 4 | #E(F_p).  By CRT,
         F_p[X]/(f) = F_p^3 through X -> (e1, e2, e3), so
         u = (x - X)^((p-1)/2) mod f is 1 iff every x - e_i is a nonzero
-        square.  If u != 1 the order is even (SPLIT_EVEN); otherwise
-        BSGS_4.
+        square.  Y = x - X is a root of the monic
+        g(Y) = -f(x - Y) = Y^3 - (3x + c2) Y^2 + (3x^2 + 2 c2 x + c1) Y - w^2/4,
+        and X -> x - Y maps F_p[X]/(f) onto F_p[Y]/(g) fixing 1, so u = 1
+        iff Y^((p-1)/2) mod g = 1.  If u != 1 the order is even
+        (SPLIT_EVEN); otherwise BSGS_4.
     p = 2 and the rare lanes where the gcd steps below degenerate (h2 = 0
     with h != 0, or l1 = 0) are BSGS_1.
     """
@@ -317,11 +323,12 @@ def _two_sylow(p, x, y, a1, a2, a3, a4):
     c2 = (a1 * a1 + 4 * a2) % p * inv4 % p
     c1 = (a1 * a3 + 2 * a4) % p * inv2 % p
     w = (2 * y + a1 * x + a3) % p
-    c0 = (w * w % p * inv4 - ((x + c2) * x % p + c1) % p * x) % p  # f(x) = w^2/4 at the point
+    fx = w * w % p * inv4 % p  # f(x) = w^2/4 at the point
+    c0 = (fx - ((x + c2) * x % p + c1) % p * x) % p
 
     # gcd(f, h): two pseudo-remainder steps leave l1 X + l0, whose root is a
     # root of h exactly when z = l1^2 h(-l0/l1) vanishes
-    h0, h1, h2 = _cubic_pow(0, 1, p, (p, c0, c1, c2))
+    h0, h1, h2 = _cubic_pow(p, (p, c0, c1, c2))
     h1 = (h1 - 1) % p
     g2, g1, g0 = (h2 * c2 - h1) % p, (h2 * c1 - h0) % p, h2 * c0 % p
     l1, l0 = (h2 * g1 - g2 * h1) % p, (h2 * g0 - g2 * h0) % p
@@ -343,8 +350,9 @@ def _two_sylow(p, x, y, a1, a2, a3, a4):
 
     three = np.flatnonzero((h0 == 0) & (h1 == 0) & (h2 == 0))  # never at p = 2, where h = X^2 - X
     if three.size:
-        q = p[three]
-        u0, u1, u2 = _cubic_pow(x[three], -1, (q - 1) >> 1, (q, c0[three], c1[three], c2[three]))
+        q, xt, ct = p[three], x[three], c2[three]
+        g1 = ((3 * xt + 2 * ct) % q * xt + c1[three]) % q
+        u0, u1, u2 = _cubic_pow((q - 1) >> 1, (q, -fx[three] % q, g1, -(3 * xt + ct) % q))
         case[three] = np.where((u0 == 1) & (u1 == 0) & (u2 == 0), BSGS_4, SPLIT_EVEN)
     return case, odd
 
@@ -512,7 +520,7 @@ def group_order(c: Curve) -> int:
 
 
 # ---------------------------------------------------------------------------
-# sweep records, checkpoints, parallel driver
+# sweep records, checkpoints, the multi-process driver
 
 
 def ratio_str(num: int, den: int) -> str:
@@ -570,6 +578,18 @@ def _sweep_chunk(args):
     return [(cut, n, int(hits[n])) for cut, n in zip(cuts, np.searchsorted(ps, cuts, side="right").tolist())]
 
 
+def _serve(conn, tasks):
+    """A sweep child: run tasks in order and send each result down conn,
+    or the exception that stopped it with its formatted traceback."""
+    try:
+        for task in tasks:
+            conn.send(_sweep_chunk(task))
+    except Exception as exc:
+        conn.send((exc, traceback.format_exc()))
+    finally:
+        conn.close()
+
+
 def _run_sweep(
     x_max: int,
     threads: Optional[int],
@@ -611,25 +631,44 @@ def _run_sweep(
         (lo, hi, [b for b in boundaries if lo <= b < hi], *pair, overrides) for lo, hi in zip(cuts, cuts[1:])
     ]
 
-    def consume(task, results):
-        nonlocal pi, prime_hits
-        hi = task[1]
-        for cut, dpi, dhits in results[:-1]:
-            records.append(SweepRecord(cut, prime_hits + dhits, pi + dpi))
-        pi += results[-1][1]
-        prime_hits += results[-1][2]
-        if checkpoint_path:
-            Checkpoint(hi - 1, pi, prime_hits, tuple(records)).save(checkpoint_path)
-
-    # a fork-started pool forks every worker at the first submit, so never ask for idle ones
+    # the caller is worker 0 and child k runs tasks k, k + w, k + 2w, ...;
+    # the caller takes the results in task order, so the records and the
+    # checkpoint do not depend on the worker count
     workers = min(threads, len(tasks))
-    if workers <= 1:
-        for task in tasks:
-            consume(task, _sweep_chunk(task))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for task, results in zip(tasks, pool.map(_sweep_chunk, tasks, chunksize=1)):
-                consume(task, results)
+    pipes, children = [], []
+    try:
+        for k in range(1, workers):
+            recv, send = multiprocessing.Pipe(duplex=False)
+            pipes.append(recv)
+            child = multiprocessing.Process(target=_serve, args=(send, tasks[k::workers]))
+            child.start()
+            children.append(child)
+            send.close()
+        for i, task in enumerate(tasks):
+            lo, hi = task[:2]
+            k = i % workers
+            if k == 0:
+                results = _sweep_chunk(task)
+            else:
+                try:
+                    results = pipes[k - 1].recv()
+                except EOFError:
+                    raise RuntimeError(f"sweep worker {k} exited before counting [{lo}, {hi})") from None
+                if isinstance(results, tuple):
+                    exc, trace = results
+                    raise exc from RuntimeError(f"in sweep worker {k}:\n{trace}")
+            for cut, dpi, dhits in results[:-1]:
+                records.append(SweepRecord(cut, prime_hits + dhits, pi + dpi))
+            pi += results[-1][1]
+            prime_hits += results[-1][2]
+            if checkpoint_path:
+                Checkpoint(hi - 1, pi, prime_hits, tuple(records)).save(checkpoint_path)
+    finally:
+        for child in children:
+            child.terminate()
+            child.join()
+        for pipe in pipes:
+            pipe.close()
     return records
 
 

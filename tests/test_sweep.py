@@ -1,8 +1,12 @@
 import decimal
 import itertools
 import math
+import multiprocessing
 import os
 import random
+import signal
+import time
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -308,7 +312,9 @@ def test_two_division_classifier_against_group_order_and_bsgs():
     # every prime, so T gives lanes with x = e1 to both even rules.  On
     # y^2 = x^3 - 25x = x(x - 5)(x + 5) with (45, 300), u's constant term
     # u(0) = chi(45) is 1 on lanes where u != 1, so the split rule must
-    # check all of u.
+    # check all of u.  Its translate x -> x + 1, with (44, 300), has c2 = 3
+    # and x != 0, so every coefficient of the cubic whose root is x - X
+    # counts.
     origin = (Fraction(0), Fraction(0))
     six = set(range(6))
     for c, pt, cases in (
@@ -319,6 +325,7 @@ def test_two_division_classifier_against_group_order_and_bsgs():
         (curves.curve_from_pair(*fabulous.find_control_pair()), origin, six),
         (curves.Curve(0, 1, 0, 2, 0), origin, {sweep.Z2, sweep.CYCLIC_EVEN, sweep.SPLIT_EVEN}),
         (curves.Curve(0, 0, 0, -25, 0), (Fraction(45), Fraction(300)), {sweep.SPLIT_EVEN, sweep.BSGS_4}),
+        (curves.Curve(0, 3, 0, -22, -24), (Fraction(44), Fraction(300)), {sweep.SPLIT_EVEN, sweep.BSGS_4}),
     ):
         lanes = _pair_lanes(c, pt, sweep.primes_up_to(3000))
         case, odd = sweep._two_sylow(*lanes)
@@ -381,30 +388,36 @@ def test_classifier_decides_the_rational_2_torsion_point_even():
 
 
 def test_cubic_pow_against_polynomial_arithmetic():
-    # (b0 + b1 X)^e mod a seeded monic cubic f over F_p, for every prime
-    # p < 200 and every e in 0..p + 1, against successive products reduced
-    # by _poly_mod; the bases include X (as for X^p), x - X (as for u) and 0
-    def times(a, b):
-        out = [0] * (len(a) + len(b) - 1) if a and b else []
-        for i, u in enumerate(a):
-            for j, v in enumerate(b):
-                out[i + j] += u * v
-        return out
+    # X^e mod seeded monic cubics f over F_p, for every prime p < 200 and
+    # every e in 0..p + 1, against successive products reduced by _poly_mod;
+    # and, as _two_sylow gets u, Y^e mod g(Y) = -f(x - Y), read back through
+    # Y = x - X, equals (x - X)^e mod f
+    def padded(a):
+        return a + [0] * (3 - len(a))
 
     rng = random.Random(23)
-    rows, want = [], []
+    rows, want, want_shifted, points = [], [], [], []
     for p in sweep.primes_up_to(199):
-        c0, c1, c2 = (rng.randrange(p) for _ in range(3))
-        f = [c0, c1, c2, 1]
-        for b0, b1 in ((rng.randrange(p), rng.randrange(p)), (0, 1), (rng.randrange(p), -1), (0, 0)):
-            power = [1]
+        for _ in range(4):
+            c0, c1, c2, x = (rng.randrange(p) for _ in range(4))
+            f = [c0, c1, c2, 1]
+            g = [-(((x + c2) * x + c1) * x + c0), (3 * x + 2 * c2) * x + c1, -(3 * x + c2)]
+            power, shifted = [1], [1]
             for e in range(p + 2):
-                rows.append((p, c0, c1, c2, b0, b1, e))
-                want.append(power + [0] * (3 - len(power)))
-                power = _poly_mod(times(power, [b0, b1]), f, p)
-    p, c0, c1, c2, b0, b1, e = np.array(rows, np.int64).T
-    got = np.stack(sweep._cubic_pow(b0, b1, e, (p, c0, c1, c2))).T.tolist()
-    assert got == want
+                rows += [(p, c0, c1, c2, e), (p, *(v % p for v in g), e)]
+                want.append(padded(power))
+                want_shifted.append(padded(shifted))
+                points.append((p, x))
+                power = _poly_mod([0] + power, f, p)
+                shifted = _poly_mod([x * u - v for u, v in zip(shifted + [0], [0] + shifted)], f, p)
+    p, c0, c1, c2, e = np.array(rows, np.int64).T
+    got = np.stack(sweep._cubic_pow(e, (p, c0, c1, c2))).T.tolist()
+    assert got[::2] == want
+    back = [
+        [(r0 + (r1 + r2 * x) * x) % q, (-r1 - 2 * r2 * x) % q, r2]
+        for (q, x), (r0, r1, r2) in zip(points, got[1::2])
+    ]
+    assert back == want_shifted
 
 
 def test_density_scan_of_the_t2_family_member():
@@ -528,7 +541,7 @@ def test_sweep_non_decade_endpoint():
 
 
 def test_sweep_thread_count_invariance():
-    # three segments, so both thread counts run a real pool (of 2 and of 3 workers)
+    # three tasks, so both thread counts start children (one and two)
     x = 3 * sweep.SEGMENT_SIZE
     want = [(r.x, r.pi_prime, r.pi) for r in sweep.sweep(x, threads=1)]
     for threads in (2, 8):
@@ -536,33 +549,106 @@ def test_sweep_thread_count_invariance():
         assert got == want, threads
 
 
+# the tests that patch _sweep_chunk reach the children only through fork
+_FORK_ONLY = pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="children are not forked")
+
+
+def _record_children(monkeypatch):
+    """Return the list the sweep appends each child it starts to."""
+    started = []
+
+    class RecordingProcess(multiprocessing.Process):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    patched = types.SimpleNamespace(Pipe=multiprocessing.Pipe, Process=RecordingProcess)
+    monkeypatch.setattr(sweep, "multiprocessing", patched)
+    return started
+
+
 def test_sweep_asks_for_no_more_workers_than_tasks(monkeypatch):
-    made = []
-
-    class RecordingPool:
-        """Records max_workers and maps in this process: no worker is started."""
-
-        def __init__(self, max_workers):
-            made.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+    started = _record_children(monkeypatch)
     want = [(r.x, r.pi_prime, r.pi) for r in sweep.sweep(sweep.SEGMENT_SIZE + 2, threads=1)]
-    # one task runs in-process, whatever the thread count
+    assert started == []
+    # one task runs in the caller, whatever the thread count
     assert sweep.sweep(100, threads=64)[-1].pi == 25
-    assert made == []
-    # two tasks ask for two workers
+    assert started == []
+    # two tasks: the caller runs one and exactly one child the other
     got = [(r.x, r.pi_prime, r.pi) for r in sweep.sweep(sweep.SEGMENT_SIZE + 2, threads=64)]
-    assert made == [2]
+    assert len(started) == 1 and started[0].exitcode is not None
     assert got == want
+    assert multiprocessing.active_children() == []
+
+
+@_FORK_ONLY
+def test_sweep_reraises_a_child_exception(monkeypatch):
+    caller, chunk = os.getpid(), sweep._sweep_chunk
+
+    def failing(task):
+        if task[0] > 100_000 and os.getpid() != caller:
+            raise ZeroDivisionError(f"no inverse in [{task[0]}, {task[1]})")
+        return chunk(task)
+
+    monkeypatch.setattr(sweep, "_sweep_chunk", failing)
+    with pytest.raises(ZeroDivisionError, match=r"no inverse in \[\d+, \d+\)") as info:
+        sweep.sweep(4 * sweep.SEGMENT_SIZE, threads=2)
+    assert "in failing" in str(info.value.__cause__)  # the child's traceback
+    assert multiprocessing.active_children() == []
+
+
+@_FORK_ONLY
+def test_sweep_failing_in_the_caller_reaps_its_children(monkeypatch):
+    caller, chunk = os.getpid(), sweep._sweep_chunk
+
+    def failing(task):
+        if os.getpid() == caller:
+            raise KeyError("caller's chunk")
+        time.sleep(60)  # the child would outlive the sweep unless it is terminated
+        return chunk(task)
+
+    started = _record_children(monkeypatch)
+    monkeypatch.setattr(sweep, "_sweep_chunk", failing)
+    t0 = time.monotonic()
+    with pytest.raises(KeyError, match="caller's chunk"):
+        sweep.sweep(3 * sweep.SEGMENT_SIZE, threads=3)
+    assert time.monotonic() - t0 < 30
+    assert len(started) == 2
+    assert [child.exitcode for child in started] == [-signal.SIGTERM] * 2
+    assert multiprocessing.active_children() == []
+
+
+@_FORK_ONLY
+def test_sweep_raises_when_a_child_dies_without_a_result(monkeypatch, tmp_path):
+    # a child that dies closes its pipe: the sweep raises rather than return
+    # the counts it has, and its checkpoint holds only the caller's task
+    caller, chunk = os.getpid(), sweep._sweep_chunk
+
+    def dying(task):
+        if os.getpid() != caller:
+            os._exit(3)
+        return chunk(task)
+
+    path = str(tmp_path / "ck.txt")
+    x = 2 * sweep.SEGMENT_SIZE
+    monkeypatch.setattr(sweep, "_sweep_chunk", dying)
+    with pytest.raises(RuntimeError, match=r"sweep worker 1 exited before counting \[\d+, \d+\)"):
+        sweep.sweep(x, threads=2, checkpoint_path=path)
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(sweep, "_sweep_chunk", chunk)
+    ck = sweep.Checkpoint.load(path)
+    assert ck.last_prime < x
+    done = sweep.SweepRecord(ck.last_prime, ck.pi_prime_so_far, ck.pi_so_far)
+    assert sweep.sweep(ck.last_prime, threads=1)[-1] == done
+    assert sweep.sweep(x, threads=2, checkpoint_path=path) == sweep.sweep(x, threads=1)
+
+
+def test_sweep_children_start_by_spawn(monkeypatch):
+    # the child's target and its tasks pickle, so spawn and forkserver work
+    want = sweep.sweep(sweep.SEGMENT_SIZE + 2, threads=1)
+    monkeypatch.setattr(sweep, "multiprocessing", multiprocessing.get_context("spawn"))
+    assert sweep.sweep(sweep.SEGMENT_SIZE + 2, threads=2) == want
+    assert multiprocessing.active_children() == []
 
 
 def test_thread_count_must_be_positive():
@@ -609,6 +695,16 @@ def test_sweep_resume_matches_cold_run(tmp_path):
     assert [r.x for r in recs] == [10, 100, 1000, 10_000, 100_000]
     assert recs == cold
     os.remove(path)
+
+
+def test_sweep_resume_at_another_thread_count_matches_cold_run(tmp_path):
+    # a checkpoint written by two workers, resumed by three over three tasks
+    path, cold_path = str(tmp_path / "ck.txt"), str(tmp_path / "cold.txt")
+    sweep.sweep(70_000, threads=2, checkpoint_path=path)
+    x = 70_000 + 2 * sweep.SEGMENT_SIZE + 2
+    recs = sweep.sweep(x, threads=3, checkpoint_path=path)
+    assert recs == sweep.sweep(x, threads=1, checkpoint_path=cold_path)
+    assert open(path).read() == open(cold_path).read()
 
 
 def test_density_scan_consistent_with_sweep():
