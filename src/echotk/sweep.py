@@ -17,11 +17,12 @@ once.  That decides about 83% of E's primes, close to
 1/3 + 1/4 + 1/8 + 1/8 = 5/6.  The rest go to a baby-step giant-step
 search, which finds a positive multiple m of the point's order; the
 order is odd exactly when the odd part of m already kills the point,
-which an x-only Montgomery ladder tests.  On all of those lanes but
-p = 2 and rare degenerate gcd steps the cubic proves 4 | #E(F_p), so the
-search runs on 4P over a quarter of the Hasse interval, with half the
-baby and giant steps.  The search uses projective coordinates, one batched
-inversion per lane, and sorted keys to match baby and giant steps.  Lanes
+which a Montgomery ladder tests.  On all of those lanes but p = 2 and rare
+degenerate gcd steps the cubic proves 4 | #E(F_p), so the search runs on
+4P over a quarter of the Hasse interval, with half the baby and giant
+steps.  The search and the ladder share one x-only group law on (X : Z);
+the search adds one batched inversion per lane and sorted keys to match
+baby and giant steps.  Lanes
 hold primes up to LANE_PRIME_MAX = 2^31 - 1; larger primes raise
 ValueError.  The same engine scans any rational curve/point pair.  The
 sweep cuts its primes into contiguous ranges of equal width, at most
@@ -67,12 +68,23 @@ class AmbiguousOrderError(RuntimeError):
 # search over int64 lanes
 #
 # A lane is a prime p, a curve a1..a4 and an affine point (x, y) on it, all
-# reduced mod p; lanes may repeat a prime.  Points are projective triples
-# (X, Y, Z) of lane arrays with O at Z = 0.  Residues stay below
+# reduced mod p; lanes may repeat a prime.  Residues stay below
 # LANE_PRIME_MAX < 2^31, so the sum of two residue products fits int64.
+#
+# The search and the odd-part test share one x-only law (Montgomery, Math.
+# Comp. 48, 1987; Brier and Joye, PKC 2002).  Y = 2y + a1 x + a3 keeps x and
+# turns the curve into Y^2 = 4x^3 + b2 x^2 + 2 b4 x + b6, where R and -R
+# share x, so a point is a pair (X : Z) of lane arrays with O at Z = 0:
+#   sum:    x(R + S) + x(R - S) = N(R, S)/Z'', where
+#           Z'' = (X_R Z_S - X_S Z_R)^2 and
+#           N = (X_R Z_S + X_S Z_R)(2 X_R X_S + b4 Z_R Z_S) + Z_R Z_S (b2 X_R X_S + b6 Z_R Z_S);
+#   double: 2R = (X^4 - b4 X^2 Z^2 - 2 b6 X Z^3 - b8 Z^4 : N(R, R)).
+# The additive form holds at x = 0, where the product form
+# x(R + S) x(R - S) does not, and the formulas are identities over Z, so
+# p = 2 needs no other path.  Every term stays below 2^63.
 
 LANE_PRIME_MAX = (1 << 31) - 1
-LANE_POINT_BUDGET = 1 << 16  # baby and giant points stored per batch: a few MB per worker
+LANE_POINT_BUDGET = 1 << 16  # baby and giant points per batch, two int64 rows each: a few MB per worker
 
 
 def _check_lane_bound(p: int) -> None:
@@ -80,68 +92,53 @@ def _check_lane_bound(p: int) -> None:
         raise ValueError(f"primes above {LANE_PRIME_MAX} exceed the int64 lane bound")
 
 
-def _finish(u, v, X1, Y1, Z2, w, sx, c):
-    """The sum of (X1 : Y1 : Z1) and a point with Z-coordinate Z2 whose
-    chord or tangent has slope u/v, given w = Z1*Z2 and sx = X1*Z2 + X2*Z1.
-
-    It is (vA : v^2 Z2 (u X1 - v Y1) - A(u + a1 v) - a3 v^3 w : v^3 w) with
-    A = w(u^2 + a1 uv - a2 v^2) - v^2 sx, the affine law cleared of v^3 w.
-    """
-    p, a1, a2, a3, _ = c
-    v2 = v * v % p
-    a1v = a1 * v % p
-    A = (w * ((u * (u + a1v) - a2 * v2) % p) - v2 * sx) % p
-    Z3 = v2 * v % p * w % p
-    Y3 = (v2 * Z2 % p * ((u * X1 - v * Y1) % p) - A * (u + a1v)) % p
-    return v * A % p, (Y3 - a3 * Z3) % p, Z3
+def _b_invariants(p, x, y, a1, a2, a3, a4):
+    """(p, b2, b4, b6, b8) on every lane, with the curve's a6 read off the
+    point: a6 = y^2 + a1 xy + a3 y - x^3 - a2 x^2 - a4 x."""
+    a6 = (y * ((y + a1 * x + a3) % p) - x * (((x + a2) % p * x + a4) % p)) % p
+    b2, b4 = (a1 * a1 + 4 * a2) % p, (a1 * a3 + 2 * a4) % p
+    b6 = (a3 * a3 + 4 * a6) % p
+    b8 = ((b2 * a6 - a1 * a3 % p * a4) + (a2 * (a3 * a3 % p) - a4 * a4)) % p
+    return p, b2, b4, b6, b8
 
 
-def _double(P, c):
-    """2P on every lane; the tangent at a 2-torsion point gives v = 0, so O."""
-    p, a1, a2, a3, a4 = c
-    X, Y, Z = P
-    XZ, ZZ = X * Z % p, Z * Z % p
-    u = (3 * (X * X % p) + 2 * (a2 * XZ % p) + a4 * ZZ - a1 * (Y * Z % p)) % p
-    v = (2 * Y + a1 * X + a3 * Z) % p * Z % p
-    X3, Y3, Z3 = _finish(u, v, X, Y, Z, ZZ, 2 * XZ % p, c)
-    return X3, np.where(Z == 0, 1, Y3), Z3  # O doubles to O, not to (0 : 0 : 0)
+def _n_form(s, xx, zz, b):
+    """N(R, S) from s = X_R Z_S + X_S Z_R, xx = X_R X_S and zz = Z_R Z_S."""
+    p, b2, b4, b6, _ = b
+    return (s * ((2 * xx + b4 * zz) % p) + zz * ((b2 * xx + b6 * zz) % p)) % p
 
 
-def _add(P, Q, c):
-    """P + Q on every lane.  The chord gives O for P = -Q; it gives
-    (0 : 0 : 0) exactly when an input is O or P = Q, and those lanes are
-    fixed up."""
-    p = c[0]
-    X1, Y1, Z1 = P
-    X2, Y2, Z2 = Q
-    u = (Y2 * Z1 - Y1 * Z2) % p
-    v = (X2 * Z1 - X1 * Z2) % p
-    R = _finish(u, v, X1, Y1, Z2, Z1 * Z2 % p, (X1 * Z2 + X2 * Z1) % p, c)
-    fix = np.flatnonzero(R[2] == 0)
-    fix = fix[R[1][fix] == 0]
-    if fix.size:
-        Pf, Qf = [tuple(a[fix] for a in pt) for pt in (P, Q)]
-        out = [np.where(Pf[2] == 0, q, a) for a, q in zip(Pf, Qf)]
-        same = np.flatnonzero((Pf[2] != 0) & (Qf[2] != 0))
-        if same.size:
-            for o, d in zip(out, _double(tuple(a[same] for a in Pf), tuple(a[fix[same]] for a in c))):
-                o[same] = d
-        for r, o in zip(R, out):
-            r[fix] = o
-    return R
+def _xadd(R, S, D, b):
+    """x(R + S) = (Zd N - Xd Z'' : Zd Z'') from R, S and D = (Xd : Zd) = R - S;
+    exact unless D = O (an input at O gives the other, R = -S gives O)."""
+    p = b[0]
+    (X0, Z0), (X1, Z1), (Xd, Zd) = R, S, D
+    A, B = X0 * Z1 % p, X1 * Z0 % p
+    Zs = (A - B) * (A - B) % p
+    return (Zd * _n_form((A + B) % p, X0 * X1 % p, Z0 * Z1 % p, b) - Xd * Zs) % p, Zd * Zs % p
 
 
-def _mul(k, P, c):
-    """k*P on every lane, for lane scalars k >= 0 (right-to-left binary)."""
-    acc = (np.zeros_like(k), np.ones_like(k), np.zeros_like(k))
-    while True:
-        bit = (k & 1) == 1
-        if bit.any():
-            acc = tuple(np.where(bit, s, a) for s, a in zip(_add(acc, P, c), acc))
-        k = k >> 1
-        if not k.any():
-            return acc
-        P = _double(P, c)
+def _xdbl(R, b):
+    """x(2R), always exact: a 2-torsion point doubles to Z = 0."""
+    p, _, b4, b6, b8 = b
+    X, Z = R
+    XX, ZZ, XZ = X * X % p, Z * Z % p, X * Z % p
+    Xd = ((XX - b4 * ZZ) % p * XX - (2 * (b6 * XZ % p) + b8 * ZZ) % p * ZZ) % p
+    return Xd, _n_form(2 * XZ % p, XX, ZZ, b)
+
+
+def _ladder(k, B, b):
+    """(R0, R1) = (kB, (k + 1)B) on every lane, for lane scalars
+    1 <= k < 2^63 and a projective base B = (X : Z) != O; k may stack
+    several rows of scalars over the same lanes.  Montgomery's ladder keeps
+    R1 - R0 = B, so every sum is exact."""
+    X0, Z0, (X1, Z1) = np.ones_like(k), np.zeros_like(k), B
+    for bit in range(int(k.max()).bit_length() - 1, -1, -1):
+        on = (k >> bit) & 1 == 1
+        Xs, Zs = _xadd((X0, Z0), (X1, Z1), B, b)
+        Xd, Zd = _xdbl((np.where(on, X1, X0), np.where(on, Z1, Z0)), b)  # R1 doubles where the bit is set
+        X0, Z0, X1, Z1 = np.where(on, Xs, Xd), np.where(on, Zs, Zd), np.where(on, Xd, Xs), np.where(on, Zd, Zs)
+    return (X0, Z0), (X1, Z1)
 
 
 def _pow(z, e, p):
@@ -157,11 +154,10 @@ def _pow(z, e, p):
 
 
 def _normalize(pts, p):
-    """Overwrite X and Y of rows of points pts = (X, Y, Z), one row per step
-    along each lane, by x = X/Z and y = Y/Z, with one inverse per lane
-    (Montgomery's trick down the rows).  Rows at O keep Z = 0 and get junk
-    x and y."""
-    X, Y, Z = pts
+    """Overwrite X of rows of points pts = (X, Z), one row per step along
+    each lane, by x = X/Z, with one inverse per lane (Montgomery's trick
+    down the rows).  Rows at O keep Z = 0 and get a junk x."""
+    X, Z = pts
     buf = np.empty_like(Z)
     acc = np.ones_like(p)
     for i, z in enumerate(Z):
@@ -171,9 +167,8 @@ def _normalize(pts, p):
         buf[i] = inv * buf[i - 1] % p
         inv = inv * (Z[i] + (Z[i] == 0)) % p
     buf[0] = inv
-    for row in (X, Y):
-        row *= buf
-        row %= p
+    X *= buf
+    X %= p
 
 
 def _shape(W_max: int) -> tuple[int, int]:
@@ -185,60 +180,69 @@ def _shape(W_max: int) -> tuple[int, int]:
 
 def _bsgs(p, x, y, a1, a2, a3, a4, d):
     """One batch of _annihilating_multiples, for a cofactor d of #E(F_p) on
-    every lane: the search runs on Q = d(x, y) over the interval
+    every lane: the search runs on Q = d(x, y), x only, over the interval
     [lo, hi] = [ceil((p + 1 - T)/d), floor((p + 1 + T)/d)], T = isqrt(4p),
     which holds #E(F_p)/d.  Babies are j*Q for 1 <= j < s, and giants sit
-    at the centres c_i = lo + (s - 1) + i(2s - 1).
+    at the centres c_i = lo + (s - 1) + i(2s - 1).  Q comes from xDBL, the
+    babies from (j + 1)Q = jQ + Q with the difference (j - 1)Q, the first
+    two giants and the step (2s - 1)Q from one ladder, and each later giant
+    from the one before plus the step, with the difference c_(i-2) Q.
 
-    A baby at O gives M = j, a giant at O gives M = c_i, and a giant with the
-    x of baby j is +-j*Q, with y picking the sign, so M = c_i -+ j.  Every M
-    is at least lo > 0, or j >= 1, and the lane returns d*M, which kills
-    (x, y).  Babies plus giants fall by sqrt(d) with the interval.
+    A baby at O gives M = j and a giant at O gives M = c_i.  A giant with
+    the x of baby j is c_i Q = +-j Q, so M = (c_i - j)(c_i + j) kills Q
+    whichever the sign, and c_i - j >= lo > 0.  An xADD is exact until its
+    difference is O, so the rows after a lane's first O may be junk: a lane
+    takes M from its first baby at O, else from its first giant at O, else
+    from any match.  The lane returns d*M, which kills (x, y).  With hi the
+    batch's largest, c_i + j < hi + 2s, so at d = 1 every M is below
+    (hi + 2s)^2 < (2^31 + 2^18)^2 < 2^63 for p <= LANE_PRIME_MAX, and a
+    larger d only lowers d*M.  Babies plus giants fall by sqrt(d) with the
+    interval.
     """
-    c = (p, a1, a2, a3, a4)
+    b = _b_invariants(p, x, y, a1, a2, a3, a4)
     width = len(p)
     T = np.array([math.isqrt(4 * q) for q in p.tolist()], np.int64)
     lo = -(-(p + 1 - T) // d)
     n_baby, n_giant = _shape(int(((p + 1 + T) // d - lo).max()))
     stride = 2 * n_baby + 1
-    Q = (x, y, np.ones_like(x))
+    Q = (x, np.ones_like(x))
     for _ in range(d.bit_length() - 1):
-        Q = _double(Q, c)
+        Q = _xdbl(Q, b)
 
-    baby = np.empty((3, n_baby, width), np.int64)
+    baby = np.empty((2, n_baby, width), np.int64)
     baby[:, 0] = Q
     if n_baby > 1:
-        baby[:, 1] = _double(Q, c)
+        baby[:, 1] = _xdbl(Q, b)
     for j in range(2, n_baby):
-        baby[:, j] = _add(baby[:, j - 1], Q, c)
-    step = _add(_double(baby[:, -1], c), Q, c)  # (2s - 1) Q
+        baby[:, j] = _xadd(baby[:, j - 1], Q, baby[:, j - 2], b)
     centre = lo + n_baby
-    giant = np.empty((3, n_giant, width), np.int64)
-    giant[:, 0] = _mul(centre, Q, c)
-    for i in range(1, n_giant):
-        giant[:, i] = _add(giant[:, i - 1], step, c)
+    start = np.stack(_ladder(np.stack([centre, centre + stride, np.full_like(centre, stride)]), Q, b)[0])
+    giant = np.empty((2, n_giant, width), np.int64)
+    giant[:, :2] = start[:, :min(n_giant, 2)]
+    for i in range(2, n_giant):
+        giant[:, i] = _xadd(giant[:, i - 1], start[:, 2], giant[:, i - 2], b)
 
     # match on keys lane * key_width + x; a baby at O gets key -1
     offset = np.arange(width, dtype=np.int64) * (int(p.max()) + 1)
     _normalize(baby, p)
-    baby[0] += offset
-    baby[0][baby[2] == 0] = -1
-    order = np.argsort(baby[0], axis=None)
-    sorted_keys = baby[0].ravel()[order]
+    keys = baby[0] + offset
+    keys[baby[1] == 0] = -1
+    order = np.argsort(keys, axis=None)
+    sorted_keys = keys.ravel()[order]
     _normalize(giant, p)
     giant_keys = (giant[0] + offset).ravel()
     pos = np.minimum(np.searchsorted(sorted_keys, giant_keys), sorted_keys.size - 1)
-    found = np.flatnonzero((sorted_keys[pos] == giant_keys) & (giant[2] != 0).ravel())
+    found = np.flatnonzero((sorted_keys[pos] == giant_keys) & (giant[1] != 0).ravel())
 
     M = np.zeros(width, np.int64)
-    b = order[pos[found]]
     i, lane = np.divmod(found, width)
-    sign = np.where(baby[1].ravel()[b] == giant[1].ravel()[found], -1, 1)
-    M[lane] = centre[lane] + i * stride + sign * (b // width + 1)
-    i, lane = np.divmod(np.flatnonzero(giant[2] == 0), width)
-    M[lane] = centre[lane] + i * stride
-    j, lane = np.divmod(np.flatnonzero(baby[2] == 0), width)
-    M[lane] = j + 1
+    j = order[pos[found]] // width + 1
+    c = centre[lane] + i * stride
+    M[lane] = (c - j) * (c + j)
+    at_o = giant[1] == 0
+    M = np.where(at_o.any(axis=0), centre + at_o.argmax(axis=0) * stride, M)
+    at_o = baby[1] == 0
+    M = np.where(at_o.any(axis=0), at_o.argmax(axis=0) + 1, M)
     if not M.all():
         raise AmbiguousOrderError("no annihilator found on some lane")  # not reachable for prime p
     return d * M
@@ -386,44 +390,9 @@ def _odd_by_bsgs(p, x, y, a1, a2, a3, a4, d):
 
 
 def _kills(k, p, x, y, a1, a2, a3, a4):
-    """Whether k*(x, y) = O on each lane, for lane scalars k >= 1, by
-    Montgomery's x-only ladder (Math. Comp. 48, 1987).
-
-    Y = 2y + a1 x + a3 keeps x and turns the curve into
-    Y^2 = 4x^3 + b2 x^2 + 2 b4 x + b6, where Q and -Q share x.  The ladder
-    keeps R0 = nP and R1 = (n + 1)P as (X : Z), O at Z = 0, so R1 - R0 = P
-    and every sum needs only x(P):
-      sum:    Z' = (X0 Z1 - X1 Z0)^2 and X' = N(R0, R1) - x(P) Z', where
-              N = (X0 Z1 + X1 Z0)(2 X0 X1 + b4 Z0 Z1) + Z0 Z1 (b2 X0 X1 + b6 Z0 Z1),
-              since x(R0 + R1) + x(R0 - R1) = N/Z' and R0 - R1 = -P;
-      double: Z' = N(R, R) and X' = X^4 - b4 X^2 Z^2 - 2 b6 X Z^3 - b8 Z^4.
-    The additive form holds at x(P) = 0, where the product form
-    x(R0 + R1) x(R0 - R1) does not, and the formulas are identities over Z,
-    so p = 2 needs no other path.  The b_i come from a1..a4 and the point,
-    whose a6 = y^2 + a1 xy + a3 y - x^3 - a2 x^2 - a4 x.  Every term stays
-    below 2^63 for p <= LANE_PRIME_MAX.
-    """
-    a6 = (y * ((y + a1 * x + a3) % p) - x * (((x + a2) % p * x + a4) % p)) % p
-    b2, b4 = (a1 * a1 + 4 * a2) % p, (a1 * a3 + 2 * a4) % p
-    b6 = (a3 * a3 + 4 * a6) % p
-    b8 = ((b2 * a6 - a1 * a3 % p * a4) + (a2 * (a3 * a3 % p) - a4 * a4)) % p
-    tb6 = 2 * b6 % p
-
-    def n_form(s, xx, zz):
-        return (s * ((2 * xx + b4 * zz) % p) + zz * ((b2 * xx + b6 * zz) % p)) % p
-
-    X0, Z0, X1, Z1 = np.ones_like(x), np.zeros_like(x), x, np.ones_like(x)
-    for bit in range(int(k.max()).bit_length() - 1, -1, -1):
-        on = (k >> bit) & 1 == 1
-        A, B = X0 * Z1 % p, X1 * Z0 % p
-        Zs = (A - B) * (A - B) % p
-        Xs = (n_form((A + B) % p, X0 * X1 % p, Z0 * Z1 % p) - x * Zs) % p
-        X, Z = np.where(on, X1, X0), np.where(on, Z1, Z0)  # R1 doubles where the bit is set
-        XX, ZZ, XZ = X * X % p, Z * Z % p, X * Z % p
-        Zd = n_form(2 * XZ % p, XX, ZZ)
-        Xd = ((XX - b4 * ZZ) % p * XX - (tb6 * XZ + b8 * ZZ) % p * ZZ) % p
-        X0, Z0, X1, Z1 = np.where(on, Xs, Xd), np.where(on, Zs, Zd), np.where(on, Xd, Xs), np.where(on, Zd, Zs)
-    return Z0 == 0
+    """Whether k*(x, y) = O on each lane, for lane scalars 1 <= k < 2^63:
+    whether the ladder's R0 = k(x : 1) has Z = 0."""
+    return _ladder(k, (x, np.ones_like(x)), _b_invariants(p, x, y, a1, a2, a3, a4))[0][1] == 0
 
 
 def _lane_residues(v: int, q):

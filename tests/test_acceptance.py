@@ -155,6 +155,7 @@ def test_criterion_6_literal_discriminant_statement():
 def test_criterion_7_empirical_densities():
     member = fabulous.family_report(1, sweep_x=1_000_000)
     assert member.certificate.all_true
+    assert (member.odd_order_primes, member.primes) == (41933, 78498)
     dens_member = member.empirical_density
     assert abs(dens_member - float(TARGET_HK)) < 0.02, dens_member
 
@@ -162,6 +163,7 @@ def test_criterion_7_empirical_densities():
     control = fabulous.report_for_pair(*control_pair, sweep_x=1_000_000)
     assert control.certificate.all_true
     assert control.fabulous_roots == ()
+    assert (control.odd_order_primes, control.primes) == (41048, 78498)
     dens_control = control.empirical_density
     assert abs(dens_control - float(TARGET_FULL)) < 0.02, dens_control
     assert abs(dens_member - float(TARGET_HK)) < abs(dens_member - float(TARGET_FULL))
@@ -174,7 +176,7 @@ def test_criterion_7_empirical_densities():
 
 extended = pytest.mark.skipif(
     not __import__("os").environ.get("ECHO_EXTENDED"),
-    reason="extended check (the six take about 8 s on two cores): set ECHO_EXTENDED=1 to enable",
+    reason="extended check (the seven take about 9 s on two cores): set ECHO_EXTENDED=1 to enable",
 )
 
 
@@ -211,10 +213,12 @@ def test_extended_somos4_scan_to_1e6():
 
 
 @extended
-@pytest.mark.parametrize("t, hits", [(-23, 20760), (-5, 20838)])
+@pytest.mark.parametrize("t, hits", [(-23, 20760), (-5, 20838), (-11, 62773)])
 def test_extended_split_rule_member_scans_to_1e6(t, hits):
-    # the members whose lanes the split rule settles most: three roots on
-    # about 3/8 of their primes, and about a quarter left to the BSGS
+    # t = -23 and -5 are the members whose lanes the split rule settles
+    # most: three roots on about 3/8 of their primes, and about a quarter
+    # left to the BSGS; on t = -11 the 2-descent map settles no lane where
+    # 4 | #E(F_p), so about 5/12 of its primes reach the BSGS
     c = curves.curve_from_pair(*fabulous.parametrize(t))
     recs = sweep.density_scan(c, (Fraction(0), Fraction(0)), 1_000_000)
     assert (recs[-1].x, recs[-1].pi_prime, recs[-1].pi) == (1_000_000, hits, 78498)

@@ -194,14 +194,31 @@ def test_engine_on_tiny_primes_with_points_of_order_1_to_4():
         _check_engine([row for row in rows if row[1].p == p])
 
 
+def _lane_x(R, p):
+    """x = X/Z of each lane of a point R = (X : Z), or None at O."""
+    return [None if z == 0 else X * pow(z, -1, q) % q for X, z, q in zip(*(a.tolist() for a in (*R, p)))]
+
+
 def test_x_only_ladder_on_tiny_primes():
-    # the ladder's O test against the curves group law for every k <= 16 on
-    # every point of the tiny-prime curves, p = 2 and x(P) = 0 included
+    # the ladder against the curves group law for every k <= 16 on every
+    # point of the tiny-prime curves, p = 2 and x(P) = 0 included: the O
+    # test, and the x of both outputs, also from a projective base
+    # (lam x : lam), since the search keys on x through such differences
     rows = _tiny_rows()
     lanes = _lanes(rows)
+    p, x = lanes[0], lanes[1]
+    b = sweep._b_invariants(*lanes)
+    rng = random.Random(5)
+    lam = np.array([rng.randrange(1, q) for q in p.tolist()], np.int64)
+    bases = ((x, np.ones_like(x)), (lam * x % p, lam))
     for k in range(1, 17):
         got = sweep._kills(np.full(len(rows), k, np.int64), *lanes).tolist()
         assert got == [curves.scalar_mul(k, pt, cp) is None for pt, cp in rows], k
+        want = [[None if q is None else q[0] for q in (curves.scalar_mul(n, pt, cp) for pt, cp in rows)]
+                for n in (k, k + 1)]
+        for base in bases:
+            R0, R1 = sweep._ladder(np.full(len(rows), k, np.int64), base, b)
+            assert [_lane_x(R0, p), _lane_x(R1, p)] == want, k
 
 
 def test_engine_at_the_largest_lane_prime():
@@ -219,11 +236,12 @@ def test_engine_at_the_largest_lane_prime():
         assert m > 0 and curves.scalar_mul(m, pt, cp) is None
         assert odd == _odd_order_oracle(pt, cp)
     # the ladder against the group law where its terms come nearest to
-    # wrapping: the annihilators, their odd parts and neighbours, and random
-    # scalars below 2^32, above any M a search returns at this prime
+    # wrapping: the annihilators, their odd parts and neighbours, the top
+    # scalar, and random scalars below 2^62, the size of the products
+    # (c - j)(c + j) a search returns at this prime
     for pt, m in zip(pts, multiples):
-        ks = [1, 2, 3, 2**32 - 1, m, m - 1, m + 1, m >> ((m & -m).bit_length() - 1)]
-        ks += [rng.randrange(1, 2**32) for _ in range(8)]
+        ks = [1, 2, 3, 2**32 - 1, 2**63 - 1, m, m - 1, m + 1, m >> ((m & -m).bit_length() - 1)]
+        ks += [rng.randrange(1, 2**62) for _ in range(8)]
         got = sweep._kills(np.array(ks, np.int64), *_lanes([(pt, cp)] * len(ks))).tolist()
         assert got == [curves.scalar_mul(k, pt, cp) is None for k in ks], pt
 
