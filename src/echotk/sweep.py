@@ -14,22 +14,22 @@ x - e1 is a nonzero square.  If f'(e1) is a square, or f has three roots,
 4 | #E(F_p), and the order is even unless every x - e is a nonzero square,
 which one power (x - X)^((p-1)/2) mod f tests for all three roots at
 once.  That decides about 83% of E's primes, close to
-1/3 + 1/4 + 1/8 + 1/8 = 5/6.  The rest go to a baby-step giant-step
-search, which finds a positive multiple m of the point's order; the
-order is odd exactly when the odd part of m already kills the point,
-which a Montgomery ladder tests.  On all of those lanes but p = 2 and rare
-degenerate gcd steps the cubic proves 4 | #E(F_p), so the search runs on
-4P over a quarter of the Hasse interval, with half the baby and giant
-steps.  The search and the ladder share one x-only group law on (X : Z);
-the search adds one batched inversion per lane and sorted keys to match
-baby and giant steps.  Lanes
-hold primes up to LANE_PRIME_MAX = 2^31 - 1; larger primes raise
-ValueError.  The same engine scans any rational curve/point pair.  The
-sweep cuts its primes into contiguous ranges of equal width, at most
-SEGMENT_SIZE, and deals them round-robin to `threads` processes: the
-calling process is worker 0 and starts the others, each of which sends its
-counts down its own pipe, and the caller takes them in range order.  The
-counts are exact and independent of the worker count.
+1/3 + 1/4 + 1/8 + 1/8 = 5/6.  On the rest the cubic proves 4 | #E(F_p),
+and a baby-step giant-step search on 4P over a quarter of the Hasse
+interval finds a positive multiple m of the point's order; the order is
+odd exactly when the odd part of m already kills the point, which a
+Montgomery ladder tests.  At p = 2, #E(F_2) <= 5, so 60 = lcm(1..5) kills
+E(F_2) and the point has odd order iff 15 kills it, one more ladder lane.
+The search and the ladder share one x-only group law on (X : Z); the
+search adds one batched inversion per lane and sorted keys to match baby
+and giant steps.  Lanes hold primes up to LANE_PRIME_MAX = 2^31 - 1;
+larger primes raise ValueError.  The same engine scans any rational
+curve/point pair.  The sweep cuts its primes into contiguous ranges of
+equal width, at most SEGMENT_SIZE, and deals them round-robin to
+`threads` processes: the calling process is worker 0 and starts the
+others, each of which sends its counts down its own pipe, and the caller
+takes them in range order.  The counts are exact and independent of the
+worker count.
 
 group_order counts #E(F_p) by an exhaustive character sum over every x in
 F_p, for p up to EXHAUSTIVE_MAX.  It shares no code with the lanes, so the
@@ -84,7 +84,6 @@ class AmbiguousOrderError(RuntimeError):
 # p = 2 needs no other path.  Every term stays below 2^63.
 
 LANE_PRIME_MAX = (1 << 31) - 1
-LANE_POINT_BUDGET = 1 << 16  # baby and giant points per batch, two int64 rows each: a few MB per worker
 
 
 def _check_lane_bound(p: int) -> None:
@@ -171,43 +170,39 @@ def _normalize(pts, p):
     X %= p
 
 
-def _shape(W_max: int) -> tuple[int, int]:
-    """Baby and giant counts (s - 1, n) covering intervals [lo, lo + W] for
-    every W <= W_max: the giant windows [c_i - s + 1, c_i + s - 1] tile it."""
-    s = max(2, math.isqrt(W_max // 2) + 1)
-    return s - 1, -(-(W_max + 1) // (2 * s - 1))
-
-
-def _bsgs(p, x, y, a1, a2, a3, a4, d):
-    """One batch of _annihilating_multiples, for a cofactor d of #E(F_p) on
-    every lane: the search runs on Q = d(x, y), x only, over the interval
-    [lo, hi] = [ceil((p + 1 - T)/d), floor((p + 1 + T)/d)], T = isqrt(4p),
-    which holds #E(F_p)/d.  Babies are j*Q for 1 <= j < s, and giants sit
-    at the centres c_i = lo + (s - 1) + i(2s - 1).  Q comes from xDBL, the
-    babies from (j + 1)Q = jQ + Q with the difference (j - 1)Q, the first
-    two giants and the step (2s - 1)Q from one ladder, and each later giant
-    from the one before plus the step, with the difference c_(i-2) Q.
+def _bsgs(p, x, y, a1, a2, a3, a4):
+    """One M > 0 per lane with M*(x, y) = O, on lanes where 4 | #E(F_p).
+    The search runs on Q = 4(x, y), x only, over the quarter interval
+    [lo, hi] = [ceil((p + 1 - T)/4), floor((p + 1 + T)/4)], T = isqrt(4p),
+    which holds #E(F_p)/4.  Babies are j*Q for 1 <= j < s, and giants sit
+    at the centres c_i = lo + (s - 1) + i(2s - 1), so that the giant windows
+    [c_i - s + 1, c_i + s - 1] tile the widest lane's interval.  Q comes
+    from two xDBL, the babies from (j + 1)Q = jQ + Q with the difference
+    (j - 1)Q, the first two giants and the step (2s - 1)Q from one ladder,
+    and each later giant from the one before plus the step, with the
+    difference c_(i-2) Q.
 
     A baby at O gives M = j and a giant at O gives M = c_i.  A giant with
     the x of baby j is c_i Q = +-j Q, so M = (c_i - j)(c_i + j) kills Q
     whichever the sign, and c_i - j >= lo > 0.  An xADD is exact until its
     difference is O, so the rows after a lane's first O may be junk: a lane
     takes M from its first baby at O, else from its first giant at O, else
-    from any match.  The lane returns d*M, which kills (x, y).  With hi the
-    batch's largest, c_i + j < hi + 2s, so at d = 1 every M is below
-    (hi + 2s)^2 < (2^31 + 2^18)^2 < 2^63 for p <= LANE_PRIME_MAX, and a
-    larger d only lowers d*M.  Babies plus giants fall by sqrt(d) with the
-    interval.
+    from any match.  The lane returns 4M, which kills (x, y).  Every
+    c_i + j < lo + W + 2s, with W the widest lane's hi - lo, so for
+    p <= LANE_PRIME_MAX, 4M < 4(2^29 + 2^15)^2 < 2^61 (about 2^60 at the
+    bound).  All lanes are searched at once: at the lane bound a sweep
+    chunk has about 500 of them with about 300 points each, two int64 rows
+    a point, about 2.4 MB.
     """
     b = _b_invariants(p, x, y, a1, a2, a3, a4)
     width = len(p)
     T = np.array([math.isqrt(4 * q) for q in p.tolist()], np.int64)
-    lo = -(-(p + 1 - T) // d)
-    n_baby, n_giant = _shape(int(((p + 1 + T) // d - lo).max()))
-    stride = 2 * n_baby + 1
-    Q = (x, np.ones_like(x))
-    for _ in range(d.bit_length() - 1):
-        Q = _xdbl(Q, b)
+    lo = -(-(p + 1 - T) // 4)
+    W = int(((p + 1 + T) // 4 - lo).max())
+    s = max(2, math.isqrt(W // 2) + 1)
+    n_baby, stride = s - 1, 2 * s - 1
+    n_giant = -(-(W + 1) // stride)
+    Q = _xdbl(_xdbl((x, np.ones_like(x)), b), b)
 
     baby = np.empty((2, n_baby, width), np.int64)
     baby[:, 0] = Q
@@ -245,23 +240,12 @@ def _bsgs(p, x, y, a1, a2, a3, a4, d):
     M = np.where(at_o.any(axis=0), at_o.argmax(axis=0) + 1, M)
     if not M.all():
         raise AmbiguousOrderError("no annihilator found on some lane")  # not reachable for prime p
-    return d * M
+    return 4 * M
 
 
-def _annihilating_multiples(p, x, y, a1, a2, a3, a4, d):
-    """One M > 0 per lane with M*(x, y) = O, for a cofactor d of #E(F_p) on
-    every lane, searched in batches of lanes that store at most
-    LANE_POINT_BUDGET baby and giant points."""
-    n_baby, n_giant = _shape(2 * math.isqrt(4 * int(p.max())) // d)
-    width = max(1, LANE_POINT_BUDGET // (n_baby + n_giant))
-    lanes = (p, x, y, a1, a2, a3, a4)
-    return np.concatenate([_bsgs(*(a[lo:lo + width] for a in lanes), d) for lo in range(0, len(p), width)])
-
-
-# the per-lane cases of _two_sylow: four settle the lane, and two send it to
-# the BSGS with the cofactor 4 or 1
-NO_ROOT, Z2, CYCLIC_EVEN, SPLIT_EVEN, BSGS_4, BSGS_1 = range(6)
-_BSGS_COFACTOR = {BSGS_4: 4, BSGS_1: 1}
+# the per-lane cases of _two_sylow: four settle the lane, and BSGS_4 sends it
+# to the search on 4P
+NO_ROOT, Z2, CYCLIC_EVEN, SPLIT_EVEN, BSGS_4 = range(5)
 
 
 def _cubic_pow(e, c):
@@ -288,14 +272,23 @@ def _two_sylow(p, x, y, a1, a2, a3, a4):
     """What the 2-division cubic shows on each lane, as two arrays: the case
     code, and on the lanes it settles (NO_ROOT, Z2, CYCLIC_EVEN, SPLIT_EVEN)
     whether (x, y) has odd order.  BSGS_4 marks lanes where it proves
-    4 | #E(F_p) but not the parity of the order, and BSGS_1 the lanes it
-    learns nothing on.
+    4 | #E(F_p) but not the parity of the order.  Every lane of odd p gets
+    one of these five cases; at p = 2, where 2 has no inverse, the case
+    means nothing, and _order_is_odd decides those lanes.
 
     The x of the 2-torsion points are the roots of the monic f with
     4f(x) = 4x^3 + b2 x^2 + 2 b4 x + b6 = (2y + a1 x + a3)^2, so f's
     constant term comes from the point and a6 is never needed.  The roots
     in F_p are those of gcd(f, h), h = X^p - X mod f; as the roots sum to
-    -c2, there are 0, 1 or 3 of them, and 3 iff h = 0.
+    -c2, there are 0, 1 or 3 of them, and 3 iff h = 0.  Otherwise take
+    l = l1 X + l0 in the ideal (f, h): h itself if h2 = 0, else the
+    remainder of two pseudo-remainder steps, h2^2 f = (h2 X + g2) h + l.
+    A root of f in F_p is a root of l, so f has a root iff l1 != 0 and
+    z = l1^3 f(-l0/l1) = 0.  If l1 = 0 then l0 != 0 and f has no root:
+    with h2 = 0, h = l0 is a nonzero constant; with h2 != 0, l = 0 would
+    make h divide h2^2 f, so f would have the two roots of h in F_p and
+    with them the third, forcing h = 0.  Then z = -l0^3 != 0, so z != 0
+    marks exactly the lanes with no root.
 
     The rule is the 2-descent map (Miret, Moreno, Rio and Valls, Math.
     Comp. 74, 2005; Knapp, Elliptic Curves, Thm 4.2): for each root e,
@@ -319,8 +312,6 @@ def _two_sylow(p, x, y, a1, a2, a3, a4):
         and X -> x - Y maps F_p[X]/(f) onto F_p[Y]/(g) fixing 1, so u = 1
         iff Y^((p-1)/2) mod g = 1.  If u != 1 the order is even
         (SPLIT_EVEN); otherwise BSGS_4.
-    p = 2 and the rare lanes where the gcd steps below degenerate (h2 = 0
-    with h != 0, or l1 = 0) are BSGS_1.
     """
     inv2 = (p + 1) >> 1
     inv4 = inv2 * inv2 % p
@@ -330,19 +321,19 @@ def _two_sylow(p, x, y, a1, a2, a3, a4):
     fx = w * w % p * inv4 % p  # f(x) = w^2/4 at the point
     c0 = (fx - ((x + c2) * x % p + c1) % p * x) % p
 
-    # gcd(f, h): two pseudo-remainder steps leave l1 X + l0, whose root is a
-    # root of h exactly when z = l1^2 h(-l0/l1) vanishes
+    # gcd(f, h) through l = l1 X + l0: no root where z = l1^3 f(-l0/l1) != 0
     h0, h1, h2 = _cubic_pow(p, (p, c0, c1, c2))
     h1 = (h1 - 1) % p
     g2, g1, g0 = (h2 * c2 - h1) % p, (h2 * c1 - h0) % p, h2 * c0 % p
-    l1, l0 = (h2 * g1 - g2 * h1) % p, (h2 * g0 - g2 * h0) % p
-    z = ((h2 * (l0 * l0 % p) - h1 * (l0 * l1 % p)) % p + h0 * (l1 * l1 % p)) % p
-    ok = (p != 2) & (h2 != 0) & (l1 != 0)
-    case = np.where(ok & (z != 0), NO_ROOT, BSGS_1)
-    odd = case == NO_ROOT
+    l1 = np.where(h2 == 0, h1, (h2 * g1 - g2 * h1) % p)
+    l0 = np.where(h2 == 0, h0, (h2 * g0 - g2 * h0) % p)
+    t = (l1 * l1 % p * c1 - l0 * ((l1 * c2 - l0) % p)) % p
+    z = (l1 * l1 % p * l1 % p * c0 - l0 * t) % p
+    case = np.full(len(p), NO_ROOT)
+    odd = z != 0  # False on the three-root lanes too, where l = 0
 
     # one root e1 = -l0/l1: chi of l1^2 f'(e1), of x l1 + l0 and of l1
-    one = np.flatnonzero(ok & (z == 0))
+    one = np.flatnonzero((z == 0) & (l1 != 0))
     if one.size:
         q, m0, m1 = p[one], l0[one], l1[one]
         fprime = (3 * (m0 * m0 % q) - 2 * (c2[one] * (m0 * m1 % q) % q) + c1[one] * (m1 * m1 % q)) % q
@@ -352,7 +343,7 @@ def _two_sylow(p, x, y, a1, a2, a3, a4):
         case[one] = np.where(cyclic, np.where(square, BSGS_4, CYCLIC_EVEN), Z2)
         odd[one] = ~cyclic & square
 
-    three = np.flatnonzero((h0 == 0) & (h1 == 0) & (h2 == 0))  # never at p = 2, where h = X^2 - X
+    three = np.flatnonzero((h0 == 0) & (h1 == 0) & (h2 == 0))
     if three.size:
         q, xt, ct = p[three], x[three], c2[three]
         g1 = ((3 * xt + 2 * ct) % q * xt + c1[three]) % q
@@ -362,30 +353,21 @@ def _two_sylow(p, x, y, a1, a2, a3, a4):
 
 
 def _order_is_odd(p, x, y, a1, a2, a3, a4):
-    """Whether (x, y) has odd order on each lane: _two_sylow settles most
-    lanes, and _odd_by_bsgs the rest, with the cofactor their case gives."""
+    """Whether (x, y) has odd order on each lane.  _two_sylow settles most
+    lanes of odd p.  On its BSGS_4 lanes the order divides the M of _bsgs,
+    and at p = 2 it divides 60 = lcm(1..5), as #E(F_2) <= 5.  The order is
+    then odd iff the odd part of that multiple kills the point, which one
+    _kills call tests on all of those lanes."""
     lanes = (p, x, y, a1, a2, a3, a4)
     case, out = _two_sylow(*lanes)
-    for code, d in _BSGS_COFACTOR.items():
-        rest = np.flatnonzero(case == code)
-        if rest.size:
-            out[rest] = _odd_by_bsgs(*(a[rest] for a in lanes), d)
-    return out
-
-
-def _odd_by_bsgs(p, x, y, a1, a2, a3, a4, d):
-    """Whether (x, y) has odd order on each lane, by its annihilator M, for
-    a cofactor d of #E(F_p) on every lane.
-
-    Its order divides M, so it is odd iff the odd part of M kills the
-    point; an odd M settles the lane at once, and _kills tests the rest.
-    """
-    M = _annihilating_multiples(p, x, y, a1, a2, a3, a4, d)
-    odd_part = M // (M & -M)
-    even = np.flatnonzero(odd_part != M)
-    out = np.ones(len(p), bool)
-    if even.size:
-        out[even] = _kills(odd_part[even], *(a[even] for a in (p, x, y, a1, a2, a3, a4)))
+    k = np.full(len(p), 15, np.int64)
+    search = np.flatnonzero((case == BSGS_4) & (p != 2))
+    if search.size:
+        M = _bsgs(*(a[search] for a in lanes))
+        k[search] = M // (M & -M)
+    rest = np.flatnonzero((case == BSGS_4) | (p == 2))
+    if rest.size:
+        out[rest] = _kills(k[rest], *(a[rest] for a in lanes))
     return out
 
 

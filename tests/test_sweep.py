@@ -140,20 +140,17 @@ _FOUR_DIVIDES = (sweep.CYCLIC_EVEN, sweep.SPLIT_EVEN, sweep.BSGS_4)
 
 
 def _check_engine(rows):
-    """Every lane's M is positive and kills its point, also from the quarter
-    interval on the lanes whose case proves 4 | #E, and the decision is the
-    parity of the naive order; returns the decisions."""
+    """On every lane of odd p whose case proves 4 | #E, the search's M is a
+    positive multiple of 4 that kills the point, and on every lane the
+    decision is the parity of the naive order; returns the decisions."""
     lanes = _lanes(rows)
-    multiples = sweep._annihilating_multiples(*lanes, 1).tolist()
-    four = np.flatnonzero(np.isin(sweep._two_sylow(*lanes)[0], _FOUR_DIVIDES))
+    four = np.flatnonzero(np.isin(sweep._two_sylow(*lanes)[0], _FOUR_DIVIDES) & (lanes[0] != 2))
     if four.size:
-        quarter = sweep._annihilating_multiples(*lanes[:, four], 4).tolist()
-        for i, m in zip(four.tolist(), quarter):
+        for i, m in zip(four.tolist(), sweep._bsgs(*lanes[:, four]).tolist()):
             pt, cp = rows[i]
             assert m > 0 and m % 4 == 0 and curves.scalar_mul(m, pt, cp) is None, (pt, cp)
     decisions = sweep._order_is_odd(*lanes).tolist()
-    for (pt, cp), m, odd in zip(rows, multiples, decisions):
-        assert m > 0 and curves.scalar_mul(m, pt, cp) is None, (pt, cp)
+    for (pt, cp), odd in zip(rows, decisions):
         assert odd == (_naive_order(pt, cp) % 2 == 1), (pt, cp)
     return decisions
 
@@ -230,20 +227,50 @@ def test_engine_at_the_largest_lane_prime():
     pts = [curves.reduce_point_mod_p(POINT_P, p)]
     pts += _random_points(cp, rng, 3)
     lanes = _lanes([(pt, cp) for pt in pts])
-    multiples = sweep._annihilating_multiples(*lanes, 1).tolist()
+    multiples = [_annihilator_oracle(pt, cp) for pt in pts]
     decisions = sweep._order_is_odd(*lanes).tolist()
     for pt, m, odd in zip(pts, multiples, decisions):
         assert m > 0 and curves.scalar_mul(m, pt, cp) is None
         assert odd == _odd_order_oracle(pt, cp)
+    # where the case proves 4 | #E, the search's M, about 2^60 at this prime
+    four = np.flatnonzero(np.isin(sweep._two_sylow(*lanes)[0], _FOUR_DIVIDES))
+    searched = dict(zip(four.tolist(), sweep._bsgs(*lanes[:, four]).tolist())) if four.size else {}
+    for i, m in searched.items():
+        assert m > 0 and m % 4 == 0 and curves.scalar_mul(m, pts[i], cp) is None
     # the ladder against the group law where its terms come nearest to
     # wrapping: the annihilators, their odd parts and neighbours, the top
-    # scalar, and random scalars below 2^62, the size of the products
-    # (c - j)(c + j) a search returns at this prime
-    for pt, m in zip(pts, multiples):
+    # scalar, and random scalars below 2^62, above the 4(c - j)(c + j) < 2^61
+    # a search returns at this prime
+    for i, (pt, m) in enumerate(zip(pts, multiples)):
         ks = [1, 2, 3, 2**32 - 1, 2**63 - 1, m, m - 1, m + 1, m >> ((m & -m).bit_length() - 1)]
+        ks += [searched[i]] if i in searched else []
         ks += [rng.randrange(1, 2**62) for _ in range(8)]
         got = sweep._kills(np.array(ks, np.int64), *_lanes([(pt, cp)] * len(ks))).tolist()
         assert got == [curves.scalar_mul(k, pt, cp) is None for k in ks], pt
+
+
+def _check_the_lane_bound_window(step):
+    """E's 3028 primes in [2^31 - 2^16, 2^31), the last sweep chunk below the
+    lane bound, in one _decide call, which searches about 500 lanes at once:
+    the hit count, and every step-th prime against the scalar oracle."""
+    hi = 2**31
+    ps = sweep.primes_in_range(hi - 2**16, hi, sweep.primes_up_to(math.isqrt(hi) + 1))
+    parts, bad = sweep._ECHO_PAIR
+    got = sweep._decide(ps, parts, bad, {})
+    assert (len(ps), int(got.sum())) == (3028, 1619)
+    assert got[::step].tolist() == [_oracle_hit(p, parts, bad) for p in ps[::step].tolist()]
+
+
+def test_decide_at_the_lane_bound():
+    _check_the_lane_bound_window(10)
+
+
+_extended = pytest.mark.skipif(not os.environ.get("ECHO_EXTENDED"), reason="extended check: set ECHO_EXTENDED=1")
+
+
+@_extended
+def test_extended_decide_at_the_lane_bound_against_the_oracle():
+    _check_the_lane_bound_window(1)
 
 
 def test_engine_matches_oracle_per_prime_to_1e5():
@@ -282,9 +309,9 @@ def _poly_mod(a, f, p):
 
 
 def _gcd_steps_degenerate(p, x, y, a1, a2, a3, a4):
-    """Whether h = X^p - X mod the monic 2-division cubic f is nonzero and
-    Euclid on f and h, by true division, misses the degrees 3, 2, 1:
-    deg h < 2 or deg(f mod h) < 1."""
+    """Where h = X^p - X mod the monic 2-division cubic f is nonzero, the
+    step at which Euclid on f and h, by true division, misses the degrees
+    3, 2, 1: "h2" if deg h < 2, "l1" if deg(f mod h) < 1, else None."""
     b2, b4 = a1 * a1 + 4 * a2, a1 * a3 + 2 * a4
     b6 = (2 * y + a1 * x + a3) ** 2 - ((4 * x + b2) * x + 2 * b4) * x
     f = [v * pow(4, -1, p) % p for v in (b6, 2 * b4, b2, 4)]
@@ -294,7 +321,11 @@ def _gcd_steps_degenerate(p, x, y, a1, a2, a3, a4):
         if bit == "1":
             r = _poly_mod([0] + r, f, p)
     h = _poly_mod([v - w for v, w in itertools.zip_longest(r, base, fillvalue=0)], f, p)
-    return bool(h) and (len(h) < 3 or len(_poly_mod(f, h, p)) < 2)
+    if not h:
+        return None
+    if len(h) < 3:
+        return "h2"
+    return "l1" if len(_poly_mod(f, h, p)) < 2 else None
 
 
 def _case_by_roots(p, x, y, a1, a2, a3, a4):
@@ -318,70 +349,93 @@ def _case_by_roots(p, x, y, a1, a2, a3, a4):
     return sweep.BSGS_4 if all(square(x - e) for e in roots) else sweep.SPLIT_EVEN
 
 
+def _random_rows(rng, primes, count):
+    """count (affine point, curve over F_p) rows with p drawn from primes and
+    x, y, a1..a4 uniform mod p, a6 read off the point; singular curves are
+    redrawn."""
+    rows = []
+    while len(rows) < count:
+        p = rng.choice(primes)
+        x, y, a1, a2, a3, a4 = (rng.randrange(p) for _ in range(6))
+        cp = curves.Curve(a1, a2, a3, a4, (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x) % p, p=p)
+        if not cp.is_singular():
+            rows.append(((x, y), cp))
+    return rows
+
+
+def _check_cases(lanes, cases):
+    """On lanes of odd p, the cases of sweep._two_sylow are exactly cases,
+    and each is the case the roots of f give.  Against #E from group_order:
+    NO_ROOT has #E odd, Z2 has #E = 2 mod 4, and the other cases 4 | #E.
+    The point has odd order iff the odd part of #E kills it: that is the
+    decision of _order_is_odd on every lane, p = 2 included, and the
+    classifier's own on the lanes it settles."""
+    case, odd = sweep._two_sylow(*lanes)
+    decisions = sweep._order_is_odd(*lanes)
+    assert set(case[lanes[0] != 2].tolist()) == cases
+    for (p, x, y, a1, a2, a3, a4), k, settled_odd, decided in zip(lanes.T.tolist(), case, odd, decisions):
+        a6 = (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x) % p
+        cp = curves.Curve(a1, a2, a3, a4, a6, p=p)
+        n = sweep.group_order(cp)
+        kills = curves.scalar_mul(n >> ((n & -n).bit_length() - 1), (x, y), cp) is None
+        assert decided == kills, p
+        if p == 2:
+            continue
+        assert k == _case_by_roots(p, x, y, a1, a2, a3, a4), p
+        assert n % 2 == 1 if k == sweep.NO_ROOT else n % 4 == (2 if k == sweep.Z2 else 0), p
+        if k in _SETTLED:
+            assert settled_odd == kills, p
+
+
 def test_two_division_classifier_against_group_order_and_bsgs():
     # E, the t = 1, t = 2 and t = -23 family members, the control pair, and
     # the 2-torsion point T = (0, 0) of y^2 = x^3 + x^2 + 2x, at every good
-    # prime below 3000.  Each lane's case is the one the roots of f give,
-    # found by trying every x; BSGS_1 holds exactly p = 2 and the lanes where
-    # the gcd steps degenerate.  Against #E from group_order: NO_ROOT has #E
-    # odd, Z2 has #E = 2 mod 4, and the other cases 4 | #E.  On the two
-    # "even" cases the odd part of #E does not kill the point, and every
-    # settled lane's decision is the BSGS decision.  T's x is a root of f at
-    # every prime, so T gives lanes with x = e1 to both even rules.  On
-    # y^2 = x^3 - 25x = x(x - 5)(x + 5) with (45, 300), u's constant term
-    # u(0) = chi(45) is 1 on lanes where u != 1, so the split rule must
-    # check all of u.  Its translate x -> x + 1, with (44, 300), has c2 = 3
-    # and x != 0, so every coefficient of the cubic whose root is x - X
-    # counts.
+    # prime below 3000.  T's x is a root of f at every prime, so T gives
+    # lanes with x = e1 to both even rules.  On y^2 = x^3 - 25x =
+    # x(x - 5)(x + 5) with (45, 300), u's constant term u(0) = chi(45) is 1
+    # on lanes where u != 1, so the split rule must check all of u.  Its
+    # translate x -> x + 1, with (44, 300), has c2 = 3 and x != 0, so every
+    # coefficient of the cubic whose root is x - X counts.
     origin = (Fraction(0), Fraction(0))
-    six = set(range(6))
+    five = set(range(5))
     for c, pt, cases in (
-        (CURVE_E, POINT_P, six),
-        (curves.curve_from_pair(*fabulous.parametrize(1)), origin, six - {sweep.BSGS_1}),
-        (curves.curve_from_pair(*fabulous.parametrize(2)), origin, six - {sweep.CYCLIC_EVEN}),
-        (curves.curve_from_pair(*fabulous.parametrize(-23)), origin, six - {sweep.NO_ROOT, sweep.BSGS_1}),
-        (curves.curve_from_pair(*fabulous.find_control_pair()), origin, six),
+        (CURVE_E, POINT_P, five),
+        (curves.curve_from_pair(*fabulous.parametrize(1)), origin, five),
+        (curves.curve_from_pair(*fabulous.parametrize(2)), origin, five - {sweep.CYCLIC_EVEN}),
+        (curves.curve_from_pair(*fabulous.parametrize(-23)), origin, five - {sweep.NO_ROOT}),
+        (curves.curve_from_pair(*fabulous.find_control_pair()), origin, five),
         (curves.Curve(0, 1, 0, 2, 0), origin, {sweep.Z2, sweep.CYCLIC_EVEN, sweep.SPLIT_EVEN}),
         (curves.Curve(0, 0, 0, -25, 0), (Fraction(45), Fraction(300)), {sweep.SPLIT_EVEN, sweep.BSGS_4}),
         (curves.Curve(0, 3, 0, -22, -24), (Fraction(44), Fraction(300)), {sweep.SPLIT_EVEN, sweep.BSGS_4}),
     ):
-        lanes = _pair_lanes(c, pt, sweep.primes_up_to(3000))
-        case, odd = sweep._two_sylow(*lanes)
-        assert set(case.tolist()) == cases, c
-        settled = np.flatnonzero(np.isin(case, _SETTLED))
-        assert odd[settled].tolist() == sweep._odd_by_bsgs(*lanes[:, settled], 1).tolist(), c
-        for (p, x, y, a1, a2, a3, a4), k in zip(lanes.T.tolist(), case.tolist()):
-            if p == 2 or _gcd_steps_degenerate(p, x, y, a1, a2, a3, a4):
-                assert k == sweep.BSGS_1, (c, p)
-                continue
-            assert k == _case_by_roots(p, x, y, a1, a2, a3, a4), (c, p)
-            a6 = (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x) % p
-            cp = curves.Curve(a1, a2, a3, a4, a6, p=p)
-            n = sweep.group_order(cp)
-            assert n % 2 == 1 if k == sweep.NO_ROOT else n % 4 == (2 if k == sweep.Z2 else 0), (c, p)
-            if k in (sweep.CYCLIC_EVEN, sweep.SPLIT_EVEN):
-                assert curves.scalar_mul(n >> ((n & -n).bit_length() - 1), (x, y), cp) is not None, (c, p)
-        assert np.count_nonzero(case == sweep.BSGS_1) < len(case) / 100, c
+        _check_cases(_pair_lanes(c, pt, sweep.primes_up_to(3000)), cases)
+    # seeded random curves at odd p < 400, among them lanes where the two
+    # pseudo-remainder steps degenerate: h = X^p - X mod f of degree < 2,
+    # and f mod h a constant
+    rows = _random_rows(random.Random(29), sweep.primes_up_to(399)[1:], 1000)
+    lanes = _lanes(rows)
+    assert {_gcd_steps_degenerate(*lane) for lane in lanes.T.tolist()} == {None, "h2", "l1"}
+    _check_cases(lanes, five)
 
 
 def test_bsgs_runs_only_on_lanes_the_classifier_leaves(monkeypatch):
-    # E's primes 7..1e5: the classifier settles all but at most 17% of them
-    # (about 1/6), only the BSGS cases reach the search, and all but 7 and
-    # 17 of those search a quarter of the Hasse interval
-    ps = [p for p in sweep.primes_up_to(100_000) if p >= 7]
-    searched = {1: [], 4: []}
-    search = sweep._annihilating_multiples
+    # E's good primes to 1e5, p = 2 included: the classifier settles all but
+    # at most 17% of them (about 1/6), and one search call sees exactly the
+    # BSGS_4 lanes; the ladder alone decides p = 2
+    ps = np.array([p for p in sweep.primes_up_to(100_000) if p not in (3, 5)])
+    calls = []
+    search = sweep._bsgs
 
     def recording_search(p, *rest):
-        searched[rest[-1]] += p.tolist()
+        calls.append(p.tolist())
         return search(p, *rest)
 
-    monkeypatch.setattr(sweep, "_annihilating_multiples", recording_search)
-    assert sweep._decide(ps, *sweep._ECHO_PAIR, {}).sum() == 5118 - 2  # of the table, less 2 and 3
-    case, _ = sweep._two_sylow(*_pair_lanes(CURVE_E, POINT_P, ps))
+    monkeypatch.setattr(sweep, "_bsgs", recording_search)
+    assert sweep._decide(ps, *sweep._ECHO_PAIR, {}).sum() == 5118 - 1  # of the table, less 3
+    case, _ = sweep._two_sylow(*_pair_lanes(CURVE_E, POINT_P, ps.tolist()))
     assert len(case) == len(ps)
-    assert searched[1] == [7, 17] and searched[4] == np.array(ps)[case == sweep.BSGS_4].tolist()
-    assert len(searched[1]) + len(searched[4]) <= 0.17 * len(ps)
+    assert calls == [ps[(case == sweep.BSGS_4) & (ps != 2)].tolist()]
+    assert 2 not in calls[0] and len(calls[0]) <= 0.17 * len(ps)
 
 
 def test_classifier_decides_the_rational_2_torsion_point_even():
