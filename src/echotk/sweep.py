@@ -1,35 +1,36 @@
 """Prime sweep: which primes divide a term of the sequence.
 
 For a good-reduction prime p the question reduces to whether the base
-point has odd order in E(F_p); the bad primes are settled by the residue
-cycles (3 divides a term, 5 never does).  The decision runs on numpy int64
-lanes, one prime per lane, for a whole sweep segment at once, in two
-stages.  First the 2-descent map on the cubic f whose roots are the x of
-the 2-torsion points: a point of odd order lies in 2E(F_p) and is not
-2-torsion, so x - e is a nonzero square for every root e of f in F_p.
-The roots come from gcd(f, X^p - X).  If f has no root, #E(F_p) is odd
-and so is the point's order.  If f has one root e1 and f'(e1) is a
-non-residue, the 2-Sylow subgroup is Z/2 and the point has odd order iff
-x - e1 is a nonzero square.  If f'(e1) is a square, or f has three roots,
-4 | #E(F_p), and the order is even unless every x - e is a nonzero square,
-which one power (x - X)^((p-1)/2) mod f tests for all three roots at
-once.  That decides about 83% of E's primes, close to
+point has odd order in E(F_p).  The bad primes are settled by the residue
+cycles (3 divides a term, 5 never does), and p = 2 by the exact group law:
+#E(F_2) <= 5, so the point has odd order iff 15 kills it.  Those answers
+belong to the prepared (curve, point) pair.  Every other prime is odd and
+goes to numpy int64 lanes, one prime per lane, for a whole sweep segment
+at once.  A lane holds the point's x and the b2, b4, b6 of the 2-division
+cubic 4f(X) = 4X^3 + b2 X^2 + 2 b4 X + b6, the roots of f being the x of
+the 2-torsion points.  First the 2-descent map on f: a point of odd order
+lies in 2E(F_p) and is not 2-torsion, so x - e is a nonzero square for
+every root e of f in F_p.  The roots come from gcd(f, X^p - X).  If f has
+no root, #E(F_p) is odd and so is the point's order.  If f has one root
+e1 and f'(e1) is a non-residue, the 2-Sylow subgroup is Z/2 and the point
+has odd order iff x - e1 is a nonzero square.  If f'(e1) is a square, or
+f has three roots, 4 | #E(F_p), and the order is even unless every x - e
+is a nonzero square, which one power (x - X)^((p-1)/2) mod f tests for
+all three roots at once.  That decides about 83% of E's primes, close to
 1/3 + 1/4 + 1/8 + 1/8 = 5/6.  On the rest the cubic proves 4 | #E(F_p),
 and a baby-step giant-step search on 4P over a quarter of the Hasse
 interval finds a positive multiple m of the point's order; the order is
 odd exactly when the odd part of m already kills the point, which a
-Montgomery ladder tests.  At p = 2, #E(F_2) <= 5, so 60 = lcm(1..5) kills
-E(F_2) and the point has odd order iff 15 kills it, one more ladder lane.
-The search and the ladder share one x-only group law on (X : Z); the
-search adds one batched inversion per lane and sorted keys to match baby
-and giant steps.  Lanes hold primes up to LANE_PRIME_MAX = 2^31 - 1;
-larger primes raise ValueError.  The same engine scans any rational
-curve/point pair.  The sweep cuts its primes into contiguous ranges of
-equal width, at most SEGMENT_SIZE, and deals them round-robin to
-`threads` processes: the calling process is worker 0 and starts the
-others, each of which sends its counts down its own pipe, and the caller
-takes them in range order.  The counts are exact and independent of the
-worker count.
+Montgomery ladder tests.  The search and the ladder share one x-only
+group law on (X : Z); the search adds one batched inversion per lane and
+sorted keys to match baby and giant steps.  Lanes hold primes up to
+LANE_PRIME_MAX = 2^31 - 1; larger primes raise ValueError.  The same
+engine scans any rational curve/point pair.  The sweep cuts its primes
+into contiguous ranges of equal width, at most SEGMENT_SIZE, and deals
+them round-robin to `threads` processes: the calling process is worker 0
+and starts the others, each of which sends its counts down its own pipe,
+and the caller takes them in range order.  The counts are exact and
+independent of the worker count.
 
 group_order counts #E(F_p) by an exhaustive character sum over every x in
 F_p, for p up to EXHAUSTIVE_MAX.  It shares no code with the lanes, so the
@@ -56,8 +57,6 @@ from .polyops import primes_in_range, primes_up_to
 SEGMENT_SIZE = 1 << 16
 EXHAUSTIVE_MAX = 1 << 22  # group_order's largest p: a few int64 arrays of length p
 
-_BAD_DIVIDES = {3: True, 5: False}  # bad-reduction primes of E, settled by residue cycles
-
 
 class AmbiguousOrderError(RuntimeError):
     """A lane's baby-step giant-step search found no multiple of its point's order."""
@@ -67,21 +66,21 @@ class AmbiguousOrderError(RuntimeError):
 # the odd-order decision: the 2-division rule, then a baby-step giant-step
 # search over int64 lanes
 #
-# A lane is a prime p, a curve a1..a4 and an affine point (x, y) on it, all
-# reduced mod p; lanes may repeat a prime.  Residues stay below
-# LANE_PRIME_MAX < 2^31, so the sum of two residue products fits int64.
+# A lane is an odd prime p, the x of an affine point, and the b2, b4, b6 of
+# 4f(X) = 4X^3 + b2 X^2 + 2 b4 X + b6, all reduced mod p; lanes may repeat a
+# prime.  Residues stay below LANE_PRIME_MAX < 2^31, so the sum of two
+# residue products fits int64.
 #
 # The search and the odd-part test share one x-only law (Montgomery, Math.
 # Comp. 48, 1987; Brier and Joye, PKC 2002).  Y = 2y + a1 x + a3 keeps x and
-# turns the curve into Y^2 = 4x^3 + b2 x^2 + 2 b4 x + b6, where R and -R
-# share x, so a point is a pair (X : Z) of lane arrays with O at Z = 0:
+# turns the curve into Y^2 = 4f(x), where R and -R share x, so a point is a
+# pair (X : Z) of lane arrays with O at Z = 0, and b8 = (b2 b6 - b4^2)/4:
 #   sum:    x(R + S) + x(R - S) = N(R, S)/Z'', where
 #           Z'' = (X_R Z_S - X_S Z_R)^2 and
 #           N = (X_R Z_S + X_S Z_R)(2 X_R X_S + b4 Z_R Z_S) + Z_R Z_S (b2 X_R X_S + b6 Z_R Z_S);
 #   double: 2R = (X^4 - b4 X^2 Z^2 - 2 b6 X Z^3 - b8 Z^4 : N(R, R)).
 # The additive form holds at x = 0, where the product form
-# x(R + S) x(R - S) does not, and the formulas are identities over Z, so
-# p = 2 needs no other path.  Every term stays below 2^63.
+# x(R + S) x(R - S) does not.  Every term stays below 2^63.
 
 LANE_PRIME_MAX = (1 << 31) - 1
 
@@ -91,14 +90,10 @@ def _check_lane_bound(p: int) -> None:
         raise ValueError(f"primes above {LANE_PRIME_MAX} exceed the int64 lane bound")
 
 
-def _b_invariants(p, x, y, a1, a2, a3, a4):
-    """(p, b2, b4, b6, b8) on every lane, with the curve's a6 read off the
-    point: a6 = y^2 + a1 xy + a3 y - x^3 - a2 x^2 - a4 x."""
-    a6 = (y * ((y + a1 * x + a3) % p) - x * (((x + a2) % p * x + a4) % p)) % p
-    b2, b4 = (a1 * a1 + 4 * a2) % p, (a1 * a3 + 2 * a4) % p
-    b6 = (a3 * a3 + 4 * a6) % p
-    b8 = ((b2 * a6 - a1 * a3 % p * a4) + (a2 * (a3 * a3 % p) - a4 * a4)) % p
-    return p, b2, b4, b6, b8
+def _law(p, b2, b4, b6):
+    """The x-only law's constants (p, b2, b4, b6, b8) on every lane."""
+    inv2 = (p + 1) >> 1
+    return p, b2, b4, b6, (b2 * b6 - b4 * b4) % p * (inv2 * inv2 % p) % p
 
 
 def _n_form(s, xx, zz, b):
@@ -170,9 +165,9 @@ def _normalize(pts, p):
     X %= p
 
 
-def _bsgs(p, x, y, a1, a2, a3, a4):
-    """One M > 0 per lane with M*(x, y) = O, on lanes where 4 | #E(F_p).
-    The search runs on Q = 4(x, y), x only, over the quarter interval
+def _bsgs(p, x, b2, b4, b6):
+    """One M > 0 per lane that kills the point P with x(P) = x, on lanes
+    where 4 | #E(F_p).  The search runs on Q = 4P over the quarter interval
     [lo, hi] = [ceil((p + 1 - T)/4), floor((p + 1 + T)/4)], T = isqrt(4p),
     which holds #E(F_p)/4.  Babies are j*Q for 1 <= j < s, and giants sit
     at the centres c_i = lo + (s - 1) + i(2s - 1), so that the giant windows
@@ -187,14 +182,14 @@ def _bsgs(p, x, y, a1, a2, a3, a4):
     whichever the sign, and c_i - j >= lo > 0.  An xADD is exact until its
     difference is O, so the rows after a lane's first O may be junk: a lane
     takes M from its first baby at O, else from its first giant at O, else
-    from any match.  The lane returns 4M, which kills (x, y).  Every
+    from any match.  The lane returns 4M, which kills P.  Every
     c_i + j < lo + W + 2s, with W the widest lane's hi - lo, so for
     p <= LANE_PRIME_MAX, 4M < 4(2^29 + 2^15)^2 < 2^61 (about 2^60 at the
     bound).  All lanes are searched at once: at the lane bound a sweep
     chunk has about 500 of them with about 300 points each, two int64 rows
     a point, about 2.4 MB.
     """
-    b = _b_invariants(p, x, y, a1, a2, a3, a4)
+    b = _law(p, b2, b4, b6)
     width = len(p)
     T = np.array([math.isqrt(4 * q) for q in p.tolist()], np.int64)
     lo = -(-(p + 1 - T) // 4)
@@ -268,17 +263,15 @@ def _cubic_pow(e, c):
     return r0, r1, r2
 
 
-def _two_sylow(p, x, y, a1, a2, a3, a4):
+def _two_sylow(p, x, b2, b4, b6):
     """What the 2-division cubic shows on each lane, as two arrays: the case
     code, and on the lanes it settles (NO_ROOT, Z2, CYCLIC_EVEN, SPLIT_EVEN)
-    whether (x, y) has odd order.  BSGS_4 marks lanes where it proves
-    4 | #E(F_p) but not the parity of the order.  Every lane of odd p gets
-    one of these five cases; at p = 2, where 2 has no inverse, the case
-    means nothing, and _order_is_odd decides those lanes.
+    whether the point P with x(P) = x has odd order.  BSGS_4 marks lanes
+    where it proves 4 | #E(F_p) but not the parity of the order.  Every lane
+    gets one of these five cases.
 
-    The x of the 2-torsion points are the roots of the monic f with
-    4f(x) = 4x^3 + b2 x^2 + 2 b4 x + b6 = (2y + a1 x + a3)^2, so f's
-    constant term comes from the point and a6 is never needed.  The roots
+    The x of the 2-torsion points are the roots of the monic
+    f = X^3 + c2 X^2 + c1 X + c0 = (4X^3 + b2 X^2 + 2 b4 X + b6)/4.  The roots
     in F_p are those of gcd(f, h), h = X^p - X mod f; as the roots sum to
     -c2, there are 0, 1 or 3 of them, and 3 iff h = 0.  Otherwise take
     l = l1 X + l0 in the ideal (f, h): h itself if h2 = 0, else the
@@ -308,18 +301,15 @@ def _two_sylow(p, x, y, a1, a2, a3, a4):
         F_p[X]/(f) = F_p^3 through X -> (e1, e2, e3), so
         u = (x - X)^((p-1)/2) mod f is 1 iff every x - e_i is a nonzero
         square.  Y = x - X is a root of the monic
-        g(Y) = -f(x - Y) = Y^3 - (3x + c2) Y^2 + (3x^2 + 2 c2 x + c1) Y - w^2/4,
+        g(Y) = -f(x - Y) = Y^3 - (3x + c2) Y^2 + (3x^2 + 2 c2 x + c1) Y - f(x),
         and X -> x - Y maps F_p[X]/(f) onto F_p[Y]/(g) fixing 1, so u = 1
         iff Y^((p-1)/2) mod g = 1.  If u != 1 the order is even
         (SPLIT_EVEN); otherwise BSGS_4.
     """
     inv2 = (p + 1) >> 1
     inv4 = inv2 * inv2 % p
-    c2 = (a1 * a1 + 4 * a2) % p * inv4 % p
-    c1 = (a1 * a3 + 2 * a4) % p * inv2 % p
-    w = (2 * y + a1 * x + a3) % p
-    fx = w * w % p * inv4 % p  # f(x) = w^2/4 at the point
-    c0 = (fx - ((x + c2) * x % p + c1) % p * x) % p
+    c2, c1, c0 = b2 * inv4 % p, b4 * inv2 % p, b6 * inv4 % p
+    fx = (((x + c2) * x % p + c1) % p * x + c0) % p
 
     # gcd(f, h) through l = l1 X + l0: no root where z = l1^3 f(-l0/l1) != 0
     h0, h1, h2 = _cubic_pow(p, (p, c0, c1, c2))
@@ -352,29 +342,24 @@ def _two_sylow(p, x, y, a1, a2, a3, a4):
     return case, odd
 
 
-def _order_is_odd(p, x, y, a1, a2, a3, a4):
-    """Whether (x, y) has odd order on each lane.  _two_sylow settles most
-    lanes of odd p.  On its BSGS_4 lanes the order divides the M of _bsgs,
-    and at p = 2 it divides 60 = lcm(1..5), as #E(F_2) <= 5.  The order is
-    then odd iff the odd part of that multiple kills the point, which one
+def _order_is_odd(p, x, b2, b4, b6):
+    """Whether the point P with x(P) = x has odd order on each lane.
+    _two_sylow settles most lanes.  On its BSGS_4 lanes the order divides
+    the M of _bsgs, so it is odd iff the odd part of M kills P, which one
     _kills call tests on all of those lanes."""
-    lanes = (p, x, y, a1, a2, a3, a4)
-    case, out = _two_sylow(*lanes)
-    k = np.full(len(p), 15, np.int64)
-    search = np.flatnonzero((case == BSGS_4) & (p != 2))
+    case, out = _two_sylow(p, x, b2, b4, b6)
+    search = np.flatnonzero(case == BSGS_4)
     if search.size:
-        M = _bsgs(*(a[search] for a in lanes))
-        k[search] = M // (M & -M)
-    rest = np.flatnonzero((case == BSGS_4) | (p == 2))
-    if rest.size:
-        out[rest] = _kills(k[rest], *(a[rest] for a in lanes))
+        lanes = tuple(a[search] for a in (p, x, b2, b4, b6))
+        M = _bsgs(*lanes)
+        out[search] = _kills(M // (M & -M), *lanes)
     return out
 
 
-def _kills(k, p, x, y, a1, a2, a3, a4):
-    """Whether k*(x, y) = O on each lane, for lane scalars 1 <= k < 2^63:
-    whether the ladder's R0 = k(x : 1) has Z = 0."""
-    return _ladder(k, (x, np.ones_like(x)), _b_invariants(p, x, y, a1, a2, a3, a4))[0][1] == 0
+def _kills(k, p, x, b2, b4, b6):
+    """Whether kP = O on each lane, for the point P with x(P) = x and lane
+    scalars 1 <= k < 2^63: whether the ladder's R0 = k(x : 1) has Z = 0."""
+    return _ladder(k, (x, np.ones_like(x)), _law(p, b2, b4, b6))[0][1] == 0
 
 
 def _lane_residues(v: int, q):
@@ -384,11 +369,14 @@ def _lane_residues(v: int, q):
     return (v % q.astype(object)).astype(np.int64)
 
 
-def _prepare(c: Curve, pt: Point) -> tuple[tuple, int]:
-    """The rational pair (c, pt) as (numerator, denominator) pairs of
-    x, y, a1, a2, a3, a4, and an integer divisible exactly by the primes at
-    which c has no good reduction (a coefficient denominator or the
-    discriminant vanishes).  A singular curve raises SingularCurveError."""
+def _prepare(c: Curve, pt: Point) -> tuple[tuple, int, dict]:
+    """The rational pair (c, pt) as the (numerator, denominator) pairs of
+    x, b2, b4, b6, an integer divisible exactly by the primes at which c has
+    no good reduction (a coefficient denominator or the discriminant
+    vanishes), and the pair's decided primes {p: odd order}.  Those hold
+    p = 2 where 2 is good and pt is affine mod 2: #E(F_2) <= 5, so
+    60 = lcm(1..5) kills E(F_2), and pt has odd order iff 15 pt = O there.
+    A singular curve raises SingularCurveError."""
     if c.p is not None:
         raise ValueError("the sweep expects a curve over the rationals")
     if pt is None or not c.contains(pt):
@@ -396,19 +384,23 @@ def _prepare(c: Curve, pt: Point) -> tuple[tuple, int]:
     disc = c.discriminant()
     if disc == 0:
         raise curves.SingularCurveError("the swept curve is singular: every prime has bad reduction")
-    values = (Fraction(pt[0]), Fraction(pt[1]), c.a1, c.a2, c.a3, c.a4)
-    bad = math.prod(v.denominator for v in (c.a1, c.a2, c.a3, c.a4, c.a6))
-    return tuple((v.numerator, v.denominator) for v in values), bad * disc.numerator
+    x = Fraction(pt[0])
+    bad = math.prod(v.denominator for v in (c.a1, c.a2, c.a3, c.a4, c.a6)) * disc.numerator
+    decided = {}
+    if bad % 2 and x.denominator % 2:
+        decided[2] = curves.scalar_mul(15, pt, Curve(c.a1, c.a2, c.a3, c.a4, c.a6, p=2)) is None
+    return tuple((v.numerator, v.denominator) for v in (x, *c.b_invariants()[:3])), bad, decided
 
 
-def _decide(ps, parts: tuple, bad: int, overrides: dict):
-    """Whether the prepared point has odd order mod each prime of ps, as a
-    bool array: overrides first, then False at bad primes, then True where
-    the point reduces to O, and the lanes decide the rest."""
+def _decide(ps, parts: tuple, bad: int, decided: dict):
+    """Whether the point of a prepared pair has odd order mod each prime of
+    ps, as a bool array: the pair's decided primes first, then False at bad
+    primes, then True where the point reduces to O, and the lanes decide
+    the rest, which are odd primes."""
     ps = np.asarray(ps, np.int64)
     out = np.zeros(len(ps), bool)
     todo = np.ones(len(ps), bool)
-    for p, hit in overrides.items():
+    for p, hit in decided.items():
         at = ps == p
         out[at], todo[at] = hit, False
     todo &= _lane_residues(bad, ps) != 0
@@ -426,6 +418,7 @@ def _decide(ps, parts: tuple, bad: int, overrides: dict):
 
 
 _ECHO_PAIR = _prepare(curves.CURVE_E, curves.POINT_P)
+_ECHO_PAIR[2].update({3: True, 5: False})  # E's bad primes, settled by the residue cycles
 
 
 def divides_some_term(p: int) -> bool:
@@ -438,7 +431,7 @@ def divides_some_term(p: int) -> bool:
     _check_lane_bound(p)
     if p < 2 or not all(p % q for q in range(2, math.isqrt(p) + 1)):
         raise ValueError(f"{p} is not a prime")
-    return bool(_decide([p], *_ECHO_PAIR, _BAD_DIVIDES)[0])
+    return bool(_decide([p], *_ECHO_PAIR)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -522,9 +515,9 @@ class Checkpoint:
 
 def _sweep_chunk(args):
     """Count primes and odd-order hits in [lo, hi), split at the given cuts."""
-    lo, hi, cuts, parts, bad, overrides = args
+    lo, hi, cuts, pair = args
     ps = primes_in_range(lo, hi, primes_up_to(math.isqrt(hi) + 1))
-    hits = np.concatenate(([0], np.cumsum(_decide(ps, parts, bad, overrides))))
+    hits = np.concatenate(([0], np.cumsum(_decide(ps, *pair))))
     cuts = list(cuts) + [hi]
     return [(cut, n, int(hits[n])) for cut, n in zip(cuts, np.searchsorted(ps, cuts, side="right").tolist())]
 
@@ -545,8 +538,7 @@ def _run_sweep(
     x_max: int,
     threads: Optional[int],
     checkpoint_path: Optional[str],
-    pair: tuple[tuple, int],
-    overrides: dict,
+    pair: tuple[tuple, int, dict],
 ) -> list[SweepRecord]:
     if x_max < 10:
         raise ValueError("x_max must be >= 10")
@@ -578,9 +570,7 @@ def _run_sweep(
     width = x_max + 1 - start
     n_tasks = -(-width // SEGMENT_SIZE)
     cuts = [start + i * width // n_tasks for i in range(n_tasks + 1)]
-    tasks = [
-        (lo, hi, [b for b in boundaries if lo <= b < hi], *pair, overrides) for lo, hi in zip(cuts, cuts[1:])
-    ]
+    tasks = [(lo, hi, [b for b in boundaries if lo <= b < hi], pair) for lo, hi in zip(cuts, cuts[1:])]
 
     # the caller is worker 0 and child k runs tasks k, k + w, k + 2w, ...;
     # the caller takes the results in task order, so the records and the
@@ -633,7 +623,7 @@ def sweep(
     odd-order scan of (E, P) with the bad primes 3 and 5 settled by the
     residue cycles.
     """
-    return _run_sweep(x_max, threads, checkpoint_path, _ECHO_PAIR, _BAD_DIVIDES)
+    return _run_sweep(x_max, threads, checkpoint_path, _ECHO_PAIR)
 
 
 def density_scan(
@@ -645,4 +635,4 @@ def density_scan(
     order; primes where the pair does not reduce are skipped (they still
     count toward pi).
     """
-    return _run_sweep(x_max, threads, None, _prepare(c, pt), {})
+    return _run_sweep(x_max, threads, None, _prepare(c, pt))

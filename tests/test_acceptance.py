@@ -176,7 +176,7 @@ def test_criterion_7_empirical_densities():
 
 extended = pytest.mark.skipif(
     not __import__("os").environ.get("ECHO_EXTENDED"),
-    reason="extended check (these seven and one in test_sweep.py take about 17 s on two cores): set ECHO_EXTENDED=1 to enable",
+    reason="extended check (these seven and two in test_sweep.py take about 18 s on two cores): set ECHO_EXTENDED=1 to enable",
 )
 
 

@@ -1,4 +1,5 @@
 import decimal
+import hashlib
 import itertools
 import math
 import multiprocessing
@@ -119,19 +120,25 @@ def _odd_order_oracle(pt, cp) -> bool:
     return curves.scalar_mul(m >> ((m & -m).bit_length() - 1), pt, cp) is None
 
 
-def _oracle_hit(p, parts, bad) -> bool:
-    """The scalar decision for a prepared rational pair, bad primes False."""
-    if bad % p == 0:
-        return False
-    if parts[0][1] % p == 0:
-        return True
-    x, y, a1, a2, a3, a4 = (n * pow(d, -1, p) % p for n, d in parts)
-    return _odd_order_oracle((x, y), curves.Curve(a1, a2, a3, a4, 0, p=p))  # a6 enters no formula
+def _reduced_pair(c, pt, p):
+    """(pt mod p, c mod p) for a rational pair, or None where c has bad
+    reduction at p; the point is None where it reduces to O."""
+    if any(Fraction(a).denominator % p == 0 for a in (c.a1, c.a2, c.a3, c.a4, c.a6)):
+        return None
+    cp, good = curves.reduce_mod_p(c, p)
+    return (curves.reduce_point_mod_p(pt, p), cp) if good else None
+
+
+def _oracle_hit(p, c, pt) -> bool:
+    """The scalar decision for a rational pair at p, bad primes False."""
+    row = _reduced_pair(c, pt, p)
+    return row is not None and (row[0] is None or _odd_order_oracle(*row))
 
 
 def _lanes(rows):
-    """Engine lanes from (affine point, curve over F_p) rows."""
-    return np.array([(cp.p, *pt, cp.a1, cp.a2, cp.a3, cp.a4) for pt, cp in rows], np.int64).T
+    """Engine lanes (p, x, b2, b4, b6) from (affine point, curve over F_p)
+    rows of odd p."""
+    return np.array([(cp.p, pt[0], *cp.b_invariants()[:3]) for pt, cp in rows], np.int64).T
 
 
 # the cases of sweep._two_sylow that settle a lane, and those that prove 4 | #E
@@ -140,11 +147,11 @@ _FOUR_DIVIDES = (sweep.CYCLIC_EVEN, sweep.SPLIT_EVEN, sweep.BSGS_4)
 
 
 def _check_engine(rows):
-    """On every lane of odd p whose case proves 4 | #E, the search's M is a
+    """On every lane whose case proves 4 | #E, the search's M is a
     positive multiple of 4 that kills the point, and on every lane the
     decision is the parity of the naive order; returns the decisions."""
     lanes = _lanes(rows)
-    four = np.flatnonzero(np.isin(sweep._two_sylow(*lanes)[0], _FOUR_DIVIDES) & (lanes[0] != 2))
+    four = np.flatnonzero(np.isin(sweep._two_sylow(*lanes)[0], _FOUR_DIVIDES))
     if four.size:
         for i, m in zip(four.tolist(), sweep._bsgs(*lanes[:, four]).tolist()):
             pt, cp = rows[i]
@@ -157,18 +164,18 @@ def _check_engine(rows):
 
 def test_engine_matches_oracle_and_naive_order_below_1000():
     rows = [(curves.reduce_point_mod_p(POINT_P, p), _reduced(p)[0])
-            for p in sweep.primes_up_to(999) if p not in (3, 5)]
+            for p in sweep.primes_up_to(999) if p not in (2, 3, 5)]
     decisions = _check_engine(rows)
     for (pt, cp), odd in zip(rows, decisions):
         assert odd == _odd_order_oracle(pt, cp), cp.p
 
 
 def _tiny_rows():
-    """Every affine point of every non-singular curve over F_2 and F_3, and
-    of seeded curves over F_5 and F_7, with mixed and repeated primes."""
+    """Every affine point of every non-singular curve over F_3, and of
+    seeded curves over F_5 and F_7, with mixed and repeated primes."""
     rng = random.Random(3)
     rows = []
-    for p, count in ((2, None), (3, None), (5, 150), (7, 150)):
+    for p, count in ((3, None), (5, 150), (7, 150)):
         if count is None:
             coeffs = [tuple((n // p**i) % p for i in range(5)) for n in range(p**5)]
         else:
@@ -187,7 +194,7 @@ def test_engine_on_tiny_primes_with_points_of_order_1_to_4():
     orders = {_naive_order(pt, cp) for pt, cp in rows}
     assert {2, 3, 4} <= orders
     _check_engine(rows)
-    for p in (2, 3, 5, 7):
+    for p in (3, 5, 7):
         _check_engine([row for row in rows if row[1].p == p])
 
 
@@ -198,13 +205,14 @@ def _lane_x(R, p):
 
 def test_x_only_ladder_on_tiny_primes():
     # the ladder against the curves group law for every k <= 16 on every
-    # point of the tiny-prime curves, p = 2 and x(P) = 0 included: the O
-    # test, and the x of both outputs, also from a projective base
-    # (lam x : lam), since the search keys on x through such differences
+    # point of the tiny-prime curves, x(P) = 0 included: the O test, and
+    # the x of both outputs, also from a projective base (lam x : lam),
+    # since the search keys on x through such differences; the ladder takes
+    # b8 from the curve, _kills computes it on the lane
     rows = _tiny_rows()
     lanes = _lanes(rows)
     p, x = lanes[0], lanes[1]
-    b = sweep._b_invariants(*lanes)
+    b = tuple(np.array([(cp.p, *cp.b_invariants()) for _, cp in rows], np.int64).T)
     rng = random.Random(5)
     lam = np.array([rng.randrange(1, q) for q in p.tolist()], np.int64)
     bases = ((x, np.ones_like(x)), (lam * x % p, lam))
@@ -255,10 +263,9 @@ def _check_the_lane_bound_window(step):
     the hit count, and every step-th prime against the scalar oracle."""
     hi = 2**31
     ps = sweep.primes_in_range(hi - 2**16, hi, sweep.primes_up_to(math.isqrt(hi) + 1))
-    parts, bad = sweep._ECHO_PAIR
-    got = sweep._decide(ps, parts, bad, {})
+    got = sweep._decide(ps, *sweep._ECHO_PAIR)
     assert (len(ps), int(got.sum())) == (3028, 1619)
-    assert got[::step].tolist() == [_oracle_hit(p, parts, bad) for p in ps[::step].tolist()]
+    assert got[::step].tolist() == [_oracle_hit(p, CURVE_E, POINT_P) for p in ps[::step].tolist()]
 
 
 def test_decide_at_the_lane_bound():
@@ -274,7 +281,8 @@ def test_extended_decide_at_the_lane_bound_against_the_oracle():
 
 
 def test_engine_matches_oracle_per_prime_to_1e5():
-    # E, the t = 1 family member and the control pair, prime by prime
+    # E, the t = 1 family member and the control pair, prime by prime, p = 2
+    # and the bad primes included
     ps = sweep.primes_up_to(100_000)
     origin = (Fraction(0), Fraction(0))
     for c, pt in (
@@ -282,18 +290,77 @@ def test_engine_matches_oracle_per_prime_to_1e5():
         (curves.curve_from_pair(*fabulous.parametrize(1)), origin),
         (curves.curve_from_pair(*fabulous.find_control_pair()), origin),
     ):
-        parts, bad = sweep._prepare(c, pt)
-        got = sweep._decide(ps, parts, bad, {}).tolist()
-        want = [_oracle_hit(p, parts, bad) for p in ps]
+        got = sweep._decide(ps, *sweep._prepare(c, pt)).tolist()
+        want = [_oracle_hit(p, c, pt) for p in ps]
         assert got == want, c
 
 
-def _pair_lanes(c, pt, ps):
-    """Engine lanes of a rational pair at the primes of ps where the curve
-    has good reduction and pt does not reduce to O."""
-    parts, bad = sweep._prepare(c, pt)
-    rows = [p for p in ps if bad % p and parts[0][1] % p]
-    return np.array([[p] + [n * pow(d, -1, p) % p for n, d in parts] for p in rows], np.int64).T
+# nine pairs whose scans mix the classifier's cases differently: E, six
+# family members, the control pair and Somos-4's (0, 0) on y^2 + y = x^3 - x
+def _nine_pairs():
+    origin = (Fraction(0), Fraction(0))
+    pairs = {"E": (CURVE_E, POINT_P)}
+    for t in (1, 2, -23, -5, -11, -29):
+        pairs[f"t={t}"] = (curves.curve_from_pair(*fabulous.parametrize(t)), origin)
+    pairs["control"] = (curves.curve_from_pair(*fabulous.find_control_pair()), origin)
+    pairs["somos4"] = (curves.Curve(0, 0, 1, -1, 0), origin)
+    return pairs
+
+
+# SHA-256 of np.packbits of each pair's decisions at every prime to 1e5 and
+# 1e6, computed by an engine whose lanes still carried y and a1..a4, so they
+# hold the lanes on (p, x, b2, b4, b6) to that engine's answers
+_DIGESTS_1E5 = {
+    "E": "ed41144d3bf0b96500ad57c2be2f3d61e7c1ecc0521326fe4267beac88b61c4c",
+    "t=1": "1e046f57fe9a5dd9049c013ee94c39de0d8d98936f810b94b498593cdb54997d",
+    "t=2": "17185258465e4fe2ba695e55896183f9b12fe05831d9de773d906c273f1c8818",
+    "t=-23": "8822ed948f488452685c2d39fad4870639cc6c4dfaa18102115bc87228aa7a20",
+    "t=-5": "a0bbcc786e959ce808bab2907d6489ce3836d56dd47cc6cff158e392da8df710",
+    "t=-11": "e657afa7042e762086c435f744a5a0b0a49a17d0de762bf542492d52d64d4e08",
+    "t=-29": "8c89080ec9e6aa40971f93c20b0620604dcb1a266ffaeeb0ba9a8c1e7a646283",
+    "control": "e89b6dc4a64ee583e3831557f7340066709aa214da9a725073066064576ae2ff",
+    "somos4": "046557e7a86340c3e38aff494fe9c7eb6199ef8810dd6404cc3233015dad7ca6",
+}
+_DIGESTS_1E6 = {
+    "E": "dd1011b3bf1f3e9d7caa033bf937e2aa4d0a37e787ba549e83c2e4b33387e6dd",
+    "t=1": "c4de89d548c93c5c0507f4d039ca532b80c0c14860929f2aa2e4c48f4b5af23e",
+    "t=2": "4b1ced7f6c08e1b20ba0330adf141b80a3f3bb87e14b14f2092eca29c8560cfa",
+    "t=-23": "475db089d7c5a2cc7ee714b51f5baf743e5703e4b1349df38486a72dc30b9268",
+    "t=-5": "4003bd4931da34695b5488ecff0c49dec3f0a78c42a20c0494898817af24c29b",
+    "t=-11": "1c46776946041b3cb59b73edd20d167b5dcbbfc416cf39c11f46991dee26f7ab",
+    "t=-29": "6bba90e1e559d69714075abd6ccbbe837c05c39173ca433f8690112fef888026",
+    "control": "3b0c0036a26a73bc090debf7764c01586f0f8adcf04c16f715e524383fdd9988",
+    "somos4": "32abef5dbf5e822ee50a7666faa037146e7c4007e662c1592a1c6532896c9aff",
+}
+
+
+def _check_decision_digests(x, digests):
+    """_decide on every prime <= x, in chunks of 2^14 primes, gives the
+    pinned digest for each of the nine pairs."""
+    ps = sweep.primes_up_to(x)
+    got = {}
+    for name, (c, pt) in _nine_pairs().items():
+        pair = sweep._prepare(c, pt)
+        out = np.concatenate([sweep._decide(ps[i : i + 2**14], *pair) for i in range(0, len(ps), 2**14)])
+        got[name] = hashlib.sha256(np.packbits(out).tobytes()).hexdigest()
+    assert got == digests
+
+
+def test_decisions_of_nine_pairs_to_1e5_are_pinned():
+    _check_decision_digests(100_000, _DIGESTS_1E5)
+
+
+@_extended
+def test_extended_decisions_of_nine_pairs_to_1e6_are_pinned():
+    _check_decision_digests(1_000_000, _DIGESTS_1E6)
+
+
+def _pair_rows(c, pt, ps):
+    """(affine point, curve over F_p) rows of a rational pair at the odd
+    primes of ps where the curve has good reduction and pt does not reduce
+    to O."""
+    rows = [_reduced_pair(c, pt, p) for p in ps if p != 2]
+    return [row for row in rows if row is not None and row[0] is not None]
 
 
 def _poly_mod(a, f, p):
@@ -308,12 +375,10 @@ def _poly_mod(a, f, p):
     return a
 
 
-def _gcd_steps_degenerate(p, x, y, a1, a2, a3, a4):
+def _gcd_steps_degenerate(p, x, b2, b4, b6):
     """Where h = X^p - X mod the monic 2-division cubic f is nonzero, the
     step at which Euclid on f and h, by true division, misses the degrees
     3, 2, 1: "h2" if deg h < 2, "l1" if deg(f mod h) < 1, else None."""
-    b2, b4 = a1 * a1 + 4 * a2, a1 * a3 + 2 * a4
-    b6 = (2 * y + a1 * x + a3) ** 2 - ((4 * x + b2) * x + 2 * b4) * x
     f = [v * pow(4, -1, p) % p for v in (b6, 2 * b4, b2, 4)]
     r, base = [1], [0, 1]
     for bit in bin(p)[2:]:
@@ -328,11 +393,9 @@ def _gcd_steps_degenerate(p, x, y, a1, a2, a3, a4):
     return "l1" if len(_poly_mod(f, h, p)) < 2 else None
 
 
-def _case_by_roots(p, x, y, a1, a2, a3, a4):
+def _case_by_roots(p, x, b2, b4, b6):
     """The case of sweep._two_sylow from the roots of the 2-division cubic,
-    found by trying every x in F_p, and Euler's criterion; for odd p."""
-    b2, b4 = a1 * a1 + 4 * a2, a1 * a3 + 2 * a4
-    b6 = (2 * y + a1 * x + a3) ** 2 - ((4 * x + b2) * x + 2 * b4) * x
+    found by trying every x in F_p, and Euler's criterion."""
     xs = np.arange(p, dtype=np.int64)
     roots = xs[(((4 * xs + b2) * xs + 2 * b4) % p * xs + b6) % p == 0].tolist()  # of 4f
 
@@ -363,25 +426,22 @@ def _random_rows(rng, primes, count):
     return rows
 
 
-def _check_cases(lanes, cases):
-    """On lanes of odd p, the cases of sweep._two_sylow are exactly cases,
-    and each is the case the roots of f give.  Against #E from group_order:
-    NO_ROOT has #E odd, Z2 has #E = 2 mod 4, and the other cases 4 | #E.
-    The point has odd order iff the odd part of #E kills it: that is the
-    decision of _order_is_odd on every lane, p = 2 included, and the
-    classifier's own on the lanes it settles."""
+def _check_cases(rows, cases):
+    """On the lanes of (affine point, curve over F_p) rows, the cases of
+    sweep._two_sylow are exactly cases, and each is the case the roots of f
+    give.  Against #E from group_order: NO_ROOT has #E odd, Z2 has
+    #E = 2 mod 4, and the other cases 4 | #E.  The point has odd order iff
+    the odd part of #E kills it: that is the decision of _order_is_odd on
+    every lane, and the classifier's own on the lanes it settles."""
+    lanes = _lanes(rows)
     case, odd = sweep._two_sylow(*lanes)
     decisions = sweep._order_is_odd(*lanes)
-    assert set(case[lanes[0] != 2].tolist()) == cases
-    for (p, x, y, a1, a2, a3, a4), k, settled_odd, decided in zip(lanes.T.tolist(), case, odd, decisions):
-        a6 = (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x) % p
-        cp = curves.Curve(a1, a2, a3, a4, a6, p=p)
-        n = sweep.group_order(cp)
-        kills = curves.scalar_mul(n >> ((n & -n).bit_length() - 1), (x, y), cp) is None
+    assert set(case.tolist()) == cases
+    for (pt, cp), lane, k, settled_odd, decided in zip(rows, lanes.T.tolist(), case, odd, decisions):
+        p, n = cp.p, sweep.group_order(cp)
+        kills = curves.scalar_mul(n >> ((n & -n).bit_length() - 1), pt, cp) is None
         assert decided == kills, p
-        if p == 2:
-            continue
-        assert k == _case_by_roots(p, x, y, a1, a2, a3, a4), p
+        assert k == _case_by_roots(*lane), p
         assert n % 2 == 1 if k == sweep.NO_ROOT else n % 4 == (2 if k == sweep.Z2 else 0), p
         if k in _SETTLED:
             assert settled_odd == kills, p
@@ -408,20 +468,19 @@ def test_two_division_classifier_against_group_order_and_bsgs():
         (curves.Curve(0, 0, 0, -25, 0), (Fraction(45), Fraction(300)), {sweep.SPLIT_EVEN, sweep.BSGS_4}),
         (curves.Curve(0, 3, 0, -22, -24), (Fraction(44), Fraction(300)), {sweep.SPLIT_EVEN, sweep.BSGS_4}),
     ):
-        _check_cases(_pair_lanes(c, pt, sweep.primes_up_to(3000)), cases)
+        _check_cases(_pair_rows(c, pt, sweep.primes_up_to(3000)), cases)
     # seeded random curves at odd p < 400, among them lanes where the two
     # pseudo-remainder steps degenerate: h = X^p - X mod f of degree < 2,
     # and f mod h a constant
     rows = _random_rows(random.Random(29), sweep.primes_up_to(399)[1:], 1000)
-    lanes = _lanes(rows)
-    assert {_gcd_steps_degenerate(*lane) for lane in lanes.T.tolist()} == {None, "h2", "l1"}
-    _check_cases(lanes, five)
+    assert {_gcd_steps_degenerate(*lane) for lane in _lanes(rows).T.tolist()} == {None, "h2", "l1"}
+    _check_cases(rows, five)
 
 
 def test_bsgs_runs_only_on_lanes_the_classifier_leaves(monkeypatch):
     # E's good primes to 1e5, p = 2 included: the classifier settles all but
     # at most 17% of them (about 1/6), and one search call sees exactly the
-    # BSGS_4 lanes; the ladder alone decides p = 2
+    # BSGS_4 lanes; the prepared pair decides p = 2, which no lane holds
     ps = np.array([p for p in sweep.primes_up_to(100_000) if p not in (3, 5)])
     calls = []
     search = sweep._bsgs
@@ -431,11 +490,12 @@ def test_bsgs_runs_only_on_lanes_the_classifier_leaves(monkeypatch):
         return search(p, *rest)
 
     monkeypatch.setattr(sweep, "_bsgs", recording_search)
-    assert sweep._decide(ps, *sweep._ECHO_PAIR, {}).sum() == 5118 - 1  # of the table, less 3
-    case, _ = sweep._two_sylow(*_pair_lanes(CURVE_E, POINT_P, ps.tolist()))
-    assert len(case) == len(ps)
-    assert calls == [ps[(case == sweep.BSGS_4) & (ps != 2)].tolist()]
-    assert 2 not in calls[0] and len(calls[0]) <= 0.17 * len(ps)
+    assert sweep._decide(ps, *sweep._ECHO_PAIR).sum() == 5118 - 1  # of the table, less 3
+    odd_ps = ps[ps != 2]
+    case, _ = sweep._two_sylow(*_lanes(_pair_rows(CURVE_E, POINT_P, odd_ps.tolist())))
+    assert len(case) == len(odd_ps)
+    assert calls == [odd_ps[case == sweep.BSGS_4].tolist()]
+    assert len(calls[0]) <= 0.17 * len(ps)
 
 
 def test_classifier_decides_the_rational_2_torsion_point_even():
@@ -449,7 +509,7 @@ def test_classifier_decides_the_rational_2_torsion_point_even():
         return pow(a % p, (p - 1) // 2, p)
 
     ps = [p for p in sweep.primes_up_to(3000) if p not in (2, 7)]
-    lanes = np.array([(p, 0, 0, 0, 1, 0, 2) for p in ps], np.int64).T
+    lanes = np.array([(p, 0, 4, 4, 0) for p in ps], np.int64).T  # b2 = 4, b4 = 4, b6 = 0
     case, odd = sweep._two_sylow(*lanes)
     want = [
         sweep.SPLIT_EVEN if chi(-7, p) == 1 else sweep.Z2 if chi(2, p) == p - 1 else sweep.CYCLIC_EVEN for p in ps
@@ -540,11 +600,45 @@ def test_density_scan_where_the_point_reduces_to_o(n, at_o):
     for p in good:
         red = curves.reduce_point_mod_p(pt, p)
         odd[p] = red is None or _naive_order(red, _reduced(p)[0]) % 2 == 1
-    assert sweep._decide(ps, *sweep._prepare(CURVE_E, pt), {}).tolist() == [odd.get(p, False) for p in ps]
+    assert sweep._decide(ps, *sweep._prepare(CURVE_E, pt)).tolist() == [odd.get(p, False) for p in ps]
     recs = sweep.density_scan(CURVE_E, pt, 1000, threads=1)
     assert [(r.x, r.pi_prime, r.pi) for r in recs] == [
         (x, sum(odd[p] for p in good if p <= x), sum(p <= x for p in ps)) for x in (10, 100, 1000)
     ]
+
+
+def test_prepare_decides_p_2_by_the_group_law(monkeypatch):
+    # every affine point of every non-singular curve over F_2, lifted to an
+    # integral curve through an integral point with seeded even shifts, so
+    # that 2 stays a good prime: _prepare decides p = 2, no lane sees it,
+    # and the decision is the parity of the naive order
+    def no_lane(*lanes):
+        raise AssertionError("p = 2 reached a lane")
+
+    monkeypatch.setattr(sweep, "_order_is_odd", no_lane)
+    rng = random.Random(31)
+    orders = set()
+    for n in range(32):
+        cp = curves.Curve(*((n >> i) & 1 for i in range(5)), p=2)
+        if cp.is_singular():
+            continue
+        for pt in [(x, y) for x in range(2) for y in range(2) if cp.contains((x, y))]:
+            x, y = (v + 2 * rng.randint(-3, 3) for v in pt)
+            a1, a2, a3, a4 = (a + 2 * rng.randint(-3, 3) for a in (cp.a1, cp.a2, cp.a3, cp.a4))
+            c = curves.Curve(a1, a2, a3, a4, y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x)
+            order = _naive_order(pt, cp)
+            orders.add(order)
+            pair = sweep._prepare(c, (x, y))
+            assert c.discriminant().numerator % 2 == 1 and 2 in pair[2]
+            assert sweep._decide([2], *pair).tolist() == [order % 2 == 1], (c, (x, y))
+    assert orders == {2, 3, 4, 5}
+    # bad at 2: y^2 = x^3 - x has discriminant 64, so False; 5P has x with
+    # denominator 2^2, so it reduces to O mod 2, of odd order 1
+    bad_at_2 = curves.Curve(0, 0, 0, -1, 0)
+    assert bad_at_2.discriminant() == 64
+    for c, pt, odd in ((bad_at_2, (0, 0), False), (CURVE_E, curves.scalar_mul(5, POINT_P, CURVE_E), True)):
+        pair = sweep._prepare(c, pt)
+        assert 2 not in pair[2] and sweep._decide([2], *pair).tolist() == [odd]
 
 
 def test_divides_some_term_examples():
@@ -564,9 +658,9 @@ def test_divides_some_term_rejects_non_primes():
 
 def test_odd_order_decision_matches_naive_order_on_random_pairs():
     # normal-form pairs (a, b) with the marked point (0, 0), at every good
-    # prime below 600, p = 2 included: one engine call per pair decides every
-    # prime, against the parity of the order found by repeated addition, and
-    # the scan engine's count against the same oracle
+    # prime below 600: one engine call per pair decides every odd prime,
+    # against the parity of the order found by repeated addition, and the
+    # scan engine's count, p = 2 included, against the same oracle
     rng = random.Random(17)
     pairs = 0
     while pairs < 40:
@@ -583,7 +677,8 @@ def test_odd_order_decision_matches_naive_order_on_random_pairs():
             cp, good = curves.reduce_mod_p(c, p)
             if good:
                 rows.append(((0, 0), cp))
-        hits = sum(_check_engine(rows))
+        hits = sum(_check_engine([row for row in rows if row[1].p != 2]))
+        hits += sum(_naive_order(pt, cp) % 2 for pt, cp in rows if cp.p == 2)
         recs = sweep.density_scan(c, (Fraction(0), Fraction(0)), 600, threads=1)
         assert (recs[-1].pi_prime, recs[-1].pi) == (hits, 109), (a, b)
 
