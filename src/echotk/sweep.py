@@ -19,18 +19,20 @@ is a nonzero square, which one power (x - X)^((p-1)/2) mod f tests for
 all three roots at once.  That decides about 83% of E's primes, close to
 1/3 + 1/4 + 1/8 + 1/8 = 5/6.  On the rest the cubic proves 4 | #E(F_p),
 and a baby-step giant-step search on 4P over a quarter of the Hasse
-interval finds a positive multiple m of the point's order; the order is
-odd exactly when the odd part of m already kills the point, which a
-Montgomery ladder tests.  The search and the ladder share one x-only
-group law on (X : Z); the search adds one batched inversion per lane and
-sorted keys to match baby and giant steps.  Lanes hold primes up to
-LANE_PRIME_MAX = 2^31 - 1; larger primes raise ValueError.  The same
-engine scans any rational curve/point pair.  The sweep cuts its primes
-into contiguous ranges of equal width, at most SEGMENT_SIZE, and deals
-them round-robin to `threads` processes: the calling process is worker 0
-and starts the others, each of which sends its counts down its own pipe,
-and the caller takes them in range order.  The counts are exact and
-independent of the worker count.
+interval, with its giants at multiples of its stride, finds two numbers
+c - j and c + j, four times one of which is a multiple of the point's
+order; the order is odd exactly when the odd part of one of them
+already kills the point, which a Montgomery ladder tests.  The search
+and the ladder share one x-only group law on (X : Z); the search adds
+one batched inversion per lane and sorted keys to match baby and giant
+steps.  Lanes hold primes up to LANE_PRIME_MAX = 2^31 - 1; larger primes
+raise ValueError.  The same engine scans any rational curve/point pair.
+The sweep cuts its primes into contiguous ranges of equal width, at most
+SEGMENT_SIZE, and deals them round-robin to `threads` processes: the
+calling process is worker 0 and starts the others with os.fork, each of
+which pickles its counts down its own os.pipe, and the caller takes them
+in range order.  The counts are exact and independent of the worker
+count.
 
 group_order counts #E(F_p) by an exhaustive character sum over every x in
 F_p, for p up to EXHAUSTIVE_MAX.  It shares no code with the lanes, so the
@@ -40,8 +42,9 @@ tests and the benchmark probes check the lanes against it.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
+import pickle
+import signal
 import traceback
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
@@ -125,7 +128,8 @@ def _ladder(k, B, b):
     """(R0, R1) = (kB, (k + 1)B) on every lane, for lane scalars
     1 <= k < 2^63 and a projective base B = (X : Z) != O; k may stack
     several rows of scalars over the same lanes.  Montgomery's ladder keeps
-    R1 - R0 = B, so every sum is exact."""
+    R1 - R0 = B, so every sum is exact; on a lane whose B is O the outputs
+    are junk."""
     X0, Z0, (X1, Z1) = np.ones_like(k), np.zeros_like(k), B
     for bit in range(int(k.max()).bit_length() - 1, -1, -1):
         on = (k >> bit) & 1 == 1
@@ -166,51 +170,56 @@ def _normalize(pts, p):
 
 
 def _bsgs(p, x, b2, b4, b6):
-    """One M > 0 per lane that kills the point P with x(P) = x, on lanes
-    where 4 | #E(F_p).  The search runs on Q = 4P over the quarter interval
-    [lo, hi] = [ceil((p + 1 - T)/4), floor((p + 1 + T)/4)], T = isqrt(4p),
-    which holds #E(F_p)/4.  Babies are j*Q for 1 <= j < s, and giants sit
-    at the centres c_i = lo + (s - 1) + i(2s - 1), so that the giant windows
-    [c_i - s + 1, c_i + s - 1] tile the widest lane's interval.  Q comes
-    from two xDBL, the babies from (j + 1)Q = jQ + Q with the difference
-    (j - 1)Q, the first two giants and the step (2s - 1)Q from one ladder,
-    and each later giant from the one before plus the step, with the
-    difference c_(i-2) Q.
+    """Two rows M0, M1 of positive lane scalars, one of which kills Q = 4P
+    for the point P with x(P) = x, on lanes where 4 | #E(F_p); so the order
+    of P divides 4 M0 or 4 M1.  The search runs on Q over the quarter
+    interval [lo, hi] = [ceil((p + 1 - T)/4), floor((p + 1 + T)/4)],
+    T = isqrt(4p), which holds #E(F_p)/4.  Babies are j*Q for 1 <= j < s,
+    and giants sit at the multiples c = m(2s - 1) of the stride, for
+    m0 <= m < m0 + n_giant with m0 = max(1, (lo + s - 1) // (2s - 1)) per
+    lane, so that the windows [c - s + 1, c + s - 1] tile every lane's
+    interval up to hi, and the babies cover what lies below the first
+    window.  Q comes from two xDBL, the babies from (j + 1)Q = jQ + Q with
+    the difference (j - 1)Q, the step S = (2s - 1)Q = sQ + (s - 1)Q from
+    one more baby and one xADD, the first two giants from one ladder
+    (m0 S, (m0 + 1)S), and each later giant from the one before plus S,
+    with the difference the giant two before.
 
-    A baby at O gives M = j and a giant at O gives M = c_i.  A giant with
-    the x of baby j is c_i Q = +-j Q, so M = (c_i - j)(c_i + j) kills Q
-    whichever the sign, and c_i - j >= lo > 0.  An xADD is exact until its
-    difference is O, so the rows after a lane's first O may be junk: a lane
-    takes M from its first baby at O, else from its first giant at O, else
-    from any match.  The lane returns 4M, which kills P.  Every
-    c_i + j < lo + W + 2s, with W the widest lane's hi - lo, so for
-    p <= LANE_PRIME_MAX, 4M < 4(2^29 + 2^15)^2 < 2^61 (about 2^60 at the
-    bound).  All lanes are searched at once: at the lane bound a sweep
-    chunk has about 500 of them with about 300 points each, two int64 rows
-    a point, about 2.4 MB.
+    A baby at O gives M = j, S at O gives M = 2s - 1, and a giant at O
+    gives M = c, in both rows.  A giant with the x of baby j is
+    cQ = +-jQ, so c - j kills Q for one sign and c + j for the other; the
+    rows hold both, and c - j >= s > 0.  An xADD is exact until its
+    difference is O, and the ladder until its base is, so the rows after a
+    lane's first O may be junk: a lane takes M from its first baby at O,
+    else from S at O, else from its first giant at O, else from any match.
+    Every row stays below 2^30 for p <= LANE_PRIME_MAX.  All lanes are
+    searched at once: at the lane bound a sweep chunk has about 500 of
+    them with about 300 points each, two int64 rows a point, about 2.4 MB.
     """
     b = _law(p, b2, b4, b6)
     width = len(p)
     T = np.array([math.isqrt(4 * q) for q in p.tolist()], np.int64)
-    lo = -(-(p + 1 - T) // 4)
-    W = int(((p + 1 + T) // 4 - lo).max())
-    s = max(2, math.isqrt(W // 2) + 1)
-    n_baby, stride = s - 1, 2 * s - 1
-    n_giant = -(-(W + 1) // stride)
+    lo, hi = -(-(p + 1 - T) // 4), (p + 1 + T) // 4
+    s = max(2, math.isqrt(int((hi - lo).max()) // 2) + 1)
+    stride = 2 * s - 1
+    m0 = np.maximum(1, (lo + s - 1) // stride)
+    n_giant = max(1, int((-(-(hi - s + 1) // stride) - m0).max()) + 1)
     Q = _xdbl(_xdbl((x, np.ones_like(x)), b), b)
 
-    baby = np.empty((2, n_baby, width), np.int64)
+    baby = np.empty((2, s, width), np.int64)  # jQ for 1 <= j <= s; sQ only makes S
     baby[:, 0] = Q
-    if n_baby > 1:
-        baby[:, 1] = _xdbl(Q, b)
-    for j in range(2, n_baby):
+    baby[:, 1] = _xdbl(Q, b)
+    for j in range(2, s):
         baby[:, j] = _xadd(baby[:, j - 1], Q, baby[:, j - 2], b)
-    centre = lo + n_baby
-    start = np.stack(_ladder(np.stack([centre, centre + stride, np.full_like(centre, stride)]), Q, b)[0])
+    S = _xadd(baby[:, s - 1], baby[:, s - 2], Q, b)
+    baby = baby[:, : s - 1]
     giant = np.empty((2, n_giant, width), np.int64)
-    giant[:, :2] = start[:, :min(n_giant, 2)]
+    R0, R1 = _ladder(m0, S, b)
+    giant[:, 0] = R0
+    if n_giant > 1:
+        giant[:, 1] = R1
     for i in range(2, n_giant):
-        giant[:, i] = _xadd(giant[:, i - 1], start[:, 2], giant[:, i - 2], b)
+        giant[:, i] = _xadd(giant[:, i - 1], S, giant[:, i - 2], b)
 
     # match on keys lane * key_width + x; a baby at O gets key -1
     offset = np.arange(width, dtype=np.int64) * (int(p.max()) + 1)
@@ -224,18 +233,19 @@ def _bsgs(p, x, b2, b4, b6):
     pos = np.minimum(np.searchsorted(sorted_keys, giant_keys), sorted_keys.size - 1)
     found = np.flatnonzero((sorted_keys[pos] == giant_keys) & (giant[1] != 0).ravel())
 
-    M = np.zeros(width, np.int64)
+    M = np.zeros((2, width), np.int64)
     i, lane = np.divmod(found, width)
     j = order[pos[found]] // width + 1
-    c = centre[lane] + i * stride
-    M[lane] = (c - j) * (c + j)
+    c = (m0[lane] + i) * stride
+    M[:, lane] = c - j, c + j
     at_o = giant[1] == 0
-    M = np.where(at_o.any(axis=0), centre + at_o.argmax(axis=0) * stride, M)
+    M = np.where(at_o.any(axis=0), (m0 + at_o.argmax(axis=0)) * stride, M)
+    M = np.where(S[1] == 0, stride, M)
     at_o = baby[1] == 0
     M = np.where(at_o.any(axis=0), at_o.argmax(axis=0) + 1, M)
     if not M.all():
         raise AmbiguousOrderError("no annihilator found on some lane")  # not reachable for prime p
-    return 4 * M
+    return M
 
 
 # the per-lane cases of _two_sylow: four settle the lane, and BSGS_4 sends it
@@ -345,20 +355,22 @@ def _two_sylow(p, x, b2, b4, b6):
 def _order_is_odd(p, x, b2, b4, b6):
     """Whether the point P with x(P) = x has odd order on each lane.
     _two_sylow settles most lanes.  On its BSGS_4 lanes the order divides
-    the M of _bsgs, so it is odd iff the odd part of M kills P, which one
-    _kills call tests on all of those lanes."""
+    4 M0 or 4 M1, the rows of _bsgs, so it is odd iff the odd part of M0
+    or of M1 kills P, which one _kills call on both rows tests on all of
+    those lanes."""
     case, out = _two_sylow(p, x, b2, b4, b6)
     search = np.flatnonzero(case == BSGS_4)
     if search.size:
         lanes = tuple(a[search] for a in (p, x, b2, b4, b6))
         M = _bsgs(*lanes)
-        out[search] = _kills(M // (M & -M), *lanes)
+        out[search] = _kills(M // (M & -M), *lanes).any(axis=0)
     return out
 
 
 def _kills(k, p, x, b2, b4, b6):
     """Whether kP = O on each lane, for the point P with x(P) = x and lane
-    scalars 1 <= k < 2^63: whether the ladder's R0 = k(x : 1) has Z = 0."""
+    scalars 1 <= k < 2^63: whether the ladder's R0 = k(x : 1) has Z = 0.
+    k may stack several rows of scalars, and the answer has one row each."""
     return _ladder(k, (x, np.ones_like(x)), _law(p, b2, b4, b6))[0][1] == 0
 
 
@@ -407,13 +419,13 @@ def _decide(ps, parts: tuple, bad: int, decided: dict):
     at_o = todo & (_lane_residues(parts[0][1], ps) == 0)
     out[at_o] = True
     lanes = np.flatnonzero(todo & ~at_o)
-    if lanes.size:
-        q = ps[lanes]
-        values = []
-        for n, d in parts:
-            r = _lane_residues(n, q)
-            values.append(r if d == 1 else r * _pow(_lane_residues(d, q), q - 2, q) % q)
-        out[lanes] = _order_is_odd(q, *values)
+    q = ps[lanes]
+    values = [q]
+    for n, d in parts:
+        r = _lane_residues(n, q)
+        values.append(r if d == 1 else r * _pow(_lane_residues(d, q), q - 2, q) % q)
+    for i in range(0, lanes.size, SEGMENT_SIZE):  # bounds the search's memory on a wide call
+        out[lanes[i : i + SEGMENT_SIZE]] = _order_is_odd(*(v[i : i + SEGMENT_SIZE] for v in values))
     return out
 
 
@@ -522,16 +534,16 @@ def _sweep_chunk(args):
     return [(cut, n, int(hits[n])) for cut, n in zip(cuts, np.searchsorted(ps, cuts, side="right").tolist())]
 
 
-def _serve(conn, tasks):
-    """A sweep child: run tasks in order and send each result down conn,
-    or the exception that stopped it with its formatted traceback."""
-    try:
-        for task in tasks:
-            conn.send(_sweep_chunk(task))
-    except Exception as exc:
-        conn.send((exc, traceback.format_exc()))
-    finally:
-        conn.close()
+def _serve(fd, tasks):
+    """A sweep child: run tasks in order and pickle each result to the pipe
+    fd, or the exception that stopped it with its formatted traceback."""
+    with open(fd, "wb") as out:
+        try:
+            for task in tasks:
+                out.write(pickle.dumps(_sweep_chunk(task)))
+                out.flush()
+        except Exception as exc:
+            out.write(pickle.dumps((exc, traceback.format_exc())))
 
 
 def _run_sweep(
@@ -543,10 +555,13 @@ def _run_sweep(
     if x_max < 10:
         raise ValueError("x_max must be >= 10")
     _check_lane_bound(x_max)
+    forks = hasattr(os, "fork")
     if threads is None:
-        threads = os.cpu_count() or 1
+        threads = (os.cpu_count() or 1) if forks else 1
     elif threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    elif threads > 1 and not forks:
+        raise ValueError(f"threads={threads} needs os.fork, which this platform lacks")
     boundaries = []
     b = 10
     while b <= x_max:
@@ -579,12 +594,18 @@ def _run_sweep(
     pipes, children = [], []
     try:
         for k in range(1, workers):
-            recv, send = multiprocessing.Pipe(duplex=False)
-            pipes.append(recv)
-            child = multiprocessing.Process(target=_serve, args=(send, tasks[k::workers]))
-            child.start()
-            children.append(child)
-            send.close()
+            recv, send = os.pipe()
+            pipes.append(open(recv, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:  # the child leaves only here, never into the caller's stack
+                    try:
+                        _serve(send, tasks[k::workers])
+                    finally:
+                        os._exit(0)
+                children.append(pid)
+            finally:
+                os.close(send)
         for i, task in enumerate(tasks):
             lo, hi = task[:2]
             k = i % workers
@@ -592,8 +613,8 @@ def _run_sweep(
                 results = _sweep_chunk(task)
             else:
                 try:
-                    results = pipes[k - 1].recv()
-                except EOFError:
+                    results = pickle.load(pipes[k - 1])
+                except (EOFError, pickle.UnpicklingError):
                     raise RuntimeError(f"sweep worker {k} exited before counting [{lo}, {hi})") from None
                 if isinstance(results, tuple):
                     exc, trace = results
@@ -605,11 +626,11 @@ def _run_sweep(
             if checkpoint_path:
                 Checkpoint(hi - 1, pi, prime_hits, tuple(records)).save(checkpoint_path)
     finally:
-        for child in children:
-            child.terminate()
-            child.join()
         for pipe in pipes:
             pipe.close()
+        for pid in children:
+            os.kill(pid, signal.SIGTERM)
+            os.waitpid(pid, 0)
     return records
 
 

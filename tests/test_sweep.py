@@ -2,12 +2,12 @@ import decimal
 import hashlib
 import itertools
 import math
-import multiprocessing
 import os
 import random
 import signal
+import subprocess
+import sys
 import time
-import types
 from fractions import Fraction
 
 import numpy as np
@@ -146,16 +146,21 @@ _SETTLED = (sweep.NO_ROOT, sweep.Z2, sweep.CYCLIC_EVEN, sweep.SPLIT_EVEN)
 _FOUR_DIVIDES = (sweep.CYCLIC_EVEN, sweep.SPLIT_EVEN, sweep.BSGS_4)
 
 
+def _check_search(rows, ms):
+    """Each lane's two rows M of the search are positive, and 4M kills the
+    point for one of them."""
+    for (pt, cp), pair in zip(rows, ms.T.tolist()):
+        assert min(pair) > 0 and any(curves.scalar_mul(4 * m, pt, cp) is None for m in pair), (pt, cp, pair)
+
+
 def _check_engine(rows):
-    """On every lane whose case proves 4 | #E, the search's M is a
-    positive multiple of 4 that kills the point, and on every lane the
-    decision is the parity of the naive order; returns the decisions."""
+    """On every lane whose case proves 4 | #E, the search's rows pass
+    _check_search, and on every lane the decision is the parity of the
+    naive order; returns the decisions."""
     lanes = _lanes(rows)
     four = np.flatnonzero(np.isin(sweep._two_sylow(*lanes)[0], _FOUR_DIVIDES))
     if four.size:
-        for i, m in zip(four.tolist(), sweep._bsgs(*lanes[:, four]).tolist()):
-            pt, cp = rows[i]
-            assert m > 0 and m % 4 == 0 and curves.scalar_mul(m, pt, cp) is None, (pt, cp)
+        _check_search([rows[i] for i in four.tolist()], sweep._bsgs(*lanes[:, four]))
     decisions = sweep._order_is_odd(*lanes).tolist()
     for (pt, cp), odd in zip(rows, decisions):
         assert odd == (_naive_order(pt, cp) % 2 == 1), (pt, cp)
@@ -196,6 +201,57 @@ def test_engine_on_tiny_primes_with_points_of_order_1_to_4():
     _check_engine(rows)
     for p in (3, 5, 7):
         _check_engine([row for row in rows if row[1].p == p])
+
+
+def _stride(p):
+    """The giant stride 2s - 1 of one _bsgs call on the lane primes p, from
+    the widest lane's quarter interval, as the search sets it."""
+    T = np.array([math.isqrt(4 * q) for q in p.tolist()], np.int64)
+    W = int(((p + 1 + T) // 4 - -(-(p + 1 - T) // 4)).max())
+    return 2 * max(2, math.isqrt(W // 2) + 1) - 1
+
+
+def test_search_mixes_tiny_primes_with_the_lane_bound():
+    # one search over E's last four-divides primes below 2^31, which set
+    # the stride 2s - 1, seeded curves over F_3, F_5, F_7 and F_11, whose
+    # intervals lie below s, so their giants start at m0 = 1, and points
+    # found by brute force at p near a multiple of 4(2s - 1), with m0 >= 2,
+    # whose 4P has order dividing 2s - 1 but not below s: there the step S
+    # is O and no baby is, so M is 2s - 1 in both rows, not m0(2s - 1)
+    hi = 2**31
+    top = sweep.primes_in_range(hi - 2000, hi, sweep.primes_up_to(math.isqrt(hi) + 1)).tolist()
+    big = _pair_rows(CURVE_E, POINT_P, top)
+    case = sweep._two_sylow(*_lanes(big))[0]
+    big = [row for row, k in zip(big, case.tolist()) if k in _FOUR_DIVIDES][-4:]
+    stride = _stride(_lanes(big)[0])
+    s = (stride + 1) // 2
+    rng = random.Random(37)
+    tiny = [row for row in _random_rows(rng, [3, 5, 7, 11], 200) if sweep.group_order(row[1]) % 4 == 0]
+    assert {cp.p for _, cp in tiny} == {3, 5, 7, 11}
+    at_stride = []
+    for q in sweep.primes_up_to(5000):
+        T = math.isqrt(4 * q)
+        if (q + 1 + T) // (4 * stride) * 4 * stride < q + 1 - T or q + 1 - T < 8 * stride:
+            continue  # no multiple of 4(2s - 1) in Hasse's interval, or m0 < 2
+        for pt, cp in _random_rows(rng, [q], 40):
+            Q = curves.scalar_mul(4, pt, cp)
+            n = sweep.group_order(cp)
+            if n % 4 == 0 and Q is not None and curves.scalar_mul(stride, Q, cp) is None:
+                if all(curves.scalar_mul(d, Q, cp) is not None for d in range(1, s)):
+                    at_stride.append((pt, cp))
+        if len(at_stride) >= 4:
+            break
+    rows = tiny + big + at_stride
+    lanes = _lanes(rows)
+    assert _stride(lanes[0]) == stride and len(at_stride) >= 4
+    M = sweep._bsgs(*lanes)
+    _check_search(rows, M)
+    assert (M[:, len(tiny) + len(big) :] == stride).all()
+    odd = sweep._kills(M // (M & -M), *lanes).any(axis=0).tolist()
+    for (pt, cp), decided in zip(rows, odd):
+        if cp.p <= sweep.EXHAUSTIVE_MAX:
+            n = sweep.group_order(cp)
+            assert decided == (curves.scalar_mul(n >> ((n & -n).bit_length() - 1), pt, cp) is None), (pt, cp)
 
 
 def _lane_x(R, p):
@@ -240,18 +296,17 @@ def test_engine_at_the_largest_lane_prime():
     for pt, m, odd in zip(pts, multiples, decisions):
         assert m > 0 and curves.scalar_mul(m, pt, cp) is None
         assert odd == _odd_order_oracle(pt, cp)
-    # where the case proves 4 | #E, the search's M, about 2^60 at this prime
+    # where the case proves 4 | #E, the search's two rows, about 2^29 at this prime
     four = np.flatnonzero(np.isin(sweep._two_sylow(*lanes)[0], _FOUR_DIVIDES))
-    searched = dict(zip(four.tolist(), sweep._bsgs(*lanes[:, four]).tolist())) if four.size else {}
-    for i, m in searched.items():
-        assert m > 0 and m % 4 == 0 and curves.scalar_mul(m, pts[i], cp) is None
+    M = sweep._bsgs(*lanes[:, four]) if four.size else np.zeros((2, 0), np.int64)
+    _check_search([(pts[i], cp) for i in four.tolist()], M)
+    searched = dict(zip(four.tolist(), M.T.tolist()))
     # the ladder against the group law where its terms come nearest to
     # wrapping: the annihilators, their odd parts and neighbours, the top
-    # scalar, and random scalars below 2^62, above the 4(c - j)(c + j) < 2^61
-    # a search returns at this prime
+    # scalar, four times the search's rows, and random scalars below 2^62
     for i, (pt, m) in enumerate(zip(pts, multiples)):
         ks = [1, 2, 3, 2**32 - 1, 2**63 - 1, m, m - 1, m + 1, m >> ((m & -m).bit_length() - 1)]
-        ks += [searched[i]] if i in searched else []
+        ks += [4 * r for r in searched.get(i, [])]
         ks += [rng.randrange(1, 2**62) for _ in range(8)]
         got = sweep._kills(np.array(ks, np.int64), *_lanes([(pt, cp)] * len(ks))).tolist()
         assert got == [curves.scalar_mul(k, pt, cp) is None for k in ks], pt
@@ -716,39 +771,49 @@ def test_sweep_thread_count_invariance():
         assert got == want, threads
 
 
-# the tests that patch _sweep_chunk reach the children only through fork
-_FORK_ONLY = pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="children are not forked")
-
-
 def _record_children(monkeypatch):
-    """Return the list the sweep appends each child it starts to."""
-    started = []
+    """Return the dict the sweep fills with each child it forks: its pid,
+    mapped to its wait status once the sweep has reaped it."""
+    children = {}
+    fork, waitpid = os.fork, os.waitpid
 
-    class RecordingProcess(multiprocessing.Process):
-        def start(self):
-            started.append(self)
-            super().start()
+    def recording_fork():
+        pid = fork()
+        if pid:
+            children[pid] = None
+        return pid
 
-    patched = types.SimpleNamespace(Pipe=multiprocessing.Pipe, Process=RecordingProcess)
-    monkeypatch.setattr(sweep, "multiprocessing", patched)
-    return started
+    def recording_waitpid(pid, options):
+        reaped, status = waitpid(pid, options)
+        if reaped in children:
+            children[reaped] = status
+        return reaped, status
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(os, "waitpid", recording_waitpid)
+    return children
+
+
+def _assert_no_children():
+    # every child is reaped: none is left running, nor a zombie
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_sweep_asks_for_no_more_workers_than_tasks(monkeypatch):
-    started = _record_children(monkeypatch)
+    children = _record_children(monkeypatch)
     want = [(r.x, r.pi_prime, r.pi) for r in sweep.sweep(sweep.SEGMENT_SIZE + 2, threads=1)]
-    assert started == []
+    assert children == {}
     # one task runs in the caller, whatever the thread count
     assert sweep.sweep(100, threads=64)[-1].pi == 25
-    assert started == []
+    assert children == {}
     # two tasks: the caller runs one and exactly one child the other
     got = [(r.x, r.pi_prime, r.pi) for r in sweep.sweep(sweep.SEGMENT_SIZE + 2, threads=64)]
-    assert len(started) == 1 and started[0].exitcode is not None
+    assert len(children) == 1 and None not in children.values()
     assert got == want
-    assert multiprocessing.active_children() == []
+    _assert_no_children()
 
 
-@_FORK_ONLY
 def test_sweep_reraises_a_child_exception(monkeypatch):
     caller, chunk = os.getpid(), sweep._sweep_chunk
 
@@ -761,10 +826,9 @@ def test_sweep_reraises_a_child_exception(monkeypatch):
     with pytest.raises(ZeroDivisionError, match=r"no inverse in \[\d+, \d+\)") as info:
         sweep.sweep(4 * sweep.SEGMENT_SIZE, threads=2)
     assert "in failing" in str(info.value.__cause__)  # the child's traceback
-    assert multiprocessing.active_children() == []
+    _assert_no_children()
 
 
-@_FORK_ONLY
 def test_sweep_failing_in_the_caller_reaps_its_children(monkeypatch):
     caller, chunk = os.getpid(), sweep._sweep_chunk
 
@@ -774,18 +838,17 @@ def test_sweep_failing_in_the_caller_reaps_its_children(monkeypatch):
         time.sleep(60)  # the child would outlive the sweep unless it is terminated
         return chunk(task)
 
-    started = _record_children(monkeypatch)
+    children = _record_children(monkeypatch)
     monkeypatch.setattr(sweep, "_sweep_chunk", failing)
     t0 = time.monotonic()
     with pytest.raises(KeyError, match="caller's chunk"):
         sweep.sweep(3 * sweep.SEGMENT_SIZE, threads=3)
     assert time.monotonic() - t0 < 30
-    assert len(started) == 2
-    assert [child.exitcode for child in started] == [-signal.SIGTERM] * 2
-    assert multiprocessing.active_children() == []
+    assert len(children) == 2
+    assert [os.waitstatus_to_exitcode(status) for status in children.values()] == [-signal.SIGTERM] * 2
+    _assert_no_children()
 
 
-@_FORK_ONLY
 def test_sweep_raises_when_a_child_dies_without_a_result(monkeypatch, tmp_path):
     # a child that dies closes its pipe: the sweep raises rather than return
     # the counts it has, and its checkpoint holds only the caller's task
@@ -801,7 +864,7 @@ def test_sweep_raises_when_a_child_dies_without_a_result(monkeypatch, tmp_path):
     monkeypatch.setattr(sweep, "_sweep_chunk", dying)
     with pytest.raises(RuntimeError, match=r"sweep worker 1 exited before counting \[\d+, \d+\)"):
         sweep.sweep(x, threads=2, checkpoint_path=path)
-    assert multiprocessing.active_children() == []
+    _assert_no_children()
     monkeypatch.setattr(sweep, "_sweep_chunk", chunk)
     ck = sweep.Checkpoint.load(path)
     assert ck.last_prime < x
@@ -810,12 +873,38 @@ def test_sweep_raises_when_a_child_dies_without_a_result(monkeypatch, tmp_path):
     assert sweep.sweep(x, threads=2, checkpoint_path=path) == sweep.sweep(x, threads=1)
 
 
-def test_sweep_children_start_by_spawn(monkeypatch):
-    # the child's target and its tasks pickle, so spawn and forkserver work
+def test_sweep_forks_its_workers_without_multiprocessing():
+    # in a fresh interpreter in development mode, which reports an unclosed
+    # pipe as a ResourceWarning: a 2-worker sweep of three tasks imports no
+    # multiprocessing and leaves no child behind
+    code = """
+import os, sys
+from echotk import sweep
+assert sweep.sweep(2 * sweep.SEGMENT_SIZE + 2, threads=2)[-1].pi == 12251
+assert "multiprocessing" not in sys.modules
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child")
+"""
+    src = os.path.dirname(os.path.dirname(sweep.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (proc.returncode, proc.stdout) == (0, "no child\n"), proc.stderr
+    assert "ResourceWarning" not in proc.stderr
+
+
+def test_threads_without_fork_fail_loudly(monkeypatch):
+    # a platform without os.fork runs the sweep in the caller alone
+    monkeypatch.delattr(os, "fork")
     want = sweep.sweep(sweep.SEGMENT_SIZE + 2, threads=1)
-    monkeypatch.setattr(sweep, "multiprocessing", multiprocessing.get_context("spawn"))
-    assert sweep.sweep(sweep.SEGMENT_SIZE + 2, threads=2) == want
-    assert multiprocessing.active_children() == []
+    assert sweep.sweep(sweep.SEGMENT_SIZE + 2) == want
+    with pytest.raises(ValueError, match="os.fork"):
+        sweep.sweep(sweep.SEGMENT_SIZE + 2, threads=2)
 
 
 def test_thread_count_must_be_positive():
