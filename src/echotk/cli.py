@@ -17,7 +17,7 @@ import random
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -49,36 +49,33 @@ def _parse_fraction(text: str) -> Fraction:
         raise ValueError(text) from None
 
 
-def emit_sweep_csv(records, path: Optional[str]) -> str:
+def emit_sweep_csv(records) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["x", "pi_prime", "pi", "ratio"])
-    for rec in records:
-        writer.writerow([rec.x, rec.pi_prime, rec.pi, rec.ratio])
-    text = buf.getvalue()
+    writer.writerows([rec.x, rec.pi_prime, rec.pi, rec.ratio] for rec in records)
+    return buf.getvalue()
+
+
+def _write(text: str, path: Optional[str]) -> int:
+    """Save text to path, if one is given, then print it: an unwritable path prints nothing."""
     if path:
         with open(path, "w") as fh:
             fh.write(text)
-    return text
+    sys.stdout.write(text)
+    return 0
 
 
-def emit_json(payload, path: Optional[str]) -> str:
-    text = json.dumps(payload, indent=2, sort_keys=False) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+def _emit(args, payload, lines: Iterable[str]) -> int:
+    """Write a result once: JSON of payload with --json, else one line per item of lines."""
+    text = json.dumps(payload, indent=2) + "\n" if args.json else "".join(f"{line}\n" for line in lines)
+    return _write(text, args.out)
 
 
 def _cmd_seq(args) -> int:
     term = seq.term_alt if args.alt else seq.term
-    rows = [(n, term(n)) for n in range(args.start, args.to + 1)]
-    if args.json:
-        sys.stdout.write(emit_json([{"n": n, "b_n": str(v)} for n, v in rows], args.out))
-    else:
-        for n, v in rows:
-            print(f"{n}\t{v}")
-    return 0
+    rows = [(n, str(term(n))) for n in range(args.start, args.to + 1)]
+    return _emit(args, [{"n": n, "b_n": v} for n, v in rows], (f"{n}\t{v}" for n, v in rows))
 
 
 def _cmd_point(args) -> int:
@@ -106,9 +103,7 @@ def _cmd_tate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     records = sweep.sweep(args.max, threads=args.threads, checkpoint_path=args.checkpoint)
-    text = emit_sweep_csv(records, args.csv)
-    sys.stdout.write(text)
-    return 0
+    return _write(emit_sweep_csv(records), args.csv)
 
 
 def _cmd_group(args) -> int:
@@ -136,39 +131,32 @@ def _cmd_density(args) -> int:
     group = "full" if args.full else "hk"
     if args.density_cmd == "analytic":
         report = density.analytic_density(group)
-        if args.json:
-            sys.stdout.write(emit_json(report.as_json_dict(), args.out))
-        else:
-            print(report.total)
-            for label, frac in report.per_case.items():
-                print(f"  {label}: {frac}  ({report.case_counts[label]} matrices)")
-        return 0
-    report, _ = density.brute_report(args.level, group)
-    if args.json:
-        sys.stdout.write(emit_json(report.as_json_dict(), args.out))
+        lines = [report.total] + [
+            f"  {label}: {frac}  ({report.case_counts[label]} matrices)" for label, frac in report.per_case.items()
+        ]
     else:
-        print(f"{report.total}  (~{float(report.total):.9f})")
-        print(f"  restricted to det(M-I) != 0: {report.s1_total}  (~{float(report.s1_total):.9f})")
-    return 0
+        report, _ = density.brute_report(args.level, group)
+        lines = [
+            f"{report.total}  (~{float(report.total):.9f})",
+            f"  restricted to det(M-I) != 0: {report.s1_total}  (~{float(report.s1_total):.9f})",
+        ]
+    return _emit(args, report.as_json_dict(), lines)
 
 
 def _cmd_family(args) -> int:
     report = fabulous.family_report(args.t, sweep_x=args.sweep, threads=args.threads)
-    if args.json:
-        sys.stdout.write(emit_json(report.as_json_dict(), args.out))
-    else:
-        print(f"a = {report.a}")
-        print(f"b = {report.b}")
-        print(f"fabulous roots: {[str(r) for r in report.fabulous_roots]}")
-        print(f"certificate all-true: {report.certificate.all_true}")
-        for key, val in report.certificate.as_dict().items():
-            print(f"  {key}: {val}")
-        if report.sweep_x is not None:
-            print(
-                f"odd-order density to {report.sweep_x}: "
-                f"{report.odd_order_primes}/{report.primes} = {report.empirical_density:.6f}"
-            )
-    return 0
+    lines = [
+        f"a = {report.a}",
+        f"b = {report.b}",
+        f"fabulous roots: {[str(r) for r in report.fabulous_roots]}",
+        f"certificate all-true: {report.certificate.all_true}",
+    ] + [f"  {key}: {val}" for key, val in report.certificate.as_dict().items()]
+    if report.sweep_x is not None:
+        lines.append(
+            f"odd-order density to {report.sweep_x}: "
+            f"{report.odd_order_primes}/{report.primes} = {report.empirical_density:.6f}"
+        )
+    return _emit(args, report.as_json_dict(), lines)
 
 
 # ---------------------------------------------------------------------------
@@ -319,13 +307,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="echo", description="Exact toolkit for the ECHO sequence and its curve"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the options of every command that _emit writes
+    result = argparse.ArgumentParser(add_help=False)
+    result.add_argument("--json", action="store_true", help="print the result as JSON")
+    result.add_argument("--out", default=None, help="also save the printed bytes to this file")
 
-    p_seq = sub.add_parser("seq", help="print sequence terms")
+    p_seq = sub.add_parser("seq", parents=[result], help="print sequence terms")
     p_seq.add_argument("--from", dest="start", type=_parse_int, required=True)
     p_seq.add_argument("--to", dest="to", type=_parse_int, required=True)
     p_seq.add_argument("--alt", action="store_true", help="use the order-7 definition")
-    p_seq.add_argument("--json", action="store_true")
-    p_seq.add_argument("--out", default=None)
     p_seq.set_defaults(fn=_cmd_seq)
 
     p_point = sub.add_parser("point", help="coordinates of (2n+1)P both ways")
@@ -340,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="prime sweep for sequence divisibility")
     p_sweep.add_argument("--max", type=_parse_int, required=True)
     p_sweep.add_argument("--threads", type=_parse_positive_int, default=None)
-    p_sweep.add_argument("--csv", default=None)
+    p_sweep.add_argument("--csv", default=None, help="also save the printed table to this file")
     p_sweep.add_argument("--checkpoint", default=None)
     p_sweep.set_defaults(fn=_cmd_sweep)
 
@@ -355,24 +345,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_density = sub.add_parser("density", help="column-space density")
     density_sub = p_density.add_subparsers(dest="density_cmd", required=True)
-    p_analytic = density_sub.add_parser("analytic")
+    p_analytic = density_sub.add_parser("analytic", parents=[result])
     p_analytic.add_argument("--full", action="store_true", help="full group instead of H_k")
-    p_analytic.add_argument("--json", action="store_true")
-    p_analytic.add_argument("--out", default=None)
     p_analytic.set_defaults(fn=_cmd_density)
-    p_brute = density_sub.add_parser("brute")
+    p_brute = density_sub.add_parser("brute", parents=[result])
     p_brute.add_argument("--level", type=int, required=True)
     p_brute.add_argument("--full", action="store_true")
-    p_brute.add_argument("--json", action="store_true")
-    p_brute.add_argument("--out", default=None)
     p_brute.set_defaults(fn=_cmd_density)
 
-    p_family = sub.add_parser("family", help="certificate bundle for a parametrized pair")
+    p_family = sub.add_parser("family", parents=[result], help="certificate bundle for a parametrized pair")
     p_family.add_argument("--t", type=_parse_fraction, required=True)
     p_family.add_argument("--sweep", type=_parse_int, default=None)
     p_family.add_argument("--threads", type=_parse_positive_int, default=None)
-    p_family.add_argument("--json", action="store_true")
-    p_family.add_argument("--out", default=None)
     p_family.set_defaults(fn=_cmd_family)
 
     p_verify = sub.add_parser("verify", help="run every row of the invariant table")

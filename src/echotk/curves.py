@@ -261,9 +261,10 @@ def tate_normal_form(c: Curve, pt: Point) -> tuple[Fraction, Fraction, TateMap]:
     """Move (c, pt) to y^2 + a*xy + b*y = x^3 + b*x^2 with pt at (0, 0).
 
     Translate the point to the origin, shear away the linear x-term, then
-    scale by u = a3/a2 to equalize a2 and a3.  The degenerate divisions
-    correspond exactly to 2*pt or 3*pt being the identity.  A singular
-    curve raises SingularCurveError.
+    scale by u = a3/a2 to equalize a2 and a3.  A divisor vanishes exactly
+    when pt has small order: a3 = 0 (a vertical tangent at the origin) means
+    2*pt = O, and a2 = 0 after the shear (the origin a flex) means 3*pt = O.
+    A singular curve raises SingularCurveError.
     """
     if c.is_singular():
         raise SingularCurveError("normal form needs a non-singular curve")
@@ -271,9 +272,6 @@ def tate_normal_form(c: Curve, pt: Point) -> tuple[Fraction, Fraction, TateMap]:
         raise ValueError("normal form is computed over the rationals")
     if pt is None or not c.contains(pt):
         raise ValueError("marked point must be an affine point on the curve")
-    for k in (1, 2, 3):
-        if scalar_mul(k, pt, c) is None:
-            raise TateNormalFormError(f"{k}*pt is the point at infinity")
     r, t = Fraction(pt[0]), Fraction(pt[1])
     c1 = _translate(c, r, t)
     if c1.a3 == 0:

@@ -562,13 +562,7 @@ def _run_sweep(
         raise ValueError(f"threads must be >= 1, got {threads}")
     elif threads > 1 and not forks:
         raise ValueError(f"threads={threads} needs os.fork, which this platform lacks")
-    boundaries = []
-    b = 10
-    while b <= x_max:
-        boundaries.append(b)
-        b *= 10
-    if boundaries[-1] != x_max:
-        boundaries.append(x_max)
+    boundaries = [10**e for e in range(1, len(str(x_max))) if 10**e < x_max] + [x_max]
 
     start, pi, prime_hits = 2, 0, 0
     records: list[SweepRecord] = []

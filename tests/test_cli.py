@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import echotk
 from echotk import cli, sweep
 
@@ -234,7 +236,31 @@ def test_deterministic_output_bytes(capsys):
     assert a == b
 
 
-def test_emit_empty_records_header_only(tmp_path):
-    text = cli.emit_sweep_csv([], str(tmp_path / "empty.csv"))
-    assert text == "x,pi_prime,pi,ratio\n"
-    assert (tmp_path / "empty.csv").read_text() == text
+def test_emit_empty_records_header_only():
+    assert cli.emit_sweep_csv([]) == "x,pi_prime,pi,ratio\n"
+
+
+_RESULT_COMMANDS = [
+    (*argv, *mode)
+    for argv in (
+        ("seq", "--from", "-3", "--to", "5"),
+        ("density", "analytic"),
+        ("density", "brute", "--level", "3"),
+        ("family", "--t", "2"),
+    )
+    for mode in ((), ("--json",))
+] + [("sweep", "--max", "1000", "--threads", "1")]
+
+
+@pytest.mark.parametrize("argv", _RESULT_COMMANDS, ids=" ".join)
+def test_out_saves_exactly_the_printed_bytes(capsys, tmp_path, argv):
+    option = "--csv" if argv[0] == "sweep" else "--out"
+    plain = run_cli(capsys, *argv)
+    assert plain[0] == 0
+    path = tmp_path / "result"
+    assert run_cli(capsys, *argv, option, str(path)) == plain
+    assert path.read_bytes() == plain[1].encode()
+    # the file is written before anything is printed
+    code, out, err = run_cli(capsys, *argv, option, str(tmp_path / "missing" / "result"))
+    assert (code, out) == (1, "")
+    assert "error:" in err

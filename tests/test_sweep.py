@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -928,7 +929,7 @@ def test_checkpoint_roundtrip(tmp_path):
     path = str(tmp_path / "ck.txt")
     ck.save(path)
     assert sweep.Checkpoint.load(path) == ck
-    assert open(path).read() == "97 25 13\n"
+    assert Path(path).read_text() == "97 25 13\n"
 
 
 def test_checkpoint_errors(tmp_path):
@@ -960,7 +961,7 @@ def test_sweep_resume_at_another_thread_count_matches_cold_run(tmp_path):
     x = 70_000 + 2 * sweep.SEGMENT_SIZE + 2
     recs = sweep.sweep(x, threads=3, checkpoint_path=path)
     assert recs == sweep.sweep(x, threads=1, checkpoint_path=cold_path)
-    assert open(path).read() == open(cold_path).read()
+    assert Path(path).read_text() == Path(cold_path).read_text()
 
 
 def test_density_scan_consistent_with_sweep():
