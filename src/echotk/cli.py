@@ -337,10 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_group = sub.add_parser("group", help="subgroup machinery")
     group_sub = p_group.add_subparsers(dest="group_cmd", required=True)
     p_classify = group_sub.add_parser("classify")
-    p_classify.add_argument("--level", type=int, choices=(2, 3), required=True)
+    p_classify.add_argument("--level", type=_parse_int, choices=(2, 3), required=True)
     p_classify.set_defaults(fn=_cmd_group)
     p_hk = group_sub.add_parser("hk")
-    p_hk.add_argument("--level", type=int, required=True)
+    p_hk.add_argument("--level", type=_parse_int, required=True)
     p_hk.set_defaults(fn=_cmd_group)
 
     p_density = sub.add_parser("density", help="column-space density")
@@ -349,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analytic.add_argument("--full", action="store_true", help="full group instead of H_k")
     p_analytic.set_defaults(fn=_cmd_density)
     p_brute = density_sub.add_parser("brute", parents=[result])
-    p_brute.add_argument("--level", type=int, required=True)
+    p_brute.add_argument("--level", type=_parse_int, required=True)
     p_brute.add_argument("--full", action="store_true")
     p_brute.set_defaults(fn=_cmd_density)
 

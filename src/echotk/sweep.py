@@ -10,13 +10,14 @@ at once.  A lane holds the point's x and the b2, b4, b6 of the 2-division
 cubic 4f(X) = 4X^3 + b2 X^2 + 2 b4 X + b6, the roots of f being the x of
 the 2-torsion points.  First the 2-descent map on f: a point of odd order
 lies in 2E(F_p) and is not 2-torsion, so x - e is a nonzero square for
-every root e of f in F_p.  The roots come from gcd(f, X^p - X).  If f has
-no root, #E(F_p) is odd and so is the point's order.  If f has one root
-e1 and f'(e1) is a non-residue, the 2-Sylow subgroup is Z/2 and the point
-has odd order iff x - e1 is a nonzero square.  If f'(e1) is a square, or
-f has three roots, 4 | #E(F_p), and the order is even unless every x - e
-is a nonzero square, which one power (x - X)^((p-1)/2) mod f tests for
-all three roots at once.  That decides about 83% of E's primes, close to
+every root e of f in F_p.  One power u = Y^((p-1)/2) mod g(Y) = -f(x - Y),
+whose roots are the x - e, shows both the roots, through
+gcd(g, Y u^2 - Y), and which x - e are squares.  If f has no root,
+#E(F_p) is odd and so is the point's order.  If f has one root e1 and
+f'(e1) is a non-residue, the 2-Sylow subgroup is Z/2 and the point has
+odd order iff x - e1 is a nonzero square.  If f'(e1) is a square, or f
+has three roots, 4 | #E(F_p), and the order is even unless every x - e is
+a nonzero square.  That decides about 83% of E's primes, close to
 1/3 + 1/4 + 1/8 + 1/8 = 5/6.  On the rest the cubic proves 4 | #E(F_p),
 and a baby-step giant-step search on 4P over a quarter of the Hasse
 interval, with its giants at multiples of its stride, finds two numbers
@@ -141,8 +142,8 @@ def _ladder(k, B, b):
 
 def _pow(z, e, p):
     """z^e mod p on every lane, for lane exponents e >= 0 (right-to-left
-    binary); z may stack several rows of lanes.  z^(p-2) is the inverse of
-    z != 0 (Fermat) and z^((p-1)/2) its Legendre symbol (Euler)."""
+    binary).  z^(p-2) is the inverse of z != 0 (Fermat) and z^((p-1)/2)
+    its Legendre symbol (Euler)."""
     r = np.ones_like(z)
     while e.any():
         r = np.where(e & 1 == 1, r * z % p, r)
@@ -253,24 +254,30 @@ def _bsgs(p, x, b2, b4, b6):
 NO_ROOT, Z2, CYCLIC_EVEN, SPLIT_EVEN, BSGS_4 = range(5)
 
 
+def _cubic_step(r, on, c):
+    """r^2, times Y on the lanes where on, in F_p[Y]/(g) for the monic cubic
+    g = Y^3 + g2 Y^2 + g1 Y + g0 with c = (p, g0, g1, g2), r given and
+    returned as the coefficients (r0, r1, r2) of 1, Y, Y^2."""
+    p, g0, g1, g2 = c
+    r0, r1, r2 = r
+    s4, s3 = r2 * r2 % p, 2 * (r1 * r2 % p)
+    s2 = (r1 * r1 + 2 * (r0 * r2 % p)) % p
+    s3 = (s3 - g2 * s4) % p  # Y^4 = Y * Y^3, Y^3 = -(g2 Y^2 + g1 Y + g0)
+    s2 = (s2 - g1 * s4 - g2 * s3) % p
+    s1 = (2 * (r0 * r1 % p) - g0 * s4 % p - g1 * s3) % p
+    r0, r1, r2 = (r0 * r0 - g0 * s3) % p, s1, s2
+    yr = (-g0 * r2 % p, (r0 - g1 * r2) % p, (r1 - g2 * r2) % p)  # Y r
+    return tuple(np.where(on, t, v) for t, v in zip(yr, (r0, r1, r2)))
+
+
 def _cubic_pow(e, c):
-    """X^e in F_p[X]/(f) on every lane, for the monic cubic
-    f = X^3 + c2 X^2 + c1 X + c0 with c = (p, c0, c1, c2) and lane exponents
-    e >= 0, as the coefficients (r0, r1, r2) of 1, X, X^2.  Left to right:
-    square, then times X where e has the bit."""
-    p, c0, c1, c2 = c
-    r0, r1, r2 = np.ones_like(p), np.zeros_like(p), np.zeros_like(p)
+    """Y^e in F_p[Y]/(g) on every lane, for lane exponents e >= 0 and g, c
+    as in _cubic_step; left to right, one step per bit of e."""
+    p = c[0]
+    r = np.ones_like(p), np.zeros_like(p), np.zeros_like(p)
     for bit in range(int(e.max()).bit_length() - 1, -1, -1):
-        s4, s3 = r2 * r2 % p, 2 * (r1 * r2 % p)
-        s2 = (r1 * r1 + 2 * (r0 * r2 % p)) % p
-        s3 = (s3 - c2 * s4) % p  # X^4 = X * X^3, X^3 = -(c2 X^2 + c1 X + c0)
-        s2 = (s2 - c1 * s4 - c2 * s3) % p
-        s1 = (2 * (r0 * r1 % p) - c0 * s4 % p - c1 * s3) % p
-        r0, r1, r2 = (r0 * r0 - c0 * s3) % p, s1, s2
-        on = (e >> bit) & 1 == 1
-        xr = (-c0 * r2 % p, (r0 - c1 * r2) % p, (r1 - c2 * r2) % p)  # X r
-        r0, r1, r2 = (np.where(on, t, r) for t, r in zip(xr, (r0, r1, r2)))
-    return r0, r1, r2
+        r = _cubic_step(r, (e >> bit) & 1 == 1, c)
+    return r
 
 
 def _two_sylow(p, x, b2, b4, b6):
@@ -280,18 +287,22 @@ def _two_sylow(p, x, b2, b4, b6):
     where it proves 4 | #E(F_p) but not the parity of the order.  Every lane
     gets one of these five cases.
 
-    The x of the 2-torsion points are the roots of the monic
-    f = X^3 + c2 X^2 + c1 X + c0 = (4X^3 + b2 X^2 + 2 b4 X + b6)/4.  The roots
-    in F_p are those of gcd(f, h), h = X^p - X mod f; as the roots sum to
-    -c2, there are 0, 1 or 3 of them, and 3 iff h = 0.  Otherwise take
-    l = l1 X + l0 in the ideal (f, h): h itself if h2 = 0, else the
-    remainder of two pseudo-remainder steps, h2^2 f = (h2 X + g2) h + l.
-    A root of f in F_p is a root of l, so f has a root iff l1 != 0 and
-    z = l1^3 f(-l0/l1) = 0.  If l1 = 0 then l0 != 0 and f has no root:
-    with h2 = 0, h = l0 is a nonzero constant; with h2 != 0, l = 0 would
-    make h divide h2^2 f, so f would have the two roots of h in F_p and
-    with them the third, forcing h = 0.  Then z = -l0^3 != 0, so z != 0
-    marks exactly the lanes with no root.
+    The x of the 2-torsion points are the roots e of the monic
+    f = X^3 + c2 X^2 + c1 X + c0 = (4X^3 + b2 X^2 + 2 b4 X + b6)/4, and the
+    x - e those of the monic g(Y) = -f(x - Y) =
+    Y^3 - (3x + c2) Y^2 + (3x^2 + 2 c2 x + c1) Y - f(x).  All is read off
+    one power u = Y^((p-1)/2) mod g, which a root y of g in F_p maps to
+    y^((p-1)/2): 1 iff y is a nonzero square.  The roots of g in F_p are
+    those of gcd(g, h), h = Y u^2 - Y = Y^p - Y mod g; as the roots sum to
+    -g2, there are 0, 1 or 3 of them, and 3 iff h = 0.  Otherwise take
+    l = l1 Y + l0 in the ideal (g, h): h itself if h2 = 0, else the
+    remainder of two pseudo-remainder steps, h2^2 g = (h2 Y + a2) h + l.
+    A root of g in F_p is a root of l, so g has a root iff l1 != 0 and
+    z = l1^3 g(-l0/l1) = 0.  If l1 = 0 then l0 != 0 and g has no root: with
+    h2 = 0, h = l0 is a nonzero constant; with h2 != 0, l = 0 would make h
+    divide h2^2 g, so g would have the two roots of h in F_p and with them
+    the third, forcing h = 0.  Then z = -l0^3 != 0, so z != 0 marks exactly
+    the lanes with no root.
 
     The rule is the 2-descent map (Miret, Moreno, Rio and Valls, Math.
     Comp. 74, 2005; Knapp, Elliptic Curves, Thm 4.2): for each root e,
@@ -301,55 +312,42 @@ def _two_sylow(p, x, b2, b4, b6):
     since 2 is invertible on its cyclic group, and is not 2-torsion, so
     every x - e is a nonzero square.  Where one is not, the order is even.
       No root: #E(F_p) is odd, and so is the order (NO_ROOT).
-      One root e1 = -l0/l1, with f'(e1) a non-residue: T = (e1, .) is not
-        in 2E(F_p), so the 2-Sylow subgroup is Z/2 and the point has odd
-        order iff it lies in 2E(F_p), iff x - e1 is a nonzero square (Z2).
-      One root, f'(e1) a square: T is in 2E(F_p) and the 2-Sylow subgroup
-        is cyclic of order at least 4.  If x - e1 is not a nonzero square,
-        the order is even (CYCLIC_EVEN); otherwise BSGS_4.
-      Three roots: E[2] lies in E(F_p), so 4 | #E(F_p).  By CRT,
-        F_p[X]/(f) = F_p^3 through X -> (e1, e2, e3), so
-        u = (x - X)^((p-1)/2) mod f is 1 iff every x - e_i is a nonzero
-        square.  Y = x - X is a root of the monic
-        g(Y) = -f(x - Y) = Y^3 - (3x + c2) Y^2 + (3x^2 + 2 c2 x + c1) Y - f(x),
-        and X -> x - Y maps F_p[X]/(f) onto F_p[Y]/(g) fixing 1, so u = 1
-        iff Y^((p-1)/2) mod g = 1.  If u != 1 the order is even
-        (SPLIT_EVEN); otherwise BSGS_4.
+      One root e1, y1 = x - e1 = -l0/l1: x - e1 is a nonzero square iff
+        l1^2 u(y1) = l1^2, and f'(e1) = g'(y1).  If f'(e1) is a non-residue,
+        T = (e1, .) is not in 2E(F_p), so the 2-Sylow subgroup is Z/2 and
+        the point has odd order iff it lies in 2E(F_p), iff x - e1 is a
+        nonzero square (Z2).  Otherwise T is in 2E(F_p), the 2-Sylow
+        subgroup is cyclic of order at least 4, and the order is even if
+        x - e1 is not a nonzero square (CYCLIC_EVEN); otherwise BSGS_4.
+      Three roots: E[2] lies in E(F_p), so 4 | #E(F_p), and by CRT
+        F_p[Y]/(g) = F_p^3, so u = 1 iff every x - e_i is a nonzero square.
+        If u != 1 the order is even (SPLIT_EVEN); otherwise BSGS_4.
     """
     inv2 = (p + 1) >> 1
     inv4 = inv2 * inv2 % p
     c2, c1, c0 = b2 * inv4 % p, b4 * inv2 % p, b6 * inv4 % p
-    fx = (((x + c2) * x % p + c1) % p * x + c0) % p
+    g = p, -(((x + c2) * x % p + c1) % p * x + c0) % p, ((3 * x + 2 * c2) % p * x + c1) % p, -(3 * x + c2) % p
+    u0, u1, u2 = u = _cubic_pow((p - 1) >> 1, g)
 
-    # gcd(f, h) through l = l1 X + l0: no root where z = l1^3 f(-l0/l1) != 0
-    h0, h1, h2 = _cubic_pow(p, (p, c0, c1, c2))
+    # gcd(g, h) through l = l1 Y + l0: no root where z = l1^3 g(-l0/l1) != 0
+    _, g0, g1, g2 = g
+    h0, h1, h2 = _cubic_step(u, True, g)  # Y u^2 = Y^p
     h1 = (h1 - 1) % p
-    g2, g1, g0 = (h2 * c2 - h1) % p, (h2 * c1 - h0) % p, h2 * c0 % p
-    l1 = np.where(h2 == 0, h1, (h2 * g1 - g2 * h1) % p)
-    l0 = np.where(h2 == 0, h0, (h2 * g0 - g2 * h0) % p)
-    t = (l1 * l1 % p * c1 - l0 * ((l1 * c2 - l0) % p)) % p
-    z = (l1 * l1 % p * l1 % p * c0 - l0 * t) % p
-    case = np.full(len(p), NO_ROOT)
-    odd = z != 0  # False on the three-root lanes too, where l = 0
+    a2, a1, a0 = (h2 * g2 - h1) % p, (h2 * g1 - h0) % p, h2 * g0 % p
+    l1 = np.where(h2 == 0, h1, (h2 * a1 - a2 * h1) % p)
+    l0 = np.where(h2 == 0, h0, (h2 * a0 - a2 * h0) % p)
+    ll, lm, mm = l1 * l1 % p, l1 * l0 % p, l0 * l0 % p
+    z = (ll * l1 % p * g0 - l0 * ((ll * g1 - lm * g2) % p + mm)) % p  # l = 0 on the three-root lanes
 
-    # one root e1 = -l0/l1: chi of l1^2 f'(e1), of x l1 + l0 and of l1
+    # every x - e is a nonzero square: u(y1) = 1 with one root, u = 1 with three
+    squares = np.where(l1 == 0, (u0 == 1) & (u1 == 0) & (u2 == 0), ((u0 * ll - u1 * lm) % p + u2 * mm) % p == ll)
     one = np.flatnonzero((z == 0) & (l1 != 0))
-    if one.size:
-        q, m0, m1 = p[one], l0[one], l1[one]
-        fprime = (3 * (m0 * m0 % q) - 2 * (c2[one] * (m0 * m1 % q) % q) + c1[one] * (m1 * m1 % q)) % q
-        chi = _pow(np.stack([fprime, (x[one] * m1 + m0) % q, m1]), (q - 1) >> 1, q)
-        square = chi[1] * chi[2] % q == 1  # x - e1 is a nonzero square
-        cyclic = chi[0] == 1
-        case[one] = np.where(cyclic, np.where(square, BSGS_4, CYCLIC_EVEN), Z2)
-        odd[one] = ~cyclic & square
-
-    three = np.flatnonzero((h0 == 0) & (h1 == 0) & (h2 == 0))
-    if three.size:
-        q, xt, ct = p[three], x[three], c2[three]
-        g1 = ((3 * xt + 2 * ct) % q * xt + c1[three]) % q
-        u0, u1, u2 = _cubic_pow((q - 1) >> 1, (q, -fx[three] % q, g1, -(3 * xt + ct) % q))
-        case[three] = np.where((u0 == 1) & (u1 == 0) & (u2 == 0), BSGS_4, SPLIT_EVEN)
-    return case, odd
+    z2 = np.zeros(len(p), bool)  # one root e1, f'(e1) = g'(y1) a non-residue
+    q = p[one]
+    z2[one] = _pow((3 * mm - 2 * (g2 * lm % p) + g1 * ll)[one] % q, (q - 1) >> 1, q) != 1
+    even = np.where(l1 == 0, SPLIT_EVEN, CYCLIC_EVEN)
+    case = np.where(z != 0, NO_ROOT, np.where(z2, Z2, np.where(squares, BSGS_4, even)))
+    return case, (z != 0) | (z2 & squares)
 
 
 def _order_is_odd(p, x, b2, b4, b6):

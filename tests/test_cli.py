@@ -41,6 +41,17 @@ def test_density_brute_cli(capsys):
     assert out.startswith("71/128")
 
 
+def test_level_takes_integral_scientific_notation(capsys):
+    # --level parses like every other integer option: 1e1 is the level 10
+    for argv, sci, plain in (
+        (("density", "brute"), "1e1", "10"),
+        (("group", "classify"), "3e0", "3"),
+        (("group", "hk"), "3e0", "3"),
+    ):
+        code, out, _ = run_cli(capsys, *argv, "--level", sci)
+        assert out and (code, out) == (0, run_cli(capsys, *argv, "--level", plain)[1]), argv
+
+
 def test_sweep_cli_csv(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--max", "100", "--threads", "1")
     assert code == 0
@@ -101,6 +112,8 @@ def test_usage_errors(capsys):
         ("sweep", "--max", "abc"),
         ("point", "--n", "1e-1"),
         ("density", "brute", "--level", "2.5"),
+        ("group", "hk", "--level", "2.5"),
+        ("group", "classify", "--level", "1e1"),  # an integer, but not one of the choices 2, 3
         # thread counts are positive
         ("sweep", "--max", "100", "--threads", "0"),
         ("sweep", "--max", "100", "--threads", "-3"),

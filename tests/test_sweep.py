@@ -411,6 +411,45 @@ def test_extended_decisions_of_nine_pairs_to_1e6_are_pinned():
     _check_decision_digests(1_000_000, _DIGESTS_1E6)
 
 
+# SHA-256 of the case codes of sweep._two_sylow, as uint8, on the lanes
+# _decide selects at every prime to 1e5, and their counts in the order
+# NO_ROOT, Z2, CYCLIC_EVEN, SPLIT_EVEN, BSGS_4, computed by an engine that
+# counted the roots through X^p mod f; the decision digests cannot see a
+# lane that moves from a settling case into the search
+_CASES_1E5 = {
+    "E": ("888a47b29b567a70d99bb11a1d1b7c6d6e6d112485bf08132a1b4776b84bad2b", (3225, 2402, 1207, 1188, 1567)),
+    "t=1": ("96929159316a6574e0de0224a1f8caf175c83a914d760b7b98c9914c02d922d5", (3225, 2405, 1208, 1170, 1582)),
+    "t=2": ("cbd8aab969d65899b10bf207233191f48d5019c9ea3729ca102fa119d2814ab3", (3225, 2386, 0, 1168, 2805)),
+    "t=-23": ("d5548c983323dffc698f8b01300ee89509e846adaa79fa98e1143ec9d735b51e", (0, 2404, 1190, 3588, 2405)),
+    "t=-5": ("0b702dd970a5334ce67c8f51b1653c3bb02ce19f1acfc91adf9f4f691fbb8503", (0, 2411, 1195, 3594, 2387)),
+    "t=-11": ("1267c90404f0b3f4986d18cf37d1a05d4e88316deb9647da891c41e060893472", (3225, 2409, 0, 0, 3955)),
+    "t=-29": ("aff7612bb2c2a7e8e487d69facb2161fea6de93a98a01b3c1113619e647d9c4f", (3199, 2383, 1220, 1171, 1615)),
+    "control": ("f1107f24bd772327807d67ae296c644fb8100b282a6b7a63519d4f1e0be4344f", (3197, 2405, 1219, 1198, 1571)),
+    "somos4": ("a376247d64b80dbfbe6bf82848d0b9c22cc64a4cf744ed61f66a005b1f5e7183", (3208, 2426, 1177, 1198, 1581)),
+}
+
+
+def test_cases_of_nine_pairs_to_1e5_are_pinned(monkeypatch):
+    ps = sweep.primes_up_to(100_000)
+    seen = []
+    two_sylow = sweep._two_sylow
+
+    def recording(*lanes):
+        out = two_sylow(*lanes)
+        seen.append(out[0])
+        return out
+
+    monkeypatch.setattr(sweep, "_two_sylow", recording)
+    got = {}
+    for name, (c, pt) in _nine_pairs().items():
+        seen.clear()
+        sweep._decide(ps, *sweep._prepare(c, pt))
+        case = np.concatenate(seen)
+        digest = hashlib.sha256(case.astype(np.uint8).tobytes()).hexdigest()
+        got[name] = (digest, tuple(np.bincount(case, minlength=5).tolist()))
+    assert got == _CASES_1E5
+
+
 def _pair_rows(c, pt, ps):
     """(affine point, curve over F_p) rows of a rational pair at the odd
     primes of ps where the curve has good reduction and pt does not reduce
@@ -432,21 +471,26 @@ def _poly_mod(a, f, p):
 
 
 def _gcd_steps_degenerate(p, x, b2, b4, b6):
-    """Where h = X^p - X mod the monic 2-division cubic f is nonzero, the
-    step at which Euclid on f and h, by true division, misses the degrees
-    3, 2, 1: "h2" if deg h < 2, "l1" if deg(f mod h) < 1, else None."""
-    f = [v * pow(4, -1, p) % p for v in (b6, 2 * b4, b2, 4)]
+    """Where h = Y^p - Y mod g(Y) = -f(x - Y), f the monic 2-division cubic,
+    is nonzero, the step at which Euclid on g and h, by true division,
+    misses the degrees 3, 2, 1: "h2" if deg h < 2, "l1" if deg(g mod h) < 1,
+    else None."""
+    g, power = [], [1]  # g = -sum c_i (x - Y)^i over the coefficients c_i of f
+    for c in (v * pow(4, -1, p) % p for v in (b6, 2 * b4, b2, 4)):
+        g = [a - c * b for a, b in itertools.zip_longest(g, power, fillvalue=0)]
+        power = np.convolve(power, [x, -1]).tolist()
+    g = [v % p for v in g]
     r, base = [1], [0, 1]
     for bit in bin(p)[2:]:
-        r = _poly_mod(np.convolve(r, r).tolist(), f, p)
+        r = _poly_mod(np.convolve(r, r).tolist(), g, p)
         if bit == "1":
-            r = _poly_mod([0] + r, f, p)
-    h = _poly_mod([v - w for v, w in itertools.zip_longest(r, base, fillvalue=0)], f, p)
+            r = _poly_mod([0] + r, g, p)
+    h = _poly_mod([v - w for v, w in itertools.zip_longest(r, base, fillvalue=0)], g, p)
     if not h:
         return None
     if len(h) < 3:
         return "h2"
-    return "l1" if len(_poly_mod(f, h, p)) < 2 else None
+    return "l1" if len(_poly_mod(g, h, p)) < 2 else None
 
 
 def _case_by_roots(p, x, b2, b4, b6):
@@ -508,10 +552,10 @@ def test_two_division_classifier_against_group_order_and_bsgs():
     # the 2-torsion point T = (0, 0) of y^2 = x^3 + x^2 + 2x, at every good
     # prime below 3000.  T's x is a root of f at every prime, so T gives
     # lanes with x = e1 to both even rules.  On y^2 = x^3 - 25x =
-    # x(x - 5)(x + 5) with (45, 300), u's constant term u(0) = chi(45) is 1
-    # on lanes where u != 1, so the split rule must check all of u.  Its
-    # translate x -> x + 1, with (44, 300), has c2 = 3 and x != 0, so every
-    # coefficient of the cubic whose root is x - X counts.
+    # x(x - 5)(x + 5) with (45, 300), u at the root y = 45 - 0 of g is
+    # chi(45) = 1 on lanes where u != 1, so the split rule must check all
+    # of u.  Its translate x -> x + 1, with (44, 300), has c2 = 3 and
+    # x != 0, so every coefficient of g, whose roots are the x - e, counts.
     origin = (Fraction(0), Fraction(0))
     five = set(range(5))
     for c, pt, cases in (
@@ -526,8 +570,8 @@ def test_two_division_classifier_against_group_order_and_bsgs():
     ):
         _check_cases(_pair_rows(c, pt, sweep.primes_up_to(3000)), cases)
     # seeded random curves at odd p < 400, among them lanes where the two
-    # pseudo-remainder steps degenerate: h = X^p - X mod f of degree < 2,
-    # and f mod h a constant
+    # pseudo-remainder steps degenerate: h = Y^p - Y mod g of degree < 2,
+    # and g mod h a constant
     rows = _random_rows(random.Random(29), sweep.primes_up_to(399)[1:], 1000)
     assert {_gcd_steps_degenerate(*lane) for lane in _lanes(rows).T.tolist()} == {None, "h2", "l1"}
     _check_cases(rows, five)
