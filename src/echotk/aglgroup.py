@@ -2,16 +2,17 @@
 
 Elements are pairs (v, M) composing as (v1 + M1*v2, M1*M2).  A subgroup is
 *kinetic* when it surjects both onto the matrix quotient GL_2(Z/2^k) and
-onto the full level-1 affine group (order 24).  The module builds the
-distinguished index-4 subgroup H_k (the mod-4 preimage of a fixed H_2),
-and classifies ALL kinetic subgroups at levels 2 and 3 by exhaustive
-search: the expected outcome is exactly two conjugacy classes, the full
-group and H_k.
+onto the full level-1 affine group (order 24).  The module builds the full
+group and the distinguished index-4 subgroup H_k as preimages, of the 24
+level-1 elements and of a fixed H_2 under reduction mod 4, and classifies
+ALL kinetic subgroups at levels 2 and 3 by exhaustive search: the expected
+outcome is exactly two conjugacy classes, the full group and H_k.
 
 Internally an element is a flat 6-tuple (v0, v1, m00, m01, m10, m11) reduced
 mod 2^k, packed big-endian into a 6k-bit integer code: the vector sits in the
 top 2k bits and the matrix in the low 4k bits, so code order is tuple order.
-Subgroups are stored as sorted code arrays.  The closure engine is a numpy
+A subgroup is its level and sorted code array; where generators are
+needed, a small set is read off the codes.  The closure engine is a numpy
 frontier BFS from the identity: right multiplication by (b, B) sends (a, A)
 to (a + A*b, A*B), so each generator contributes two tables over the 2^(4k)
 matrix codes (A*b and A*B) and one shared table adds vectors; a BFS step is
@@ -211,7 +212,7 @@ def _closure_codes(gens: Iterable[int], k: int, max_size: Optional[int] = None) 
 
 @dataclass(frozen=True, eq=False)
 class SubgroupRep:
-    """A concrete subgroup: level, generators, and code_array, its elements' codes.
+    """A concrete subgroup: its level and code_array, its elements' codes.
 
     code_array is int64 and strictly increasing; construction makes it
     read-only, so cached subgroups share it safely.  codes is a frozenset
@@ -220,7 +221,6 @@ class SubgroupRep:
     """
 
     level: int
-    generators: tuple[AglElem, ...]
     code_array: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
@@ -246,7 +246,7 @@ def closure(gens: Sequence[AglElem]) -> SubgroupRep:
     k = gens[0].k
     if any(g.k != k for g in gens):
         raise LevelMismatchError("generators at mixed levels")
-    return SubgroupRep(k, tuple(gens), _closure_codes([pack(_reduce_raw(g.raw, k), k) for g in gens], k))
+    return SubgroupRep(k, _closure_codes([pack(_reduce_raw(g.raw, k), k) for g in gens], k))
 
 
 def is_kinetic(g: SubgroupRep) -> bool:
@@ -255,7 +255,7 @@ def is_kinetic(g: SubgroupRep) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the fixed representative H_2 and its preimage tower
+# the fixed representative H_2, and the full groups and H_k as preimages
 
 H2_GENERATORS = (
     AglElem(2, 1, 2, 2, 1, 3, 0),
@@ -270,61 +270,43 @@ def h2() -> SubgroupRep:
     return rep
 
 
-def _kernel_generators(k: int) -> list[AglElem]:
-    # generators of ker(level k -> level 2): translations by 4*e_i and
-    # unipotent matrices I + 4*E_rs, the level-3 kernel's basis
-    return [AglElem(k, *_kernel_elem(1 << bit, 3)) for bit in reversed(range(6))]
-
-
 def _gl_matrices(k: int) -> np.ndarray:
     """GL_2(Z/2^k) as rows (m00, m01, m10, m11) of an int64 array, in lexicographic order."""
     m = np.indices((1 << k,) * 4, dtype=np.int64).reshape(4, -1).T
     return m[(m[:, 0] * m[:, 3] - m[:, 1] * m[:, 2]) & 1 == 1]
 
 
+def _preimage(codes: np.ndarray, r: int, k: int) -> np.ndarray:
+    """Sorted level-k codes of every element whose reduction mod 2^r has one of the level-r codes.
+
+    Every coordinate of such an element is its mod-2^r part plus 2^r times
+    a free value in [0, 2^(k-r)), so the codes are the given ones re-packed
+    at k bits plus those of 2^r * t for every t in [0, 2^(k-r))^6.
+    """
+    lifts = _repack(np.arange(1 << 6 * (k - r), dtype=np.int64), k - r, k) << r
+    out = (_repack(codes, r, k)[:, None] + lifts[None, :]).ravel()
+    out.sort()  # in place: np.sort would hold a second copy at the peak
+    return out
+
+
 @lru_cache(maxsize=None)
 def build_hk(k: int) -> SubgroupRep:
-    """H_k as the full preimage of H_2 under reduction mod 4 (2 <= k <= 4).
-
-    Every coordinate of an element is its mod-4 part plus 4 times a free
-    value in [0, 2^(k-2)), so the codes are those of H_2's elements
-    re-packed at k bits plus those of 4*t for every t in [0, 2^(k-2))^6.
-    """
+    """H_k as the full preimage of H_2 under reduction mod 4 (2 <= k <= 4)."""
     if k < 2:
         raise ValueError("H_k is defined for k >= 2")
-    if k == 2:
-        return h2()
     if k > 4:
         raise ResourceBudgetError("H_k materialization is capped at k = 4; H_k is the mod-4 preimage of h2()")
-    gens = [AglElem(k, *g.raw) for g in H2_GENERATORS] + _kernel_generators(k)
-    base = _repack(h2().code_array, 2, k)
-    lifts = _repack(np.arange(1 << 6 * (k - 2), dtype=np.int64), k - 2, k) << 2
-    codes = (base[:, None] + lifts[None, :]).ravel()
-    codes.sort()  # in place: np.sort would hold a second copy at the peak
-    return SubgroupRep(k, tuple(gens), codes)
-
-
-# ---------------------------------------------------------------------------
-# full groups
+    return SubgroupRep(k, _preimage(h2().code_array, 2, k))
 
 
 @lru_cache(maxsize=None)
 def full_agl(k: int) -> SubgroupRep:
-    """The whole affine group at level k <= 3, materialized."""
+    """The whole affine group at level k <= 3: the preimage of the 24 level-1 elements (det M odd)."""
     if k > 3:
         raise ResourceBudgetError("full group materialization is capped at k = 3")
-    gens = [
-        AglElem(k, 1, 0, 1, 0, 0, 1),
-        AglElem(k, 0, 1, 1, 0, 0, 1),
-        AglElem(k, 0, 0, 1, 1, 0, 1),
-        AglElem(k, 0, 0, 1, 0, 1, 1),
-        # diag(u, 1) for units generating (Z/2^k)^*
-        AglElem(k, 0, 0, (1 << k) - 1, 0, 0, 1),
-        AglElem(k, 0, 0, 3 & ((1 << k) - 1), 0, 0, 1),
-    ]
-    rep = closure(gens)
-    assert rep.order == AGL_ORDERS[k]
-    return rep
+    matrices = _gl_matrices(1) @ np.array([8, 4, 2, 1])  # level-1 matrix codes
+    level1 = (np.arange(4)[:, None] << 4 | matrices).ravel()  # the vector in the top 2 bits
+    return SubgroupRep(k, _preimage(level1, 1, k))
 
 
 # ---------------------------------------------------------------------------
@@ -475,19 +457,19 @@ def _lift_relations(lifts: Sequence[Elem], k: int) -> list[int]:
     return list(_f2_echelon(relations).values())
 
 
-def _lifted_subgroups(q: SubgroupRep) -> Iterator[tuple[frozenset, np.ndarray]]:
+def _lifted_subgroups(q: SubgroupRep, gens: Sequence[int]) -> Iterator[tuple[frozenset, np.ndarray]]:
     """(W, sorted codes of G) for each G one level above q with image q and W = G & K stable.
 
-    G is generated by W and lifts g_i = kappa(c_i) * q.generators[i].  The
-    intersection G & K is W exactly when every relation of q takes its value
-    in W, that is, when each value is killed by every annihilator of W.  As
-    G contains W, c_i matters only mod W, so the rows that clear c_i on W's
-    pivot bits pick one c per G.  Each solution is closed to check that
+    gens are codes of generators of q, and G is generated by W and lifts
+    g_i = kappa(c_i) * gens[i].  The intersection G & K is W exactly when
+    every relation of q takes its value in W, that is, when each value is
+    killed by every annihilator of W.  As G contains W, c_i matters only mod
+    W, so the rows that clear c_i on W's pivot bits pick one c per G.  Each solution is closed to check that
     |G| = |q| * |W|.
     """
     k = q.level + 1
     mask = (1 << k) - 1
-    lifts = [g.raw for g in q.generators]  # entries mod 2^(k-1) are lifts as they stand
+    lifts = [unpack(g, k - 1) for g in gens]  # entries mod 2^(k-1) are lifts as they stand
     n = 6 * len(lifts)
     width = n + 1
     relations = _lift_relations(lifts, k)
@@ -552,6 +534,12 @@ class KineticClass:
     def order(self) -> int:
         return self.representative.order
 
+    @property
+    def generators(self) -> tuple[AglElem, ...]:
+        """A small generating set of the representative, read off its codes."""
+        k = self.representative.level
+        return tuple(AglElem(k, *unpack(g, k)) for g in _recover_generators(self.representative))
+
 
 def classify_kinetic(k: int) -> list[KineticClass]:
     """All kinetic subgroups at level k in {2, 3}, up to conjugacy.
@@ -568,7 +556,9 @@ def classify_kinetic(k: int) -> list[KineticClass]:
         quotients = [full_agl(1)]
     else:
         quotients = [c.representative for c in classify_kinetic(k - 1)]
-    groups = [got for q in quotients for _, got in _lifted_subgroups(q) if _is_kinetic(got, k)]
+    groups = [
+        got for q in quotients for _, got in _lifted_subgroups(q, _recover_generators(q)) if _is_kinetic(got, k)
+    ]
     transversal = full_agl(k).code_array
     classes: list[list[np.ndarray]] = []
     for g in groups:
@@ -583,14 +573,14 @@ def classify_kinetic(k: int) -> list[KineticClass]:
     wrapped = []
     for members in classes:
         rep = next((m for m in members if np.array_equal(m, canonical)), members[0])
-        gens = _recover_generators(rep, k)
-        wrapped.append(KineticClass(SubgroupRep(k, tuple(gens), rep), len(members)))
+        wrapped.append(KineticClass(SubgroupRep(k, rep), len(members)))
     wrapped.sort(key=lambda c: -c.order)
     return wrapped
 
 
-def _recover_generators(codes: np.ndarray, k: int) -> list[AglElem]:
-    """A small verified generating set for the subgroup with these sorted codes."""
+def _recover_generators(g: SubgroupRep) -> list[int]:
+    """Codes of a small verified generating set of g: each code not yet generated, in code order."""
+    k, codes = g.level, g.code_array
     gens: list[int] = []
     have = np.zeros(1 << 6 * k, dtype=bool)
     have[pack(IDENTITY_RAW, k)] = True
@@ -601,7 +591,7 @@ def _recover_generators(codes: np.ndarray, k: int) -> list[AglElem]:
             if got.size == codes.size:
                 break
             have[got] = True
-    return [AglElem(k, *unpack(g, k)) for g in gens]
+    return gens
 
 
 # ---------------------------------------------------------------------------

@@ -24,29 +24,34 @@ import numpy as np
 from . import aglgroup, curves, density, fabulous, seq, sweep
 
 
+# argparse prints an ArgumentTypeError's message as written, not the type helper's name
+def _invalid(kind: str, text: str) -> argparse.ArgumentTypeError:
+    return argparse.ArgumentTypeError(f"invalid {kind} value: {text!r}")
+
+
 def _parse_int(text: str) -> int:
     """An integer, also in integral scientific notation such as 1e5."""
     try:
         value = Decimal(text)
     except ArithmeticError:
-        raise ValueError(text) from None
+        raise _invalid("integer", text) from None
     if not value.is_finite() or value != value.to_integral_value():
-        raise ValueError(text)
+        raise _invalid("integer", text)
     return int(value)
 
 
 def _parse_positive_int(text: str) -> int:
     value = _parse_int(text)
     if value < 1:
-        raise ValueError(text)
+        raise _invalid("positive integer", text)
     return value
 
 
 def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
-    except ZeroDivisionError:  # n/0: argparse reports only ValueError as invalid
-        raise ValueError(text) from None
+    except (ValueError, ZeroDivisionError):  # n/0 raises ZeroDivisionError
+        raise _invalid("rational", text) from None
 
 
 def emit_sweep_csv(records) -> str:
@@ -120,7 +125,7 @@ def _cmd_group(args) -> int:
     for cl in classes:
         gens = ", ".join(
             f"(({e.v0},{e.v1}),[{e.m00},{e.m01};{e.m10},{e.m11}])"
-            for e in cl.representative.generators
+            for e in cl.generators
         )
         print(f"  order {cl.order}  (members found: {cl.members_found}; counts {counted})")
         print(f"    generators: {gens}")

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -48,12 +49,23 @@ def test_closure_examples():
     assert ag.closure([ag.AglElem(2, *ag.IDENTITY_RAW)]).order == 1
 
 
+def _classic_full_generators(k):
+    # unit translations, the two elementary transvections, and diag(u, 1)
+    # for units u generating (Z/2^k)^*
+    mask = (1 << k) - 1
+    raws = [(1, 0, 1, 0, 0, 1), (0, 1, 1, 0, 0, 1), (0, 0, 1, 1, 0, 1), (0, 0, 1, 0, 1, 1)]
+    raws += [(0, 0, mask, 0, 0, 1), (0, 0, 3 & mask, 0, 0, 1)]
+    return [ag.AglElem(k, *raw) for raw in raws]
+
+
 def test_group_order_formulas():
-    # |AGL| = 24 * 64^(k-1), |GL| = 6 * 16^(k-1), checked by closure
+    # |AGL| = 24 * 64^(k-1) and |GL| = 6 * 16^(k-1) for the preimage of the
+    # level-1 group, which is also the closure of the classic generators
     for k in (1, 2, 3):
         full = ag.full_agl(k)
         assert full.order == 24 * 64 ** (k - 1)
         assert ag._matrix_image_size(full.code_array, k) == 6 * 16 ** (k - 1)
+        assert np.array_equal(ag.closure(_classic_full_generators(k)).code_array, full.code_array)
 
 
 def test_is_kinetic():
@@ -83,10 +95,13 @@ def test_build_hk_reduction_tower():
 
 
 def test_build_hk_generators_generate():
-    # k = 4 is one closure over the 2^24 level-4 codes (ROADMAP item 2 has its memory)
+    # H_2's generators and the six kernel elements of level k -> 2 (translations
+    # by 4 e_i and unipotent I + 4 E_rs) generate the preimage; k = 4 is one
+    # closure over the 2^24 level-4 codes (ROADMAP item 2 has its memory)
     for k in (2, 3, 4):
-        rep = ag.build_hk(k)
-        assert np.array_equal(ag.closure(rep.generators).code_array, rep.code_array)
+        gens = [ag.AglElem(k, *g.raw) for g in ag.H2_GENERATORS]
+        gens += [ag.AglElem(k, *ag._kernel_elem(1 << bit, 3)) for bit in range(6)]
+        assert np.array_equal(ag.closure(gens).code_array, ag.build_hk(k).code_array)
 
 
 def test_hk_membership_predicate():
@@ -101,6 +116,7 @@ def test_every_subgroup_is_a_sorted_read_only_code_array():
     reps += [ag.build_hk(k) for k in (2, 3, 4)] + [ag.full_agl(k) for k in (1, 2, 3)]
     reps += [c.representative for k in (2, 3) for c in ag.classify_kinetic(k)]
     for rep in reps:
+        assert [f.name for f in dataclasses.fields(rep)] == ["level", "code_array"]
         codes = rep.code_array
         assert codes.dtype == np.int64
         assert np.all(np.diff(codes) > 0), rep.level
@@ -126,6 +142,10 @@ def test_classify_level2():
     assert all(ag.is_kinetic(c.representative) for c in classes)
     # the search lifts the whole level-1 group, so it meets all four conjugates of H_2
     assert [c.members_found for c in classes] == [1, 4]
+    # that lift solves for 3 generators read off the level-1 codes, 18 unknown bits
+    assert len(ag._recover_generators(ag.full_agl(1))) == 3
+    for c in classes:
+        assert np.array_equal(ag.closure(c.generators).code_array, c.representative.code_array)
 
 
 def test_classify_rejects_other_levels():
@@ -155,7 +175,7 @@ def test_coset_structure_rejects_random_order24_subgroups():
 
 
 def test_kernel_generators_generate_the_kernel():
-    got = ag._closure_codes([ag.pack(g.raw, 3) for g in ag._kernel_generators(3)], 3)
+    got = ag._closure_codes([ag.pack(ag._kernel_elem(1 << bit, 3), 3) for bit in range(6)], 3)
     assert got.size == 64
     assert all(ag._reduce_raw(ag.unpack(c, 3), 2) == (0, 0, 1, 0, 0, 1) for c in got.tolist())
 
@@ -340,8 +360,8 @@ def test_f2_elimination_matches_brute_force():
         assert sorted(solutions) == want, (n, rows)
 
 
-def _lift_oracle(q):
-    """Closure per lift: for each stable W, every subgroup <W, kappa(c_i) * q_i> that meets K in W.
+def _lift_oracle(q, gens):
+    """Closure per lift: for each stable W, every subgroup <W, kappa(c_i) * gens_i> that meets K in W.
 
     Lifts c_i run over a transversal of W in K.  The image of each candidate
     is q and it contains W, so it meets K in W exactly when its order is
@@ -349,6 +369,7 @@ def _lift_oracle(q):
     """
     k = q.level + 1
     mask = (1 << k) - 1
+    lifts = [ag.unpack(g, q.level) for g in gens]
     out = {}
     for w in ag._stable_kernel_submodules():
         reps = []
@@ -359,12 +380,9 @@ def _lift_oracle(q):
                 covered |= {c ^ x for x in w}
         w_gens = [ag.pack(ag._kernel_elem(c, k), k) for c in sorted(w) if c]
         found = set()
-        for lift in itertools.product(reps, repeat=len(q.generators)):
-            gens = [
-                ag.pack(ag._comp(ag._kernel_elem(c, k), g.raw, mask), k)
-                for c, g in zip(lift, q.generators)
-            ]
-            got = ag._closure_codes(gens + w_gens, k, max_size=q.order * len(w))
+        for lift in itertools.product(reps, repeat=len(lifts)):
+            lifted = [ag.pack(ag._comp(ag._kernel_elem(c, k), g, mask), k) for c, g in zip(lift, lifts)]
+            got = ag._closure_codes(lifted + w_gens, k, max_size=q.order * len(w))
             if got is None:
                 continue
             in_kernel = got[ag._repack(got, k, k - 1) == ag.pack(ag.IDENTITY_RAW, k - 1)]
@@ -376,15 +394,18 @@ def _lift_oracle(q):
 
 
 def test_lift_solver_matches_closure_per_lift_oracle():
-    # AGL_2(F_2) lifted to level 2 from a generating pair, and H_2 lifted to level 3
-    agl1 = ag.closure([ag.AglElem(1, 0, 0, 0, 1, 1, 0), ag.AglElem(1, 0, 1, 1, 1, 0, 1)])
+    # AGL_2(F_2) lifted to level 2 from a generating pair, and H_2 lifted to level 3;
+    # two generators each keep the oracle's product over lifts at most 64^2 closures per W
+    pair = [ag.AglElem(1, 0, 0, 0, 1, 1, 0), ag.AglElem(1, 0, 1, 1, 1, 0, 1)]
+    agl1 = ag.closure(pair)
     assert agl1.codes == ag.full_agl(1).codes
     h2 = ag.closure(list(ag.H2_GENERATORS))
-    for q in (agl1, h2):
+    for q, gens in ((agl1, pair), (h2, ag.H2_GENERATORS)):
+        codes = [ag.pack(g.raw, q.level) for g in gens]
         solved = {w: [] for w in ag._stable_kernel_submodules()}
-        for w, got in ag._lifted_subgroups(q):
+        for w, got in ag._lifted_subgroups(q, codes):
             solved[w].append(got.tobytes())
-        want = _lift_oracle(q)
+        want = _lift_oracle(q, codes)
         for w, found in solved.items():
             # each subgroup once (c_i is reduced mod W), non-kinetic ones included
             repeats = len(found) - len(set(found))
