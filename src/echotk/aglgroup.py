@@ -22,9 +22,13 @@ all 2^(6k) codes.  Matrix and mod-2 images are reductions over code arrays.
 The classification lifts one level at a time.  The kernel K of reduction
 from level k to k - 1 is F_2^6, and a subgroup G at level k is generated by
 W = G & K and one lift of each generator of its image Q one level down.
-The kernel parts of Q's relations are affine-linear over F_2 in the
-unknown lifts, and G & K = W exactly when they all lie in W; so one F_2
-linear solve per (Q, W) yields every valid lift, and only those are closed.
+The level-1 group acts F_2-linearly on K by conjugation, so each action
+table is read off six basis images, and the stable submodules W are the
+sums of cyclic ones (spans of single orbits).  The kernel parts of Q's
+relations are affine-linear over F_2 in the unknown lifts, and G & K = W
+exactly when they all lie in W; so one F_2 linear solve per (Q, W) yields
+every valid lift.  Such a G has order |Q| * |W|, and only the lifts whose
+order can reach |GL_2(Z/2^k)|, as a kinetic group's must, are closed.
 """
 
 from __future__ import annotations
@@ -76,10 +80,13 @@ def _comp(a: Elem, b: Elem, mask: int) -> Elem:
 
 
 def _inv(a: Elem, k: int) -> Elem:
+    """The inverse at level k; the fields may be ints or numpy arrays of one shape."""
     mask = (1 << k) - 1
     a0, a1, a00, a01, a10, a11 = a
     det = (a00 * a11 - a01 * a10) & mask
-    di = pow(det, -1, 1 << k)
+    di, bits = det, 3  # an odd d has d * d = 1 mod 8, and each Newton step doubles the bits
+    while bits < k:
+        di, bits = di * (2 - det * di) & mask, 2 * bits
     n00, n01 = a11 * di & mask, -a01 * di & mask
     n10, n11 = -a10 * di & mask, a00 * di & mask
     return (-(n00 * a0 + n01 * a1) & mask, -(n10 * a0 + n11 * a1) & mask, n00, n01, n10, n11)
@@ -281,11 +288,19 @@ def _preimage(codes: np.ndarray, r: int, k: int) -> np.ndarray:
 
     Every coordinate of such an element is its mod-2^r part plus 2^r times
     a free value in [0, 2^(k-r)), so the codes are the given ones re-packed
-    at k bits plus those of 2^r * t for every t in [0, 2^(k-r))^6.
+    at k bits plus those of 2^r * t for every t in [0, 2^(k-r))^6.  The
+    free bits t0 of field 0 lead every code, so only the block t0 = 0 is
+    sorted: block t0 is that block plus t0 * 2^(6k - (k-r)).
     """
-    lifts = _repack(np.arange(1 << 6 * (k - r), dtype=np.int64), k - r, k) << r
-    out = (_repack(codes, r, k)[:, None] + lifts[None, :]).ravel()
-    out.sort()  # in place: np.sort would hold a second copy at the peak
+    free = k - r
+    lifts = _repack(np.arange(1 << 5 * free, dtype=np.int64), free, k) << r  # t0 = 0
+    block = codes.size * lifts.size
+    # every block is written in place: a separate sorted block would raise the peak
+    out = np.empty(block << free, dtype=np.int64)
+    np.add(_repack(codes, r, k)[:, None], lifts[None, :], out=out[:block].reshape(codes.size, lifts.size))
+    out[:block].sort()
+    for t0 in range(1, 1 << free):
+        np.add(out[:block], t0 << (6 * k - free), out=out[t0 * block:(t0 + 1) * block])
     return out
 
 
@@ -333,10 +348,15 @@ def _kernel_action(t: Elem) -> tuple[int, ...]:
 
     The conjugate is (2^(k-1) (M u + M A M^-1 v), I + 2^(k-1) M A M^-1) mod
     2^k (signs vanish mod 2): it depends only on t mod 2 and is the same at
-    every level k >= 2, so the table conjugates at level 2.
+    every level k >= 2, so the table conjugates at level 2.  Conjugation
+    acts F_2-linearly on K, so only the six basis codes are conjugated.
     """
     t_inv = _inv(t, 2)
-    return tuple(_kernel_code(_comp(_comp(t, _kernel_elem(c, 2), 3), t_inv, 3), 2) for c in range(64))
+    table = [0]
+    for j in range(6):  # codes below 2^(j+1) from those below 2^j
+        image = _kernel_code(_comp(_comp(t, _kernel_elem(1 << j, 2), 3), t_inv, 3), 2)
+        table += [x ^ image for x in table]
+    return tuple(table)
 
 
 @lru_cache(maxsize=None)
@@ -344,28 +364,27 @@ def _stable_kernel_submodules() -> tuple[frozenset, ...]:
     """The subspaces of K (as sets of codes) stable under the level-1 action.
 
     A kinetic subgroup covers the level-1 group and normalizes its own
-    intersection with K, so that intersection is one of these.
+    intersection with K, so that intersection is one of these.  Each is a
+    sum of cyclic submodules, the spans of single orbits, so the lattice
+    grows from {0} by adding one cyclic submodule at a time.
     """
     tables = [_kernel_action(t) for t in full_agl(1).raw_elements()]
-
-    def span(codes: Iterable[int]) -> frozenset:
-        out = {0}
-        for row in _f2_echelon(table[c] for table in tables for c in codes).values():
-            out |= {x ^ row for x in out}
-        return frozenset(out)
-
+    cyclic = set()
+    for v in range(1, 64):
+        span = {0}
+        for row in _f2_echelon(table[v] for table in tables).values():
+            span |= {x ^ row for x in span}
+        cyclic.add(frozenset(span))
     submods = {frozenset({0})}
     frontier = [frozenset({0})]
     while frontier:
         nxt = []
         for sub in frontier:
-            basis = list(_f2_echelon(sub).values())
-            for v in range(1, 64):
-                if v not in sub:
-                    bigger = span(basis + [v])
-                    if bigger not in submods:
-                        submods.add(bigger)
-                        nxt.append(bigger)
+            for c in (c_ for c_ in cyclic if not c_ <= sub):  # a submodule inside sub adds nothing
+                bigger = frozenset(x ^ y for x in sub for y in c)
+                if bigger not in submods:
+                    submods.add(bigger)
+                    nxt.append(bigger)
         frontier = nxt
     return tuple(sorted(submods, key=lambda s: (len(s), sorted(s))))
 
@@ -457,14 +476,14 @@ def _lift_relations(lifts: Sequence[Elem], k: int) -> list[int]:
     return list(_f2_echelon(relations).values())
 
 
-def _lifted_subgroups(q: SubgroupRep, gens: Sequence[int]) -> Iterator[tuple[frozenset, np.ndarray]]:
-    """(W, sorted codes of G) for each G one level above q with image q and W = G & K stable.
+def _lifted_subgroups(q: SubgroupRep, gens: Sequence[int]) -> Iterator[tuple[frozenset, list[int]]]:
+    """(W, generator codes of G) for each G one level above q with image q and W = G & K stable.
 
     gens are codes of generators of q, and G is generated by W and lifts
     g_i = kappa(c_i) * gens[i].  The intersection G & K is W exactly when
     every relation of q takes its value in W, that is, when each value is
     killed by every annihilator of W.  As G contains W, c_i matters only mod
-    W, so the rows that clear c_i on W's pivot bits pick one c per G.  Each solution is closed to check that
+    W, so the rows that clear c_i on W's pivot bits pick one c per G, and
     |G| = |q| * |W|.
     """
     k = q.level + 1
@@ -487,32 +506,35 @@ def _lifted_subgroups(q: SubgroupRep, gens: Sequence[int]) -> Iterator[tuple[fro
                         row ^= rel >> b * width
                 rows.append(row & ((1 << width) - 1))
         rows += [pivot << 6 * i for i in range(len(lifts)) for pivot in w_basis]  # c reduced mod W
-        cap = q.order * len(w)
         w_gens = [pack(_kernel_elem(c, k), k) for c in w_basis.values()]
         for c in _f2_solutions(rows, n):
-            gens = [pack(_comp(_kernel_elem(c >> 6 * i & 63, k), g, mask), k) for i, g in enumerate(lifts)]
-            got = _closure_codes(gens + w_gens, k, max_size=cap)
-            assert got is not None and got.size == cap, "a solved lift left W or Q"
-            yield w, got
-
-
-def _conjugates(t: Elem, codes: Iterable[int], k: int) -> Iterable[int]:
-    mask = (1 << k) - 1
-    ti = _inv(t, k)
-    for code in codes:
-        yield pack(_comp(_comp(t, unpack(code, k), mask), ti, mask), k)
+            lifted = [pack(_comp(_kernel_elem(c >> 6 * i & 63, k), g, mask), k) for i, g in enumerate(lifts)]
+            yield w, lifted + w_gens
 
 
 def _are_conjugate(s1: np.ndarray, s2: np.ndarray, k: int, transversal: np.ndarray) -> Optional[Elem]:
-    """An element t of transversal with t s1 t^-1 = s2 (sorted code arrays), or None."""
+    """The first t of transversal with t s1 t^-1 = s2 (sorted code arrays), or None.
+
+    Six probes of s1 are conjugated by the whole transversal at once; only
+    the t that keep all six in s2 conjugate the rest of s1.
+    """
     if s1.size != s2.size:
         return None
-    probes = s1[:6].tolist()
-    members = frozenset(s2.tolist())
-    for t in (unpack(code, k) for code in transversal.tolist()):
-        if all(c in members for c in _conjugates(t, probes, k)):
-            if frozenset(_conjugates(t, s1.tolist(), k)) == members:
-                return t
+    mask = (1 << k) - 1
+    member = np.zeros(1 << 6 * k, dtype=bool)
+    member[s2] = True
+
+    def fields(codes: np.ndarray) -> Elem:
+        return tuple((codes >> (5 - i) * k) & mask for i in range(6))
+
+    def conjugates(t: Elem, codes: np.ndarray) -> np.ndarray:
+        return pack(_comp(_comp(t, fields(codes), mask), _inv(t, k), mask), k)
+
+    ts = tuple(f[:, None] for f in fields(transversal))  # one row per t, one column per probe
+    for i in np.flatnonzero(member[conjugates(ts, s1[:6])].all(axis=1)).tolist():
+        t = unpack(int(transversal[i]), k)
+        if member[conjugates(t, s1)].all():  # conjugation is injective and |s1| = |s2|
+            return t
     return None
 
 
@@ -556,9 +578,16 @@ def classify_kinetic(k: int) -> list[KineticClass]:
         quotients = [full_agl(1)]
     else:
         quotients = [c.representative for c in classify_kinetic(k - 1)]
-    groups = [
-        got for q in quotients for _, got in _lifted_subgroups(q, _recover_generators(q)) if _is_kinetic(got, k)
-    ]
+    groups = []
+    for q in quotients:
+        for w, gens in _lifted_subgroups(q, _recover_generators(q)):
+            order = q.order * len(w)
+            if order < GL_ORDERS[k]:
+                continue  # too small to surject onto GL_2(Z/2^k): no closure
+            got = _closure_codes(gens, k, max_size=order)
+            assert got is not None and got.size == order, "a solved lift left W or Q"
+            if _is_kinetic(got, k):
+                groups.append(got)
     transversal = full_agl(k).code_array
     classes: list[list[np.ndarray]] = []
     for g in groups:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import random
 
@@ -393,6 +394,15 @@ def _lift_oracle(q, gens):
     return out
 
 
+def _closed_lifts(q, gens):
+    """(W, sorted codes of G) for every lift _lifted_subgroups solves, each closed and of order |q| |W|."""
+    k = q.level + 1
+    for w, lifted in ag._lifted_subgroups(q, gens):
+        got = ag._closure_codes(lifted, k, max_size=q.order * len(w))
+        assert got is not None and got.size == q.order * len(w), "a solved lift left W or Q"
+        yield w, got
+
+
 def test_lift_solver_matches_closure_per_lift_oracle():
     # AGL_2(F_2) lifted to level 2 from a generating pair, and H_2 lifted to level 3;
     # two generators each keep the oracle's product over lifts at most 64^2 closures per W
@@ -403,7 +413,7 @@ def test_lift_solver_matches_closure_per_lift_oracle():
     for q, gens in ((agl1, pair), (h2, ag.H2_GENERATORS)):
         codes = [ag.pack(g.raw, q.level) for g in gens]
         solved = {w: [] for w in ag._stable_kernel_submodules()}
-        for w, got in ag._lifted_subgroups(q, codes):
+        for w, got in _closed_lifts(q, codes):
             solved[w].append(got.tobytes())
         want = _lift_oracle(q, codes)
         for w, found in solved.items():
@@ -423,3 +433,109 @@ def test_h2_is_maximal_spot_check():
     for g in rng.sample(outside, 40):
         grown = ag.closure(list(ag.H2_GENERATORS) + [ag.AglElem(2, *g)])
         assert grown.order == 1536
+
+
+def test_kinetic_lifts_reach_the_pruning_bound():
+    # classify_kinetic closes only lifts with |q| |W| >= |GL_2(Z/2^k)|; unpruned,
+    # every kinetic lift meets that bound and they are exactly the members found
+    for k in (2, 3):
+        quotients = [ag.full_agl(1)] if k == 2 else [c.representative for c in ag.classify_kinetic(2)]
+        kinetic = 0
+        for q in quotients:
+            for w, got in _closed_lifts(q, ag._recover_generators(q)):
+                if ag._is_kinetic(got, k):
+                    assert q.order * len(w) >= ag.GL_ORDERS[k], (k, q.order, len(w))
+                    kinetic += 1
+        assert kinetic == sum(c.members_found for c in ag.classify_kinetic(k)) == {2: 5, 3: 2}[k]
+
+
+def _conjugates(t, codes, k):
+    mask = (1 << k) - 1
+    ti = ag._inv(t, k)
+    for code in codes:
+        yield ag.pack(ag._comp(ag._comp(t, ag.unpack(code, k), mask), ti, mask), k)
+
+
+def _are_conjugate_oracle(s1, s2, k, transversal):
+    """The first t of transversal, element by element, with t s1 t^-1 = s2, or None."""
+    if s1.size != s2.size:
+        return None
+    probes = s1[:6].tolist()
+    members = frozenset(s2.tolist())
+    for t in (ag.unpack(code, k) for code in transversal.tolist()):
+        if all(c in members for c in _conjugates(t, probes, k)):
+            if frozenset(_conjugates(t, s1.tolist(), k)) == members:
+                return t
+    return None
+
+
+def _check_conjugacy(s1, s2, k):
+    transversal = ag.full_agl(k).code_array
+    got = ag._are_conjugate(s1, s2, k, transversal)
+    assert got == _are_conjugate_oracle(s1, s2, k, transversal)
+    if got is not None:
+        assert sorted(_conjugates(got, s1.tolist(), k)) == s2.tolist()
+    return got
+
+
+def test_are_conjugate_matches_per_element_oracle():
+    # the five level-2 kinetic lifts against both class representatives
+    reps = [c.representative.code_array for c in ag.classify_kinetic(2)]
+    q = ag.full_agl(1)
+    lifts = [got for _, got in _closed_lifts(q, ag._recover_generators(q)) if ag._is_kinetic(got, 2)]
+    assert len(lifts) == 5
+    verdicts = [[_check_conjugacy(g, rep, 2) is not None for rep in reps] for g in lifts]
+    assert sorted(verdicts) == [[False, True]] * 4 + [[True, False]]
+    # H_3 against seeded conjugates t H_3 t^-1
+    h3 = ag.build_hk(3).code_array
+    rng = random.Random(29)
+    for code in rng.sample(ag.full_agl(3).code_array.tolist(), 3):
+        conj = np.array(sorted(_conjugates(ag.unpack(code, 3), h3.tolist(), 3)), dtype=np.int64)
+        assert _check_conjugacy(h3, conj, 3) is not None
+    # the mod-2 preimage of the matrices {(0, M)} has H_3's order and an image of order 6, not 24;
+    # its first codes are probes no t conjugates into H_3 (the other way round every t keeps
+    # H_3's probes, which have v = 0, in it, and the oracle checks all of H_3 for each t)
+    matrices = ag.full_agl(1).code_array[:6]
+    assert np.all(matrices < 16)
+    other = ag._preimage(matrices, 1, 3)
+    assert other.size == h3.size
+    assert _check_conjugacy(other, h3, 3) is None
+    # at level 2 that way round is cheap: all 384 t that keep H_2's probes in the
+    # preimage fail the full-set check
+    assert _check_conjugacy(ag.h2().code_array, ag._preimage(matrices, 1, 2), 2) is None
+    assert _check_conjugacy(h3, ag.full_agl(3).code_array, 3) is None
+
+
+def _preimage_oracle(codes, r, k):
+    """One broadcast of every lift 2^r t onto every code, then one full sort."""
+    lifts = ag._repack(np.arange(1 << 6 * (k - r), dtype=np.int64), k - r, k) << r
+    return np.sort((ag._repack(codes, r, k)[:, None] + lifts[None, :]).ravel())
+
+
+def test_preimage_matches_broadcast_and_sort_oracle():
+    for codes, r, levels in ((ag.h2().code_array, 2, (2, 3, 4)), (ag.full_agl(1).code_array, 1, (1, 2, 3))):
+        for k in levels:
+            assert np.array_equal(ag._preimage(codes, r, k), _preimage_oracle(codes, r, k)), (r, k)
+    # the code arrays as built before the block sort, by SHA-256 prefix of their little-endian bytes
+    pinned = {
+        ag.full_agl(1): "26c84c724513f5fb",
+        ag.full_agl(2): "3256fe6a73183c81",
+        ag.full_agl(3): "1a40bda1cbc15e70",
+        ag.build_hk(3): "c5bba535625112d4",
+        ag.build_hk(4): "0eaf67fd1ab71a92",
+    }
+    for rep, prefix in pinned.items():
+        assert hashlib.sha256(rep.code_array.astype("<i8").tobytes()).hexdigest()[:16] == prefix, rep.level
+
+
+def test_kernel_squaring_identity():
+    # (2^j u, I + 2^j A)^2 = (2^(j+1) u, I + 2^(j+1) A) mod 2^(j+2) for j >= 2: the
+    # square adds 2^(2j) (A u, A^2), which vanishes mod 2^(j+2) exactly when j >= 2
+    for k in range(4, 9):
+        j, mask = k - 2, (1 << k) - 1
+        for c in range(64):
+            e = ag._kernel_elem(c, j + 1)  # 2^j times the code's bits
+            assert ag._comp(e, e, mask) == ag._kernel_elem(c, j + 2), (k, c)
+    # j = 1 is too low: A = [[0, 1], [1, 0]] has A^2 = I, so the square picks up 4 I mod 8
+    e = ag._kernel_elem(0b000110, 2)
+    assert ag._comp(e, e, 7) != ag._kernel_elem(0b000110, 3)
