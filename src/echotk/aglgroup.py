@@ -11,6 +11,7 @@ outcome is exactly two conjugacy classes, the full group and H_k.
 Internally an element is a flat 6-tuple (v0, v1, m00, m01, m10, m11) reduced
 mod 2^k, packed big-endian into a 6k-bit integer code: the vector sits in the
 top 2k bits and the matrix in the low 4k bits, so code order is tuple order.
+Codes are int32 end to end, which caps the levels at 5 (30-bit codes).
 A subgroup is its level and sorted code array; where generators are
 needed, a small set is read off the codes.  The closure engine is a numpy
 frontier BFS from the identity: right multiplication by (b, B) sends (a, A)
@@ -27,8 +28,11 @@ table is read off six basis images, and the stable submodules W are the
 sums of cyclic ones (spans of single orbits).  The kernel parts of Q's
 relations are affine-linear over F_2 in the unknown lifts, and G & K = W
 exactly when they all lie in W; so one F_2 linear solve per (Q, W) yields
-every valid lift.  Such a G has order |Q| * |W|, and only the lifts whose
-order can reach |GL_2(Z/2^k)|, as a kinetic group's must, are closed.
+every valid lift.  Such a G has order |Q| * |W|, and only the W whose
+order can reach |GL_2(Z/2^k)|, as a kinetic group's must, are solved.  A
+lift with W = K is the whole preimage of Q, built like H_k; the others are
+closed.  Lifts are tested for conjugacy by where a transversal sends their
+generators.
 """
 
 from __future__ import annotations
@@ -151,7 +155,7 @@ def _is_kinetic(codes: np.ndarray, k: int) -> bool:
 def _vector_sum_table(k: int) -> np.ndarray:
     """Entry (a << 2k) | c is the code of the vector a + c, shifted into a code's vector field."""
     mask, half = (1 << k) - 1, 2 * k
-    idx = np.arange(1 << 2 * half, dtype=np.int64)
+    idx = np.arange(1 << 2 * half, dtype=np.int32)
     a, c = idx >> half, idx & ((1 << half) - 1)
     total = (((((a >> k) + (c >> k)) & mask) << k) | ((a + c) & mask)) << 2 * half
     total.flags.writeable = False  # cached and shared by every closure
@@ -182,8 +186,10 @@ def _closure_codes(gens: Iterable[int], k: int, max_size: Optional[int] = None) 
 
     BFS from the identity under right multiplication by each generator and
     its inverse.  Returns None when the subgroup has more than max_size
-    elements.
+    elements.  Codes are int32, so k is capped at 5.
     """
+    if k > 5:
+        raise ResourceBudgetError(f"closure is capped at level 5: level {k} has 2^{6 * k} codes, past int32")
     steps: list[int] = []
     for g in gens:
         for h in (g, pack(_inv(unpack(g, k), k), k)):
@@ -195,7 +201,7 @@ def _closure_codes(gens: Iterable[int], k: int, max_size: Optional[int] = None) 
     matrix_mask = (1 << 4 * k) - 1
     seen = np.zeros(1 << 6 * k, dtype=bool)
     slot = np.empty(1 << 6 * k, dtype=np.int32)
-    frontier = np.array([pack(IDENTITY_RAW, k)], dtype=np.int64)
+    frontier = np.array([pack(IDENTITY_RAW, k)], dtype=np.int32)
     seen[frontier] = True
     size = 1
     while frontier.size:
@@ -214,17 +220,17 @@ def _closure_codes(gens: Iterable[int], k: int, max_size: Optional[int] = None) 
         if max_size is not None and size > max_size:
             return None
         seen[frontier] = True
-    return np.flatnonzero(seen)
+    return np.flatnonzero(seen).astype(np.int32)
 
 
 @dataclass(frozen=True, eq=False)
 class SubgroupRep:
     """A concrete subgroup: its level and code_array, its elements' codes.
 
-    code_array is int64 and strictly increasing; construction makes it
-    read-only, so cached subgroups share it safely.  codes is a frozenset
-    view built on each call, never cached.  eq=False makes == identity:
-    compare subgroups by their arrays (np.array_equal).
+    code_array is int32 (a code has 6k <= 30 bits) and strictly increasing;
+    construction makes it read-only, so cached subgroups share it safely.
+    codes is a frozenset view built on each call, never cached.  eq=False
+    makes == identity: compare subgroups by their arrays (np.array_equal).
     """
 
     level: int
@@ -293,10 +299,10 @@ def _preimage(codes: np.ndarray, r: int, k: int) -> np.ndarray:
     sorted: block t0 is that block plus t0 * 2^(6k - (k-r)).
     """
     free = k - r
-    lifts = _repack(np.arange(1 << 5 * free, dtype=np.int64), free, k) << r  # t0 = 0
+    lifts = _repack(np.arange(1 << 5 * free, dtype=np.int32), free, k) << r  # t0 = 0
     block = codes.size * lifts.size
     # every block is written in place: a separate sorted block would raise the peak
-    out = np.empty(block << free, dtype=np.int64)
+    out = np.empty(block << free, dtype=np.int32)
     np.add(_repack(codes, r, k)[:, None], lifts[None, :], out=out[:block].reshape(codes.size, lifts.size))
     out[:block].sort()
     for t0 in range(1, 1 << free):
@@ -320,7 +326,7 @@ def full_agl(k: int) -> SubgroupRep:
     if k > 3:
         raise ResourceBudgetError("full group materialization is capped at k = 3")
     matrices = _gl_matrices(1) @ np.array([8, 4, 2, 1])  # level-1 matrix codes
-    level1 = (np.arange(4)[:, None] << 4 | matrices).ravel()  # the vector in the top 2 bits
+    level1 = (np.arange(4)[:, None] << 4 | matrices).ravel().astype(np.int32)  # the vector in the top 2 bits
     return SubgroupRep(k, _preimage(level1, 1, k))
 
 
@@ -476,7 +482,9 @@ def _lift_relations(lifts: Sequence[Elem], k: int) -> list[int]:
     return list(_f2_echelon(relations).values())
 
 
-def _lifted_subgroups(q: SubgroupRep, gens: Sequence[int]) -> Iterator[tuple[frozenset, list[int]]]:
+def _lifted_subgroups(
+    q: SubgroupRep, gens: Sequence[int], min_order: int = 0
+) -> Iterator[tuple[frozenset, list[int]]]:
     """(W, generator codes of G) for each G one level above q with image q and W = G & K stable.
 
     gens are codes of generators of q, and G is generated by W and lifts
@@ -484,7 +492,7 @@ def _lifted_subgroups(q: SubgroupRep, gens: Sequence[int]) -> Iterator[tuple[fro
     every relation of q takes its value in W, that is, when each value is
     killed by every annihilator of W.  As G contains W, c_i matters only mod
     W, so the rows that clear c_i on W's pivot bits pick one c per G, and
-    |G| = |q| * |W|.
+    |G| = |q| * |W|; a W with |q| * |W| < min_order is not solved.
     """
     k = q.level + 1
     mask = (1 << k) - 1
@@ -493,6 +501,8 @@ def _lifted_subgroups(q: SubgroupRep, gens: Sequence[int]) -> Iterator[tuple[fro
     width = n + 1
     relations = _lift_relations(lifts, k)
     for w in _stable_kernel_submodules():
+        if q.order * len(w) < min_order:
+            continue
         w_basis = _f2_echelon(w)
         annihilator = _f2_echelon(
             a for a in range(64) if all(bin(a & x).count("1") % 2 == 0 for x in w_basis.values())
@@ -512,11 +522,14 @@ def _lifted_subgroups(q: SubgroupRep, gens: Sequence[int]) -> Iterator[tuple[fro
             yield w, lifted + w_gens
 
 
-def _are_conjugate(s1: np.ndarray, s2: np.ndarray, k: int, transversal: np.ndarray) -> Optional[Elem]:
+def _are_conjugate(
+    s1: np.ndarray, gens1: Sequence[int], s2: np.ndarray, k: int, transversal: np.ndarray
+) -> Optional[Elem]:
     """The first t of transversal with t s1 t^-1 = s2 (sorted code arrays), or None.
 
-    Six probes of s1 are conjugated by the whole transversal at once; only
-    the t that keep all six in s2 conjugate the rest of s1.
+    gens1 are codes of generators of s1, conjugated by the whole transversal
+    at once.  A t that keeps them all in s2 maps s1 into s2, and onto it
+    since |s1| = |s2|, so no element past the generators is checked.
     """
     if s1.size != s2.size:
         return None
@@ -530,12 +543,9 @@ def _are_conjugate(s1: np.ndarray, s2: np.ndarray, k: int, transversal: np.ndarr
     def conjugates(t: Elem, codes: np.ndarray) -> np.ndarray:
         return pack(_comp(_comp(t, fields(codes), mask), _inv(t, k), mask), k)
 
-    ts = tuple(f[:, None] for f in fields(transversal))  # one row per t, one column per probe
-    for i in np.flatnonzero(member[conjugates(ts, s1[:6])].all(axis=1)).tolist():
-        t = unpack(int(transversal[i]), k)
-        if member[conjugates(t, s1)].all():  # conjugation is injective and |s1| = |s2|
-            return t
-    return None
+    ts = tuple(f[:, None] for f in fields(transversal))  # one row per t, one column per generator
+    hits = np.flatnonzero(member[conjugates(ts, np.array(gens1, dtype=s1.dtype))].all(axis=1))
+    return unpack(int(transversal[hits[0]]), k) if hits.size else None
 
 
 @dataclass(frozen=True)
@@ -580,19 +590,21 @@ def classify_kinetic(k: int) -> list[KineticClass]:
         quotients = [c.representative for c in classify_kinetic(k - 1)]
     groups = []
     for q in quotients:
-        for w, gens in _lifted_subgroups(q, _recover_generators(q)):
-            order = q.order * len(w)
-            if order < GL_ORDERS[k]:
-                continue  # too small to surject onto GL_2(Z/2^k): no closure
-            got = _closure_codes(gens, k, max_size=order)
-            assert got is not None and got.size == order, "a solved lift left W or Q"
+        # a lift too small to surject onto GL_2(Z/2^k) is never solved
+        for w, gens in _lifted_subgroups(q, _recover_generators(q), min_order=GL_ORDERS[k]):
+            if len(w) == 64:
+                got = _preimage(q.code_array, k - 1, k)  # G contains all of K: no closure
+            else:
+                order = q.order * len(w)
+                got = _closure_codes(gens, k, max_size=order)
+                assert got is not None and got.size == order, "a solved lift left W or Q"
             if _is_kinetic(got, k):
-                groups.append(got)
+                groups.append((got, gens))
     transversal = full_agl(k).code_array
     classes: list[list[np.ndarray]] = []
-    for g in groups:
+    for g, gens in groups:
         for members in classes:
-            if _are_conjugate(g, members[0], k, transversal) is not None:
+            if _are_conjugate(g, gens, members[0], k, transversal) is not None:
                 members.append(g)
                 break
         else:

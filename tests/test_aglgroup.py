@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -119,11 +120,13 @@ def test_every_subgroup_is_a_sorted_read_only_code_array():
     for rep in reps:
         assert [f.name for f in dataclasses.fields(rep)] == ["level", "code_array"]
         codes = rep.code_array
-        assert codes.dtype == np.int64
+        assert codes.dtype == np.int32
         assert np.all(np.diff(codes) > 0), rep.level
         assert not codes.flags.writeable
         with pytest.raises(ValueError):
             codes[0] = codes[0]
+    # int32 codes: H_4's 1572864 codes take 4 bytes each
+    assert ag.build_hk(4).code_array.nbytes == 4 * 1572864
     # subgroups compare by identity, never by an elementwise array ==
     assert all(rep == rep and (rep == other) is (rep is other) for rep, other in zip(reps, reps[1:]))
     assert np.array_equal(ag.closure(list(ag.H2_GENERATORS)).code_array, ag.h2().code_array)
@@ -132,6 +135,12 @@ def test_every_subgroup_is_a_sorted_read_only_code_array():
 def test_build_hk_materialization_cap():
     with pytest.raises(ag.ResourceBudgetError, match="mod-4 preimage of h2"):
         ag.build_hk(5)
+
+
+def test_closure_is_capped_at_level_5():
+    # 36-bit codes would wrap in int32, and the seen array would take 64 GB
+    with pytest.raises(ag.ResourceBudgetError, match="capped at level 5"):
+        ag.closure([ag.AglElem(6, *ag.IDENTITY_RAW)])
 
 
 def test_classify_level2():
@@ -421,8 +430,8 @@ def test_lift_solver_matches_closure_per_lift_oracle():
             repeats = len(found) - len(set(found))
             assert repeats == 0, (q.level, sorted(w))
             assert set(found) == want[w], (q.level, sorted(w))
-        # H_2 over AGL_2(F_2), H_3 over H_2
-        hk = np.array(sorted(ag.build_hk(q.level + 1).codes), dtype=np.int64)
+        # H_2 over AGL_2(F_2), H_3 over H_2, keyed in the code arrays' own dtype
+        hk = ag.build_hk(q.level + 1).code_array
         assert hk.tobytes() in set().union(*want.values())
 
 
@@ -435,14 +444,32 @@ def test_h2_is_maximal_spot_check():
         assert grown.order == 1536
 
 
+def _lifted_quotients(k):
+    """The quotients classify_kinetic lifts to level k, with the generators it reads off them."""
+    quotients = [ag.full_agl(1)] if k == 2 else [c.representative for c in ag.classify_kinetic(2)]
+    return [(q, ag._recover_generators(q)) for q in quotients]
+
+
+def test_full_kernel_lifts_are_preimages():
+    # classify_kinetic builds a lift with W = K as the preimage of q; the closure of its generators is the oracle
+    count = 0
+    for k in (2, 3):
+        for q, gens in _lifted_quotients(k):
+            for w, lifted in ag._lifted_subgroups(q, gens):
+                if len(w) == 64:
+                    got = ag._preimage(q.code_array, k - 1, k)
+                    assert np.array_equal(got, ag._closure_codes(lifted, k)), (k, q.order)
+                    count += 1
+    assert count == 3  # one over AGL_2(F_2), one over each level-2 representative
+
+
 def test_kinetic_lifts_reach_the_pruning_bound():
-    # classify_kinetic closes only lifts with |q| |W| >= |GL_2(Z/2^k)|; unpruned,
+    # classify_kinetic solves only W with |q| |W| >= |GL_2(Z/2^k)|; unpruned,
     # every kinetic lift meets that bound and they are exactly the members found
     for k in (2, 3):
-        quotients = [ag.full_agl(1)] if k == 2 else [c.representative for c in ag.classify_kinetic(2)]
         kinetic = 0
-        for q in quotients:
-            for w, got in _closed_lifts(q, ag._recover_generators(q)):
+        for q, gens in _lifted_quotients(k):
+            for w, got in _closed_lifts(q, gens):
                 if ag._is_kinetic(got, k):
                     assert q.order * len(w) >= ag.GL_ORDERS[k], (k, q.order, len(w))
                     kinetic += 1
@@ -471,7 +498,8 @@ def _are_conjugate_oracle(s1, s2, k, transversal):
 
 def _check_conjugacy(s1, s2, k):
     transversal = ag.full_agl(k).code_array
-    got = ag._are_conjugate(s1, s2, k, transversal)
+    gens = ag._recover_generators(ag.SubgroupRep(k, s1))
+    got = ag._are_conjugate(s1, gens, s2, k, transversal)
     assert got == _are_conjugate_oracle(s1, s2, k, transversal)
     if got is not None:
         assert sorted(_conjugates(got, s1.tolist(), k)) == s2.tolist()
@@ -504,6 +532,18 @@ def test_are_conjugate_matches_per_element_oracle():
     # preimage fail the full-set check
     assert _check_conjugacy(ag.h2().code_array, ag._preimage(matrices, 1, 2), 2) is None
     assert _check_conjugacy(h3, ag.full_agl(3).code_array, 3) is None
+
+
+def test_are_conjugate_probes_generators_only():
+    # H_3 against the mod-2 preimage of {(0, M)}: a quarter of all t keep H_3's six
+    # leading codes in it, and checking all of H_3 for each such t took 22.9 s;
+    # where t sends H_3's generators settles every t at once
+    h3 = ag.build_hk(3)
+    other = ag._preimage(ag.full_agl(1).code_array[:6], 1, 3)
+    gens = ag._recover_generators(h3)
+    start = time.perf_counter()
+    assert ag._are_conjugate(h3.code_array, gens, other, 3, ag.full_agl(3).code_array) is None
+    assert time.perf_counter() - start < 1.0
 
 
 def _preimage_oracle(codes, r, k):
