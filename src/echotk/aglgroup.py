@@ -29,10 +29,9 @@ sums of cyclic ones (spans of single orbits).  The kernel parts of Q's
 relations are affine-linear over F_2 in the unknown lifts, and G & K = W
 exactly when they all lie in W; so one F_2 linear solve per (Q, W) yields
 every valid lift.  Such a G has order |Q| * |W|, and only the W whose
-order can reach |GL_2(Z/2^k)|, as a kinetic group's must, are solved.  A
-lift with W = K is the whole preimage of Q, built like H_k; the others are
-closed.  Lifts are tested for conjugacy by where a transversal sends their
-generators.
+order can reach |GL_2(Z/2^k)|, as a kinetic group's must, are solved, and
+each solved lift is closed.  Lifts are tested for conjugacy by where a
+transversal sends their generators.
 """
 
 from __future__ import annotations
@@ -592,12 +591,9 @@ def classify_kinetic(k: int) -> list[KineticClass]:
     for q in quotients:
         # a lift too small to surject onto GL_2(Z/2^k) is never solved
         for w, gens in _lifted_subgroups(q, _recover_generators(q), min_order=GL_ORDERS[k]):
-            if len(w) == 64:
-                got = _preimage(q.code_array, k - 1, k)  # G contains all of K: no closure
-            else:
-                order = q.order * len(w)
-                got = _closure_codes(gens, k, max_size=order)
-                assert got is not None and got.size == order, "a solved lift left W or Q"
+            order = q.order * len(w)
+            got = _closure_codes(gens, k, max_size=order)
+            assert got is not None and got.size == order, "a solved lift left W or Q"
             if _is_kinetic(got, k):
                 groups.append((got, gens))
     transversal = full_agl(k).code_array

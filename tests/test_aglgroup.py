@@ -2,7 +2,6 @@ import dataclasses
 import hashlib
 import itertools
 import random
-import time
 
 import numpy as np
 import pytest
@@ -451,7 +450,8 @@ def _lifted_quotients(k):
 
 
 def test_full_kernel_lifts_are_preimages():
-    # classify_kinetic builds a lift with W = K as the preimage of q; the closure of its generators is the oracle
+    # a lift with W = K is the whole preimage of q, so it can be built with no closure;
+    # the closure of its generators is the oracle
     count = 0
     for k in (2, 3):
         for q, gens in _lifted_quotients(k):
@@ -534,16 +534,25 @@ def test_are_conjugate_matches_per_element_oracle():
     assert _check_conjugacy(h3, ag.full_agl(3).code_array, 3) is None
 
 
-def test_are_conjugate_probes_generators_only():
+def test_are_conjugate_probes_generators_only(monkeypatch):
     # H_3 against the mod-2 preimage of {(0, M)}: a quarter of all t keep H_3's six
     # leading codes in it, and checking all of H_3 for each such t took 22.9 s;
-    # where t sends H_3's generators settles every t at once
+    # where t sends H_3's generators settles every t in one pass of |transversal| x |gens|
     h3 = ag.build_hk(3)
     other = ag._preimage(ag.full_agl(1).code_array[:6], 1, 3)
     gens = ag._recover_generators(h3)
-    start = time.perf_counter()
-    assert ag._are_conjugate(h3.code_array, gens, other, 3, ag.full_agl(3).code_array) is None
-    assert time.perf_counter() - start < 1.0
+    transversal = ag.full_agl(3).code_array
+    shapes = []
+    comp = ag._comp
+
+    def spy(a, b, mask):
+        got = comp(a, b, mask)
+        shapes.append(np.shape(got[0]))
+        return got
+
+    monkeypatch.setattr(ag, "_comp", spy)
+    assert ag._are_conjugate(h3.code_array, gens, other, 3, transversal) is None
+    assert shapes and set(shapes) == {(transversal.size, len(gens))}
 
 
 def _preimage_oracle(codes, r, k):
