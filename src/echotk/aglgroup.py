@@ -580,6 +580,16 @@ def classify_kinetic(k: int) -> list[KineticClass]:
     representative of classify_kinetic(k - 1), and it meets the kernel K in
     a stable submodule; _lifted_subgroups finds every subgroup over each
     such pair.  Classes come back sorted by descending order.
+
+    The tower closes at level 3, so k = 3 settles every level.  For j >= 2,
+    any g = (2^j u, I + 2^j A) mod 2^(j+1) squares to (2^(j+1) u,
+    I + 2^(j+1) A) mod 2^(j+2): the square's other terms carry 2^(2j), and
+    2j >= j + 2.  So once a closed subgroup's level-k image (k >= 3) holds
+    the kernel K of reduction to level k - 1, its level-(k + 1) image holds
+    the next kernel.  Both level-3 classes hold K (98304 = 1536 * 64 and
+    24576 = 384 * 64), and a kinetic closed subgroup of AGL_2(Z_2) has a
+    kinetic level-3 image, so it is the full preimage of that image:
+    conjugate to the full group or to H.
     """
     if k not in (2, 3):
         raise ValueError("classification is implemented for k in {2, 3}")

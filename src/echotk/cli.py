@@ -192,13 +192,21 @@ def _normal_form_of_base_pair() -> bool:
     return (a, b) == (Fraction(6, 5), Fraction(3, 25)) and tmap.apply(curves.POINT_P) == (0, 0)
 
 
-def _criterion_matches_scan() -> bool:
-    # p | b_n forces (2n+1)P = O mod p, so the first hit lies within half
+def _criterion_matches_scan(term: Callable[[int], int], odd_order: Callable[[int], bool]) -> bool:
+    # p | b_n forces an odd multiple of the point, (2n+1)P for ECHO and
+    # (2n-3)P for Somos-4, to be O mod p, so the first hit lies within half
     # the group order, which p + 2 isqrt(p) + 4 exceeds
     return all(
-        sweep.divides_some_term(p)
-        == any(seq.term(n) % p == 0 for n in range(p + 2 * math.isqrt(p) + 4))
+        odd_order(p) == any(term(n) % p == 0 for n in range(p + 2 * math.isqrt(p) + 4))
         for p in sweep.primes_up_to(199)
+    )
+
+
+def _somos4_criterion_matches_scan() -> bool:
+    # Somos-4's pair is (0, 0) on y^2 + y = x^3 - x; its terms get their own memo
+    pair = sweep._prepare(curves.Curve(0, 0, 1, -1, 0), (Fraction(0), Fraction(0)))
+    return _criterion_matches_scan(
+        seq.EchoSequence(seq.SOMOS4).term, lambda p: bool(sweep._decide([p], *pair)[0])
     )
 
 
@@ -264,7 +272,10 @@ INVARIANTS: tuple[tuple[str, str, Callable[[], bool]], ...] = (
     ("sweep", "sweep table to 1e4: (3,4) (13,25) (91,168) (636,1229)",
      lambda: [(r.x, r.pi_prime, r.pi) for r in sweep.sweep(10_000, threads=1)]
      == [(10, 3, 4), (100, 13, 25), (1000, 91, 168), (10000, 636, 1229)]),
-    ("sweep", "odd-order criterion matches direct sequence scan, p < 200", _criterion_matches_scan),
+    ("sweep", "odd-order criterion matches direct sequence scan, p < 200",
+     lambda: _criterion_matches_scan(seq.term, sweep.divides_some_term)),
+    ("sweep", "Somos-4 criterion ((0, 0) on y^2 + y = x^3 - x) matches direct term scan, p < 200",
+     _somos4_criterion_matches_scan),
     ("group", "|H_2| = 384 and kinetic",
      lambda: aglgroup.h2().order == 384 and aglgroup.is_kinetic(aglgroup.h2())),
     ("group", "|H_3| = 24576, |H_4| = 1572864",

@@ -193,16 +193,16 @@ class OddMultiple:
 def odd_multiple_coords(n: int) -> OddMultiple:
     """Closed-form coordinates of (2n+1)*P from sequence terms.
 
-    x-numerator: 2*b_n^2 - b_{n-3}*b_{n+3}; the y-numerator picks a factor
-    1, 3 or 9 according to n mod 3.  Both fractions arrive already reduced
-    because consecutive terms are coprime.
+    x-numerator: 2*b_n^2 - b_{n-3}*b_{n+3}; the y-numerator carries the
+    factor c_n c_{n+1}^2 (c_n = seq.coefficient(n)).  Both fractions arrive
+    already reduced because consecutive terms are coprime.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     b = seq.term
     bn = b(n)
     g = 2 * bn * bn - b(n - 3) * b(n + 3)
-    factor = {0: 3, 1: 1, 2: 9}[n % 3]
+    factor = seq.coefficient(n) * seq.coefficient(n + 1) ** 2
     f = bn**3 + factor * b(n - 1) ** 2 * b(n + 2)
     return OddMultiple(n, g, f, bn)
 

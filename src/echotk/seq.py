@@ -1,12 +1,12 @@
 """The ECHO sequence: an integer recurrence, memoized over all integer indices.
 
-The sequence is pinned down by two equivalent recursive definitions.  The
-primary one has order 4 with a coefficient that alternates with the index
-mod 3; the alternate one has order 7 with constant coefficients.  Both
-extend to negative indices, and every division the recurrences perform is
-exact (the terms are integers).  Equality of the two definitions, the
-index symmetry b_n = -b_{-(n+1)}, and the residue periodicities are all
-checked by the test suite rather than assumed here.
+Each recurrence is a data row, and one step fills any row in both
+directions.  The two equivalent ECHO rows are PRIMARY, of order 4 with the
+coefficient c_n of ``coefficient``, and APPENDIX, of order 7 with constant
+coefficients; SOMOS4 is a third.  Every division is exact (the terms are
+integers).  Equality of the two ECHO rows, the index symmetry b_n =
+-b_{-(n+1)}, and the residue periodicities are all checked by the test
+suite rather than assumed here.
 """
 
 from __future__ import annotations
@@ -14,11 +14,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-SEED_PRIMARY = (1, 1, 2, 1)
-SEED_ALT = (1, 1, 2, 1, -3, -7, -17)
+from typing import Callable, NamedTuple
 
 DEFAULT_CYCLE_SEARCH_BOUND = 2000
+
+
+class Recurrence(NamedTuple):
+    """Seed b_0..b_{N-1}; terms(n) gives the (i, c) of b_n b_{n-N} = sum of c b_{n-i} b_{n-N+i}."""
+
+    seed: tuple[int, ...]
+    terms: Callable[[int], tuple[tuple[int, int], ...]]
+
+
+def coefficient(n: int) -> int:
+    """c_n of the primary recurrence: 3 when 3 divides n, else 1."""
+    return 3 if n % 3 == 0 else 1
+
+
+PRIMARY = Recurrence((1, 1, 2, 1), lambda n: ((1, 1), (2, -coefficient(n))))
+APPENDIX = Recurrence((1, 1, 2, 1, -3, -7, -17), lambda n: ((1, -1), (3, 5)))
+SOMOS4 = Recurrence((1, 1, 1, 1), lambda n: ((1, 1), (2, 1)))
 
 
 class InexactDivisionError(ArithmeticError):
@@ -37,15 +52,12 @@ def _exact_div(num: int, den: int, what: str) -> int:
 
 
 class EchoSequence:
-    """Two-way memoized view of the sequence under one of the two definitions."""
+    """Two-way memoized view of the sequence one recurrence row defines."""
 
-    def __init__(self, definition: str = "primary"):
-        if definition not in ("primary", "appendix"):
-            raise ValueError(f"unknown definition {definition!r}")
-        self.definition = definition
-        seed = SEED_PRIMARY if definition == "primary" else SEED_ALT
-        self._cache: dict[int, int] = dict(enumerate(seed))
-        self._lo, self._hi = 0, len(seed) - 1  # the cache holds lo..hi
+    def __init__(self, recurrence: Recurrence = PRIMARY):
+        self.recurrence = recurrence
+        self._cache: dict[int, int] = dict(enumerate(recurrence.seed))
+        self._lo, self._hi = 0, len(recurrence.seed) - 1  # the cache holds lo..hi
 
     def term(self, n: int) -> int:
         cached = self._cache.get(n)
@@ -53,32 +65,25 @@ class EchoSequence:
             return cached
         # fill the cache one index at a time from its nearer end, so no call
         # recurses however far n lies outside it
-        step = self._term_primary if self.definition == "primary" else self._term_appendix
         fill = range(self._hi + 1, n + 1) if n > self._hi else range(self._lo - 1, n - 1, -1)
         for i in fill:
             if i not in self._cache:
-                self._cache[i] = step(i)
+                self._cache[i] = self._step(i)
             self._lo, self._hi = min(self._lo, i), max(self._hi, i)
         return self._cache[n]
 
-    def _term_primary(self, n: int) -> int:
+    def _step(self, n: int) -> int:
+        # the relation at top = n going up, or at top = n + N going down;
+        # b_n is the one end of the pair b_top b_{top-N} not yet known
         b = self._cache.__getitem__
-        if n >= 4:
-            c = 3 if n % 3 == 0 else 1
-            return _exact_div(b(n - 1) * b(n - 3) - c * b(n - 2) ** 2, b(n - 4), f"b_{n}")
-        # downward extension; the dividing term alternates the same way
-        c = 3 if n % 3 == 2 else 1
-        return _exact_div(b(n + 3) * b(n + 1) - c * b(n + 2) ** 2, b(n + 4), f"b_{n}")
-
-    def _term_appendix(self, n: int) -> int:
-        b = self._cache.__getitem__
-        if n >= 7:
-            return _exact_div(-b(n - 6) * b(n - 1) + 5 * b(n - 4) * b(n - 3), b(n - 7), f"b_{n}")
-        return _exact_div(-b(n + 1) * b(n + 6) + 5 * b(n + 3) * b(n + 4), b(n + 7), f"b_{n}")
+        order = len(self.recurrence.seed)
+        top, other = (n, n - order) if n >= order else (n + order, n + order)
+        value = sum(c * b(top - i) * b(top - order + i) for i, c in self.recurrence.terms(top))
+        return _exact_div(value, b(other), f"b_{n}")
 
 
-_PRIMARY = EchoSequence("primary")
-_APPENDIX = EchoSequence("appendix")
+_PRIMARY = EchoSequence(PRIMARY)
+_APPENDIX = EchoSequence(APPENDIX)
 
 
 def term(n: int) -> int:
@@ -97,14 +102,10 @@ def h_value(n: int) -> int:
     The vanishing of this expression is what makes the odd-multiple
     coordinate formulas on the companion curve close under addition.
     """
-    b = term
-    b3, b2, b1, b0 = b(n - 3), b(n - 2), b(n - 1), b(n)
-    r = n % 3
-    if r == 0:
-        return b3 * b3 * b0 * b0 + b3 * b1**3 + 3 * b2**3 * b0 - 3 * b2 * b2 * b1 * b1
-    if r == 1:
-        return 3 * b3 * b3 * b0 * b0 + b3 * b1**3 + b2**3 * b0 - b2 * b2 * b1 * b1
-    return b3 * b3 * b0 * b0 + 3 * b3 * b1**3 + b2**3 * b0 - 3 * b2 * b2 * b1 * b1
+    b3, b2, b1, b0 = (term(n - i) for i in (3, 2, 1, 0))
+    c = coefficient
+    return (c(n - 1) * b3 * b3 * b0 * b0 + c(n - 2) * b3 * b1**3 + c(n) * b2**3 * b0
+            - c(n) * c(n - 2) * b2 * b2 * b1 * b1)
 
 
 def d_value(n: int) -> int:
@@ -114,10 +115,8 @@ def d_value(n: int) -> int:
 
 
 def d_ratio(n: int) -> Fraction:
-    """d_n / (b_{n+1} * b_{n+4}); lands in {1, 3}, depending only on n mod 3.
-
-    Direct computation places the factor 3 at n = 0 (mod 3); the tests pin
-    that placement.
+    """d_n / (b_{n+1} * b_{n+4}), which direct computation finds equal to
+    coefficient(n); the tests pin that placement.
     """
     den = term(n + 1) * term(n + 4)
     if den == 0:
@@ -133,9 +132,9 @@ class ResidueCycle:
     contains_zero: bool
 
 
-# Window width covers the deeper (order-7) recurrence, so a repeated window
+# Window width covers the deeper (appendix) recurrence, so a repeated window
 # pins the whole tail of the residue stream.
-_WINDOW = 7
+_WINDOW = len(APPENDIX.seed)
 
 
 def residue_cycle(m: int, search_bound: int = DEFAULT_CYCLE_SEARCH_BOUND) -> ResidueCycle:

@@ -54,7 +54,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import curves
+from . import curves, seq
 from .curves import Curve, Point
 from .polyops import primes_in_range, primes_up_to
 
@@ -428,13 +428,13 @@ def _decide(ps, parts: tuple, bad: int, decided: dict):
 
 
 _ECHO_PAIR = _prepare(curves.CURVE_E, curves.POINT_P)
-_ECHO_PAIR[2].update({3: True, 5: False})  # E's bad primes, settled by the residue cycles
+_ECHO_PAIR[2].update({q: seq.residue_cycle(q).contains_zero for q in (3, 5)})  # E's bad primes
 
 
 def divides_some_term(p: int) -> bool:
     """Whether the prime p divides some sequence term.
 
-    Bad-reduction primes are hard-wired from the residue cycles; every other
+    Bad-reduction primes are read off the residue cycles; every other
     prime goes through the odd-order criterion for P mod p.  Any other
     integer raises ValueError.
     """

@@ -579,12 +579,18 @@ def test_preimage_matches_broadcast_and_sort_oracle():
 
 def test_kernel_squaring_identity():
     # (2^j u, I + 2^j A)^2 = (2^(j+1) u, I + 2^(j+1) A) mod 2^(j+2) for j >= 2: the
-    # square adds 2^(2j) (A u, A^2), which vanishes mod 2^(j+2) exactly when j >= 2
+    # square adds 2^(2j) (A u, A^2), which vanishes mod 2^(j+2) exactly when j >= 2.
+    # It holds for every lift of kappa(c) from level j + 1, which is why a closed
+    # subgroup is the full preimage of its level-3 image once that image contains K
+    rng = random.Random(5)
     for k in range(4, 9):
         j, mask = k - 2, (1 << k) - 1
         for c in range(64):
             e = ag._kernel_elem(c, j + 1)  # 2^j times the code's bits
             assert ag._comp(e, e, mask) == ag._kernel_elem(c, j + 2), (k, c)
+            for _ in range(50):
+                g = tuple(x + (rng.randrange(1 << k) << (j + 1)) for x in e)
+                assert ag._comp(g, g, mask) == ag._kernel_elem(c, j + 2), (k, c, g)
     # j = 1 is too low: A = [[0, 1], [1, 0]] has A^2 = I, so the square picks up 4 I mod 8
     e = ag._kernel_elem(0b000110, 2)
     assert ag._comp(e, e, 7) != ag._kernel_elem(0b000110, 3)

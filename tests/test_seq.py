@@ -48,9 +48,40 @@ def test_d_ratio_values_and_placement():
 def test_terms_far_from_the_cache_without_recursion():
     # a fresh cache fills one index at a time from its nearer end, upward
     # and downward; a recursive fill overflowed the stack by n = 520
-    for definition in ("primary", "appendix"):
-        fresh = seq.EchoSequence(definition)
-        assert fresh.term(600) == -fresh.term(-601), definition
+    for row in (seq.PRIMARY, seq.APPENDIX):
+        fresh = seq.EchoSequence(row)
+        assert fresh.term(600) == -fresh.term(-601), row.seed
+
+
+@pytest.mark.parametrize(
+    "row, module_term",
+    [(seq.PRIMARY, seq.term), (seq.APPENDIX, seq.term_alt), (seq.SOMOS4, None)],
+    ids=["primary", "appendix", "somos4"],
+)
+def test_one_step_fills_both_ways(row, module_term):
+    # down then up and up then down give the same terms, which are the
+    # module's memo where the row has one
+    down_up, up_down = seq.EchoSequence(row), seq.EchoSequence(row)
+    down_up.term(-300)
+    down_up.term(300)
+    up_down.term(300)
+    up_down.term(-300)
+    got = [down_up.term(n) for n in range(-300, 301)]
+    assert got == [up_down.term(n) for n in range(-300, 301)]
+    if module_term is not None:
+        assert got == [module_term(n) for n in range(-300, 301)]
+
+
+def test_somos4_row():
+    # Somos-4 from four ones, and its mirror s_{-n} = s_{n+3} below the seed
+    s = seq.EchoSequence(seq.SOMOS4)
+    assert [s.term(n) for n in range(12)] == [1, 1, 1, 1, 2, 3, 7, 23, 59, 314, 1529, 8209]
+    assert all(s.term(-n) == s.term(n + 3) for n in range(1, 200))
+
+
+def test_coefficient_placement():
+    assert seq.coefficient(0) == seq.coefficient(-3) == 3
+    assert seq.coefficient(1) == seq.coefficient(2) == seq.coefficient(-1) == 1
 
 
 def test_residue_cycle_mod1():
