@@ -14,11 +14,13 @@ top 2k bits and the matrix in the low 4k bits, so code order is tuple order.
 Codes are int32 end to end, which caps the levels at 5 (30-bit codes).
 A subgroup is its level and sorted code array; where generators are
 needed, a small set is read off the codes.  The closure engine is a numpy
-frontier BFS from the identity: right multiplication by (b, B) sends (a, A)
-to (a + A*b, A*B), so each generator contributes two tables over the 2^(4k)
-matrix codes (A*b and A*B) and one shared table adds vectors; a BFS step is
-a few gathers over the frontier, deduplicated against a boolean array over
-all 2^(6k) codes.  Matrix and mod-2 images are reductions over code arrays.
+frontier BFS that closes a batch of groups at once, each from its own
+base (the identity, or a normal W), by right multiplication by its
+generators alone: (b, B) sends (a, A) to (a + A*b, A*B), so each generator
+contributes two tables over the 2^(4k) matrix codes (A*b and A*B) and one
+shared table adds vectors.  A BFS step is a few gathers over the frontier,
+deduplicated against a boolean array over all 2^(6k) codes of each group.
+Matrix and mod-2 images are reductions over code arrays.
 
 The classification lifts one level at a time.  The kernel K of reduction
 from level k to k - 1 is F_2^6, and a subgroup G at level k is generated by
@@ -29,9 +31,10 @@ sums of cyclic ones (spans of single orbits).  The kernel parts of Q's
 relations are affine-linear over F_2 in the unknown lifts, and G & K = W
 exactly when they all lie in W; so one F_2 linear solve per (Q, W) yields
 every valid lift.  Such a G has order |Q| * |W|, and only the W whose
-order can reach |GL_2(Z/2^k)|, as a kinetic group's must, are solved, and
-each solved lift is closed.  Lifts are tested for conjugacy by where a
-transversal sends their generators.
+order can reach |GL_2(Z/2^k)|, as a kinetic group's must, are solved.
+All solved lifts of one Q are closed in one batch, each as W * <lifts>
+from W's codes.  Lifts are tested for conjugacy by their W and by where a
+transversal sends their lift generators.
 """
 
 from __future__ import annotations
@@ -180,46 +183,77 @@ def _right_tables(code: int, k: int) -> np.ndarray:
     return tables
 
 
-def _closure_codes(gens: Iterable[int], k: int, max_size: Optional[int] = None) -> Optional[np.ndarray]:
-    """Sorted codes of the subgroup generated by the element codes gens.
+def _closure_codes(batch: Sequence[tuple], k: int) -> list[Optional[np.ndarray]]:
+    """Sorted codes of base * <gens> for each (base, gens, max_size) of batch, or None past max_size.
 
-    BFS from the identity under right multiplication by each generator and
-    its inverse.  Returns None when the subgroup has more than max_size
-    elements.  Codes are int32, so k is capped at 5.
+    One BFS closes the whole batch.  Group j's element x is the key
+    j << 6k | x, and a step right-multiplies by the group's generators
+    only: in a finite group the monoid they span is already the subgroup.
+    The step tables are indexed by (group, step) and the group is read off
+    each frontier key, so a candidate costs no more memory than in a
+    one-group closure.  A group past its max_size stops growing and comes
+    back None; the others run on.
+
+    base holds distinct codes: the identity alone, or a normal subgroup
+    such as a stable W inside the kernel K.  Every element of AGL_2 fixes
+    such a W, since conjugation on K depends only on the level-1 image
+    (_kernel_action), so W * <gens> = <W, gens>.  Keys are int32, so k is
+    capped at 5 and a batch at 2^(31 - 6k) groups.
     """
     if k > 5:
         raise ResourceBudgetError(f"closure is capped at level 5: level {k} has 2^{6 * k} codes, past int32")
-    steps: list[int] = []
-    for g in gens:
-        for h in (g, pack(_inv(unpack(g, k), k), k)):
-            if h not in steps:
-                steps.append(h)
-    tables = np.stack([_right_tables(h, k) for h in steps])
-    ab, prod = tables[:, 0], tables[:, 1]
+    shift, matrix_bits = 6 * k, 4 * k
+    if len(batch) << shift > 1 << 31:
+        raise ResourceBudgetError(f"a batch of {len(batch)} closures at level {k} has more than 2^31 keys")
+    # a group with fewer steps than the widest repeats its first, which finds nothing new
+    steps = [list(dict.fromkeys(gens)) or [pack(IDENTITY_RAW, k)] for _, gens, _ in batch]
+    width = max(len(row) for row in steps)
+    distinct = list(dict.fromkeys(h for row in steps for h in row))
+    row_of = {h: i << matrix_bits for i, h in enumerate(distinct)}  # a step's offset in the flat tables
+    step_rows = np.array([[row_of[h] for h in row + row[:1] * (width - len(row))] for row in steps], np.int32)
+    ab, prod = np.stack([_right_tables(h, k) for h in distinct], axis=1).reshape(2, -1)
     vector_sum = _vector_sum_table(k)
-    matrix_mask = (1 << 4 * k) - 1
-    seen = np.zeros(1 << 6 * k, dtype=bool)
-    slot = np.empty(1 << 6 * k, dtype=np.int32)
-    frontier = np.array([pack(IDENTITY_RAW, k)], dtype=np.int32)
-    seen[frontier] = True
-    size = 1
+    bound = np.array([np.iinfo(np.int64).max if m is None else m for _, _, m in batch], dtype=np.int64)
+    size = np.zeros(len(batch), dtype=np.int64)
+    over = np.zeros(len(batch), dtype=bool)
+    seen = np.zeros(len(batch) << shift, dtype=bool)
+    slot = np.empty(len(batch) << shift, dtype=np.int32)
+    frontier = np.concatenate([np.asarray(base, np.int32) | j << shift for j, (base, _, _) in enumerate(batch)])
     while frontier.size:
-        mat = frontier & matrix_mask
-        vec = (frontier >> 4 * k) << 2 * k
-        cand = (vector_sum[vec | ab[:, mat]] | prod[:, mat]).ravel()
+        size += np.bincount(frontier >> shift, minlength=len(batch))
+        over |= size > bound
+        frontier = frontier[~over[frontier >> shift]]
+        seen[frontier] = True
+        code = frontier & ((1 << shift) - 1)
+        # entry (key, step) indexes the step's tables at the key's matrix
+        at = step_rows[frontier >> shift]
+        at |= (code & ((1 << matrix_bits) - 1))[:, None]
+        cand = ab[at]
+        cand |= ((code >> matrix_bits) << 2 * k)[:, None]
+        cand = vector_sum[cand]
+        cand |= prod[at]
+        del at  # one candidate-sized array fewer through the dedup
+        cand |= (frontier ^ code)[:, None]  # the group's bits
+        cand = cand.ravel()
         cand = cand[~seen[cand]]
-        # int32 positions: a frontier has fewer than 2^(6k) codes, so H_4's 16
-        # steps give fewer than 16 * 2^24 < 2^31 candidates
+        # int32 positions: a frontier has fewer than 2^31 keys, so H_4's 14
+        # steps give fewer than 14 * 2^24 < 2^31 candidates
         assert cand.size < 1 << 31
-        # one survivor per distinct code: whichever position's write to slot stuck
+        # one survivor per distinct key: whichever position's write to slot stuck
         pos = np.arange(cand.size, dtype=np.int32)
         slot[cand] = pos
         frontier = cand[slot[cand] == pos]
-        size += frontier.size
-        if max_size is not None and size > max_size:
-            return None
-        seen[frontier] = True
-    return np.flatnonzero(seen).astype(np.int32)
+    keys = np.flatnonzero(seen)
+    cuts = np.searchsorted(keys, np.arange(len(batch) + 1) << shift)
+    return [
+        None if over[j] else (keys[cuts[j]:cuts[j + 1]] - (j << shift)).astype(np.int32)
+        for j in range(len(batch))
+    ]
+
+
+def _generated(gens: Sequence[int], k: int) -> np.ndarray:
+    """Sorted codes of the subgroup generated by the element codes gens: one closure from the identity."""
+    return _closure_codes([([pack(IDENTITY_RAW, k)], gens, None)], k)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,7 +292,7 @@ def closure(gens: Sequence[AglElem]) -> SubgroupRep:
     k = gens[0].k
     if any(g.k != k for g in gens):
         raise LevelMismatchError("generators at mixed levels")
-    return SubgroupRep(k, _closure_codes([pack(_reduce_raw(g.raw, k), k) for g in gens], k))
+    return SubgroupRep(k, _generated([pack(_reduce_raw(g.raw, k), k) for g in gens], k))
 
 
 def is_kinetic(g: SubgroupRep) -> bool:
@@ -440,8 +474,8 @@ def _f2_solutions(rows: Iterable[int], n: int) -> Iterator[int]:
 # kinetic classification: lifts by one F_2 solve per (quotient, W)
 
 
-def _lift_relations(lifts: Sequence[Elem], k: int) -> list[int]:
-    """A basis of the relations of Q = <lifts mod 2^(k-1)>, as affine maps of the unknown lifts.
+def _lift_relations(lifts: Sequence[Elem], k: int) -> Iterator[int]:
+    """The relations of Q = <lifts mod 2^(k-1)>, as affine maps of the unknown lifts, as the BFS finds them.
 
     The candidate lifts are g_i = kappa(c_i) * lifts[i], with c_i in bits
     6i..6i+5 of an n-bit unknown c (n = 6r).  A BFS over Q by right
@@ -451,14 +485,15 @@ def _lift_relations(lifts: Sequence[Elem], k: int) -> list[int]:
     known y closes the relation s(x) g_i s(y)^-1 = kappa(phi_x + t(c_i) + d
     + phi_y), d being the code of s(x) lifts[i] s(y)^-1.  A relation packs
     its value's 6 code bits as affine forms of c, bit b's form in bits
-    b(n+1)..b(n+1)+n with the constant on top.
+    b(n+1)..b(n+1)+n with the constant on top.  There is one relation per
+    non-tree edge, so a caller echelons them as they come and keeps only
+    the basis, at most 6(n + 1) rows.
     """
     n = 6 * len(lifts)
     width = n + 1
     mask = (1 << k) - 1
     tree = {pack(_reduce_raw(IDENTITY_RAW, k - 1), k - 1): (IDENTITY_RAW, 0)}
     frontier = list(tree.values())
-    relations = []
     while frontier:
         nxt = []
         for s, phi in frontier:
@@ -476,20 +511,19 @@ def _lift_relations(lifts: Sequence[Elem], k: int) -> list[int]:
                 s_y, phi_y = tree[key]
                 d = _kernel_code(_comp(t, _inv(s_y, k), mask), k)
                 const = sum(((d >> b) & 1) << (n + b * width) for b in range(6))
-                relations.append(moved ^ phi_y ^ const)
+                yield moved ^ phi_y ^ const
         frontier = nxt
-    return list(_f2_echelon(relations).values())
 
 
 def _lifted_subgroups(
     q: SubgroupRep, gens: Sequence[int], min_order: int = 0
 ) -> Iterator[tuple[frozenset, list[int]]]:
-    """(W, generator codes of G) for each G one level above q with image q and W = G & K stable.
+    """(W, codes of the lifts g_i) for each G one level above q with image q and W = G & K stable.
 
-    gens are codes of generators of q, and G is generated by W and lifts
-    g_i = kappa(c_i) * gens[i].  The intersection G & K is W exactly when
-    every relation of q takes its value in W, that is, when each value is
-    killed by every annihilator of W.  As G contains W, c_i matters only mod
+    gens are codes of generators of q, and G = W * <g_i> is generated by W
+    and the lifts g_i = kappa(c_i) * gens[i].  The intersection G & K is W
+    exactly when every relation of q takes its value in W, that is, when
+    each value is killed by every annihilator of W.  As G contains W, c_i matters only mod
     W, so the rows that clear c_i on W's pivot bits pick one c per G, and
     |G| = |q| * |W|; a W with |q| * |W| < min_order is not solved.
     """
@@ -498,7 +532,7 @@ def _lifted_subgroups(
     lifts = [unpack(g, k - 1) for g in gens]  # entries mod 2^(k-1) are lifts as they stand
     n = 6 * len(lifts)
     width = n + 1
-    relations = _lift_relations(lifts, k)
+    relations = list(_f2_echelon(_lift_relations(lifts, k)).values())
     for w in _stable_kernel_submodules():
         if q.order * len(w) < min_order:
             continue
@@ -515,10 +549,18 @@ def _lifted_subgroups(
                         row ^= rel >> b * width
                 rows.append(row & ((1 << width) - 1))
         rows += [pivot << 6 * i for i in range(len(lifts)) for pivot in w_basis]  # c reduced mod W
-        w_gens = [pack(_kernel_elem(c, k), k) for c in w_basis.values()]
         for c in _f2_solutions(rows, n):
-            lifted = [pack(_comp(_kernel_elem(c >> 6 * i & 63, k), g, mask), k) for i, g in enumerate(lifts)]
-            yield w, lifted + w_gens
+            yield w, [pack(_comp(_kernel_elem(c >> 6 * i & 63, k), g, mask), k) for i, g in enumerate(lifts)]
+
+
+def _kernel_codes(w: Iterable[int], k: int) -> np.ndarray:
+    """The level-k codes of kappa(c) for the 6-bit codes c of w: the identity's with c's bits at 2^(k-1)."""
+    return _repack(np.array(sorted(w), dtype=np.int32), 1, k) << k - 1 | pack(IDENTITY_RAW, k)
+
+
+def _kernel_part(codes: np.ndarray, k: int) -> np.ndarray:
+    """The codes among the level-k codes that lie in K, the kernel of reduction to level k - 1."""
+    return codes[_repack(codes, k, k - 1) == pack(IDENTITY_RAW, k - 1)]
 
 
 def _are_conjugate(
@@ -526,11 +568,14 @@ def _are_conjugate(
 ) -> Optional[Elem]:
     """The first t of transversal with t s1 t^-1 = s2 (sorted code arrays), or None.
 
-    gens1 are codes of generators of s1, conjugated by the whole transversal
-    at once.  A t that keeps them all in s2 maps s1 into s2, and onto it
+    s1 is generated by its kernel part W = s1 & K and the codes gens1, and
+    W is stable under the level-1 group, as every kinetic group's is; so
+    every t fixes W, and unequal kernel parts are never conjugate.  For
+    equal ones gens1 are conjugated by the whole transversal at once: a t
+    that keeps them all in s2 maps s1 = W * <gens1> into s2, and onto it
     since |s1| = |s2|, so no element past the generators is checked.
     """
-    if s1.size != s2.size:
+    if s1.size != s2.size or not np.array_equal(_kernel_part(s1, k), _kernel_part(s2, k)):
         return None
     mask = (1 << k) - 1
     member = np.zeros(1 << 6 * k, dtype=bool)
@@ -578,8 +623,15 @@ def classify_kinetic(k: int) -> list[KineticClass]:
     Exhaustive: a kinetic subgroup maps onto a kinetic subgroup one level
     down, which up to conjugacy is the whole level-1 group (k = 2) or a
     representative of classify_kinetic(k - 1), and it meets the kernel K in
-    a stable submodule; _lifted_subgroups finds every subgroup over each
-    such pair.  Classes come back sorted by descending order.
+    a stable submodule W; _lifted_subgroups finds every subgroup over each
+    such pair.  All solved lifts of one quotient are closed in one
+    _closure_codes batch, each from W's codes by its lift generators alone:
+    every element of AGL_2 normalizes W, since W is stable and conjugation
+    on K depends only on the level-1 image, so W * <lifts> = <W, lifts>.
+    Each closure is checked to have order |Q| * |W|.  Lifts with unequal W
+    are never conjugate, since every t fixes W, so a conjugacy test
+    compares W first and then conjugates the lift generators only.  Classes
+    come back sorted by descending order.
 
     The tower closes at level 3, so k = 3 settles every level.  For j >= 2,
     any g = (2^j u, I + 2^j A) mod 2^(j+1) squares to (2^(j+1) u,
@@ -600,10 +652,10 @@ def classify_kinetic(k: int) -> list[KineticClass]:
     groups = []
     for q in quotients:
         # a lift too small to surject onto GL_2(Z/2^k) is never solved
-        for w, gens in _lifted_subgroups(q, _recover_generators(q), min_order=GL_ORDERS[k]):
-            order = q.order * len(w)
-            got = _closure_codes(gens, k, max_size=order)
-            assert got is not None and got.size == order, "a solved lift left W or Q"
+        lifts = list(_lifted_subgroups(q, _recover_generators(q), min_order=GL_ORDERS[k]))
+        closed = _closure_codes([(_kernel_codes(w, k), gens, q.order * len(w)) for w, gens in lifts], k)
+        for (w, gens), got in zip(lifts, closed):
+            assert got is not None and got.size == q.order * len(w), "a solved lift left W or Q"
             if _is_kinetic(got, k):
                 groups.append((got, gens))
     transversal = full_agl(k).code_array
@@ -634,7 +686,7 @@ def _recover_generators(g: SubgroupRep) -> list[int]:
     for e in codes.tolist():
         if not have[e]:
             gens.append(e)
-            got = _closure_codes(gens, k)
+            got = _generated(gens, k)
             if got.size == codes.size:
                 break
             have[got] = True
@@ -646,7 +698,7 @@ def _recover_generators(g: SubgroupRep) -> list[int]:
 
 
 def _matrix_closure(gens: list[tuple], k: int) -> set:
-    got = _closure_codes([pack((0, 0) + g, k) for g in gens], k)
+    got = _generated([pack((0, 0) + g, k) for g in gens], k)
     return {unpack(c, k)[2:] for c in got.tolist()}
 
 

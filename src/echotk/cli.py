@@ -202,9 +202,12 @@ def _criterion_matches_scan(term: Callable[[int], int], odd_order: Callable[[int
     )
 
 
+_SOMOS4_PAIR = (curves.Curve(0, 0, 1, -1, 0), (Fraction(0), Fraction(0)))  # (0, 0) on y^2 + y = x^3 - x
+
+
 def _somos4_criterion_matches_scan() -> bool:
-    # Somos-4's pair is (0, 0) on y^2 + y = x^3 - x; its terms get their own memo
-    pair = sweep._prepare(curves.Curve(0, 0, 1, -1, 0), (Fraction(0), Fraction(0)))
+    # Somos-4's terms get their own memo
+    pair = sweep._prepare(*_SOMOS4_PAIR)
     return _criterion_matches_scan(
         seq.EchoSequence(seq.SOMOS4).term, lambda p: bool(sweep._decide([p], *pair)[0])
     )
@@ -216,6 +219,12 @@ def _level3_classification() -> bool:
         [c.order for c in cl3] == [98304, 24576]
         and np.array_equal(cl3[1].representative.code_array, aglgroup.build_hk(3).code_array)
     )
+
+
+def _level3_classes_contain_the_kernel() -> bool:
+    # why the tower closes at level 3 (classify_kinetic's docstring): each class holds K
+    kernel = aglgroup._kernel_codes(range(64), 3)
+    return all(np.isin(kernel, c.representative.code_array).all() for c in aglgroup.classify_kinetic(3))
 
 
 def _discriminant_identity() -> bool:
@@ -276,6 +285,9 @@ INVARIANTS: tuple[tuple[str, str, Callable[[], bool]], ...] = (
      lambda: _criterion_matches_scan(seq.term, sweep.divides_some_term)),
     ("sweep", "Somos-4 criterion ((0, 0) on y^2 + y = x^3 - x) matches direct term scan, p < 200",
      _somos4_criterion_matches_scan),
+    ("sweep", "Somos-4 scan to 1e4: (3,4) (14,25) (93,168) (654,1229)",
+     lambda: [(r.x, r.pi_prime, r.pi) for r in sweep.density_scan(*_SOMOS4_PAIR, 10_000, threads=1)]
+     == [(10, 3, 4), (100, 14, 25), (1000, 93, 168), (10000, 654, 1229)]),
     ("group", "|H_2| = 384 and kinetic",
      lambda: aglgroup.h2().order == 384 and aglgroup.is_kinetic(aglgroup.h2())),
     ("group", "|H_3| = 24576, |H_4| = 1572864",
@@ -284,6 +296,8 @@ INVARIANTS: tuple[tuple[str, str, Callable[[], bool]], ...] = (
     ("group", "level-2 classification: full group + one proper class of order 384",
      lambda: [c.order for c in aglgroup.classify_kinetic(2)] == [1536, 384]),
     ("group", "level-3 classification: full group + exactly H_3", _level3_classification),
+    ("group", "both level-3 classes contain all 64 elements of the kernel K of reduction mod 4",
+     _level3_classes_contain_the_kernel),
     ("density", "analytic density = 179/336",
      lambda: density.analytic_density("hk").total == Fraction(179, 336)),
     ("density", "analytic full-group density = 11/21",

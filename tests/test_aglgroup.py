@@ -140,6 +140,10 @@ def test_closure_is_capped_at_level_5():
     # 36-bit codes would wrap in int32, and the seen array would take 64 GB
     with pytest.raises(ag.ResourceBudgetError, match="capped at level 5"):
         ag.closure([ag.AglElem(6, *ag.IDENTITY_RAW)])
+    # a batch's keys carry the group above the code: two level-5 groups fill int32, three overflow
+    one = ([ag.pack(ag.IDENTITY_RAW, 5)], [], None)
+    with pytest.raises(ag.ResourceBudgetError, match="more than 2\\^31 keys"):
+        ag._closure_codes([one] * 3, 5)
 
 
 def test_classify_level2():
@@ -184,7 +188,7 @@ def test_coset_structure_rejects_random_order24_subgroups():
 
 
 def test_kernel_generators_generate_the_kernel():
-    got = ag._closure_codes([ag.pack(ag._kernel_elem(1 << bit, 3), 3) for bit in range(6)], 3)
+    got = ag._generated([ag.pack(ag._kernel_elem(1 << bit, 3), 3) for bit in range(6)], 3)
     assert got.size == 64
     assert all(ag._reduce_raw(ag.unpack(c, 3), 2) == (0, 0, 1, 0, 0, 1) for c in got.tolist())
 
@@ -219,7 +223,7 @@ def _closure_oracle(gens, k, max_size=None):
 
 def _engine_and_oracle(gens, k, max_size=None):
     want = _closure_oracle(gens, k, max_size=max_size)
-    got = ag._closure_codes([ag.pack(g, k) for g in gens], k, max_size=max_size)
+    [got] = ag._closure_codes([([ag.pack(ag.IDENTITY_RAW, k)], [ag.pack(g, k) for g in gens], max_size)], k)
     if want is None or got is None:
         assert want is None and got is None, (gens, k, max_size)
         return None
@@ -252,6 +256,42 @@ def test_closure_engine_matches_oracle_on_random_generators():
                 want_codes = sorted({ag.pack(ag._reduce_raw(e, k_to), k_to) for e in want})
                 assert _reduced(codes, k, k_to).tolist() == want_codes
     assert aborted > 10
+
+
+def test_batch_closure_matches_the_oracle_group_by_group():
+    # one mixed batch per level: random sets of one to three generators, each once
+    # under a cap that is hit or not, and, when not, once exactly at its order and
+    # once just below it; at levels 2 and 3 some groups start from a stable W instead
+    # of the identity.  Only the groups over their own cap come back None
+    rng = random.Random(33)
+    submodules = ag._stable_kernel_submodules()
+    for k in (1, 2, 3):
+        pool = sorted(ag.full_agl(k).raw_elements())
+        cap = 400 if k < 3 else 3000
+        batch, wants = [], []
+        for trial in range(10):
+            gens = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
+            base, w_elems = [ag.pack(ag.IDENTITY_RAW, k)], []
+            if k > 1 and trial % 2:
+                w = rng.choice(submodules)
+                base = ag._kernel_codes(w, k)
+                w_elems = [ag._kernel_elem(c, k) for c in sorted(w)]
+            want = _closure_oracle(gens + w_elems, k, max_size=cap)
+            want = None if want is None else {ag.pack(e, k) for e in want}
+            codes = [ag.pack(g, k) for g in gens]
+            batch.append((base, codes, cap))
+            wants.append(want)
+            if want is not None:
+                batch += [(base, codes, len(want)), (base, codes, len(want) - 1)]
+                wants += [want, None]
+        got = ag._closure_codes(batch, k)
+        assert len(got) == len(batch)
+        assert [g is None for g in got] == [w is None for w in wants], k
+        assert 0 < wants.count(None) < len(wants)
+        for g, want in zip(got, wants):
+            if want is not None:
+                assert g.dtype == np.int32 and np.all(np.diff(g) > 0)
+                assert set(g.tolist()) == want, k
 
 
 def _all_subspaces_f2(n):
@@ -388,10 +428,17 @@ def _lift_oracle(q, gens):
                 reps.append(c)
                 covered |= {c ^ x for x in w}
         w_gens = [ag.pack(ag._kernel_elem(c, k), k) for c in sorted(w) if c]
+        batch = [
+            [ag.pack(ag._comp(ag._kernel_elem(c, k), g, mask), k) for c, g in zip(lift, lifts)] + w_gens
+            for lift in itertools.product(reps, repeat=len(lifts))
+        ]
+        # closed from the identity by every generator, 16 candidates to a batch
+        closed = []
+        for i in range(0, len(batch), 16):
+            chunk = [([ag.pack(ag.IDENTITY_RAW, k)], gens, q.order * len(w)) for gens in batch[i:i + 16]]
+            closed += ag._closure_codes(chunk, k)
         found = set()
-        for lift in itertools.product(reps, repeat=len(lifts)):
-            lifted = [ag.pack(ag._comp(ag._kernel_elem(c, k), g, mask), k) for c, g in zip(lift, lifts)]
-            got = ag._closure_codes(lifted + w_gens, k, max_size=q.order * len(w))
+        for got in closed:
             if got is None:
                 continue
             in_kernel = got[ag._repack(got, k, k - 1) == ag.pack(ag.IDENTITY_RAW, k - 1)]
@@ -403,12 +450,16 @@ def _lift_oracle(q, gens):
 
 
 def _closed_lifts(q, gens):
-    """(W, sorted codes of G) for every lift _lifted_subgroups solves, each closed and of order |q| |W|."""
+    """(W, lift codes, sorted codes of G) for every lift _lifted_subgroups solves, each of order |q| |W|.
+
+    G is closed from W's codes by the lifts alone, one lift at a time (a
+    batch of every lift at level 3 would need one 2^18 array per lift).
+    """
     k = q.level + 1
     for w, lifted in ag._lifted_subgroups(q, gens):
-        got = ag._closure_codes(lifted, k, max_size=q.order * len(w))
+        [got] = ag._closure_codes([(ag._kernel_codes(w, k), lifted, q.order * len(w))], k)
         assert got is not None and got.size == q.order * len(w), "a solved lift left W or Q"
-        yield w, got
+        yield w, lifted, got
 
 
 def test_lift_solver_matches_closure_per_lift_oracle():
@@ -421,7 +472,7 @@ def test_lift_solver_matches_closure_per_lift_oracle():
     for q, gens in ((agl1, pair), (h2, ag.H2_GENERATORS)):
         codes = [ag.pack(g.raw, q.level) for g in gens]
         solved = {w: [] for w in ag._stable_kernel_submodules()}
-        for w, got in _closed_lifts(q, codes):
+        for w, _, got in _closed_lifts(q, codes):
             solved[w].append(got.tobytes())
         want = _lift_oracle(q, codes)
         for w, found in solved.items():
@@ -458,9 +509,33 @@ def test_full_kernel_lifts_are_preimages():
             for w, lifted in ag._lifted_subgroups(q, gens):
                 if len(w) == 64:
                     got = ag._preimage(q.code_array, k - 1, k)
-                    assert np.array_equal(got, ag._closure_codes(lifted, k)), (k, q.order)
+                    generated = ag._generated(lifted + ag._kernel_codes(w, k).tolist(), k)
+                    assert np.array_equal(got, generated), (k, q.order)
                     count += 1
     assert count == 3  # one over AGL_2(F_2), one over each level-2 representative
+
+
+def test_seeded_lift_closures_match_the_closure_of_lifts_and_w():
+    # classify_kinetic closes all lifts of a quotient in one batch, each as W * <lifts>
+    # from W's codes; the oracle closes the lifts and a basis of W from the identity
+    # with inverse steps.  Every solved lift at level 2; at level 3 the lifts
+    # classify_kinetic solves, against the tuple oracle over H_2 (over the full
+    # group it takes 3 s) and against the engine's closure from the identity for both
+    for k in (2, 3):
+        min_order = 0 if k == 2 else ag.GL_ORDERS[k]
+        checked = 0
+        for q, gens in _lifted_quotients(k):
+            lifts = list(ag._lifted_subgroups(q, gens, min_order=min_order))
+            batch = [(ag._kernel_codes(w, k), lifted, q.order * len(w)) for w, lifted in lifts]
+            for (w, lifted), got in zip(lifts, ag._closure_codes(batch, k)):
+                assert got is not None and got.size == q.order * len(w)
+                w_gens = ag._kernel_codes(ag._f2_echelon(w).values(), k).tolist()
+                assert np.array_equal(got, ag._generated(lifted + w_gens, k))
+                if k == 2 or q.order == 384:
+                    want = _closure_oracle([ag.unpack(c, k) for c in lifted + w_gens], k)
+                    assert set(got.tolist()) == {ag.pack(e, k) for e in want}, (k, q.order, sorted(w))
+                    checked += 1
+        assert checked == {2: 109, 3: 5}[k]
 
 
 def test_kinetic_lifts_reach_the_pruning_bound():
@@ -469,7 +544,7 @@ def test_kinetic_lifts_reach_the_pruning_bound():
     for k in (2, 3):
         kinetic = 0
         for q, gens in _lifted_quotients(k):
-            for w, got in _closed_lifts(q, gens):
+            for w, _, got in _closed_lifts(q, gens):
                 if ag._is_kinetic(got, k):
                     assert q.order * len(w) >= ag.GL_ORDERS[k], (k, q.order, len(w))
                     kinetic += 1
@@ -510,7 +585,7 @@ def test_are_conjugate_matches_per_element_oracle():
     # the five level-2 kinetic lifts against both class representatives
     reps = [c.representative.code_array for c in ag.classify_kinetic(2)]
     q = ag.full_agl(1)
-    lifts = [got for _, got in _closed_lifts(q, ag._recover_generators(q)) if ag._is_kinetic(got, 2)]
+    lifts = [got for _, _, got in _closed_lifts(q, ag._recover_generators(q)) if ag._is_kinetic(got, 2)]
     assert len(lifts) == 5
     verdicts = [[_check_conjugacy(g, rep, 2) is not None for rep in reps] for g in lifts]
     assert sorted(verdicts) == [[False, True]] * 4 + [[True, False]]
@@ -532,6 +607,28 @@ def test_are_conjugate_matches_per_element_oracle():
     # preimage fail the full-set check
     assert _check_conjugacy(ag.h2().code_array, ag._preimage(matrices, 1, 2), 2) is None
     assert _check_conjugacy(h3, ag.full_agl(3).code_array, 3) is None
+
+
+def test_w_first_conjugacy_matches_the_oracle():
+    # classify_kinetic passes _are_conjugate a lift's own generators, without W's:
+    # seeded pairs of level-2 lifts of one order, with equal and with unequal W
+    # (orders 96 to 384: the 64 lifts of order 24 all have W = 0 and are all conjugate)
+    q = ag.full_agl(1)
+    lifts = [lift for lift in _closed_lifts(q, ag._recover_generators(q)) if 96 <= lift[2].size <= 384]
+    pairs = [(a, b) for a, b in itertools.permutations(lifts, 2) if a[2].size == b[2].size]
+    rng = random.Random(41)
+    same_w = rng.sample([p for p in pairs if p[0][0] == p[1][0]], 12)
+    other_w = rng.sample([p for p in pairs if p[0][0] != p[1][0]], 6)
+    transversal = ag.full_agl(2).code_array
+    verdicts = []
+    for (w1, lifted, s1), (w2, _, s2) in same_w + other_w:
+        got = ag._are_conjugate(s1, lifted, s2, 2, transversal)
+        assert got == _are_conjugate_oracle(s1, s2, 2, transversal), (sorted(w1), sorted(w2))
+        if got is not None:
+            assert sorted(_conjugates(got, s1.tolist(), 2)) == s2.tolist()
+        verdicts.append((w1 == w2, got is not None))
+    # unequal kernel parts are never conjugate; equal ones are, or are not
+    assert set(verdicts) == {(True, True), (True, False), (False, False)}
 
 
 def test_are_conjugate_probes_generators_only(monkeypatch):
