@@ -11,7 +11,9 @@ outcome is exactly two conjugacy classes, the full group and H_k.
 Internally an element is a flat 6-tuple (v0, v1, m00, m01, m10, m11) reduced
 mod 2^k, packed big-endian into a 6k-bit integer code: the vector sits in the
 top 2k bits and the matrix in the low 4k bits, so code order is tuple order.
-Codes are int32 end to end, which caps the levels at 5 (30-bit codes).
+Tuples and codes convert only by pack and unpack and multiply only by
+_comp, for ints and int32 arrays alike.  Codes are int32 end to end,
+which caps the levels at 5 (30-bit codes).
 A subgroup is its level and sorted code array; where generators are
 needed, a small set is read off the codes.  The closure engine is a numpy
 frontier BFS that closes a batch of groups at once, each from its own
@@ -73,6 +75,7 @@ class AglElem(NamedTuple):
 
 
 def _comp(a: Elem, b: Elem, mask: int) -> Elem:
+    """The product (a + A*b, A*B) of a = (a, A) and b = (b, B); the fields may be ints or numpy arrays."""
     a0, a1, a00, a01, a10, a11 = a
     b0, b1, b00, b01, b10, b11 = b
     return (
@@ -99,6 +102,7 @@ def _inv(a: Elem, k: int) -> Elem:
 
 
 def pack(raw: Elem, k: int) -> int:
+    """The fields of raw (ints or int32 arrays) side by side at k bits each, the first on top."""
     code = 0
     for part in raw:
         code = (code << k) | part
@@ -106,12 +110,9 @@ def pack(raw: Elem, k: int) -> int:
 
 
 def unpack(code: int, k: int) -> Elem:
+    """The six k-bit fields of a code, field 0 on top; an int32 array of codes gives six arrays."""
     mask = (1 << k) - 1
-    parts = []
-    for _ in range(6):
-        parts.append(code & mask)
-        code >>= k
-    return tuple(reversed(parts))
+    return tuple((code >> (5 - i) * k) & mask for i in range(6))
 
 
 def _reduce_raw(raw: Elem, k_to: int) -> Elem:
@@ -156,10 +157,9 @@ def _is_kinetic(codes: np.ndarray, k: int) -> bool:
 @lru_cache(maxsize=None)
 def _vector_sum_table(k: int) -> np.ndarray:
     """Entry (a << 2k) | c is the code of the vector a + c, shifted into a code's vector field."""
-    mask, half = (1 << k) - 1, 2 * k
-    idx = np.arange(1 << 2 * half, dtype=np.int32)
-    a, c = idx >> half, idx & ((1 << half) - 1)
-    total = (((((a >> k) + (c >> k)) & mask) << k) | ((a + c) & mask)) << 2 * half
+    mask = (1 << k) - 1
+    a0, a1, c0, c1, _, _ = unpack(np.arange(1 << 4 * k, dtype=np.int32) << 2 * k, k)
+    total = pack(((a0 + c0) & mask, (a1 + c1) & mask, 0, 0, 0, 0), k)
     total.flags.writeable = False  # cached and shared by every closure
     return total
 
@@ -167,18 +167,9 @@ def _vector_sum_table(k: int) -> np.ndarray:
 @lru_cache(maxsize=1024)
 def _right_tables(code: int, k: int) -> np.ndarray:
     """Rows (A*b, A*B) over every matrix code A: the vector and matrix codes, (b, B) = code."""
-    mask = (1 << k) - 1
-    b0, b1, n00, n01, n10, n11 = unpack(code, k)
-    m = np.arange(1 << 4 * k, dtype=np.int64)
-    a00, a01, a10, a11 = (m >> 3 * k) & mask, (m >> 2 * k) & mask, (m >> k) & mask, m & mask
-    ab = (((a00 * b0 + a01 * b1) & mask) << k) | ((a10 * b0 + a11 * b1) & mask)
-    prod = (
-        (((a00 * n00 + a01 * n10) & mask) << 3 * k)
-        | (((a00 * n01 + a01 * n11) & mask) << 2 * k)
-        | (((a10 * n00 + a11 * n10) & mask) << k)
-        | ((a10 * n01 + a11 * n11) & mask)
-    )
-    tables = np.stack([ab, prod]).astype(np.int32)
+    matrices = (0, 0) + unpack(np.arange(1 << 4 * k, dtype=np.int32), k)[2:]
+    right = _comp(matrices, unpack(code, k), (1 << k) - 1)
+    tables = np.stack([pack(right[:2], k), pack(right[2:], k)])
     tables.flags.writeable = False  # cached and shared by every closure
     return tables
 
@@ -358,8 +349,9 @@ def full_agl(k: int) -> SubgroupRep:
     """The whole affine group at level k <= 3: the preimage of the 24 level-1 elements (det M odd)."""
     if k > 3:
         raise ResourceBudgetError("full group materialization is capped at k = 3")
-    matrices = _gl_matrices(1) @ np.array([8, 4, 2, 1])  # level-1 matrix codes
-    level1 = (np.arange(4)[:, None] << 4 | matrices).ravel().astype(np.int32)  # the vector in the top 2 bits
+    codes = np.arange(64, dtype=np.int32)
+    _, _, m00, m01, m10, m11 = unpack(codes, 1)
+    level1 = codes[m00 * m11 != m01 * m10]  # det M = 1 mod 2
     return SubgroupRep(k, _preimage(level1, 1, k))
 
 
@@ -371,7 +363,7 @@ def _kernel_elem(c: int, k: int) -> Elem:
     """kappa(c) = (2^(k-1) u, I + 2^(k-1) A) for the 6-bit code c = (u0 u1 a00 a01 a10 a11).
 
     kappa(c) * kappa(c') = kappa(c ^ c'), since 2^(k-1) * 2^(k-1) = 0 mod
-    2^k, so K is F_2^6 at every level k >= 2.
+    2^k, so K is F_2^6 at every level k >= 2.  c may be an int32 array of codes.
     """
     return tuple(i + (b << (k - 1)) for i, b in zip(IDENTITY_RAW, unpack(c, 1)))
 
@@ -415,16 +407,8 @@ def _stable_kernel_submodules() -> tuple[frozenset, ...]:
             span |= {x ^ row for x in span}
         cyclic.add(frozenset(span))
     submods = {frozenset({0})}
-    frontier = [frozenset({0})]
-    while frontier:
-        nxt = []
-        for sub in frontier:
-            for c in (c_ for c_ in cyclic if not c_ <= sub):  # a submodule inside sub adds nothing
-                bigger = frozenset(x ^ y for x in sub for y in c)
-                if bigger not in submods:
-                    submods.add(bigger)
-                    nxt.append(bigger)
-        frontier = nxt
+    for c in cyclic:  # every sum of the cyclic submodules seen so far, then of c too
+        submods |= {frozenset(x ^ y for x in sub for y in c) for sub in submods if not c <= sub}
     return tuple(sorted(submods, key=lambda s: (len(s), sorted(s))))
 
 
@@ -492,14 +476,19 @@ def _lift_relations(lifts: Sequence[Elem], k: int) -> Iterator[int]:
     n = 6 * len(lifts)
     width = n + 1
     mask = (1 << k) - 1
+    # entry c puts bit b of the 6-bit code c at bit b * width, the start of bit b's form
+    spread = [sum((c >> b & 1) << b * width for b in range(6)) for c in range(64)]
+    acts: dict[Elem, int] = {}  # the action's matrix for each level-1 image met
     tree = {pack(_reduce_raw(IDENTITY_RAW, k - 1), k - 1): (IDENTITY_RAW, 0)}
     frontier = list(tree.values())
     while frontier:
         nxt = []
         for s, phi in frontier:
-            table = _kernel_action(_reduce_raw(s, 1))
-            # the action's matrix: row b holds the input bits j whose image has bit b
-            act = sum(((table[1 << j] >> b) & 1) << (j + b * width) for b in range(6) for j in range(6))
+            s1 = _reduce_raw(s, 1)
+            if s1 not in acts:  # row b holds the input bits j whose image has bit b
+                table = _kernel_action(s1)
+                acts[s1] = sum(spread[table[1 << j]] << j for j in range(6))
+            act = acts[s1]
             for i, q in enumerate(lifts):
                 t = _comp(s, q, mask)
                 key = pack(_reduce_raw(t, k - 1), k - 1)
@@ -510,8 +499,7 @@ def _lift_relations(lifts: Sequence[Elem], k: int) -> Iterator[int]:
                     continue
                 s_y, phi_y = tree[key]
                 d = _kernel_code(_comp(t, _inv(s_y, k), mask), k)
-                const = sum(((d >> b) & 1) << (n + b * width) for b in range(6))
-                yield moved ^ phi_y ^ const
+                yield moved ^ phi_y ^ spread[d] << n
         frontier = nxt
 
 
@@ -554,8 +542,8 @@ def _lifted_subgroups(
 
 
 def _kernel_codes(w: Iterable[int], k: int) -> np.ndarray:
-    """The level-k codes of kappa(c) for the 6-bit codes c of w: the identity's with c's bits at 2^(k-1)."""
-    return _repack(np.array(sorted(w), dtype=np.int32), 1, k) << k - 1 | pack(IDENTITY_RAW, k)
+    """The level-k codes of kappa(c) for the 6-bit codes c of w, in the order of sorted(w)."""
+    return pack(_kernel_elem(np.array(sorted(w), dtype=np.int32), k), k)
 
 
 def _kernel_part(codes: np.ndarray, k: int) -> np.ndarray:
@@ -581,13 +569,10 @@ def _are_conjugate(
     member = np.zeros(1 << 6 * k, dtype=bool)
     member[s2] = True
 
-    def fields(codes: np.ndarray) -> Elem:
-        return tuple((codes >> (5 - i) * k) & mask for i in range(6))
-
     def conjugates(t: Elem, codes: np.ndarray) -> np.ndarray:
-        return pack(_comp(_comp(t, fields(codes), mask), _inv(t, k), mask), k)
+        return pack(_comp(_comp(t, unpack(codes, k), mask), _inv(t, k), mask), k)
 
-    ts = tuple(f[:, None] for f in fields(transversal))  # one row per t, one column per generator
+    ts = tuple(f[:, None] for f in unpack(transversal, k))  # one row per t, one column per generator
     hits = np.flatnonzero(member[conjugates(ts, np.array(gens1, dtype=s1.dtype))].all(axis=1))
     return unpack(int(transversal[hits[0]]), k) if hits.size else None
 

@@ -37,10 +37,65 @@ def test_inverses_random():
 
 def test_pack_unpack_roundtrip():
     rng = random.Random(2)
-    for k in (2, 3, 4):
+    for k in range(1, 6):
         for _ in range(50):
             raw = tuple(rng.randrange(1 << k) for _ in range(6))
             assert ag.unpack(ag.pack(raw, k), k) == raw
+        # an int32 array unpacks field by field as each of its codes does, and packs back
+        codes = np.array([rng.randrange(1 << 6 * k) for _ in range(50)], dtype=np.int32)
+        kept = codes.copy()
+        fields = ag.unpack(codes, k)
+        assert np.array_equal(codes, kept)
+        assert all(f.dtype == np.int32 for f in fields)
+        assert list(zip(*(f.tolist() for f in fields))) == [ag.unpack(c, k) for c in codes.tolist()]
+        packed = ag.pack(fields, k)
+        assert packed.dtype == np.int32 and np.array_equal(packed, codes)
+
+
+def _right_tables_oracle(code, k):
+    """(A*b, A*B) over every matrix code A, each product written out field by field over int64."""
+    mask = (1 << k) - 1
+    b0, b1, n00, n01, n10, n11 = ag.unpack(code, k)
+    m = np.arange(1 << 4 * k, dtype=np.int64)
+    a00, a01, a10, a11 = (m >> 3 * k) & mask, (m >> 2 * k) & mask, (m >> k) & mask, m & mask
+    ab = (((a00 * b0 + a01 * b1) & mask) << k) | ((a10 * b0 + a11 * b1) & mask)
+    prod = (
+        (((a00 * n00 + a01 * n10) & mask) << 3 * k)
+        | (((a00 * n01 + a01 * n11) & mask) << 2 * k)
+        | (((a10 * n00 + a11 * n10) & mask) << k)
+        | ((a10 * n01 + a11 * n11) & mask)
+    )
+    return np.stack([ab, prod]).astype(np.int32)
+
+
+def _vector_sum_oracle(k):
+    """Entry (a << 2k) | c: the vector a + c, added field by field and shifted above the matrix."""
+    mask, half = (1 << k) - 1, 2 * k
+    idx = np.arange(1 << 2 * half, dtype=np.int32)
+    a, c = idx >> half, idx & ((1 << half) - 1)
+    return (((((a >> k) + (c >> k)) & mask) << k) | ((a + c) & mask)) << 2 * half
+
+
+def test_step_tables_match_the_field_by_field_formulas():
+    # every code at levels 1 and 2, seeded samples at 3 and 4; the cache is bypassed so
+    # the 4096 level-2 tables do not evict what other tests share
+    rng = random.Random(43)
+    samples = {1: range(64), 2: range(4096), 3: rng.sample(range(1 << 18), 40), 4: rng.sample(range(1 << 24), 6)}
+    for k, codes in samples.items():
+        for code in codes:
+            got = ag._right_tables.__wrapped__(code, k)
+            assert got.dtype == np.int32 and np.array_equal(got, _right_tables_oracle(code, k)), (k, code)
+    for k in range(1, 5):
+        got = ag._vector_sum_table(k)
+        assert got.dtype == np.int32 and np.array_equal(got, _vector_sum_oracle(k)), k
+
+
+def test_kernel_codes_are_the_identity_with_the_bits_at_half_the_modulus():
+    for k in range(2, 6):
+        for w in ag._stable_kernel_submodules():
+            want = ag._repack(np.array(sorted(w), dtype=np.int32), 1, k) << k - 1 | ag.pack(ag.IDENTITY_RAW, k)
+            got = ag._kernel_codes(w, k)
+            assert got.dtype == np.int32 and np.array_equal(got, want), (k, sorted(w))
 
 
 def test_closure_examples():
@@ -407,6 +462,28 @@ def test_f2_elimination_matches_brute_force():
         ]
         solutions = list(ag._f2_solutions(rows, n))
         assert sorted(solutions) == want, (n, rows)
+
+
+def test_lift_relations_read_the_action_once_per_level1_image(monkeypatch):
+    # H_2's three generators lifted to level 3: the BFS visits all 384 elements of H_2,
+    # but an element's action on K depends only on its level-1 image, of which there are 24
+    looked_up = []
+    action = ag._kernel_action
+
+    def spy(t):
+        looked_up.append(t)
+        return action(t)
+
+    monkeypatch.setattr(ag, "_kernel_action", spy)
+    lifts = [ag.unpack(g, 2) for g in ag._recover_generators(ag.h2())]
+    assert len(lifts) == 3
+    relations = list(ag._lift_relations(lifts, 3))
+    assert len(looked_up) == len(set(looked_up)) <= 24
+    # one relation per non-tree edge, 3 * 384 - 383, spanning the basis found before the cache
+    assert len(relations) == 769
+    basis = sorted(ag._f2_echelon(relations).values())
+    assert len(basis) == 28
+    assert hashlib.sha256(",".join(map(str, basis)).encode()).hexdigest()[:16] == "3a2683da46cc66d6"
 
 
 def _lift_oracle(q, gens):

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import echotk
-from echotk import cli, sweep
+from echotk import cli, seq, sweep
 
 
 def run_cli(capsys, *argv):
@@ -294,3 +294,15 @@ def test_out_saves_exactly_the_printed_bytes(capsys, tmp_path, argv):
     code, out, err = run_cli(capsys, *argv, option, str(tmp_path / "missing" / "result"))
     assert (code, out) == (1, "")
     assert "error:" in err
+
+
+def test_somos4_never_vanishes_mod_its_bad_prime_37():
+    # verify's term scan at p = 37 sees only the first 53 terms.  Each step divides by
+    # b_{n-4}, a unit mod 37 while no residue is 0, so four consecutive residues fix the
+    # rest: the first four coming back at n = 171 with no 0 before makes the cycle exact
+    s = seq.EchoSequence(seq.SOMOS4)
+    residues = [s.term(n) % 37 for n in range(171 + 4)]
+    assert [t for t in range(1, 172) if residues[t:t + 4] == residues[:4]] == [171]
+    assert 0 not in residues[:171]
+    # the sweep's decision at this bad prime agrees: 37 divides no term
+    assert sweep._decide([37], *sweep._prepare(*cli._SOMOS4_PAIR)).tolist() == [False]
