@@ -14,6 +14,7 @@ import io
 import json
 import math
 import random
+import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -395,10 +396,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv: Sequence[str]) -> list[str]:
+    """argv with each token that starts with "-" and a digit or "." joined by
+    "=" to the option before it.  argparse reads only -N and -N.N after a
+    space as numbers; -11/2 or -1e1 would be taken for options."""
+    out: list[str] = []
+    for tok in argv:
+        if out and re.match(r"-[\d.]", tok) and re.fullmatch(r"--[^=]+", out[-1]):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def run(argv: Sequence[str]) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = parser.parse_args(_join_negative_values(argv))
         if args.command == "seq" and args.start > args.to:
             parser.error(f"seq: --from {args.start} exceeds --to {args.to}")
     except SystemExit as exc:

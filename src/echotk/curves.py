@@ -213,16 +213,28 @@ class TateNormalFormError(ValueError):
 
 @dataclass(frozen=True)
 class TateMap:
-    """Substitution chain x = u^2 x' + r, y = u^3 y' + s u^2 x' + t.
+    """The change of variables x = u^2 x' + r, y = u^3 y' + s u^2 x' + t.
 
-    Applies the inverse change of variables, mapping points of the source
-    curve to points of the normal-form curve.
+    ``curve`` gives the model in (x', y') of a curve in (x, y), and ``apply``
+    maps points of the old model to the new one (Silverman, The Arithmetic
+    of Elliptic Curves, Table 3.1).
     """
 
     r: Fraction
     s: Fraction
     t: Fraction
     u: Fraction
+
+    def curve(self, c: Curve) -> Curve:
+        r, s, t, u = self.r, self.s, self.t, self.u
+        a1, a2, a3, a4, a6 = c.a1, c.a2, c.a3, c.a4, c.a6
+        return Curve(
+            (a1 + 2 * s) / u,
+            (a2 - s * a1 + 3 * r - s * s) / u**2,
+            (a3 + r * a1 + 2 * t) / u**3,
+            (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t) / u**4,
+            (a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1) / u**6,
+        )
 
     def apply(self, pt: Point) -> Point:
         if pt is None:
@@ -232,29 +244,6 @@ class TateMap:
         ys = y - self.s * xs - self.t
         u2 = self.u * self.u
         return (xs / u2, ys / (u2 * self.u))
-
-
-def _translate(c: Curve, r: Fraction, t: Fraction) -> Curve:
-    # x = x' + r, y = y' + t
-    a1, a2, a3, a4, a6 = c.a1, c.a2, c.a3, c.a4, c.a6
-    return Curve(
-        a1,
-        a2 + 3 * r,
-        a3 + r * a1 + 2 * t,
-        a4 + 2 * r * a2 - t * a1 + 3 * r * r,
-        a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1,
-    )
-
-
-def _shear(c: Curve, s: Fraction) -> Curve:
-    # y = y' + s*x
-    a1, a2, a3, a4, a6 = c.a1, c.a2, c.a3, c.a4, c.a6
-    return Curve(a1 + 2 * s, a2 - s * a1 - s * s, a3, a4 - s * a3, a6)
-
-
-def _scale(c: Curve, u: Fraction) -> Curve:
-    a1, a2, a3, a4, a6 = c.a1, c.a2, c.a3, c.a4, c.a6
-    return Curve(a1 / u, a2 / u**2, a3 / u**3, a4 / u**4, a6 / u**6)
 
 
 def tate_normal_form(c: Curve, pt: Point) -> tuple[Fraction, Fraction, TateMap]:
@@ -273,17 +262,17 @@ def tate_normal_form(c: Curve, pt: Point) -> tuple[Fraction, Fraction, TateMap]:
     if pt is None or not c.contains(pt):
         raise ValueError("marked point must be an affine point on the curve")
     r, t = Fraction(pt[0]), Fraction(pt[1])
-    c1 = _translate(c, r, t)
+    c1 = TateMap(r, 0, t, 1).curve(c)
     if c1.a3 == 0:
         raise TateNormalFormError("a3 vanished after translation (2*pt = infinity)")
     s = c1.a4 / c1.a3
-    c2 = _shear(c1, s)
+    c2 = TateMap(r, s, t, 1).curve(c)
     if c2.a2 == 0:
         raise TateNormalFormError("a2 vanished after shearing (3*pt = infinity)")
-    u = c2.a3 / c2.a2
-    c3 = _scale(c2, u)
+    tmap = TateMap(r, s, t, c2.a3 / c2.a2)
+    c3 = tmap.curve(c)
     assert c3.a4 == 0 and c3.a6 == 0 and c3.a2 == c3.a3
-    return c3.a1, c3.a2, TateMap(r, s, t, u)
+    return c3.a1, c3.a2, tmap
 
 
 def curve_from_pair(a, b) -> Curve:

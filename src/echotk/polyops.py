@@ -134,28 +134,14 @@ def rational_roots(coeffs: Sequence) -> list[Fraction]:
 
 
 def quartic_discriminant(coeffs: Sequence) -> Fraction:
-    """Discriminant of a*x^4 + b*x^3 + c*x^2 + d*x + e (ascending input)."""
+    """Discriminant of a*x^4 + b*x^3 + c*x^2 + d*x + e (ascending input),
+    as (4 I^3 - J^2) / 27 for the invariants I and J of the quartic."""
     e, d, c, b, a = (Fraction(x) for x in coeffs)
     if a == 0:
         raise ValueError("leading coefficient must be nonzero")
-    return (
-        256 * a**3 * e**3
-        - 192 * a**2 * b * d * e**2
-        - 128 * a**2 * c**2 * e**2
-        + 144 * a**2 * c * d**2 * e
-        - 27 * a**2 * d**4
-        + 144 * a * b**2 * c * e**2
-        - 6 * a * b**2 * d**2 * e
-        - 80 * a * b * c**2 * d * e
-        + 18 * a * b * c * d**3
-        + 16 * a * c**4 * e
-        - 4 * a * c**3 * d**2
-        - 27 * b**4 * e**2
-        + 18 * b**3 * c * d * e
-        - 4 * b**3 * d**3
-        - 4 * b**2 * c**3 * e
-        + b**2 * c**2 * d**2
-    )
+    i = 12 * a * e - 3 * b * d + c * c
+    j = 72 * a * c * e + 9 * b * c * d - 27 * a * d * d - 27 * b * b * e - 2 * c**3
+    return (4 * i**3 - j * j) / 27
 
 
 def is_rational_square(q) -> bool:
@@ -182,11 +168,12 @@ def _depress_quartic(coeffs: Sequence[Fraction]):
 def is_quartic_irreducible(coeffs: Sequence) -> bool:
     """Irreducibility over Q of a degree-4 polynomial.
 
-    No rational root rules out linear factors; the quadratic-pair split is
-    decided on the depressed form, where a factorization into two rational
-    quadratics forces the resolvent cubic to have a rational root that is
-    a nonzero rational square (or, in the biquadratic case, one of two
-    explicit square conditions).
+    No rational root rules out linear factors.  The depressed form
+    y^4 + p y^2 + q y + r splits as (y^2 + w y + m)(y^2 - w y + n) over Q
+    iff its resolvent cubic z^3 + 2p z^2 + (p^2 - 4r) z - q^2, whose roots
+    are the z = w^2, has a rational root z that is a nonzero square (m and
+    n then follow linearly), or z = 0 with p^2 - 4r a square (w = 0, and m,
+    n are the roots of X^2 - p X + r).
     """
     fr = [Fraction(c) for c in coeffs]
     if len(fr) != 5 or fr[4] == 0:
@@ -194,17 +181,5 @@ def is_quartic_irreducible(coeffs: Sequence) -> bool:
     if rational_roots(fr):
         return False
     p, q, r = _depress_quartic(fr)
-    if q != 0:
-        resolvent = [-(q**2), p**2 - 4 * r, 2 * p, Fraction(1)]
-        for z in rational_roots(resolvent):
-            if z > 0 and is_rational_square(z):
-                return False
-        return True
-    # biquadratic y^4 + p y^2 + r
-    if is_rational_square(p**2 - 4 * r):
-        return False
-    if is_rational_square(r):
-        w = Fraction(math.isqrt(r.numerator), math.isqrt(r.denominator))
-        if is_rational_square(2 * w - p) or is_rational_square(-2 * w - p):
-            return False
-    return True
+    resolvent = [-(q**2), p**2 - 4 * r, 2 * p, Fraction(1)]
+    return not any(is_rational_square(z or p**2 - 4 * r) for z in rational_roots(resolvent))

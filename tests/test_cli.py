@@ -231,6 +231,28 @@ def test_family_cli_json(capsys):
     assert payload["b"] == "-729/64"
 
 
+@pytest.mark.parametrize(
+    "argv, option, value",
+    [
+        (("family",), "--t", "-11/2"),
+        (("tate", "--a2=-804357/16", "--a3=-804357/16", "--px", "25947/8", "--py", "23326353/32"), "--a1", "-837/2"),
+        (("seq", "--to", "0"), "--from", "-1e1"),
+    ],
+    ids=("family", "tate", "seq"),
+)
+def test_negative_values_parse_after_a_space(capsys, argv, option, value):
+    # argparse alone takes -11/2 and -1e1 after a space for options of their own
+    joined = run_cli(capsys, *argv, f"{option}={value}")
+    assert joined[0] == 0 and joined[1]
+    assert run_cli(capsys, *argv, option, value) == joined
+
+
+def test_negative_value_parsing_keeps_usage_errors(capsys):
+    for argv in (("family", "--t", "-x"), ("family", "--t", "-11/0"), ("seq", "--from", "-1.5", "--to", "0")):
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+
+
 def run_module(*argv):
     # the child imports the package from where this process found it
     src = os.path.dirname(os.path.dirname(echotk.__file__))

@@ -93,6 +93,36 @@ def test_tate_normal_form_of_base_pair():
     assert target.j_invariant() == CURVE_E.j_invariant()
 
 
+def _tate_pairs():
+    """(E, P), (E, 2P) and 20 seeded random (curve, point) pairs, a6 solved so
+    that the point lies on the curve; singular curves and points of order 2
+    or 3 are skipped."""
+    pairs = [(CURVE_E, POINT_P), (CURVE_E, curves.scalar_mul(2, POINT_P, CURVE_E))]
+    rng = random.Random(29)
+    while len(pairs) < 22:
+        a1, a2, a3, a4, x, y = (Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(6))
+        a6 = y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x
+        c, pt = curves.Curve(a1, a2, a3, a4, a6), (x, y)
+        if not c.is_singular() and curves.scalar_mul(2, pt, c) and curves.scalar_mul(3, pt, c):
+            pairs.append((c, pt))
+    return pairs
+
+
+def test_tate_map_moves_coefficients_points_and_the_group_law():
+    for c, pt in _tate_pairs():
+        a, b, tmap = curves.tate_normal_form(c, pt)
+        target = curves.curve_from_pair(a, b)
+        assert tmap.curve(c) == target, (c, pt)
+        assert tmap.apply(pt) == (0, 0)
+        points = [curves.scalar_mul(n, pt, c) for n in (1, 2, 3, -1)]
+        for q in points:
+            assert target.contains(tmap.apply(q)), (c, pt, q)
+        for q in points:
+            for r in points:
+                moved = curves.add(tmap.apply(q), tmap.apply(r), target)
+                assert tmap.apply(curves.add(q, r, c)) == moved, (c, pt, q, r)
+
+
 def test_tate_normal_form_idempotent():
     a, b, _ = curves.tate_normal_form(CURVE_E, POINT_P)
     c = curves.curve_from_pair(a, b)

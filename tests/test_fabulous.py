@@ -172,6 +172,30 @@ def test_family_member_t2_certificate():
         assert math.isqrt(part) ** 2 == part
 
 
+def test_t_minus_11_rational_half_normal_form():
+    # (0, 0) on E_{-11} is 2R for a rational R; the normal form of (E_{-11}, R)
+    # moves R to (0, 0) and the old origin to twice the new one
+    e11 = curves.curve_from_pair(*fabulous.parametrize(-11))
+    origin = (Fraction(0), Fraction(0))
+    half = (Fraction(25947, 8), Fraction(23326353, 32))
+    assert e11.contains(half)
+    assert curves.scalar_mul(2, half, e11) == origin
+    a, b, tmap = curves.tate_normal_form(e11, half)
+    assert (a, b) == (0, Fraction(27, 2))
+    target = curves.curve_from_pair(a, b)
+    assert tmap.apply(half) == origin
+    assert tmap.apply(origin) == curves.scalar_mul(2, origin, target)
+    assert fabulous.certify_kinetic_conditions(a, b).as_dict() == {
+        "delta_nonsquare": True,
+        "two_delta_nonsquare": True,
+        "neg_delta_nonsquare": True,
+        "neg_two_delta_nonsquare": True,
+        "no_rational_2_torsion": True,
+        "j_equation_no_root": False,
+        "halving_poly_irreducible": True,
+    }
+
+
 def test_family_report_excluded_t():
     with pytest.raises(fabulous.ExcludedParameterError):
         fabulous.family_report(25)

@@ -279,6 +279,14 @@ def test_quartic_discriminant_matches_resultant():
         res = sylvester_resultant(coeffs, deriv)
         # disc = (-1)^(4*3/2) Res(f, f') / lc = Res / lc
         assert disc == res / coeffs[4]
+    # planted non-monic quartics (x - r)^2 (alpha x^2 + beta x + gamma) with a repeated root
+    for _ in range(40):
+        r = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+        quad = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(2)]
+        quad.append(Fraction(rng.choice((-1, 1)) * rng.randint(2, 6)))
+        coeffs = _mul(_mul([-r, Fraction(1)], [-r, Fraction(1)]), quad)
+        deriv = [coeffs[i] * i for i in range(1, 5)]
+        assert polyops.quartic_discriminant(coeffs) == 0 == sylvester_resultant(coeffs, deriv), coeffs
 
 
 def test_sylvester_resultant_common_root():
