@@ -551,10 +551,8 @@ def _kernel_part(codes: np.ndarray, k: int) -> np.ndarray:
     return codes[_repack(codes, k, k - 1) == pack(IDENTITY_RAW, k - 1)]
 
 
-def _are_conjugate(
-    s1: np.ndarray, gens1: Sequence[int], s2: np.ndarray, k: int, transversal: np.ndarray
-) -> Optional[Elem]:
-    """The first t of transversal with t s1 t^-1 = s2 (sorted code arrays), or None.
+def _are_conjugate(s1: np.ndarray, gens1: Sequence[int], s2: np.ndarray, k: int) -> Optional[Elem]:
+    """The first t of ``full_agl(k)`` with t s1 t^-1 = s2 (sorted code arrays), or None.
 
     s1 is generated by its kernel part W = s1 & K and the codes gens1, and
     W is stable under the level-1 group, as every kinetic group's is; so
@@ -566,6 +564,7 @@ def _are_conjugate(
     if s1.size != s2.size or not np.array_equal(_kernel_part(s1, k), _kernel_part(s2, k)):
         return None
     mask = (1 << k) - 1
+    transversal = full_agl(k).code_array
     member = np.zeros(1 << 6 * k, dtype=bool)
     member[s2] = True
 
@@ -643,11 +642,10 @@ def classify_kinetic(k: int) -> list[KineticClass]:
             assert got is not None and got.size == q.order * len(w), "a solved lift left W or Q"
             if _is_kinetic(got, k):
                 groups.append((got, gens))
-    transversal = full_agl(k).code_array
     classes: list[list[np.ndarray]] = []
     for g, gens in groups:
         for members in classes:
-            if _are_conjugate(g, gens, members[0], k, transversal) is not None:
+            if _are_conjugate(g, gens, members[0], k) is not None:
                 members.append(g)
                 break
         else:

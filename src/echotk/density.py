@@ -7,12 +7,13 @@ and, per M in GL_2(Z/4), log2 |im(M - I)| and the number of v in that image
 with (v, M) in G_2.  One engine reads that table:
 
 * ``_smith_cells`` counts the lifts A' of A = M - I mod 4 to level k by
-  their 2-adic Smith form, which fixes |im A'|, and ``brute_report`` sums
-  the cells into the exact density at level k;
-* every class's mean of |im A'| / 4^k is c + a 4^-k + b 64^-k (the
-  ``brute_report`` docstring proves it), so the levels k = 2, 3, 4 fix the
-  limit c exactly: ``mu_case`` and ``analytic_density`` solve it per class,
-  and ``brute_closed_form`` solves the (c, a, b) of the totals.
+  their 2-adic Smith form, which fixes |im A'|; ``_class_fractions``
+  counts each class's share at level k from its cells, once, and
+  ``brute_report`` sums the shares into the exact density at level k;
+* every class's share is c + a 4^-k + b 64^-k (the ``brute_report``
+  docstring proves it), so its shares at k = 2, 3, 4 fix the limit c
+  exactly: ``mu_case`` and ``analytic_density`` read it off them, and
+  ``brute_closed_form`` solves the (c, a, b) of the totals.
 
 ``case_label`` splits the classes by the 2-adic shape of M - I mod 4 for
 the per-case reports.  The limits are exactly 179/336 for H_k and 11/21
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from types import MappingProxyType
 from typing import Optional
 
 from . import aglgroup
@@ -113,14 +115,14 @@ _LEVEL2_GROUPS = {"hk": aglgroup.h2, "full": lambda: aglgroup.full_agl(2)}
 
 
 @lru_cache(maxsize=None)
-def gl2_mod4() -> list[Matrix]:
-    return [tuple(m) for m in aglgroup._gl_matrices(2).tolist()]
+def gl2_mod4() -> tuple[Matrix, ...]:
+    return tuple(tuple(m) for m in aglgroup._gl_matrices(2).tolist())
 
 
 @lru_cache(maxsize=None)
-def _group_table(group: str) -> tuple[int, dict]:
+def _group_table(group: str) -> tuple[int, MappingProxyType]:
     """|G_2|, and per M in GL_2(Z/4) the pair (log2 |im(M - I)|, |im(M - I) ∩ V_M|)
-    at level 2, where V_M = {v : (v, M) in G_2}."""
+    at level 2, where V_M = {v : (v, M) in G_2}; read-only, since callers share it."""
     if group not in _LEVEL2_GROUPS:
         raise ValueError(f"unknown group {group!r}")
     members = set(_LEVEL2_GROUPS[group]().code_array.tolist())
@@ -128,7 +130,7 @@ def _group_table(group: str) -> tuple[int, dict]:
     for m in gl2_mod4():
         img = image_of(_m_minus_i(m, 4), 2)
         table[m] = (len(img).bit_length() - 1, sum(aglgroup.pack((*v, *m), 2) in members for v in img))
-    return len(members), table
+    return len(members), MappingProxyType(table)
 
 
 def case_label(m: Matrix) -> str:
@@ -222,15 +224,31 @@ def _smith_cells(a: Matrix, r: int, k: int) -> tuple[tuple[int, int], ...]:
     return tuple((t + 2, n) for t, n in _smith_cells(tuple(x >> 1 for x in a), r - 1, k - 1))
 
 
-def brute_report(k: int, group: str = "hk") -> tuple[DensityReport, dict]:
-    """Exact finite-level density over GL_2(Z/2^k), counted by Smith-form cell.
+@lru_cache(maxsize=None)
+def _class_fractions(k: int, group: str) -> tuple[MappingProxyType, Fraction]:
+    """Each mod-4 class's share of the density at level k, and the share
+    ``s1_total`` of the cells t < k, where det(M - I) != 0 mod 2^k.
 
     A pair (v, M) counts when v lies in im A, A = M - I, and |im A| =
     2^(2k - t) for the cell t of ``_smith_cells``, and v must also reduce
     mod 4 into V_M = {v : (v, M) in G_2}.  Reduction mod 4 maps im A onto
-    im(A mod 4) with fibres of equal size, so the count is |im A| /
-    |im(A mod 4)| * |im(A mod 4) ∩ V_M|.  ``s1_total`` keeps the cells
-    t < k, where det(M - I) != 0 mod 2^k.
+    im(A mod 4) with fibres of equal size, so of the |G_2| 64^(k-2) pairs a
+    lift holds |im A| f_M, f_M = |im(A mod 4) ∩ V_M| / |im(A mod 4)|: the
+    class weighs 16 f_M / |G_2| times the mean of 2^-t over its lifts.
+    """
+    order, table = _group_table(group)
+    denom = order * 64 ** (k - 2)
+    shares = {}
+    s1 = 0
+    for m, (log4, hits4) in table.items():
+        pairs = {t: hits4 * n << (2 * k - t - log4) for t, n in _smith_cells(_m_minus_i(m, 4), 2, k)}
+        shares[m] = Fraction(sum(pairs.values()), denom)
+        s1 += sum(p for t, p in pairs.items() if t < k)
+    return MappingProxyType(shares), Fraction(s1, denom)
+
+
+def brute_report(k: int, group: str = "hk") -> tuple[DensityReport, dict]:
+    """Exact finite-level density over GL_2(Z/2^k), summed from ``_class_fractions``.
 
     Closed forms: the mean of 2^-t over the 16^(k-2) lifts of a class is
     1, 1/2 and 1/4 for det_odd, det_2_mod_4 and halved_invertible, and the
@@ -248,20 +266,13 @@ def brute_report(k: int, group: str = "hk") -> tuple[DensityReport, dict]:
 
     ``BRUTE_MAX_LEVEL`` = 64 is the range the tests check: a call costs
     about 55 ms there (2-core Xeon VM), and ``_smith_cells`` recurses k deep.
-    Returns the report and the per-mod-4-class fractions, which tests check
-    class by class against enumeration and against ``mu_case``.
+    Returns the report and a copy of the per-class shares, which tests
+    check class by class against enumeration and against ``mu_case``.
     """
     if not 2 <= k <= BRUTE_MAX_LEVEL:
         raise ValueError(f"brute level must be in 2..{BRUTE_MAX_LEVEL}")
-    order, table = _group_table(group)
-    denom = order * 64 ** (k - 2)
-    class_fracs = {}
-    s1 = 0
-    for m, (log4, hits4) in table.items():
-        pairs = {t: hits4 * n << (2 * k - t - log4) for t, n in _smith_cells(_m_minus_i(m, 4), 2, k)}
-        class_fracs[m] = Fraction(sum(pairs.values()), denom)
-        s1 += sum(p for t, p in pairs.items() if t < k)
-    return _case_report(f"brute(k={k})", group, class_fracs, Fraction(s1, denom)), class_fracs
+    shares, s1 = _class_fractions(k, group)
+    return _case_report(f"brute(k={k})", group, shares, s1), dict(shares)
 
 
 def brute_density(k: int, group: str = "hk") -> Fraction:
@@ -276,8 +287,9 @@ def brute_density(k: int, group: str = "hk") -> Fraction:
 def _span_limit(d2, d3, d4) -> Fraction:
     """The c of d_k = c + a 4^-k + b 64^-k, from exact d_k at k = 2, 3, 4, by
     Richardson extrapolation: r_k = 64 d_(k+1) - d_k = 63 c + 15 a 4^-k drops
-    the 64^-k term, and 4 r_3 - r_2 = 189 c drops the 4^-k term."""
-    return Fraction(4 * (64 * d4 - d3) - (64 * d3 - d2), 189)
+    the 64^-k term, and 4 r_3 - r_2 = 256 d_4 - 68 d_3 + d_2 = 189 c drops
+    the 4^-k term."""
+    return Fraction(256 * d4 - 68 * d3 + d2, 189)
 
 
 def _solve_span(d2, d3, d4) -> tuple[Fraction, Fraction, Fraction]:
@@ -288,30 +300,17 @@ def _solve_span(d2, d3, d4) -> tuple[Fraction, Fraction, Fraction]:
 
 
 @lru_cache(maxsize=None)
-def _mean_image_limit(a: Matrix) -> Fraction:
-    """Limit over k of the mean of |im A'| / 4^k = 2^-t over the 16^(k-2)
-    lifts A' of the mod-4 matrix A, from its Smith cells at k = 2, 3, 4.
-    Scaled by 2^16 = 4^4 16^2, their common denominator, the means are
-    integers."""
-    scaled = (sum(n << 24 - 4 * k - t for t, n in _smith_cells(a, 2, k)) for k in (2, 3, 4))
-    return _span_limit(*scaled) / (1 << 16)
+def _class_limits(group: str) -> MappingProxyType:
+    """Each class's limit over k: ``_span_limit`` of its shares at k = 2, 3, 4."""
+    shares = [_class_fractions(k, group)[0] for k in (2, 3, 4)]
+    return MappingProxyType({m: _span_limit(*(s[m] for s in shares)) for m in shares[0]})
 
 
 def mu_case(m: Matrix, group: str = "hk") -> Fraction:
-    """Exact limiting contribution of the mod-4 class of M to the density.
-
-    Each of the 16^(k-2) lifts A' of A = M - I holds |im A'| f_M counted
-    pairs of the |G_2| 64^(k-2) elements, where f_M = |im A ∩ V_M| / |im A|
-    at level 2.  So the class contributes 16 f_M / |G_2| times the limit of
-    the mean of |im A'| / 4^k, which ``_mean_image_limit`` reads off the
-    Smith cells.
-    """
+    """Exact limiting contribution of the mod-4 class of M to the density."""
     if _det(m, 4) % 2 == 0:
         raise ValueError("M must be invertible mod 4")
-    m = tuple(x & 3 for x in m)
-    order, table = _group_table(group)
-    log4, hits4 = table[m]
-    return Fraction(16 * hits4, order << log4) * _mean_image_limit(_m_minus_i(m, 4))
+    return _class_limits(group)[tuple(x & 3 for x in m)]
 
 
 def analytic_density(group: str = "hk") -> DensityReport:
@@ -320,7 +319,7 @@ def analytic_density(group: str = "hk") -> DensityReport:
     The cases partition GL_2(Z/4) by the 2-adic shape of M - I; only
     matrices with a nonzero limit are counted.
     """
-    return _case_report("analytic", group, {m: mu_case(m, group) for m in gl2_mod4()})
+    return _case_report("analytic", group, _class_limits(group))
 
 
 def brute_closed_form(group: str = "hk") -> tuple[Fraction, Fraction, Fraction]:

@@ -651,7 +651,7 @@ def _are_conjugate_oracle(s1, s2, k, transversal):
 def _check_conjugacy(s1, s2, k):
     transversal = ag.full_agl(k).code_array
     gens = ag._recover_generators(ag.SubgroupRep(k, s1))
-    got = ag._are_conjugate(s1, gens, s2, k, transversal)
+    got = ag._are_conjugate(s1, gens, s2, k)
     assert got == _are_conjugate_oracle(s1, s2, k, transversal)
     if got is not None:
         assert sorted(_conjugates(got, s1.tolist(), k)) == s2.tolist()
@@ -699,7 +699,7 @@ def test_w_first_conjugacy_matches_the_oracle():
     transversal = ag.full_agl(2).code_array
     verdicts = []
     for (w1, lifted, s1), (w2, _, s2) in same_w + other_w:
-        got = ag._are_conjugate(s1, lifted, s2, 2, transversal)
+        got = ag._are_conjugate(s1, lifted, s2, 2)
         assert got == _are_conjugate_oracle(s1, s2, 2, transversal), (sorted(w1), sorted(w2))
         if got is not None:
             assert sorted(_conjugates(got, s1.tolist(), 2)) == s2.tolist()
@@ -725,7 +725,7 @@ def test_are_conjugate_probes_generators_only(monkeypatch):
         return got
 
     monkeypatch.setattr(ag, "_comp", spy)
-    assert ag._are_conjugate(h3.code_array, gens, other, 3, transversal) is None
+    assert ag._are_conjugate(h3.code_array, gens, other, 3) is None
     assert shapes and set(shapes) == {(transversal.size, len(gens))}
 
 

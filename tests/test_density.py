@@ -240,6 +240,22 @@ def test_analytic_density_hk():
 def test_analytic_density_full():
     rep = density.analytic_density("full")
     assert rep.total == Fraction(11, 21)
+    assert rep.per_case == {
+        "det_odd": Fraction(1, 3),
+        "det_2_mod_4": Fraction(1, 8),
+        "det_0_odd_entry": Fraction(1, 24),
+        "halved_invertible": Fraction(1, 64),
+        "halved_nonzero_singular": Fraction(1, 128),
+        "identity": Fraction(1, 2688),
+    }
+    assert rep.case_counts == {
+        "det_odd": 32,
+        "det_2_mod_4": 24,
+        "det_0_odd_entry": 24,
+        "halved_invertible": 6,
+        "halved_nonzero_singular": 9,
+        "identity": 1,
+    }
     assert sum(rep.case_counts.values()) == 96  # every class contributes
 
 
@@ -416,14 +432,17 @@ def test_brute_matches_smith_oracle_level5():
         assert (report.total, report.s1_total) == (total, s1), group
 
 
+# the (c, a, b) with D(k) = c + a 4^-k + b 64^-k, per group
+_CLOSED_FORMS = {
+    "hk": (Fraction(179, 336), Fraction(7, 20), Fraction(32, 105)),
+    "full": (Fraction(11, 21), Fraction(2, 5), Fraction(8, 105)),
+}
+
+
 def test_brute_closed_forms():
     # the finite-level identities derived in the brute_report docstring,
     # and the (c, a, b) that brute_closed_form solves from three levels
-    forms = {
-        "hk": (Fraction(179, 336), Fraction(7, 20), Fraction(32, 105)),
-        "full": (Fraction(11, 21), Fraction(2, 5), Fraction(8, 105)),
-    }
-    for group, (c, a, b) in forms.items():
+    for group, (c, a, b) in _CLOSED_FORMS.items():
         assert density.brute_closed_form(group) == (c, a, b), group
         for k in range(2, density.BRUTE_MAX_LEVEL + 1):
             assert density.brute_density(k, group) == c + a / 4**k + b / 64**k, (group, k)
@@ -465,7 +484,8 @@ def test_smith_cells_are_cached_immutable_and_reused_by_the_limit():
     # cell the analytic limit reads, and each is an immutable tuple of
     # (t, count) pairs, so sharing the cached value is safe
     density._smith_cells.cache_clear()
-    density._mean_image_limit.cache_clear()
+    density._class_fractions.cache_clear()
+    density._class_limits.cache_clear()
     for k in (2, 3, 4):
         density.brute_report(k, "hk")
     built = density._smith_cells.cache_info().misses
@@ -475,3 +495,31 @@ def test_smith_cells_are_cached_immutable_and_reused_by_the_limit():
     cells = density._smith_cells((1, 0, 0, 0), 2, 5)
     assert cells == ((2, 2048), (3, 1024), (4, 512), (5, 512))  # the 16^3 lifts of a det-0 class
     assert cells is density._smith_cells((1, 0, 0, 0), 2, 5)
+
+
+def test_cached_tables_are_read_only():
+    # every cached value is shared by all callers, so none can be written, and
+    # the dict brute_report hands back is the caller's own copy; each write
+    # puts back the value already there, so a write that succeeds changes nothing
+    assert isinstance(density.gl2_mod4(), tuple)
+    identity = (1, 0, 0, 1)
+    for group, (c, a, b) in _CLOSED_FORMS.items():
+        table = density._group_table(group)[1]
+        with pytest.raises(TypeError):
+            table[identity] = table[identity]
+        shares, _ = density._class_fractions(3, group)
+        limits = density._class_limits(group)
+        for mapping in (shares, limits):
+            with pytest.raises(TypeError):
+                mapping[identity] = mapping[identity]
+        mus = [density.mu_case(m, group) for m in density.gl2_mod4()]
+        report, per_class = density.brute_report(3, group)
+        assert report.total == c + a / 4**3 + b / 64**3
+        kept = dict(per_class)
+        for m in per_class:
+            per_class[m] = Fraction(0)
+        again, again_per_class = density.brute_report(3, group)
+        assert again == report and again_per_class == kept, group
+        assert [density.mu_case(m, group) for m in density.gl2_mod4()] == mus, group
+        assert sum(mus, Fraction(0)) == c
+        assert density.analytic_density(group).total == c
