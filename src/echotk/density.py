@@ -15,10 +15,17 @@ with (v, M) in G_2.  One engine reads that table:
   exactly: ``mu_case`` and ``analytic_density`` read it off them, and
   ``brute_closed_form`` solves the (c, a, b) of the totals.
 
-``case_label`` splits the classes by the 2-adic shape of M - I mod 4 for
-the per-case reports.  The limits are exactly 179/336 for H_k and 11/21
-for the full group, and each finite level equals the limit on every class
-whose determinant valuation is already resolved mod 4.
+The paper's six cases are the 2-adic Smith shapes (e1, e2) of M - I mod 4,
+each exponent capped at 2: det odd (0, 0), det = 2 (0, 1), det = 0 with an
+odd entry (0, 2), and M - I = 2N with N mod 2 invertible (1, 1), nonzero
+singular (1, 2) or zero (2, 2).  For M a Frobenius these are the capped
+shapes of the 2-Sylow subgroup of E(F_p), the cokernel of M - I (Miret,
+Moreno, Rio and Valls, Math. Comp. 74, 2005).  ``_smith_exponents`` reads
+every shape: ``case_label`` names it for the per-case reports, and
+``colspace_contains`` compares two at level k.  The limits are exactly
+179/336 for H_k and 11/21 for the full group, and each finite level equals
+the limit on every class with e1 + e2 < 2, whose determinant valuation is
+already resolved mod 4.
 """
 
 from __future__ import annotations
@@ -44,14 +51,16 @@ CASE_HALVED_INV = "halved_invertible"
 CASE_HALVED_SING = "halved_nonzero_singular"
 CASE_IDENTITY = "identity"
 
-CASE_ORDER = (
-    CASE_DET_ODD,
-    CASE_DET_2,
-    CASE_DET_0_ODD,
-    CASE_HALVED_INV,
-    CASE_HALVED_SING,
-    CASE_IDENTITY,
-)
+_CASE_BY_SHAPE = MappingProxyType({
+    (0, 0): CASE_DET_ODD,
+    (0, 1): CASE_DET_2,
+    (0, 2): CASE_DET_0_ODD,
+    (1, 1): CASE_HALVED_INV,
+    (1, 2): CASE_HALVED_SING,
+    (2, 2): CASE_IDENTITY,
+})
+
+CASE_ORDER = tuple(_CASE_BY_SHAPE.values())
 
 
 def _mat_vec(m: Matrix, x, mod: int):
@@ -72,39 +81,39 @@ def image_of(a: Matrix, k: int) -> set:
     return {_mat_vec(a, (x0, x1), mod) for x0 in range(mod) for x1 in range(mod)}
 
 
-def _val2(x: int, k: int) -> int:
-    x &= (1 << k) - 1
-    if x == 0:
-        return k
+def _val2(x: int) -> int:
+    """The 2-adic valuation of a nonzero integer."""
     return (x & -x).bit_length() - 1
 
 
-def colspace_contains(v, a: Matrix, k: int) -> bool:
-    """Does A x = v have a solution mod 2^k?  Gaussian elimination with the
-    pivot on the entry of minimal 2-adic valuation (row-major tie break)."""
+def _smith_exponents(entries, k: int) -> tuple[int, int]:
+    """The 2-adic Smith exponents (e1, e2) of the 2 x n matrix over Z/2^k
+    whose rows, read in order, are ``entries``, so |im| = 2^(2k - e1 - e2).
+
+    With the entries lifted into [0, 2^k), e1 is their least valuation and
+    e1 + e2 the least valuation of the 2 x 2 minors of that lift, each
+    exponent capped at k.
+    """
     mod = 1 << k
-    m = [a[0] % mod, a[1] % mod, a[2] % mod, a[3] % mod]
-    w = [v[0] % mod, v[1] % mod]
-    vals = [_val2(x, k) for x in m]
-    piv = min(range(4), key=lambda i: (vals[i], i))
-    e = vals[piv]
-    if e >= k:
-        return w[0] == 0 and w[1] == 0
-    if piv >= 2:  # pivot into the top row
-        m = [m[2], m[3], m[0], m[1]]
-        w = [w[1], w[0]]
-        piv -= 2
-    if piv == 1:  # pivot into the left column (reorders the unknowns only)
-        m = [m[1], m[0], m[3], m[2]]
-    unit_inv = pow(m[0] >> e, -1, mod)
-    # clear the rest of the pivot row (column op: no effect on w)
-    s = ((m[1] >> e) * unit_inv) % mod
-    m[3] = (m[3] - s * m[2]) % mod
-    # clear the rest of the pivot column (row op: applies to w)
-    t = ((m[2] >> e) * unit_inv) % mod
-    w[1] = (w[1] - t * w[0]) % mod
-    d_val = _val2((m[3] * unit_inv) % mod, k)  # diag is (2^e * unit, m[3] - s*m[2])
-    return w[0] % (1 << e) == 0 and w[1] % (1 << min(d_val, k)) == 0
+    n = len(entries) // 2
+    # an OR's valuation is the least valuation of its terms
+    low = minors = 0
+    columns = []
+    for x, y in zip(entries[:n], entries[n:]):
+        x, y = x % mod, y % mod
+        low |= x | y
+        for u, w in columns:
+            minors |= u * y - x * w
+        columns.append((x, y))
+    e1 = _val2(low) if low else k
+    return e1, min(k, _val2(minors) - e1 if minors else k)
+
+
+def colspace_contains(v, a: Matrix, k: int) -> bool:
+    """Does A x = v have a solution mod 2^k?  Appending v to A enlarges the
+    image exactly when v lies outside it, so v lies in it exactly when
+    [A | v] keeps A's exponents."""
+    return _smith_exponents((a[0], a[1], v[0], a[2], a[3], v[1]), k) == _smith_exponents(a, k)
 
 
 # ---------------------------------------------------------------------------
@@ -134,21 +143,8 @@ def _group_table(group: str) -> tuple[int, MappingProxyType]:
 
 
 def case_label(m: Matrix) -> str:
-    """The case of M's class by the 2-adic shape of A = M - I mod 4: det A odd,
-    det A = 2, det A = 0 with an odd entry, or A = 2N with N mod 2 invertible,
-    nonzero singular or zero (M = I)."""
-    a = _m_minus_i(m, 4)
-    det = _det(a, 4)
-    if det % 2 == 1:
-        return CASE_DET_ODD
-    if det == 2:
-        return CASE_DET_2
-    if any(x % 2 == 1 for x in a):
-        return CASE_DET_0_ODD
-    if a == (0, 0, 0, 0):
-        return CASE_IDENTITY
-    n = tuple((x >> 1) & 1 for x in a)
-    return CASE_HALVED_INV if _det(n, 2) == 1 else CASE_HALVED_SING
+    """The case of M's mod-4 class: the capped Smith shape of M - I mod 4."""
+    return _CASE_BY_SHAPE[_smith_exponents(_m_minus_i(m, 4), 2)]
 
 
 @dataclass(frozen=True)
@@ -217,7 +213,7 @@ def _smith_cells(a: Matrix, r: int, k: int) -> tuple[tuple[int, int], ...]:
         # lifts of det A mod 2^r: its valuation is fixed or geometric over r..k
         d = _det(a, 1 << r)
         if d:
-            return ((_val2(d, r), lifts),)
+            return ((_val2(d), lifts),)
         # det A' = 0 mod 2^k in the last cell
         return tuple((j, lifts >> (j + 1 - r)) for j in range(r, k)) + ((k, lifts >> (k - r)),)
     # A' = 2B, with B over Z/2^(k-1) lifting A/2 from mod 2^(r-1)
@@ -328,9 +324,9 @@ def brute_closed_form(group: str = "hk") -> tuple[Fraction, Fraction, Fraction]:
 
 
 def resolved_at_level_2(m: Matrix) -> bool:
-    """Classes whose det(M - I) valuation is already pinned mod 4.
+    """Classes whose det(M - I) valuation is already pinned mod 4: e1 + e2 < 2.
 
     For these the finite-level brute fraction equals the analytic limit
     exactly, at every level.
     """
-    return case_label(m) in (CASE_DET_ODD, CASE_DET_2)
+    return sum(_smith_exponents(_m_minus_i(m, 4), 2)) < 2

@@ -555,7 +555,9 @@ def _run_sweep(
     _check_lane_bound(x_max)
     forks = hasattr(os, "fork")
     if threads is None:
-        threads = (os.cpu_count() or 1) if forks else 1
+        # the CPUs this process may run on, where the platform can say
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        threads = cpus if forks else 1
     elif threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     elif threads > 1 and not forks:

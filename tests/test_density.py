@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -20,9 +22,16 @@ def test_colspace_examples():
 
 
 def test_colspace_matches_exhaustive_search():
+    # every (v, A) at k = 1, 2, 3, then random pairs at k = 4, 5, 6
+    for k in (1, 2, 3):
+        mod = 1 << k
+        for a in itertools.product(range(mod), repeat=4):
+            img = density.image_of(a, k)
+            for v in itertools.product(range(mod), repeat=2):
+                assert density.colspace_contains(v, a, k) == (v in img), (v, a, k)
     rng = random.Random(42)
-    for _ in range(10_000):
-        k = rng.choice((2, 3, 4))
+    for _ in range(3_000):
+        k = rng.choice((4, 5, 6))
         mod = 1 << k
         a = tuple(rng.randrange(mod) for _ in range(4))
         v = (rng.randrange(mod), rng.randrange(mod))
@@ -165,11 +174,33 @@ def test_f_fraction_lift_stability():
             assert _f_by_sets(lift, 3) == f_base, (m, lift)
 
 
+# each case by its capped Smith shape (min(e1, 2), min(e2, 2)) of M - I
+_CASE_SHAPES = {
+    (0, 0): density.CASE_DET_ODD,
+    (0, 1): density.CASE_DET_2,
+    (0, 2): density.CASE_DET_0_ODD,
+    (1, 1): density.CASE_HALVED_INV,
+    (1, 2): density.CASE_HALVED_SING,
+    (2, 2): density.CASE_IDENTITY,
+}
+
+
 def test_case_label_depends_only_on_the_mod4_class():
-    for m in density.gl2_mod4():
-        for bits in range(16):
-            lift = tuple(x + 4 * ((bits >> i) & 1) for i, x in enumerate(m))
-            assert density.case_label(lift) == density.case_label(m), lift
+    # every mod-8 lift of every M in GL_2(Z/4) is named by the capped Smith
+    # shape of M - I at level 3: e1 the least entry valuation, and e1 + e2
+    # read off the image size
+    ms = density.gl2_mod4()
+    bits = (np.arange(16)[:, None] >> np.arange(4)) & 1
+    lifts = (np.array(ms)[:, None, :] + 4 * bits[None]).reshape(-1, 4)
+    a = (lifts - np.array([1, 0, 0, 1])) % 8
+    e1 = _v2(np.bitwise_or.reduce(a, axis=1), 3)
+    e2 = 6 - e1 - _log2_image_sizes(a, 3)
+    for lift, s1, s2 in zip(lifts.tolist(), e1.tolist(), e2.tolist()):
+        want = _CASE_SHAPES[min(s1, 2), min(s2, 2)]
+        assert density.case_label(tuple(lift)) == want, lift
+        assert density.case_label(tuple(x & 3 for x in lift)) == want, lift
+    counts = Counter(density.case_label(m) for m in ms)
+    assert [counts[c] for c in _CASE_SHAPES.values()] == [32, 24, 24, 6, 9, 1]
 
 
 def test_coset_shift_bijection():

@@ -859,6 +859,16 @@ def test_sweep_asks_for_no_more_workers_than_tasks(monkeypatch):
     _assert_no_children()
 
 
+def test_default_worker_count_is_the_usable_cpus(monkeypatch):
+    # a process pinned to one CPU of eight runs the sweep alone by default
+    want = sweep.sweep(sweep.SEGMENT_SIZE + 2, threads=1)
+    children = _record_children(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert sweep.sweep(sweep.SEGMENT_SIZE + 2, threads=None) == want
+    assert children == {}
+
+
 def test_sweep_reraises_a_child_exception(monkeypatch):
     caller, chunk = os.getpid(), sweep._sweep_chunk
 
