@@ -21,7 +21,8 @@ odd entry (0, 2), and M - I = 2N with N mod 2 invertible (1, 1), nonzero
 singular (1, 2) or zero (2, 2).  For M a Frobenius these are the capped
 shapes of the 2-Sylow subgroup of E(F_p), the cokernel of M - I (Miret,
 Moreno, Rio and Valls, Math. Comp. 74, 2005).  ``_smith_exponents`` reads
-every shape: ``case_label`` names it for the per-case reports, and
+every shape: ``case_label`` names it, the per-case reports read the
+names of the 96 mod-4 classes from ``_case_labels``, built once, and
 ``colspace_contains`` compares two at level k.  The limits are exactly
 179/336 for H_k and 11/21 for the full group, and each finite level equals
 the limit on every class with e1 + e2 < 2, whose determinant valuation is
@@ -147,6 +148,13 @@ def case_label(m: Matrix) -> str:
     return _CASE_BY_SHAPE[_smith_exponents(_m_minus_i(m, 4), 2)]
 
 
+@lru_cache(maxsize=None)
+def _case_labels() -> MappingProxyType:
+    """``case_label`` of every M in GL_2(Z/4), which no group changes;
+    read-only, since callers share it."""
+    return MappingProxyType({m: case_label(m) for m in gl2_mod4()})
+
+
 @dataclass(frozen=True)
 class DensityReport:
     mode: str
@@ -170,12 +178,12 @@ class DensityReport:
 
 
 def _case_report(mode: str, group: str, class_fracs: dict, s1_total=None) -> DensityReport:
-    """Sum per-mod-4-class contributions by ``case_label``, skipping classes of 0."""
+    """Sum per-mod-4-class contributions by their ``_case_labels``, skipping classes of 0."""
     per_case: dict[str, Fraction] = {}
     counts: dict[str, int] = {}
     for m, frac in class_fracs.items():
         if frac:
-            label = case_label(m)
+            label = _case_labels()[m]
             per_case[label] = per_case.get(label, Fraction(0)) + frac
             counts[label] = counts.get(label, 0) + 1
     labels = [lab for lab in CASE_ORDER if lab in per_case]

@@ -8,7 +8,14 @@ belong to the prepared (curve, point) pair.  Every other prime is odd and
 goes to numpy int64 lanes, one prime per lane, for a whole sweep segment
 at once.  A lane holds the point's x and the b2, b4, b6 of the 2-division
 cubic 4f(X) = 4X^3 + b2 X^2 + 2 b4 X + b6, the roots of f being the x of
-the 2-torsion points.  First the 2-descent map on f: a point of odd order
+the 2-torsion points.  _prepare scales each pair once, exactly, to an
+integral model by curves.TateMap(0, 0, 0, 1/m), m the lcm of the
+denominators of x and a1..a6, so the lanes read residues of the ints
+x' = m^2 x and b_i' = m^i b_i and invert nothing.  No lane prime divides
+m, since such a prime divides a coefficient denominator (bad reduction)
+or that of x (the point reduces to O), and both are settled first; so
+every lane keeps an isomorphic model, and x' - e' = m^2 (x - e) moves no
+case.  First the 2-descent map on f: a point of odd order
 lies in 2E(F_p) and is not 2-torsion, so x - e is a nonzero square for
 every root e of f in F_p.  One power u = Y^((p-1)/2) mod g(Y) = -f(x - Y),
 whose roots are the x - e, shows both the roots, through
@@ -373,20 +380,30 @@ def _kills(k, p, x, b2, b4, b6):
 
 
 def _lane_residues(v: int, q):
-    """The integer v, of any size, mod each lane prime."""
-    if -(1 << 63) <= v < 1 << 63:
-        return v % q
-    return (v % q.astype(object)).astype(np.int64)
+    """The integer v, of any size and sign, mod each lane prime: Horner's
+    rule over 30-bit limbs, most significant first, the top one signed, so
+    each step (r << 30) + limb stays below 2^61 + 2^30 < 2^63."""
+    limbs = []
+    while not -(1 << 30) <= v < 1 << 30:
+        limbs.append(v & (1 << 30) - 1)
+        v >>= 30
+    r = v % q
+    for limb in reversed(limbs):
+        r = ((r << 30) + limb) % q
+    return r
 
 
-def _prepare(c: Curve, pt: Point) -> tuple[tuple, int, dict]:
-    """The rational pair (c, pt) as the (numerator, denominator) pairs of
-    x, b2, b4, b6, an integer divisible exactly by the primes at which c has
-    no good reduction (a coefficient denominator or the discriminant
-    vanishes), and the pair's decided primes {p: odd order}.  Those hold
-    p = 2 where 2 is good and pt is affine mod 2: #E(F_2) <= 5, so
-    60 = lcm(1..5) kills E(F_2), and pt has odd order iff 15 pt = O there.
-    A singular curve raises SingularCurveError."""
+def _prepare(c: Curve, pt: Point) -> tuple[tuple[int, int, int, int, int], int, dict]:
+    """The rational pair (c, pt) as the ints (den x_P, x', b2', b4', b6'),
+    an integer divisible exactly by the primes at which c has no good
+    reduction (a coefficient denominator or the discriminant vanishes), and
+    the pair's decided primes {p: odd order}.  x' = m^2 x_P and
+    b_i' = m^i b_i are the integral model's, from TateMap(0, 0, 0, 1/m) with
+    m the lcm of the denominators of x_P and a1..a6 (the module docstring
+    says why no lane prime divides m).  The decided primes hold p = 2 where
+    2 is good and pt is affine mod 2: #E(F_2) <= 5, so 60 = lcm(1..5) kills
+    E(F_2), and pt has odd order iff 15 pt = O there.  A singular curve
+    raises SingularCurveError."""
     if c.p is not None:
         raise ValueError("the sweep expects a curve over the rationals")
     if pt is None or not c.contains(pt):
@@ -395,18 +412,24 @@ def _prepare(c: Curve, pt: Point) -> tuple[tuple, int, dict]:
     if disc == 0:
         raise curves.SingularCurveError("the swept curve is singular: every prime has bad reduction")
     x = Fraction(pt[0])
-    bad = math.prod(v.denominator for v in (c.a1, c.a2, c.a3, c.a4, c.a6)) * disc.numerator
+    coefficients = (c.a1, c.a2, c.a3, c.a4, c.a6)
+    bad = math.prod(v.denominator for v in coefficients) * disc.numerator
     decided = {}
     if bad % 2 and x.denominator % 2:
-        decided[2] = curves.scalar_mul(15, pt, Curve(c.a1, c.a2, c.a3, c.a4, c.a6, p=2)) is None
-    return tuple((v.numerator, v.denominator) for v in (x, *c.b_invariants()[:3])), bad, decided
+        decided[2] = curves.scalar_mul(15, pt, Curve(*coefficients, p=2)) is None
+    m = math.lcm(x.denominator, *(v.denominator for v in coefficients))
+    tm = curves.TateMap(0, 0, 0, Fraction(1, m))
+    model = (tm.apply(pt)[0], *tm.curve(c).b_invariants()[:3])
+    assert all(v.denominator == 1 for v in model)
+    return (x.denominator, *(v.numerator for v in model)), bad, decided
 
 
-def _decide(ps, parts: tuple, bad: int, decided: dict):
+def _decide(ps, model: tuple, bad: int, decided: dict):
     """Whether the point of a prepared pair has odd order mod each prime of
     ps, as a bool array: the pair's decided primes first, then False at bad
-    primes, then True where the point reduces to O, and the lanes decide
-    the rest, which are odd primes."""
+    primes, then True where p divides den x_P, so that the point reduces
+    to O, and the lanes decide the rest, which are odd primes, from x',
+    b2', b4', b6' mod p."""
     ps = np.asarray(ps, np.int64)
     out = np.zeros(len(ps), bool)
     todo = np.ones(len(ps), bool)
@@ -414,14 +437,12 @@ def _decide(ps, parts: tuple, bad: int, decided: dict):
         at = ps == p
         out[at], todo[at] = hit, False
     todo &= _lane_residues(bad, ps) != 0
-    at_o = todo & (_lane_residues(parts[0][1], ps) == 0)
+    den, *ints = model
+    at_o = todo & (_lane_residues(den, ps) == 0)
     out[at_o] = True
     lanes = np.flatnonzero(todo & ~at_o)
     q = ps[lanes]
-    values = [q]
-    for n, d in parts:
-        r = _lane_residues(n, q)
-        values.append(r if d == 1 else r * _pow(_lane_residues(d, q), q - 2, q) % q)
+    values = [q, *(_lane_residues(v, q) for v in ints)]
     for i in range(0, lanes.size, SEGMENT_SIZE):  # bounds the search's memory on a wide call
         out[lanes[i : i + SEGMENT_SIZE]] = _order_is_odd(*(v[i : i + SEGMENT_SIZE] for v in values))
     return out

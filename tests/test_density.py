@@ -534,6 +534,10 @@ def test_cached_tables_are_read_only():
     # puts back the value already there, so a write that succeeds changes nothing
     assert isinstance(density.gl2_mod4(), tuple)
     identity = (1, 0, 0, 1)
+    labels = density._case_labels()
+    with pytest.raises(TypeError):
+        labels[identity] = labels[identity]
+    assert labels == {m: density.case_label(m) for m in density.gl2_mod4()}
     for group, (c, a, b) in _CLOSED_FORMS.items():
         table = density._group_table(group)[1]
         with pytest.raises(TypeError):
@@ -554,3 +558,25 @@ def test_cached_tables_are_read_only():
         assert [density.mu_case(m, group) for m in density.gl2_mod4()] == mus, group
         assert sum(mus, Fraction(0)) == c
         assert density.analytic_density(group).total == c
+
+
+def test_reports_name_each_class_once(monkeypatch):
+    # the per-case reports read every class's name from one table, so the
+    # brute reports at k = 2, 3, 4 and the analytic report of both groups
+    # name each of the 96 mod-4 classes once between them
+    calls = Counter()
+    case_label = density.case_label
+
+    def counting(m):
+        calls[m] += 1
+        return case_label(m)
+
+    monkeypatch.setattr(density, "case_label", counting)
+    density._case_labels.cache_clear()
+    try:
+        reports = [density.brute_report(k, group)[0] for group in _CLOSED_FORMS for k in (2, 3, 4)]
+        reports += [density.analytic_density(group) for group in _CLOSED_FORMS]
+    finally:
+        density._case_labels.cache_clear()
+    assert calls == Counter(density.gl2_mod4())
+    assert [sum(r.case_counts.values()) for r in reports] == [60] * 3 + [96] * 3 + [60, 96]

@@ -660,15 +660,62 @@ def test_density_scan_of_the_t2_family_member():
     assert (recs[-1].x, recs[-1].pi_prime, recs[-1].pi) == (100_000, 4267, 9592)
 
 
-@pytest.mark.parametrize("t, hits", [(-23, 2556), (-29, 5101), (-5, 2571), (-11, 7667), (None, 5029)])
+@pytest.mark.parametrize(
+    "t, hits", [(-23, 2556), (-29, 5101), (-5, 2571), (-11, 7667), (None, 5029), (Fraction(37, 7), 5085)]
+)
 def test_density_scan_of_other_2_adic_images(t, hits):
     # family members whose 2-adic images differ from E's, and Somos-4's pair
     # (0, 0) on y^2 + y = x^3 - x (t = None), mix the classifier's cases
     # differently: t = -23 and t = -5 have no lane with sylow 1, and three
-    # quarters of their lanes search a quarter of the Hasse interval
+    # quarters of their lanes search a quarter of the Hasse interval; the
+    # rational member t = 37/7 enters the lanes as an integral model with a
+    # 97-digit b6' and a 363-bit bad integer
     c = curves.Curve(0, 0, 1, -1, 0) if t is None else curves.curve_from_pair(*fabulous.parametrize(t))
     recs = sweep.density_scan(c, (Fraction(0), Fraction(0)), 100_000, threads=1)
     assert (recs[-1].x, recs[-1].pi_prime, recs[-1].pi) == (100_000, hits, 9592)
+
+
+def test_lane_residues_match_python_mod():
+    # Horner's rule over 30-bit limbs against Python's %, for integers of
+    # both signs up to 400 bits and the edges of int64, at lane primes from
+    # 3 to the lane bound, where each step comes nearest to 2^63
+    rng = random.Random(37)
+    q = np.array([3, 5, 7, 65537, 999983, 2**31 - 19, 2**31 - 1], np.int64)
+    values = [0, 2**63 - 1, -(2**63 - 1), 2**63, -(2**63), 2**90, -(2**90)]
+    values += [2**30, -(2**30), 2**30 - 1, -(2**30) - 1]
+    for bits in range(0, 401, 8):
+        v = rng.getrandbits(bits) if bits else 1
+        values += [v, -v, v | 1 << max(bits - 1, 0)]
+    for v in values:
+        got = sweep._lane_residues(v, q)
+        assert got.dtype == np.int64 and got.tolist() == [v % p for p in q.tolist()], v
+
+
+def _random_fraction(rng):
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 60), rng.randint(1, 40))
+
+
+@pytest.mark.parametrize("name", ["E, 13P", "t=37/7"])
+def test_decide_is_invariant_under_a_change_of_variables(name):
+    # a rational TateMap(r, s, t, u) is an isomorphism mod every prime that
+    # divides no numerator or denominator of r, s, t and u, so at each such
+    # prime below 10^4 the decision on the mapped pair is the decision on
+    # the pair; 13P has x with denominator 17^2, so it reduces to O mod 17
+    if name == "E, 13P":
+        c, pt = CURVE_E, curves.scalar_mul(13, POINT_P, CURVE_E)
+        assert pt[0].denominator == 17**2
+    else:
+        c, pt = curves.curve_from_pair(*fabulous.parametrize(Fraction(37, 7))), (Fraction(0), Fraction(0))
+    ps = sweep.primes_up_to(10_000)
+    want = sweep._decide(ps, *sweep._prepare(c, pt))
+    rng = random.Random(13)
+    for _ in range(4):
+        tm = curves.TateMap(*(_random_fraction(rng) for _ in range(4)))
+        parts = math.prod(v.numerator * v.denominator for v in (tm.r, tm.s, tm.t, tm.u))
+        keep = np.array([parts % p != 0 for p in ps])
+        got = sweep._decide(ps, *sweep._prepare(tm.curve(c), tm.apply(pt)))
+        assert np.array_equal(got[keep], want[keep]), tm
+    assert want.any() and not want.all()
 
 
 def test_lane_bound_fails_loudly():
