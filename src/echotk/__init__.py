@@ -10,6 +10,8 @@ Modules:
     density   exact column-space densities (179/336 and 11/21), brute and
               analytic engines
     fabulous  the quartic certificate machinery for the curve family
+    polyops   exact polynomial and integer helpers: prime sieves, rational
+              roots, quartic discriminants and irreducibility
     cli       command-line dispatcher (`echo ...` / `python -m echotk`)
 """
 

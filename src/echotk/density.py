@@ -12,8 +12,7 @@ with (v, M) in G_2.  One engine reads that table:
   ``brute_report`` sums the shares into the exact density at level k;
 * every class's share is c + a 4^-k + b 64^-k (the ``brute_report``
   docstring proves it), so its shares at k = 2, 3, 4 fix the limit c
-  exactly: ``mu_case`` and ``analytic_density`` read it off them, and
-  ``brute_closed_form`` solves the (c, a, b) of the totals.
+  exactly: ``mu_case`` and ``analytic_density`` read it off them.
 
 The paper's six cases are the 2-adic Smith shapes (e1, e2) of M - I mod 4,
 each exponent capped at 2: det odd (0, 0), det = 2 (0, 1), det = 0 with an
@@ -265,8 +264,7 @@ def brute_report(k: int, group: str = "hk") -> tuple[DensityReport, dict]:
     z(n-1)/64 with z(0) = 1, so z(n) = 4/7 + (2/5) 4^-n + (1/35) 64^-n.
     A class weighs 16 f_M / |G_2|: 1/96 in the full group, where f_M = 1
     (32, 24, 24, 6, 9, 1 classes per case), and f_M/24 in H_k (f_M sums to
-    8, 6, 6, 3, 0, 1 per case), which gives D(k) = c + a 4^-k + b 64^-k,
-    and ``brute_closed_form`` solves (c, a, b) from three levels.
+    8, 6, 6, 3, 0, 1 per case), which gives D(k) = c + a 4^-k + b 64^-k.
 
     ``BRUTE_MAX_LEVEL`` = 64 is the range the tests check: a call costs
     about 55 ms there (2-core Xeon VM), and ``_smith_cells`` recurses k deep.
@@ -296,13 +294,6 @@ def _span_limit(d2, d3, d4) -> Fraction:
     return Fraction(256 * d4 - 68 * d3 + d2, 189)
 
 
-def _solve_span(d2, d3, d4) -> tuple[Fraction, Fraction, Fraction]:
-    """(c, a, b) with d_k = c + a 4^-k + b 64^-k at k = 2, 3, 4."""
-    c = _span_limit(d2, d3, d4)
-    a = (64 * d3 - d2 - 63 * c) * Fraction(16, 15)
-    return c, a, (d2 - c - a / 16) * 4096
-
-
 @lru_cache(maxsize=None)
 def _class_limits(group: str) -> MappingProxyType:
     """Each class's limit over k: ``_span_limit`` of its shares at k = 2, 3, 4."""
@@ -324,11 +315,6 @@ def analytic_density(group: str = "hk") -> DensityReport:
     matrices with a nonzero limit are counted.
     """
     return _case_report("analytic", group, _class_limits(group))
-
-
-def brute_closed_form(group: str = "hk") -> tuple[Fraction, Fraction, Fraction]:
-    """(c, a, b) with brute_density(k, group) = c + a 4^-k + b 64^-k at every k."""
-    return _solve_span(*(brute_density(k, group) for k in (2, 3, 4)))
 
 
 def resolved_at_level_2(m: Matrix) -> bool:

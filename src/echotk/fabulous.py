@@ -106,9 +106,6 @@ def discriminant_identity_check(a, b) -> bool:
     return f.discriminant() == 2**62 * b**6 * disc_curve**3 * bad_locus_g(a, b) ** 2
 
 
-EXCLUDED_PARAMETERS = (Fraction(25), Fraction(-35))
-
-
 class ExcludedParameterError(ValueError):
     """Parameter value forces b = 0, a singular curve."""
 
@@ -118,16 +115,16 @@ def parametrize(t) -> tuple[Fraction, Fraction]:
 
     Both quadratic factors of the common denominator have no rational
     zeros (discriminants 304 and -288 are not squares), so every rational
-    t outside the two excluded values is admissible.
+    t is admissible except where b(t) = 0, a singular curve.
     """
     t = Fraction(t)
-    if t in EXCLUDED_PARAMETERS:
-        raise ExcludedParameterError(f"t = {t} forces b = 0")
     q1 = t * t - 29 * t + 676
     q2 = t * t - 10 * t - 279
     q3 = t * t + 10 * t + 97
     p1 = (t - 25) * (t + 35) * q1 * q2**2 * q3
     p2 = (t - 25) * (t + 35) ** 2 * q1**3
+    if p2 == 0:
+        raise ExcludedParameterError(f"t = {t} forces b = 0")
     p3 = q2**4 * q3
     return p1 / p3, p2 / p3
 

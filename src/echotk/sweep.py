@@ -55,7 +55,6 @@ import pickle
 import signal
 import traceback
 from dataclasses import dataclass
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from typing import Optional
 
@@ -499,10 +498,9 @@ def group_order(c: Curve) -> int:
 
 
 def ratio_str(num: int, den: int) -> str:
-    """num/den rendered to 9 decimal places, ties to even."""
-    with localcontext() as ctx:
-        ctx.prec = 50
-        return str((Decimal(num) / Decimal(den)).quantize(Decimal("0.000000001"), ROUND_HALF_EVEN))
+    """num/den >= 0 rendered to 9 decimal places, rounded exactly, ties to even."""
+    whole, frac = divmod(round(Fraction(num, den) * 10**9), 10**9)
+    return f"{whole}.{frac:09d}"
 
 
 @dataclass(frozen=True)

@@ -768,3 +768,29 @@ def test_kernel_squaring_identity():
     # j = 1 is too low: A = [[0, 1], [1, 0]] has A^2 = I, so the square picks up 4 I mod 8
     e = ag._kernel_elem(0b000110, 2)
     assert ag._comp(e, e, 7) != ag._kernel_elem(0b000110, 3)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ag.closure([]), ValueError, "need at least one generator"),
+    (lambda: ag.build_hk(1), ValueError, "H_k is defined for k >= 2"),
+    (lambda: ag.full_agl(4), ag.ResourceBudgetError, "capped at k = 3"),
+], ids=["closure_of_nothing", "hk_level_1", "full_group_level_4"])
+def test_aglgroup_rejects_bad_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_inverse_past_level_3(k):
+    # levels 4 and 5 run the Newton step that inverts the determinant
+    rng = np.random.default_rng(k)
+    mask = (1 << k) - 1
+    fields = rng.integers(0, 1 << k, size=(6, 8000), dtype=np.int32)
+    fields = fields[:, (fields[2] * fields[5] - fields[3] * fields[4]) & 1 == 1][:, :3000]
+    assert fields.shape == (6, 3000)
+    inv = ag._inv(tuple(fields), k)
+    for prod in (ag._comp(tuple(fields), inv, mask), ag._comp(inv, tuple(fields), mask)):
+        assert all(np.array_equal(got, np.full(3000, want)) for got, want in zip(prod, ag.IDENTITY_RAW))
+    for a in map(tuple, fields.T.tolist()):
+        a_inv = ag._inv(a, k)
+        assert ag._comp(a, a_inv, mask) == ag._comp(a_inv, a, mask) == ag.IDENTITY_RAW, a

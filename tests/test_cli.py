@@ -231,6 +231,18 @@ def test_family_cli_json(capsys):
     assert payload["b"] == "-729/64"
 
 
+def test_family_cli_sweep(capsys):
+    argv = ("family", "--t", "1", "--sweep", "1e3", "--threads", "1")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.endswith("\nodd-order density to 1000: 83/168 = 0.494048\n")
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["sweep_x"], payload["odd_order_primes"], payload["primes"]) == (1000, 83, 168)
+    assert payload["empirical_density"] == 83 / 168
+
+
 @pytest.mark.parametrize(
     "argv, option, value",
     [

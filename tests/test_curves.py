@@ -186,3 +186,13 @@ def test_tate_normal_form_rejects_infinity_and_off_curve():
         curves.tate_normal_form(CURVE_E, None)
     with pytest.raises(ValueError):
         curves.tate_normal_form(CURVE_E, (Fraction(1), Fraction(0)))  # not on E
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: curves.odd_multiple_coords(-1), "n must be >= 0"),
+    (lambda: curves.tate_normal_form(curves.reduce_mod_p(CURVE_E, 101)[0], (4, 7)), "over the rationals"),
+    (lambda: curves.reduce_mod_p(curves.reduce_mod_p(CURVE_E, 101)[0], 103), "already over a prime field"),
+], ids=["negative_odd_multiple", "normal_form_over_fp", "reduce_an_fp_curve"])
+def test_curves_reject_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

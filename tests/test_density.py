@@ -471,12 +471,18 @@ _CLOSED_FORMS = {
 
 
 def test_brute_closed_forms():
-    # the finite-level identities derived in the brute_report docstring,
-    # and the (c, a, b) that brute_closed_form solves from three levels
+    # the finite-level identities derived in the brute_report docstring; the
+    # levels 2, 3, 4 alone fix (c, a, b), since the 3x3 system is invertible
     for group, (c, a, b) in _CLOSED_FORMS.items():
-        assert density.brute_closed_form(group) == (c, a, b), group
         for k in range(2, density.BRUTE_MAX_LEVEL + 1):
             assert density.brute_density(k, group) == c + a / 4**k + b / 64**k, (group, k)
+
+
+def _solve_span(d2, d3, d4) -> tuple[Fraction, Fraction, Fraction]:
+    """(c, a, b) with d_k = c + a 4^-k + b 64^-k at k = 2, 3, 4."""
+    c = density._span_limit(d2, d3, d4)
+    a = (64 * d3 - d2 - 63 * c) * Fraction(16, 15)
+    return c, a, (d2 - c - a / 16) * 4096
 
 
 def test_every_class_lies_in_the_span_the_limit_is_solved_from():
@@ -485,7 +491,7 @@ def test_every_class_lies_in_the_span_the_limit_is_solved_from():
     for group in ("hk", "full"):
         per_level = {k: density.brute_report(k, group)[1] for k in range(2, 17)}
         for m in density.gl2_mod4():
-            c, a, b = density._solve_span(*(per_level[k][m] for k in (2, 3, 4)))
+            c, a, b = _solve_span(*(per_level[k][m] for k in (2, 3, 4)))
             assert c == density.mu_case(m, group), (group, m)
             for k in range(5, 17):
                 assert per_level[k][m] == c + a / 4**k + b / 64**k, (group, m, k)
@@ -496,6 +502,15 @@ def test_brute_level_bounds():
         density.brute_density(density.BRUTE_MAX_LEVEL + 1)
     with pytest.raises(ValueError):
         density.brute_density(1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: density.brute_report(3, "nope"),
+    lambda: density.analytic_density("nope"),
+], ids=["brute_report", "analytic_density"])
+def test_unknown_group_is_rejected(call):
+    with pytest.raises(ValueError, match="unknown group 'nope'"):
+        call()
 
 
 def test_f_fraction_exact_distribution():

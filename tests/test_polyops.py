@@ -447,3 +447,16 @@ def test_quartic_irreducibility_against_bounded_search():
         has_root = bool(roots)
         reducible = has_root or _reducible_by_bounded_search(coeffs)
         assert polyops.is_quartic_irreducible(coeffs) == (not reducible), coeffs
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: polyops.quartic_discriminant([1, 2, 3, 4, 0]), "leading coefficient must be nonzero"),
+    (lambda: polyops.is_quartic_irreducible([1, 2, 3, 4]), "expected a degree-4 polynomial"),
+], ids=["discriminant_of_a_cubic", "irreducibility_of_a_cubic"])
+def test_polyops_rejects_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_primes_up_to_below_2_is_empty():
+    assert polyops.primes_up_to(1) == []

@@ -134,3 +134,11 @@ def test_residue_cycle_composite_modulus():
     # 15 | b_n would need 5 | b_n, which never happens
     assert not rc.contains_zero
     assert any(r % 3 == 0 for r in rc.pattern)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: seq.residue_cycle(0), "modulus must be >= 1"),
+], ids=["residue_cycle_modulus_0"])
+def test_seq_rejects_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

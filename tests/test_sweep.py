@@ -840,6 +840,28 @@ def test_ratio_str_leaves_decimal_context_alone():
         decimal.getcontext().prec = saved
 
 
+def test_ratio_str_rounds_exactly_to_nine_places():
+    # fixed-point at every size, ties to even, and a scan's first row with no hits
+    assert sweep.ratio_str(0, 4) == "0.000000000"
+    assert sweep.ratio_str(1, 2_000_000) == "0.000000500"
+    assert sweep.ratio_str(1, 2 * 10**9) == "0.000000000"
+    assert sweep.ratio_str(3, 2 * 10**9) == "0.000000002"
+    assert sweep.ratio_str(41856, 78498) == "0.533211037"
+    recs = sweep.density_scan(curves.curve_from_pair(-3, -3), (0, 0), 100, threads=1)
+    assert (recs[0].pi_prime, recs[0].ratio) == (0, "0.000000000")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: sweep.sweep(9), "x_max must be >= 10"),
+    (lambda: sweep.density_scan(CURVE_E, (0, 0), 100), "affine point on the curve"),
+    (lambda: sweep.density_scan(_reduced(101)[0], (4, 7), 100), "over the rationals"),
+    (lambda: sweep.group_order(CURVE_E), "needs a curve over F_p"),
+], ids=["x_max", "point_off_curve", "curve_over_fp", "group_order_over_q"])
+def test_sweep_rejects_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_primes_segmented_matches_simple():
     base = sweep.primes_up_to(500)
     got = sweep.primes_in_range(100, 400, base)
