@@ -5,7 +5,7 @@ point has odd order in E(F_p).  The bad primes are settled by the residue
 cycles (3 divides a term, 5 never does), and p = 2 by the exact group law:
 #E(F_2) <= 5, so the point has odd order iff 15 kills it.  Those answers
 belong to the prepared (curve, point) pair.  Every other prime is odd and
-goes to numpy int64 lanes, one prime per lane, for a whole sweep segment
+goes to numpy uint64 lanes, one prime per lane, for a whole sweep segment
 at once.  A lane holds the point's x and the b2, b4, b6 of the 2-division
 cubic 4f(X) = 4X^3 + b2 X^2 + 2 b4 X + b6, the roots of f being the x of
 the 2-torsion points.  _prepare scales each pair once, exactly, to an
@@ -33,8 +33,9 @@ order; the order is odd exactly when the odd part of one of them
 already kills the point, which a Montgomery ladder tests.  The search
 and the ladder share one x-only group law on (X : Z); the search adds
 one batched inversion per lane and sorted keys to match baby and giant
-steps.  Lanes hold primes up to LANE_PRIME_MAX = 2^31 - 1; larger primes
-raise ValueError.  The same engine scans any rational curve/point pair.
+steps.  Lanes hold primes up to LANE_PRIME_MAX = 2^31 - 1, the bound of
+the lane rule stated below; larger primes raise ValueError.  The same
+engine scans any rational curve/point pair.
 The sweep cuts its primes into contiguous ranges of equal width, at most
 SEGMENT_SIZE, and deals them round-robin to `threads` processes: the
 calling process is worker 0 and starts the others with os.fork, each of
@@ -74,12 +75,16 @@ class AmbiguousOrderError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # the odd-order decision: the 2-division rule, then a baby-step giant-step
-# search over int64 lanes
+# search over uint64 lanes
 #
 # A lane is an odd prime p, the x of an affine point, and the b2, b4, b6 of
 # 4f(X) = 4X^3 + b2 X^2 + 2 b4 X + b6, all reduced mod p; lanes may repeat a
-# prime.  Residues stay below LANE_PRIME_MAX < 2^31, so the sum of two
-# residue products fits int64.
+# prime.  Residues are uint64 and reduced only where needed, by one rule:
+# every lane sum is at most four products a b with 0 <= a, b <= p, so it is
+# below 4p^2 < 2^64 for p <= LANE_PRIME_MAX = 2^31 - 1.  No term is
+# negative: a residue r is subtracted as p - r, and one product t as
+# p^2 - t.  Lane scalars (exponents, multiples of a point, the search's
+# interval) only index bits and rows, and may be int64.
 #
 # The search and the odd-part test share one x-only law (Montgomery, Math.
 # Comp. 48, 1987; Brier and Joye, PKC 2002).  Y = 2y + a1 x + a3 keeps x and
@@ -90,36 +95,41 @@ class AmbiguousOrderError(RuntimeError):
 #           N = (X_R Z_S + X_S Z_R)(2 X_R X_S + b4 Z_R Z_S) + Z_R Z_S (b2 X_R X_S + b6 Z_R Z_S);
 #   double: 2R = (X^4 - b4 X^2 Z^2 - 2 b6 X Z^3 - b8 Z^4 : N(R, R)).
 # The additive form holds at x = 0, where the product form
-# x(R + S) x(R - S) does not.  Every term stays below 2^63.
+# x(R + S) x(R - S) does not.
 
 LANE_PRIME_MAX = (1 << 31) - 1
 
 
 def _check_lane_bound(p: int) -> None:
     if p > LANE_PRIME_MAX:
-        raise ValueError(f"primes above {LANE_PRIME_MAX} exceed the int64 lane bound")
+        raise ValueError(f"primes above {LANE_PRIME_MAX} exceed the uint64 lane bound (4p^2 must stay below 2^64)")
 
 
 def _law(p, b2, b4, b6):
     """The x-only law's constants (p, b2, b4, b6, b8) on every lane."""
     inv2 = (p + 1) >> 1
-    return p, b2, b4, b6, (b2 * b6 - b4 * b4) % p * (inv2 * inv2 % p) % p
+    return p, b2, b4, b6, (b2 * b6 + p * p - b4 * b4) % p * (inv2 * inv2 % p) % p
 
 
 def _n_form(s, xx, zz, b):
-    """N(R, S) from s = X_R Z_S + X_S Z_R, xx = X_R X_S and zz = Z_R Z_S."""
+    """N(R, S), below 3p^2 and not reduced, from s = X_R Z_S + X_S Z_R < 2p,
+    xx = X_R X_S and zz = Z_R Z_S."""
     p, b2, b4, b6, _ = b
-    return (s * ((2 * xx + b4 * zz) % p) + zz * ((b2 * xx + b6 * zz) % p)) % p
+    return s * ((2 * xx + b4 * zz) % p) + zz * ((b2 * xx + b6 * zz) % p)
 
 
 def _xadd(R, S, D, b):
-    """x(R + S) = (Zd N - Xd Z'' : Zd Z'') from R, S and D = (Xd : Zd) = R - S;
-    exact unless D = O (an input at O gives the other, R = -S gives O)."""
+    """x(R + S) = (Zd N - Xd Z'' : Zd Z'') from R, S and D = (Xd : Zd) = R - S,
+    where Zd = None stands for Zd = 1; exact unless D = O (an input at O
+    gives the other, R = -S gives O)."""
     p = b[0]
     (X0, Z0), (X1, Z1), (Xd, Zd) = R, S, D
     A, B = X0 * Z1 % p, X1 * Z0 % p
-    Zs = (A - B) * (A - B) % p
-    return (Zd * _n_form((A + B) % p, X0 * X1 % p, Z0 * Z1 % p, b) - Xd * Zs) % p, Zd * Zs % p
+    Zs = (A + p - B) ** 2 % p
+    N = _n_form(A + B, X0 * X1 % p, Z0 * Z1 % p, b)
+    if Zd is None:
+        return (N + (p - Xd) * Zs) % p, Zs
+    return (Zd * (N % p) + (p - Xd) * Zs) % p, Zd * Zs % p
 
 
 def _xdbl(R, b):
@@ -127,23 +137,27 @@ def _xdbl(R, b):
     p, _, b4, b6, b8 = b
     X, Z = R
     XX, ZZ, XZ = X * X % p, Z * Z % p, X * Z % p
-    Xd = ((XX - b4 * ZZ) % p * XX - (2 * (b6 * XZ % p) + b8 * ZZ) % p * ZZ) % p
-    return Xd, _n_form(2 * XZ % p, XX, ZZ, b)
+    A, B = (XX + (p - b4) * ZZ) % p, (2 * (b6 * XZ) + b8 * ZZ) % p
+    return (A * XX + (p - B) * ZZ) % p, _n_form(2 * XZ, XX, ZZ, b) % p
 
 
 def _ladder(k, B, b):
     """(R0, R1) = (kB, (k + 1)B) on every lane, for lane scalars
-    1 <= k < 2^63 and a projective base B = (X : Z) != O; k may stack
-    several rows of scalars over the same lanes.  Montgomery's ladder keeps
-    R1 - R0 = B, so every sum is exact; on a lane whose B is O the outputs
-    are junk."""
-    X0, Z0, (X1, Z1) = np.ones_like(k), np.zeros_like(k), B
+    1 <= k < 2^63 and a base B = (X : Z) != O, Z = None standing for
+    Z = 1; k may stack several rows of scalars over the same lanes.
+    Montgomery's ladder keeps R1 - R0 = B, so every sum is exact; it swaps
+    R0 and R1 where the bit differs from the last, and then doubles R0.
+    On a lane whose B is O the outputs are junk."""
+    X, Z = B
+    X0, Z0 = np.ones_like(k, np.uint64), np.zeros_like(k, np.uint64)
+    X1, Z1 = X, np.ones_like(X) if Z is None else Z
+    last = False
     for bit in range(int(k.max()).bit_length() - 1, -1, -1):
         on = (k >> bit) & 1 == 1
-        Xs, Zs = _xadd((X0, Z0), (X1, Z1), B, b)
-        Xd, Zd = _xdbl((np.where(on, X1, X0), np.where(on, Z1, Z0)), b)  # R1 doubles where the bit is set
-        X0, Z0, X1, Z1 = np.where(on, Xs, Xd), np.where(on, Zs, Zd), np.where(on, Xd, Xs), np.where(on, Zd, Zs)
-    return (X0, Z0), (X1, Z1)
+        swap = on != last
+        X0, X1, Z0, Z1 = np.where(swap, X1, X0), np.where(swap, X0, X1), np.where(swap, Z1, Z0), np.where(swap, Z0, Z1)
+        (X1, Z1), (X0, Z0), last = _xadd((X0, Z0), (X1, Z1), B, b), _xdbl((X0, Z0), b), on
+    return (np.where(last, X1, X0), np.where(last, Z1, Z0)), (np.where(last, X0, X1), np.where(last, Z0, Z1))
 
 
 def _pow(z, e, p):
@@ -158,39 +172,45 @@ def _pow(z, e, p):
     return r
 
 
-def _normalize(pts, p):
-    """Overwrite X of rows of points pts = (X, Z), one row per step along
-    each lane, by x = X/Z, with one inverse per lane (Montgomery's trick
-    down the rows).  Rows at O keep Z = 0 and get a junk x."""
-    X, Z = pts
-    buf = np.empty_like(Z)
+def _normalize(rows, p):
+    """Overwrite the X of each row (X, Z) of lane points by x = X/Z, with
+    one inverse per lane (Montgomery's trick: down the rows X takes the
+    product of the Z before it, and back up the inverse of the product
+    through its own Z), in place.  Rows at O keep Z = 0 and get a junk x."""
     acc = np.ones_like(p)
-    for i, z in enumerate(Z):
-        buf[i] = acc = acc * (z + (z == 0)) % p
+    for x, z in rows:
+        x *= acc
+        x %= p
+        acc = acc * (z + (z == 0)) % p
     inv = _pow(acc, p - 2, p)
-    for i in range(len(Z) - 1, 0, -1):
-        buf[i] = inv * buf[i - 1] % p
-        inv = inv * (Z[i] + (Z[i] == 0)) % p
-    buf[0] = inv
-    X *= buf
-    X %= p
+    for x, z in reversed(rows):
+        x *= inv
+        x %= p
+        inv = inv * (z + (z == 0)) % p
+
+
+def _isqrt_4p(q):
+    """isqrt(4q) on int64 lanes q <= LANE_PRIME_MAX: the floor of the float64
+    square root is exact, as 4q < 2^33 is, and its root is correctly rounded."""
+    return np.sqrt(4 * q).astype(np.int64)
 
 
 def _bsgs(p, x, b2, b4, b6):
-    """Two rows M0, M1 of positive lane scalars, one of which kills Q = 4P
-    for the point P with x(P) = x, on lanes where 4 | #E(F_p); so the order
-    of P divides 4 M0 or 4 M1.  The search runs on Q over the quarter
-    interval [lo, hi] = [ceil((p + 1 - T)/4), floor((p + 1 + T)/4)],
+    """Two rows M0, M1 of positive int64 lane scalars, one of which kills
+    Q = 4P for the point P with x(P) = x, on lanes where 4 | #E(F_p); so
+    the order of P divides 4 M0 or 4 M1.  The search runs on Q over the
+    quarter interval [lo, hi] = [ceil((p + 1 - T)/4), floor((p + 1 + T)/4)],
     T = isqrt(4p), which holds #E(F_p)/4.  Babies are j*Q for 1 <= j < s,
     and giants sit at the multiples c = m(2s - 1) of the stride, for
     m0 <= m < m0 + n_giant with m0 = max(1, (lo + s - 1) // (2s - 1)) per
     lane, so that the windows [c - s + 1, c + s - 1] tile every lane's
     interval up to hi, and the babies cover what lies below the first
     window.  Q comes from two xDBL, the babies from (j + 1)Q = jQ + Q with
-    the difference (j - 1)Q, the step S = (2s - 1)Q = sQ + (s - 1)Q from
-    one more baby and one xADD, the first two giants from one ladder
+    the difference (j - 1)Q, the step S = (2s - 1)Q = sQ + (s - 1)Q from one
+    more baby and one xADD, the first two giants from one ladder
     (m0 S, (m0 + 1)S), and each later giant from the one before plus S,
-    with the difference the giant two before.
+    with the difference the giant two before.  One batched inversion per
+    lane gives every baby and giant its x.
 
     A baby at O gives M = j, S at O gives M = 2s - 1, and a giant at O
     gives M = c, in both rows.  A giant with the x of baby j is
@@ -201,41 +221,42 @@ def _bsgs(p, x, b2, b4, b6):
     else from S at O, else from its first giant at O, else from any match.
     Every row stays below 2^30 for p <= LANE_PRIME_MAX.  All lanes are
     searched at once: at the lane bound a sweep chunk has about 500 of
-    them with about 300 points each, two int64 rows a point, about 2.4 MB.
+    them with about 300 points each, two uint64 rows a point, about 2.4 MB.
     """
     b = _law(p, b2, b4, b6)
     width = len(p)
-    T = np.array([math.isqrt(4 * q) for q in p.tolist()], np.int64)
-    lo, hi = -(-(p + 1 - T) // 4), (p + 1 + T) // 4
+    q = p.astype(np.int64)  # the interval and the rows are lane scalars
+    T = _isqrt_4p(q)
+    lo, hi = -(-(q + 1 - T) // 4), (q + 1 + T) // 4
     s = max(2, math.isqrt(int((hi - lo).max()) // 2) + 1)
     stride = 2 * s - 1
     m0 = np.maximum(1, (lo + s - 1) // stride)
     n_giant = max(1, int((-(-(hi - s + 1) // stride) - m0).max()) + 1)
     Q = _xdbl(_xdbl((x, np.ones_like(x)), b), b)
 
-    baby = np.empty((2, s, width), np.int64)  # jQ for 1 <= j <= s; sQ only makes S
+    baby = np.empty((2, s, width), np.uint64)  # jQ for 1 <= j <= s; sQ only makes S
     baby[:, 0] = Q
     baby[:, 1] = _xdbl(Q, b)
     for j in range(2, s):
         baby[:, j] = _xadd(baby[:, j - 1], Q, baby[:, j - 2], b)
     S = _xadd(baby[:, s - 1], baby[:, s - 2], Q, b)
     baby = baby[:, : s - 1]
-    giant = np.empty((2, n_giant, width), np.int64)
+    giant = np.empty((2, n_giant, width), np.uint64)
     R0, R1 = _ladder(m0, S, b)
     giant[:, 0] = R0
     if n_giant > 1:
         giant[:, 1] = R1
     for i in range(2, n_giant):
         giant[:, i] = _xadd(giant[:, i - 1], S, giant[:, i - 2], b)
+    _normalize([*zip(*baby), *zip(*giant)], p)
 
-    # match on keys lane * key_width + x; a baby at O gets key -1
-    offset = np.arange(width, dtype=np.int64) * (int(p.max()) + 1)
-    _normalize(baby, p)
+    # match on keys lane * key_width + x; a baby at O gets a key past every giant's
+    key_width = int(p.max()) + 1
+    offset = np.arange(width, dtype=np.uint64) * key_width
     keys = baby[0] + offset
-    keys[baby[1] == 0] = -1
+    keys[baby[1] == 0] = width * key_width
     order = np.argsort(keys, axis=None)
     sorted_keys = keys.ravel()[order]
-    _normalize(giant, p)
     giant_keys = (giant[0] + offset).ravel()
     pos = np.minimum(np.searchsorted(sorted_keys, giant_keys), sorted_keys.size - 1)
     found = np.flatnonzero((sorted_keys[pos] == giant_keys) & (giant[1] != 0).ravel())
@@ -262,18 +283,19 @@ NO_ROOT, Z2, CYCLIC_EVEN, SPLIT_EVEN, BSGS_4 = range(5)
 
 def _cubic_step(r, on, c):
     """r^2, times Y on the lanes where on, in F_p[Y]/(g) for the monic cubic
-    g = Y^3 + g2 Y^2 + g1 Y + g0 with c = (p, g0, g1, g2), r given and
-    returned as the coefficients (r0, r1, r2) of 1, Y, Y^2."""
+    g = Y^3 + g2 Y^2 + g1 Y + g0 with c = (p, g0, g1, g2), 0 <= g_i <= p, r
+    given and returned as the coefficients (r0, r1, r2) of 1, Y, Y^2.  With
+    n_i = p - g_i, Y^3 = n2 Y^2 + n1 Y + n0 folds the square's c4 Y^4 and
+    c3 Y^3 into (t0, t1, t2), and Y (t0, t1, t2) = (n0 t2, t0 + n1 t2, t1 + n2 t2)."""
     p, g0, g1, g2 = c
+    n0, n1, n2 = p - g0, p - g1, p - g2
     r0, r1, r2 = r
-    s4, s3 = r2 * r2 % p, 2 * (r1 * r2 % p)
-    s2 = (r1 * r1 + 2 * (r0 * r2 % p)) % p
-    s3 = (s3 - g2 * s4) % p  # Y^4 = Y * Y^3, Y^3 = -(g2 Y^2 + g1 Y + g0)
-    s2 = (s2 - g1 * s4 - g2 * s3) % p
-    s1 = (2 * (r0 * r1 % p) - g0 * s4 % p - g1 * s3) % p
-    r0, r1, r2 = (r0 * r0 - g0 * s3) % p, s1, s2
-    yr = (-g0 * r2 % p, (r0 - g1 * r2) % p, (r1 - g2 * r2) % p)  # Y r
-    return tuple(np.where(on, t, v) for t, v in zip(yr, (r0, r1, r2)))
+    c4 = r2 * r2 % p
+    c3 = (2 * (r1 * r2) + n2 * c4) % p  # c3 + n2 c4: Y^4 = n2 Y^3 + n1 Y^2 + n0 Y
+    t2 = ((r1 * r1 + 2 * (r0 * r2)) % p + n1 * c4 + n2 * c3) % p
+    t1 = (2 * (r0 * r1) + n0 * c4 + n1 * c3) % p
+    t0 = r0 * r0 + n0 * c3
+    return np.where(on, n0 * t2, t0) % p, np.where(on, t0 + n1 * t2, t1) % p, np.where(on, t1 + n2 * t2, t2) % p
 
 
 def _cubic_pow(e, c):
@@ -332,25 +354,26 @@ def _two_sylow(p, x, b2, b4, b6):
     inv2 = (p + 1) >> 1
     inv4 = inv2 * inv2 % p
     c2, c1, c0 = b2 * inv4 % p, b4 * inv2 % p, b6 * inv4 % p
-    g = p, -(((x + c2) * x % p + c1) % p * x + c0) % p, ((3 * x + 2 * c2) % p * x + c1) % p, -(3 * x + c2) % p
+    f = (((x + c2) * x % p + c1) * x + c0) % p
+    g = p, p - f, ((3 * x + 2 * c2) % p * x + c1) % p, (4 * p - 3 * x - c2) % p
     u0, u1, u2 = u = _cubic_pow((p - 1) >> 1, g)
 
     # gcd(g, h) through l = l1 Y + l0: no root where z = l1^3 g(-l0/l1) != 0
     _, g0, g1, g2 = g
     h0, h1, h2 = _cubic_step(u, True, g)  # Y u^2 = Y^p
-    h1 = (h1 - 1) % p
-    a2, a1, a0 = (h2 * g2 - h1) % p, (h2 * g1 - h0) % p, h2 * g0 % p
-    l1 = np.where(h2 == 0, h1, (h2 * a1 - a2 * h1) % p)
-    l0 = np.where(h2 == 0, h0, (h2 * a0 - a2 * h0) % p)
+    h1 = (h1 + p - 1) % p
+    a2, a1, a0 = (h2 * g2 + p - h1) % p, (h2 * g1 + p - h0) % p, h2 * g0 % p
+    l1 = np.where(h2 == 0, h1, (h2 * a1 + (p - a2) * h1) % p)
+    l0 = np.where(h2 == 0, h0, (h2 * a0 + (p - a2) * h0) % p)
     ll, lm, mm = l1 * l1 % p, l1 * l0 % p, l0 * l0 % p
-    z = (ll * l1 % p * g0 - l0 * ((ll * g1 - lm * g2) % p + mm)) % p  # l = 0 on the three-root lanes
+    z = (ll * l1 % p * g0 + (p - l0) * ((ll * g1 + (p - lm) * g2 + mm) % p)) % p  # l = 0 on the three-root lanes
 
     # every x - e is a nonzero square: u(y1) = 1 with one root, u = 1 with three
-    squares = np.where(l1 == 0, (u0 == 1) & (u1 == 0) & (u2 == 0), ((u0 * ll - u1 * lm) % p + u2 * mm) % p == ll)
+    squares = np.where(l1 == 0, (u0 == 1) & (u1 == 0) & (u2 == 0), (u0 * ll + (p - u1) * lm + u2 * mm) % p == ll)
     one = np.flatnonzero((z == 0) & (l1 != 0))
     z2 = np.zeros(len(p), bool)  # one root e1, f'(e1) = g'(y1) a non-residue
     q = p[one]
-    z2[one] = _pow((3 * mm - 2 * (g2 * lm % p) + g1 * ll)[one] % q, (q - 1) >> 1, q) != 1
+    z2[one] = _pow(((3 * mm + g1 * ll) % p + 2 * (p - g2) * lm)[one] % q, (q - 1) >> 1, q) != 1
     even = np.where(l1 == 0, SPLIT_EVEN, CYCLIC_EVEN)
     case = np.where(z != 0, NO_ROOT, np.where(z2, Z2, np.where(squares, BSGS_4, even)))
     return case, (z != 0) | (z2 & squares)
@@ -375,7 +398,7 @@ def _kills(k, p, x, b2, b4, b6):
     """Whether kP = O on each lane, for the point P with x(P) = x and lane
     scalars 1 <= k < 2^63: whether the ladder's R0 = k(x : 1) has Z = 0.
     k may stack several rows of scalars, and the answer has one row each."""
-    return _ladder(k, (x, np.ones_like(x)), _law(p, b2, b4, b6))[0][1] == 0
+    return _ladder(k, (x, None), _law(p, b2, b4, b6))[0][1] == 0
 
 
 def _lane_residues(v: int, q):
@@ -427,8 +450,8 @@ def _decide(ps, model: tuple, bad: int, decided: dict):
     """Whether the point of a prepared pair has odd order mod each prime of
     ps, as a bool array: the pair's decided primes first, then False at bad
     primes, then True where p divides den x_P, so that the point reduces
-    to O, and the lanes decide the rest, which are odd primes, from x',
-    b2', b4', b6' mod p."""
+    to O, and the uint64 lanes decide the rest, which are odd primes, from
+    x', b2', b4', b6' mod p."""
     ps = np.asarray(ps, np.int64)
     out = np.zeros(len(ps), bool)
     todo = np.ones(len(ps), bool)
@@ -441,7 +464,8 @@ def _decide(ps, model: tuple, bad: int, decided: dict):
     out[at_o] = True
     lanes = np.flatnonzero(todo & ~at_o)
     q = ps[lanes]
-    values = [q, *(_lane_residues(v, q) for v in ints)]
+    # non-negative int64 reads unchanged as uint64, so the lanes take views
+    values = [v.view(np.uint64) for v in (q, *(_lane_residues(v, q) for v in ints))]
     for i in range(0, lanes.size, SEGMENT_SIZE):  # bounds the search's memory on a wide call
         out[lanes[i : i + SEGMENT_SIZE]] = _order_is_odd(*(v[i : i + SEGMENT_SIZE] for v in values))
     return out

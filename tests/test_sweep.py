@@ -139,7 +139,7 @@ def _oracle_hit(p, c, pt) -> bool:
 def _lanes(rows):
     """Engine lanes (p, x, b2, b4, b6) from (affine point, curve over F_p)
     rows of odd p."""
-    return np.array([(cp.p, pt[0], *cp.b_invariants()[:3]) for pt, cp in rows], np.int64).T
+    return np.array([(cp.p, pt[0], *cp.b_invariants()[:3]) for pt, cp in rows], np.uint64).T
 
 
 # the cases of sweep._two_sylow that settle a lane, and those that prove 4 | #E
@@ -207,8 +207,7 @@ def test_engine_on_tiny_primes_with_points_of_order_1_to_4():
 def _stride(p):
     """The giant stride 2s - 1 of one _bsgs call on the lane primes p, from
     the widest lane's quarter interval, as the search sets it."""
-    T = np.array([math.isqrt(4 * q) for q in p.tolist()], np.int64)
-    W = int(((p + 1 + T) // 4 - -(-(p + 1 - T) // 4)).max())
+    W = max((q + 1 + math.isqrt(4 * q)) // 4 - -(-(q + 1 - math.isqrt(4 * q)) // 4) for q in p.tolist())
     return 2 * max(2, math.isqrt(W // 2) + 1) - 1
 
 
@@ -269,9 +268,9 @@ def test_x_only_ladder_on_tiny_primes():
     rows = _tiny_rows()
     lanes = _lanes(rows)
     p, x = lanes[0], lanes[1]
-    b = tuple(np.array([(cp.p, *cp.b_invariants()) for _, cp in rows], np.int64).T)
+    b = tuple(np.array([(cp.p, *cp.b_invariants()) for _, cp in rows], np.uint64).T)
     rng = random.Random(5)
-    lam = np.array([rng.randrange(1, q) for q in p.tolist()], np.int64)
+    lam = np.array([rng.randrange(1, q) for q in p.tolist()], np.uint64)
     bases = ((x, np.ones_like(x)), (lam * x % p, lam))
     for k in range(1, 17):
         got = sweep._kills(np.full(len(rows), k, np.int64), *lanes).tolist()
@@ -311,6 +310,82 @@ def test_engine_at_the_largest_lane_prime():
         ks += [rng.randrange(1, 2**62) for _ in range(8)]
         got = sweep._kills(np.array(ks, np.int64), *_lanes([(pt, cp)] * len(ks))).tolist()
         assert got == [curves.scalar_mul(k, pt, cp) is None for k in ks], pt
+
+
+def _n_form_mod(s, xx, zz, b2, b4, b6, p):
+    return (s * (2 * xx + b4 * zz) + zz * (b2 * xx + b6 * zz)) % p
+
+
+def _xadd_mod(R, S, D, b, p):
+    """The x-only sum of the lane comment in Python ints mod p."""
+    (X0, Z0), (X1, Z1), (Xd, Zd) = R, S, D
+    A, B = X0 * Z1, X1 * Z0
+    Zs = (A - B) ** 2 % p
+    return (Zd * _n_form_mod(A + B, X0 * X1, Z0 * Z1, *b[:3], p) - Xd * Zs) % p, Zd * Zs % p
+
+
+def _xdbl_mod(R, b, p):
+    """The x-only double of the lane comment in Python ints mod p."""
+    (X, Z), (b2, b4, b6, b8) = R, b
+    Xd = (X**4 - b4 * X * X * Z * Z - 2 * b6 * X * Z**3 - b8 * Z**4) % p
+    return Xd, _n_form_mod(2 * X * Z, X * X, Z * Z, b2, b4, b6, p)
+
+
+@pytest.mark.parametrize("fill", ["p - 1", "random"])
+def test_lane_steps_keep_their_headroom_at_the_lane_bound(fill):
+    # every residue at p - 1, where each lane sum comes nearest to 4p^2, and
+    # seeded random residues, on the primes of [2^31 - 2^12, 2^31): one cubic
+    # step with Y and without, a sum with a projective and an affine
+    # difference, a double and a 20-bit ladder, each against its formula in
+    # Python ints mod p, and each returning uint64 (a uint64 array times an
+    # int64 one is float64, exact only below 2^53)
+    hi = 2**31
+    ps = sweep.primes_in_range(hi - 2**12, hi, sweep.primes_up_to(math.isqrt(hi) + 1)).tolist()
+    rng = random.Random(43)
+    cols = [[q - 1 if fill == "p - 1" else rng.randrange(q) for q in ps] for _ in range(16)]
+    r, g, R, S, D, b = cols[0:3], cols[3:6], cols[6:8], cols[8:10], cols[10:12], cols[12:16]  # b2, b4, b6, b8
+    k = [2**20 - 1 if fill == "p - 1" else rng.randrange(2**19, 2**20) for _ in ps]
+    p = np.array(ps, np.uint64)
+    lr, lg, lR, lS, lD, lb = ([np.array(c, np.uint64) for c in part] for part in (r, g, R, S, D, b))
+    law = (p, *lb)
+
+    def check(got, want):
+        assert all(v.dtype == np.uint64 for v in got)
+        assert np.stack(got).T.tolist() == want
+
+    for on in (False, True):
+        want = []
+        for q, *row in zip(ps, *r, *g):
+            square = [sum(row[i] * row[n - i] for i in range(3) if n - i in range(3)) for n in range(5)]
+            got = _poly_mod([0] * on + square, [*row[3:], 1], q)
+            want.append(got + [0] * (3 - len(got)))
+        check(sweep._cubic_step(tuple(lr), np.full(len(ps), on), (p, *lg)), want)
+    rows = list(zip(ps, zip(*R), zip(*S), zip(*D), zip(*b)))
+    check(sweep._xadd(lR, lS, lD, law), [list(_xadd_mod(R, S, D, b, q)) for q, R, S, D, b in rows])
+    check(sweep._xadd(lR, lS, (lD[0], None), law), [list(_xadd_mod(R, S, (D[0], 1), b, q)) for q, R, S, D, b in rows])
+    check(sweep._xdbl(lR, law), [list(_xdbl_mod(R, b, q)) for q, R, _, _, b in rows])
+    for base in ((lD[0], None), lD):
+        want = []
+        for (q, _, _, D, b), n in zip(rows, k):
+            B = D if base[1] is not None else (D[0], 1)
+            R0, R1 = (1, 0), B
+            for bit in range(19, -1, -1):
+                on = n >> bit & 1
+                add, dbl = _xadd_mod(R0, R1, B, b, q), _xdbl_mod((R0, R1)[on], b, q)
+                R0, R1 = (add, dbl) if on else (dbl, add)
+            want.append([*R0, *R1])
+        R0, R1 = sweep._ladder(np.array(k, np.int64), base, law)
+        check((*R0, *R1), want)
+
+
+def test_isqrt_4p_matches_math_isqrt():
+    # the search's float64 floor of sqrt(4p) on every lane prime below 1e5
+    # and in [2^31 - 2^16, 2^31), the last sweep chunk below the lane bound
+    hi = 2**31
+    top = sweep.primes_in_range(hi - 2**16, hi, sweep.primes_up_to(math.isqrt(hi) + 1))
+    ps = np.concatenate((sweep.primes_up_to(10**5)[1:], top))
+    got = sweep._isqrt_4p(ps)
+    assert got.dtype == np.int64 and got.tolist() == [math.isqrt(4 * q) for q in ps.tolist()]
 
 
 def _check_the_lane_bound_window(step):
@@ -609,7 +684,7 @@ def test_classifier_decides_the_rational_2_torsion_point_even():
         return pow(a % p, (p - 1) // 2, p)
 
     ps = [p for p in sweep.primes_up_to(3000) if p not in (2, 7)]
-    lanes = np.array([(p, 0, 4, 4, 0) for p in ps], np.int64).T  # b2 = 4, b4 = 4, b6 = 0
+    lanes = np.array([(p, 0, 4, 4, 0) for p in ps], np.uint64).T  # b2 = 4, b4 = 4, b6 = 0
     case, odd = sweep._two_sylow(*lanes)
     want = [
         sweep.SPLIT_EVEN if chi(-7, p) == 1 else sweep.Z2 if chi(2, p) == p - 1 else sweep.CYCLIC_EVEN for p in ps
@@ -642,7 +717,7 @@ def test_cubic_pow_against_polynomial_arithmetic():
                 points.append((p, x))
                 power = _poly_mod([0] + power, f, p)
                 shifted = _poly_mod([x * u - v for u, v in zip(shifted + [0], [0] + shifted)], f, p)
-    p, c0, c1, c2, e = np.array(rows, np.int64).T
+    p, c0, c1, c2, e = np.array(rows, np.uint64).T
     got = np.stack(sweep._cubic_pow(e, (p, c0, c1, c2))).T.tolist()
     assert got[::2] == want
     back = [
